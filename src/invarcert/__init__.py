@@ -50,13 +50,12 @@ from .scenario import (
     MismatchedFingerprints,
     ScenarioSet,
     UniformBox,
-    VertexConstraintBlock,
-    assemble_vertex_constraints,
     evaluate_policy,
     greedy_support_subsample,
     is_admissible,
     solve_affine_policy,
     solve_constant_input,
+    vertex_constraints,
 )
 from .system_family import (
     AffineFamily,

@@ -20,7 +20,7 @@ import numpy as np
 from . import geometry
 from .errors import DimensionMismatch, InvarcertError
 from .geometry import DecompositionInfeasible, Polytope
-from .scenario import AffinePolicy, evaluate_policy, is_admissible
+from .scenario import CHUNK, AffinePolicy, is_admissible
 
 DEFAULT_HORIZON = 50
 DEFAULT_MC_SAMPLES = 10_000
@@ -175,13 +175,13 @@ def empirical_violation(family, S, U, policy, samples, tol: float = 1e-8):
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
         samples = samples[:, None]
-    failures = [
-        j
-        for j in range(samples.shape[0])
-        if not is_admissible(
-            family, S, U, samples[j], evaluate_policy(policy, samples[j]), tol
+    ok = np.empty(samples.shape[0], dtype=bool)
+    for lo in range(0, samples.shape[0], CHUNK):
+        part = samples[lo : lo + CHUNK]
+        ok[lo : lo + CHUNK] = is_admissible(
+            family, S, U, part, policy.vertex_inputs(part), tol
         )
-    ]
+    failures = np.flatnonzero(~ok).tolist()
     return len(failures) / samples.shape[0], failures
 
 

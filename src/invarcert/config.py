@@ -21,8 +21,6 @@ checked here so the pipelines can assume well-formed inputs.
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import InvarcertError
 from .geometry import Polytope, box, validate_polytope
 from .scenario import ScenarioSet
@@ -41,7 +39,6 @@ class ProblemConfig:
     scenarios: ScenarioSet
     beta: float
     options: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
 
 
 def _require(mapping, key, context):
@@ -147,9 +144,4 @@ def parse_config(raw: dict, base_dir=None) -> ProblemConfig:
         scenarios=scenarios,
         beta=beta,
         options=options,
-        raw=raw,
     )
-
-
-def nominal_delta(config: ProblemConfig) -> np.ndarray:
-    return config.family.nominal_delta

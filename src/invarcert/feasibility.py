@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvarcertError
+from .errors import InvarcertError
 from .geometry import Polytope
+from .scenario import vertex_constraints
 
 DET_TOL = 1e-10
 ENUMERATION_CAP = 1_000_000
@@ -96,8 +97,7 @@ def single_sample_iff(
     witnesses carry the certifying basic points.  Requires n >= m and an
     enumeration budget of at most ``cap`` subsets per vertex.
     """
-    A, B = family.instantiate(delta)
-    n, m = A.shape[0], B.shape[1]
+    n, m = family.n, family.m
     if n < m:
         raise DimensionPrecondition(f"requires n >= m, got n={n}, m={m}")
     q, p = U.facet_count, S.facet_count
@@ -105,15 +105,10 @@ def single_sample_iff(
         raise EnumerationCapExceeded(
             f"{math.comb(q + p, m)} row subsets exceed the cap of {cap}"
         )
-    if U.dim != m or S.dim != n:
-        raise DimensionMismatch("family dimensions do not match S and U")
-
-    G = np.vstack([U.facets, S.facets @ B])
-    FAX = S.facets @ A @ S.vertices.T  # (p, N)
+    G, l = vertex_constraints(family, S, U, np.reshape(delta, (1, -1)))
     witnesses = []
     for i in range(S.vertex_count):
-        l = np.concatenate([np.ones(q), 1.0 - FAX[:, i]])
-        w = _check_vertex(G, l, q, det_tol, tol, vertex=i, sample=sample_index)
+        w = _check_vertex(G[0], l[0, i], q, det_tol, tol, vertex=i, sample=sample_index)
         if w is None:
             return SingleSampleResult(
                 feasible=False, witnesses=tuple(witnesses), failed_vertex=i

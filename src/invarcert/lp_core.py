@@ -19,7 +19,6 @@ Intended for small dense problems (hundreds of rows); there is no sparse
 path and no factorization reuse.
 """
 
-import logging
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -27,7 +26,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, MaxIterationsExceeded, NumericalBreakdown
 
-logger = logging.getLogger(__name__)
 
 DEFAULT_FEAS_TOL = 1e-9
 DEFAULT_PIVOT_TOL = 1e-11
@@ -341,7 +339,6 @@ def solve(
     pivot_tol: float = DEFAULT_PIVOT_TOL,
     pivot_rule: str = "dantzig-bland",
     max_iterations: int | None = None,
-    verbose: bool = False,
 ) -> LpOutcome:
     """Solve ``lp`` with the two-phase simplex.
 
@@ -385,10 +382,6 @@ def solve(
         tab.run(phase2, allowed)
     except _Unbounded:
         return LpOutcome(LpStatus.UNBOUNDED, iterations=tab.iterations)
-
-    if verbose:  # diagnostic tableau dump
-        logger.debug("final basis=%s", tab.basis.tolist())
-        logger.debug("final tableau=\n%s", tab.A)
 
     y = tab.solution()
     z = np.empty(lp.n_vars)

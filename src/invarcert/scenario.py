@@ -32,6 +32,7 @@ from .geometry import Polytope
 SOLUTION_TOL = 1e-6
 _CG_BATCH = 8  # violated rows added per constraint-generation round
 _ACTIVE_TOL = 1e-7  # slack below this marks a sample as potentially supporting
+CHUNK = 512  # draws per batched assembly; bounds the temporaries
 
 
 class Infeasible(InvarcertError):
@@ -55,10 +56,6 @@ class InfeasibleOnSubsample(InvarcertError):
 
 
 class MismatchedFingerprints(InvarcertError):
-    pass
-
-
-class DistributionUnavailable(InvarcertError):
     pass
 
 
@@ -130,6 +127,10 @@ class ScenarioSet:
             s = s[:, None]
         if s.ndim != 2 or s.shape[0] < 1:
             raise ValueError("samples must be a nonempty (K, ell) array")
+        finite = np.isfinite(s).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"sample {bad} is not finite: {s[bad].tolist()}")
         if isinstance(self.distribution, UniformBox):
             if self.distribution.dim != s.shape[1]:
                 raise DimensionMismatch("distribution dimension != sample dimension")
@@ -198,8 +199,12 @@ class AffinePolicy:
         return _digest(self.gains, self.offsets)
 
     def vertex_inputs(self, delta) -> np.ndarray:
-        """Inputs at every vertex for one parameter draw; shape (N, m)."""
-        d = np.asarray(delta, dtype=float).ravel()
+        """Inputs at every vertex: (N, m) for one parameter draw, (M, N, m)
+        for a (M, ell) stack of draws."""
+        d = np.asarray(delta, dtype=float)
+        if d.ndim == 2 and d.shape[1] == self.gains.shape[2]:
+            return (d @ self.gains.transpose(0, 2, 1)).transpose(1, 0, 2) + self.offsets
+        d = d.ravel()
         if d.size != self.gains.shape[2]:
             raise DimensionMismatch(
                 f"expected parameter of dimension {self.gains.shape[2]}, got {d.size}"
@@ -212,104 +217,77 @@ def evaluate_policy(policy: AffinePolicy, delta) -> np.ndarray:
     return policy.vertex_inputs(delta)
 
 
-@dataclass(frozen=True)
-class VertexConstraintBlock:
-    """Constraints on the input at one vertex for one sample.
+def vertex_constraints(family, S: Polytope, U: Polytope, deltas):
+    """Input-space rows of every vertex block, for a (K, ell) stack of draws.
 
-    Encodes ``{u : H u <= 1, FB u <= 1 - FA x_i}``: membership of the
-    one-step image of the vertex in the candidate set, with an admissible
-    input.
+    Returns ``G`` (K, q+p, m), the rows ``col(H, F B(delta_k))``, and ``l``
+    (K, N, q+p), the right-hand sides ``col(1, 1 - F A(delta_k) x_i)``:
+    the input ``u`` at vertex ``x_i`` is admissible for draw k, that is it
+    lies in ``U`` and maps the vertex into ``S``, iff ``G[k] u <= l[k, i]``.
     """
-
-    input_matrix: np.ndarray  # H, (q, m)
-    input_rhs: np.ndarray  # (q,)
-    image_matrix: np.ndarray  # F B, (p, m)
-    image_rhs: np.ndarray  # 1 - F A x_i, (p,)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.vstack([self.input_matrix, self.image_matrix])
-
-    @property
-    def rhs(self) -> np.ndarray:
-        return np.concatenate([self.input_rhs, self.image_rhs])
+    A, B = family.instantiate_batch(deltas)
+    if A.shape[1:] != (S.dim, S.dim) or B.shape[1:] != (S.dim, U.dim):
+        raise DimensionMismatch("family output does not match S and U")
+    q = U.facet_count
+    G = np.empty((A.shape[0], q + S.facet_count, U.dim))
+    G[:, :q] = U.facets
+    G[:, q:] = S.facets @ B
+    l = np.ones((A.shape[0], S.vertex_count, q + S.facet_count))
+    l[:, :, q:] -= (S.facets @ A @ S.vertices.T).transpose(0, 2, 1)
+    return G, l
 
 
-def assemble_vertex_constraints(family, S: Polytope, U: Polytope, delta):
-    """One :class:`VertexConstraintBlock` per vertex of ``S``."""
-    A, B = family.instantiate(delta)
-    if A.shape[0] != S.dim:
-        raise DimensionMismatch("state dimension of the family != dim of S")
-    if B.shape[1] != U.dim:
-        raise DimensionMismatch("input dimension of the family != dim of U")
-    H = U.facets
-    FB = S.facets @ B
-    FAX = S.facets @ A @ S.vertices.T  # (p, N)
-    blocks = []
-    for i in range(S.vertex_count):
-        blocks.append(
-            VertexConstraintBlock(
-                input_matrix=H,
-                input_rhs=np.ones(U.facet_count),
-                image_matrix=FB,
-                image_rhs=1.0 - FAX[:, i],
-            )
-        )
-    return blocks
+def is_admissible(family, S: Polytope, U: Polytope, delta, u, tol: float = 1e-8):
+    """True iff every vertex input lies in ``U`` and maps its vertex into ``S``.
 
-
-def is_admissible(family, S: Polytope, U: Polytope, delta, u, tol: float = 1e-8) -> bool:
-    """True iff every vertex input lies in ``U`` and maps its vertex into ``S``."""
-    A, B = family.instantiate(delta)
-    N, m = S.vertex_count, U.dim
-    u = np.asarray(u, dtype=float).reshape(N, m)
-    if np.any(U.facets @ u.T > 1.0 + tol):
-        return False
-    images = S.vertices @ A.T + u @ B.T  # (N, n)
-    return bool(np.all(S.facets @ images.T <= 1.0 + tol))
+    ``delta`` is one draw with vertex inputs ``u`` (N, m), or a (M, ell)
+    stack of draws with inputs (M, N, m), which gives a boolean mask (M,).
+    """
+    deltas = np.atleast_2d(np.asarray(delta, dtype=float))
+    G, l = vertex_constraints(family, S, U, deltas)
+    u = np.asarray(u, dtype=float).reshape(deltas.shape[0], S.vertex_count, U.dim)
+    ok = np.all(u @ G.transpose(0, 2, 1) <= l + tol, axis=(1, 2))
+    return bool(ok[0]) if np.ndim(delta) < 2 else ok
 
 
 class _BlockProgram:
     """Stacked per-sample constraint rows over the per-vertex unknowns.
 
-    For the affine policy the unknown is ``z_i = (vec C_i, d_i)``; for the
-    constant-input baseline it is ``d_i`` alone.  The row matrix is shared
-    by all vertices; only the image right-hand side depends on the vertex.
+    For the affine policy the unknown is ``z_i = (vec C_i, d_i)``, so the
+    rows are the input-space rows ``G`` composed with the policy map
+    ``u = C_i delta + d_i``; for the constant-input baseline it is ``d_i``
+    alone.  The row matrix is shared by all vertices; only the image
+    right-hand side depends on the vertex.
     """
 
     def __init__(self, family, S, U, samples, affine=True, feas_tol=1e-9):
         samples = np.asarray(samples, dtype=float)
         if samples.ndim == 1:
             samples = samples[:, None]
-        self.S, self.U = S, U
         self.K, ell = samples.shape
         self.N = S.vertex_count
         self.m = U.dim
-        self.q = U.facet_count
-        self.p = S.facet_count
         self.feas_tol = feas_tol
         self.dvar = self.m * (ell + 1) if affine else self.m
-        self.block_rows = self.q + self.p
+        self.block_rows = U.facet_count + S.facet_count
 
-        rows = np.empty((self.K * self.block_rows, self.dvar))
-        rhs = np.empty((self.N, self.K * self.block_rows))
-        eye_m = np.eye(self.m)
-        for j in range(self.K):
-            A, B = family.instantiate(samples[j])
-            if A.shape != (S.dim, S.dim) or B.shape != (S.dim, self.m):
-                raise DimensionMismatch("family output does not match S and U")
-            M = (
-                np.hstack([np.kron(eye_m, samples[j]), eye_m]) if affine else eye_m
-            )
-            lo = j * self.block_rows
-            rows[lo : lo + self.q] = U.facets @ M
-            rows[lo + self.q : lo + self.block_rows] = (S.facets @ B) @ M
-            rhs[:, lo : lo + self.q] = 1.0
-            rhs[:, lo + self.q : lo + self.block_rows] = (
-                1.0 - (S.facets @ A @ S.vertices.T).T
-            )
-        self.rows = rows
-        self.rhs = rhs
+        self.rows = np.empty((self.K * self.block_rows, self.dvar))
+        self.rhs = np.empty((self.N, self.K * self.block_rows))
+        rows = self.rows.reshape(self.K, self.block_rows, self.dvar)
+        rhs = self.rhs.reshape(self.N, self.K, self.block_rows)
+        for lo in range(0, self.K, CHUNK):
+            part = samples[lo : lo + CHUNK]
+            G, l = vertex_constraints(family, S, U, part)
+            rhs[:, lo : lo + CHUNK] = l.transpose(1, 0, 2)
+            block = rows[lo : lo + CHUNK]
+            block[:, :, self.dvar - self.m :] = G
+            if affine:  # column (a, k) of C_i multiplies G[:, a] by delta_k
+                gains = block[:, :, : self.m * ell]
+                np.multiply(
+                    G[:, :, :, None],
+                    part[:, None, None, :],
+                    out=gains.reshape(part.shape[0], self.block_rows, self.m, ell),
+                )
 
     def row_indices(self, sample_indices) -> np.ndarray:
         base = np.asarray(sample_indices, dtype=int) * self.block_rows
@@ -424,6 +402,22 @@ def _policy_from_matrix(Z: np.ndarray, m: int, ell: int, fingerprint) -> AffineP
     )
 
 
+def _solve_program(family, S, U, scenarios, affine, feas_tol, what) -> np.ndarray:
+    """Per-vertex solutions of the whole program, or :class:`Infeasible`
+    with the first violated triple and ``what`` naming the missing object."""
+    prog = _BlockProgram(family, S, U, scenarios.samples, affine=affine, feas_tol=feas_tol)
+    Z, _ = prog.solve_all(range(prog.K))
+    if Z is None:
+        sample, vertex, row = prog.diagnose()
+        raise Infeasible(
+            f"no {what}: sample {sample}, vertex {vertex}, row {row}",
+            sample=sample,
+            vertex=vertex,
+            row=row,
+        )
+    return Z
+
+
 def solve_affine_policy(
     family, S: Polytope, U: Polytope, scenarios: ScenarioSet, *, feas_tol: float = 1e-9
 ) -> AffinePolicy:
@@ -432,17 +426,8 @@ def solve_affine_policy(
     Deterministic in the ordered sample list.  Raises :class:`Infeasible`
     with the first violated (sample, vertex, row) triple otherwise.
     """
-    prog = _BlockProgram(family, S, U, scenarios.samples, affine=True, feas_tol=feas_tol)
-    Z, _ = prog.solve_all(range(prog.K))
-    if Z is None:
-        sample, vertex, row = prog.diagnose()
-        raise Infeasible(
-            f"no affine policy: sample {sample}, vertex {vertex}, row {row}",
-            sample=sample,
-            vertex=vertex,
-            row=row,
-        )
-    return _policy_from_matrix(Z, prog.m, scenarios.ell, scenarios.fingerprint)
+    Z = _solve_program(family, S, U, scenarios, True, feas_tol, "affine policy")
+    return _policy_from_matrix(Z, U.dim, scenarios.ell, scenarios.fingerprint)
 
 
 def solve_constant_input(
@@ -453,17 +438,7 @@ def solve_constant_input(
     The conservative baseline: equivalent to restricting the affine policy
     to zero gains.  Returns a (N, m) array or raises :class:`Infeasible`.
     """
-    prog = _BlockProgram(family, S, U, scenarios.samples, affine=False, feas_tol=feas_tol)
-    Z, _ = prog.solve_all(range(prog.K))
-    if Z is None:
-        sample, vertex, row = prog.diagnose()
-        raise Infeasible(
-            f"no common input: sample {sample}, vertex {vertex}, row {row}",
-            sample=sample,
-            vertex=vertex,
-            row=row,
-        )
-    return Z
+    return _solve_program(family, S, U, scenarios, False, feas_tol, "common input")
 
 
 def greedy_support_subsample(
@@ -500,19 +475,19 @@ def greedy_support_subsample(
 
     # per (vertex, sample) minimum slack at the full solution
     slack = np.empty((prog.N, prog.K))
-    all_idx = prog.row_indices(range(prog.K))
     for i in range(prog.N):
-        s = prog.rhs[i, all_idx] - prog.rows[all_idx] @ full[i]
+        s = prog.rhs[i] - prog.rows @ full[i]
         slack[i] = s.reshape(prog.K, prog.block_rows).min(axis=1)
     touches = slack < _ACTIVE_TOL  # (N, K)
 
     matches = _match_checker(prog, full, solution_tol)
-    retained = list(range(prog.K))
+    keep = np.ones(prog.K, dtype=bool)
     for j in range(prog.K):
-        candidate = [r for r in retained if r != j]
+        keep[j] = False
         affected = np.flatnonzero(touches[:, j])
-        if affected.size == 0 or matches(candidate, affected):
-            retained = candidate
+        if affected.size and not matches(np.flatnonzero(keep), affected):
+            keep[j] = True
+    retained = np.flatnonzero(keep).tolist()
 
     if matches(retained, range(prog.N)):
         return retained

@@ -2,18 +2,20 @@
 
 Three kinds are supported:
 
-* :class:`NetworkFamily` -- weighted-consensus dynamics on an undirected
-  graph whose edge weights are the uncertain parameter: with incidence
-  blocks ``D_F`` (floating nodes) and ``D_I`` (input nodes),
-  ``A(w) = I - D_F diag(w) D_F.T`` and ``B(w) = -D_F diag(w) D_I.T``.
 * :class:`AffineFamily` -- matrices affine in the parameter vector.
+* :class:`NetworkFamily` -- the affine family of weighted-consensus
+  dynamics on an undirected graph whose edge weights are the uncertain
+  parameter: with incidence blocks ``D_F`` (floating nodes) and ``D_I``
+  (input nodes), ``A(w) = I - D_F diag(w) D_F.T`` and
+  ``B(w) = -D_F diag(w) D_I.T``.
 * :class:`TableFamily` -- an explicit list of measured ``(A, B)``
   snapshots, addressed by index (parameter dimension 1).
 
-All families are immutable and ``instantiate`` is pure.
+All families are immutable; ``instantiate`` (one draw) and
+``instantiate_batch`` (a (K, ell) stack of draws) are pure.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,51 +128,6 @@ def build_incidence(g: Graph):
 
 
 @dataclass(frozen=True)
-class NetworkFamily:
-    """Consensus family on a graph; the parameter is the edge-weight vector."""
-
-    graph: Graph
-    _d_floating: np.ndarray = field(repr=False, default=None)
-    _d_input: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        d_f, d_i = build_incidence(self.graph)
-        d_f.setflags(write=False)
-        d_i.setflags(write=False)
-        object.__setattr__(self, "_d_floating", d_f)
-        object.__setattr__(self, "_d_input", d_i)
-
-    @property
-    def n(self) -> int:
-        return len(self.graph.floating)
-
-    @property
-    def m(self) -> int:
-        return len(self.graph.inputs)
-
-    @property
-    def ell(self) -> int:
-        return self.graph.edge_count
-
-    @property
-    def nominal_delta(self) -> np.ndarray:
-        return self.graph.nominal_weights
-
-    def instantiate(self, delta):
-        w = np.asarray(delta, dtype=float).ravel()
-        if w.size != self.ell:
-            raise DimensionMismatch(f"expected {self.ell} weights, got {w.size}")
-        DFw = self._d_floating * w  # D_F @ diag(w)
-        A = np.eye(self.n) - DFw @ self._d_floating.T
-        B = -DFw @ self._d_input.T
-        return A, B
-
-
-def build_network_family(g: Graph) -> NetworkFamily:
-    return NetworkFamily(graph=g)
-
-
-@dataclass(frozen=True)
 class AffineFamily:
     """``A(delta) = A0 + sum_k delta_k A_k`` and likewise for ``B``."""
 
@@ -219,16 +176,57 @@ class AffineFamily:
         return np.zeros(self.ell)
 
     def instantiate(self, delta):
-        d = np.asarray(delta, dtype=float).ravel()
-        if d.size != self.ell:
-            raise DimensionMismatch(f"expected {self.ell} parameters, got {d.size}")
-        A = self.A0.copy()
-        for coeff, term in zip(d, self.A_terms):
-            A += coeff * term
-        B = self.B0.copy()
-        for coeff, term in zip(d, self.B_terms):
-            B += coeff * term
+        A, B = self.instantiate_batch(np.reshape(delta, (1, -1)))
+        return A[0], B[0]
+
+    def instantiate_batch(self, deltas):
+        """Stacked ``(A, B)`` for the rows of ``deltas``: (K, n, n), (K, n, m).
+
+        Every draw accumulates ``A0, delta_1 A_1, delta_2 A_2, ...`` in this
+        order, so slice k does not depend on the other rows of the stack.
+        """
+        d = np.asarray(deltas, dtype=float)
+        if d.ndim != 2 or d.shape[1] != self.ell:
+            raise DimensionMismatch(
+                f"expected a (K, {self.ell}) parameter stack, got shape {d.shape}"
+            )
+        A = np.repeat(self.A0[None], d.shape[0], axis=0)
+        for k, term in enumerate(self.A_terms):
+            A += d[:, k, None, None] * term
+        B = np.repeat(self.B0[None], d.shape[0], axis=0)
+        for k, term in enumerate(self.B_terms):
+            B += d[:, k, None, None] * term
         return A, B
+
+
+@dataclass(frozen=True, init=False)
+class NetworkFamily(AffineFamily):
+    """Consensus family on a graph; the parameter is the edge-weight vector.
+
+    Affine in the weights: with ``f_k`` and ``i_k`` the floating and input
+    incidence columns of edge k, ``A0 = I``, ``B0 = 0``,
+    ``A_k = -f_k f_k^T`` and ``B_k = -f_k i_k^T``.
+    """
+
+    graph: Graph
+
+    def __init__(self, graph: Graph):
+        d_f, d_i = build_incidence(graph)
+        super().__init__(
+            A0=np.eye(d_f.shape[0]),
+            B0=np.zeros((d_f.shape[0], d_i.shape[0])),
+            A_terms=[-np.outer(f, f) for f in d_f.T],
+            B_terms=[-np.outer(f, i) for f, i in zip(d_f.T, d_i.T)],
+        )
+        object.__setattr__(self, "graph", graph)
+
+    @property
+    def nominal_delta(self) -> np.ndarray:
+        return self.graph.nominal_weights
+
+
+def build_network_family(g: Graph) -> NetworkFamily:
+    return NetworkFamily(graph=g)
 
 
 @dataclass(frozen=True)
@@ -279,16 +277,28 @@ class TableFamily:
         return np.zeros(1)
 
     def instantiate(self, delta):
-        d = np.asarray(delta, dtype=float).ravel()
-        if d.size != 1:
+        A, B = self.instantiate_batch(np.reshape(delta, (1, -1)))
+        return A[0], B[0]
+
+    def instantiate_batch(self, deltas):
+        """Stacked ``(A, B)`` for a (K, 1) column of table indices."""
+        d = np.asarray(deltas, dtype=float)
+        if d.ndim != 2 or d.shape[1] != 1:
             raise DimensionMismatch("table families take a single index parameter")
-        idx = float(d[0])
-        if abs(idx - round(idx)) > 1e-9:
-            raise UnknownSample(f"non-integral table index {idx}")
-        k = int(round(idx))
-        if not 0 <= k < len(self.pairs):
-            raise UnknownSample(f"table index {k} out of range")
-        return self.pairs[k]
+        k = np.rint(d[:, 0])
+        bad = np.flatnonzero(
+            ~(np.abs(d[:, 0] - k) <= 1e-9) | (k < 0) | (k >= len(self.pairs))
+        )
+        if bad.size:
+            raise UnknownSample(
+                f"row {bad[0]}: {float(d[bad[0], 0])!r} is not a table index "
+                f"in 0..{len(self.pairs) - 1}"
+            )
+        k = k.astype(int)
+        return (
+            np.stack([A for A, _ in self.pairs])[k],
+            np.stack([B for _, B in self.pairs])[k],
+        )
 
 
 def instantiate(family, delta):
@@ -296,12 +306,12 @@ def instantiate(family, delta):
     return family.instantiate(delta)
 
 
-def spectral_radius_estimate(A, tol: float = 1e-9) -> float:
+def spectral_radius_estimate(A) -> float:
     """Largest eigenvalue modulus of a square matrix (diagnostic only).
 
-    Backed by LAPACK's Hessenberg-QR eigensolver; ``tol`` is kept for
-    interface stability and a :class:`ConvergenceFailure` is raised if the
-    QR iteration does not converge.
+    Backed by LAPACK's Hessenberg-QR eigensolver; a
+    :class:`ConvergenceFailure` is raised if the QR iteration does not
+    converge.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:

@@ -284,3 +284,72 @@ def test_estimate_requires_a_distribution(tmp_path, capsys):
     capsys.readouterr()
     assert main(["certify", "--config", cfg, "--estimate", "100"]) == 1
     assert "distribution" in capsys.readouterr().err
+
+
+def test_estimate_without_distribution_fails_before_synthesis(
+    tmp_path, capsys, monkeypatch
+):
+    from invarcert import scenario
+
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesis ran before the estimate was rejected")
+
+    monkeypatch.setattr(scenario, "solve_affine_policy", no_synthesis)
+    np.savetxt(tmp_path / "w.csv", np.tile([-0.25, 0.5], (6, 1)), delimiter=",")
+    payload = feasible_config()
+    payload["scenarios"] = {"file": "w.csv"}
+    cfg = write(tmp_path, payload)
+    assert main(["certify", "--config", cfg, "--estimate", "100"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --estimate needs a sampling distribution; "
+        "file-based scenarios have none\n"
+    )
+
+
+def test_non_finite_scenario_row_rejected(tmp_path, capsys):
+    rows = np.tile([-0.25, 0.5], (50, 1))
+    rows[17, 1] = np.nan
+    np.savetxt(tmp_path / "w.csv", rows, delimiter=",")
+    payload = feasible_config()
+    payload["scenarios"] = {"file": "w.csv"}
+    cfg = write(tmp_path, payload)
+    assert main(["certify", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sample 17 is not finite: [-0.25, nan]\n"
+
+
+def test_non_integral_table_index_rejected_before_synthesis(tmp_path, capsys):
+    np.savetxt(tmp_path / "indices.csv", np.array([[0.0], [1.0], [0.5]]), delimiter=",")
+    payload = {
+        "schema": 1,
+        "system": {
+            "table": {
+                "pairs": [
+                    {"A": [[0.5]], "B": [[1.0]]},
+                    {"A": [[0.8]], "B": [[1.0]]},
+                ]
+            }
+        },
+        "state_set": {"box": {"lower": [-1], "upper": [1]}},
+        "input_set": {"box": {"lower": [-1], "upper": [1]}},
+        "scenarios": {"file": "indices.csv"},
+        "beta": 0.01,
+    }
+    assert main(["certify", "--config", write(tmp_path, payload)]) == 1
+    assert "row 2: 0.5 is not a table index in 0..1" in capsys.readouterr().err
+
+
+def test_analyze_skips_enumeration_on_certified_run(tmp_path, capsys, monkeypatch):
+    # a feasible joint program already implies the necessary condition
+    from invarcert import feasibility
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("minor enumeration ran on a certified program")
+
+    monkeypatch.setattr(feasibility, "multisample_necessary", no_enumeration)
+    cfg = write(tmp_path, feasible_config())
+    assert main(["certify", "--config", cfg, "--analyze"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "certified"
+    assert report["feasibility_analysis"] == {"passed": True, "first_failure": None}

@@ -27,6 +27,16 @@ UNIT2 = ic.box([-1, -1], [1, 1])
 UNIT1 = ic.box([-1], [1])
 
 
+def reference_blocks(family, S, U, delta):
+    """Per-vertex rows ``G`` and right-hand sides ``l`` of one draw, built
+    directly from ``family.instantiate``: ``{u : H u <= 1, F B u <= 1 - F A x_i}``."""
+    A, B = family.instantiate(delta)
+    G = np.vstack([U.facets, S.facets @ B])
+    ones = np.ones(U.facet_count)
+    l = np.array([np.concatenate([ones, 1.0 - S.facets @ (A @ x)]) for x in S.vertices])
+    return G, l
+
+
 class TestScenarioSet:
     def test_uniform_box_draws_inside_bounds(self):
         scen = ic.ScenarioSet.from_uniform_box([-1, 0], [1, 2], count=50, seed=3)
@@ -58,14 +68,14 @@ class TestScenarioSet:
 class TestAssembly:
     def test_zero_dynamics_blocks(self):
         fam = zero_dynamics_family()
-        blocks = ic.assemble_vertex_constraints(fam, UNIT2, UNIT2, [0.0])
-        assert len(blocks) == UNIT2.vertex_count
-        blk = blocks[0]
+        G, l = ic.vertex_constraints(fam, UNIT2, UNIT2, [[0.0]])
+        assert G.shape == (1, 8, 2) and l.shape == (1, UNIT2.vertex_count, 8)
         # A = 0, B = I: both families of rows reduce to u inside the box
-        assert np.allclose(blk.input_matrix, UNIT2.facets)
-        assert np.allclose(blk.image_matrix, UNIT2.facets)
-        assert np.allclose(blk.image_rhs, 1.0)
-        assert blk.matrix.shape == (8, 2)
+        assert np.allclose(G[0, :4], UNIT2.facets)
+        assert np.allclose(G[0, 4:], UNIT2.facets)
+        assert np.allclose(l, 1.0)
+        ref_G, ref_l = reference_blocks(fam, UNIT2, UNIT2, [0.0])
+        assert np.array_equal(G[0], ref_G) and np.array_equal(l[0], ref_l)
 
     def test_uncontrollable_block_has_contradiction_row(self):
         # B = 0 and A pushing a vertex out: some image row reads 0 <= negative
@@ -75,10 +85,12 @@ class TestAssembly:
             A_terms=[np.zeros((2, 2))],
             B_terms=[np.zeros((2, 2))],
         )
-        blocks = ic.assemble_vertex_constraints(fam, UNIT2, UNIT2, [0.0])
-        worst = min(blk.image_rhs.min() for blk in blocks)
-        assert worst < 0
-        assert all(np.allclose(blk.image_matrix, 0.0) for blk in blocks)
+        G, l = ic.vertex_constraints(fam, UNIT2, UNIT2, [[0.0]])
+        q = UNIT2.facet_count
+        assert l[0, :, q:].min() < 0
+        assert np.allclose(G[0, q:], 0.0)
+        ref_G, ref_l = reference_blocks(fam, UNIT2, UNIT2, [0.0])
+        assert np.array_equal(G[0], ref_G) and np.array_equal(l[0], ref_l)
 
     def test_single_edge_hand_assembly(self):
         # w = 0.5, S = U = [-1,1], vertex x = 1: image rows are
@@ -86,11 +98,14 @@ class TestAssembly:
         fam = ic.build_network_family(
             ic.Graph(edges=[(0, 1)], floating=[0], inputs=[1], nominal_weights=[0.5])
         )
-        blocks = ic.assemble_vertex_constraints(fam, UNIT1, UNIT1, [0.5])
+        G, l = ic.vertex_constraints(fam, UNIT1, UNIT1, [[0.5]])
         i_plus = int(np.flatnonzero(UNIT1.vertices.ravel() == 1.0)[0])
-        blk = blocks[i_plus]
-        assert np.allclose(blk.image_matrix.ravel(), [0.5, -0.5])
-        assert np.allclose(blk.image_rhs, [0.5, 1.5])
+        q = UNIT1.facet_count
+        assert np.allclose(G[0, q:].ravel(), [0.5, -0.5])
+        assert np.allclose(l[0, i_plus, q:], [0.5, 1.5])
+        ref_G, ref_l = reference_blocks(fam, UNIT1, UNIT1, [0.5])
+        assert np.allclose(G[0], ref_G, atol=1e-15)
+        assert np.allclose(l[0], ref_l, atol=1e-15)
 
 
 class TestPolicySynthesis:
@@ -390,26 +405,34 @@ class TestGreedyUnderTies:
                 assert np.abs(again.offsets - full.offsets).max() <= 1e-6
 
 
-def test_assembly_routes_agree():
-    # assemble_vertex_constraints (input-space blocks) and the internal
-    # policy-space program are built independently; composing the blocks
-    # with the policy map delta -> u must reproduce the program rows
+def test_assembly_routes_agree(monkeypatch):
+    # the batched input-space assembly and the policy-space program built
+    # on it (in chunks of 3 draws here) must match a per-sample loop over
+    # family.instantiate, composed with the policy map delta -> u
+    from invarcert import scenario
     from invarcert.scenario import _BlockProgram
 
+    monkeypatch.setattr(scenario, "CHUNK", 3)
     rng = np.random.default_rng(13)
     fam = random_affine_instance(rng, n=2, m=2, ell=3)
     S = ic.box([-1.2, -0.8], [0.9, 1.1])
     U = ic.box([-1, -1], [1, 1])
-    samples = rng.uniform(-1, 1, size=(4, 3))
+    samples = rng.uniform(-1, 1, size=(7, 3))
     prog = _BlockProgram(fam, S, U, samples, affine=True)
-    for j in range(4):
+    baseline = _BlockProgram(fam, S, U, samples, affine=False)
+    G, l = ic.vertex_constraints(fam, S, U, samples)
+    for j in range(7):
         delta = samples[j]
         M = np.hstack([np.kron(np.eye(2), delta), np.eye(2)])
-        blocks = ic.assemble_vertex_constraints(fam, S, U, delta)
+        ref_G, ref_l = reference_blocks(fam, S, U, delta)
         idx = prog.row_indices([j])
-        for i, blk in enumerate(blocks):
-            assert np.allclose(prog.rows[idx], blk.matrix @ M, atol=1e-12)
-            assert np.allclose(prog.rhs[i, idx], blk.rhs, atol=1e-12)
+        assert np.allclose(G[j], ref_G, atol=1e-12)
+        assert np.allclose(prog.rows[idx], ref_G @ M, atol=1e-12)
+        assert np.array_equal(baseline.rows[idx], G[j])
+        for i in range(S.vertex_count):
+            assert np.allclose(l[j, i], ref_l[i], atol=1e-12)
+            assert np.allclose(prog.rhs[i, idx], ref_l[i], atol=1e-12)
+            assert np.array_equal(baseline.rhs[i, idx], prog.rhs[i, idx])
 
 
 def test_fast_path_matches_literal_pass():
@@ -426,3 +449,56 @@ def test_fast_path_matches_literal_pass():
         full, _ = prog.solve_all(range(prog.K))
         literal = _greedy_literal(prog, full, 1e-6)
         assert fast == literal
+
+
+def _admissibility_case(kind, rng):
+    """Family, S, U, policy and draws that include inadmissible ones."""
+    if kind == "affine":
+        fam, S, U = random_scalar_unstable_instance(rng)
+        scen = ic.ScenarioSet(samples=rng.uniform(-0.5, 0.5, size=(20, 2)))
+        draws = rng.uniform(-1.5, 1.5, size=(300, 2))
+    elif kind == "network":
+        from instances import path_instance
+
+        fam, S, U, scen = path_instance(K=30, seed=5)
+        lo, hi = scen.samples.min(axis=0), scen.samples.max(axis=0)
+        draws = rng.uniform(2.0 * lo, 2.0 * hi, size=(300, 2))
+    else:
+        fam = ic.TableFamily(
+            pairs=[(np.array([[a]]), np.array([[1.0]])) for a in (0.5, 1.2, 2.5, 3.5)]
+        )
+        S = U = UNIT1
+        scen = ic.ScenarioSet(samples=np.array([[0.0], [1.0]]))
+        draws = rng.integers(0, 4, size=(300, 1)).astype(float)
+    return fam, S, U, ic.solve_affine_policy(fam, S, U, scen), draws
+
+
+@pytest.mark.parametrize("kind", ["affine", "network", "table"])
+def test_batched_admissibility_matches_single_draws(kind, monkeypatch):
+    from invarcert import closed_loop
+
+    fam, S, U, policy, draws = _admissibility_case(kind, np.random.default_rng(29))
+    inputs = policy.vertex_inputs(draws)
+    mask = ic.is_admissible(fam, S, U, draws, inputs)
+    single = [ic.is_admissible(fam, S, U, d, u) for d, u in zip(draws, inputs)]
+    assert mask.dtype == bool and mask.tolist() == single
+    assert 0 < mask.sum() < mask.size  # both outcomes occur
+    for k in (0, 17, 299):
+        single_inputs = ic.evaluate_policy(policy, draws[k])
+        assert np.allclose(inputs[k], single_inputs, rtol=0, atol=1e-15)
+    monkeypatch.setattr(closed_loop, "CHUNK", 7)  # several chunks, one partial
+    _, failures = ic.empirical_violation(fam, S, U, policy, draws)
+    assert failures == np.flatnonzero(~mask).tolist()
+
+
+def test_admissibility_at_the_tolerance():
+    # u = delta at both vertices of [-1, 1] with zero dynamics: the input
+    # row reads delta <= 1 + tol, met with equality by the first draw
+    fam = zero_dynamics_family(n=1)
+    policy = ic.AffinePolicy(gains=np.ones((2, 1, 1)), offsets=np.zeros((2, 1)))
+    edge = 1.0 + 1e-8
+    draws = np.array([[edge], [np.nextafter(edge, 2.0)], [-edge], [0.5]])
+    inputs = policy.vertex_inputs(draws)
+    mask = ic.is_admissible(fam, UNIT1, UNIT1, draws, inputs)  # tol = 1e-8
+    single = [ic.is_admissible(fam, UNIT1, UNIT1, d, u) for d, u in zip(draws, inputs)]
+    assert mask.tolist() == single == [True, False, True, True]

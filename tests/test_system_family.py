@@ -75,6 +75,41 @@ def test_network_symmetry_and_consistency():
         assert np.array_equal(B, -D_F @ np.diag(w) @ D_I.T)
 
 
+def test_network_terms_match_incidence_formula():
+    # the affine terms A_k = -f_k f_k^T, B_k = -f_k i_k^T accumulate to the
+    # consensus matrices up to rounding of the sums
+    from instances import six_node_instance
+
+    rng = np.random.default_rng(8)
+    fam, _, _, scen = six_node_instance(K=50)
+    assert isinstance(fam, ic.AffineFamily)
+    D_F, D_I = ic.build_incidence(fam.graph)
+    assert np.array_equal(fam.nominal_delta, fam.graph.nominal_weights)
+    for w in np.vstack([scen.samples, rng.uniform(-1.0, 1.0, (20, fam.ell))]):
+        A, B = fam.instantiate(w)
+        assert np.abs(A - (np.eye(fam.n) - D_F @ np.diag(w) @ D_F.T)).max() <= 1e-15
+        assert np.abs(B - (-D_F @ np.diag(w) @ D_I.T)).max() <= 1e-15
+
+
+def test_instantiate_batch_matches_instantiate():
+    from instances import path_instance, random_affine_instance
+
+    rng = np.random.default_rng(3)
+    network, _, _, scen = path_instance(K=30)
+    families = [
+        (random_affine_instance(rng, n=3, m=2, ell=4), rng.uniform(-1, 1, (30, 4))),
+        (network, scen.samples),
+    ]
+    for fam, deltas in families:
+        A, B = fam.instantiate_batch(deltas)
+        assert A.shape == (30, fam.n, fam.n) and B.shape == (30, fam.n, fam.m)
+        for k, delta in enumerate(deltas):
+            A_k, B_k = fam.instantiate(delta)
+            assert np.array_equal(A[k], A_k) and np.array_equal(B[k], B_k)
+        with pytest.raises(ic.DimensionMismatch):
+            fam.instantiate_batch(deltas[:, :-1])
+
+
 def test_orientation_invariance():
     # flipping an edge orientation flips the incidence column sign, which
     # cancels in both D W D^T products
@@ -134,6 +169,13 @@ def test_table_family():
         fam.instantiate([2.0])
     with pytest.raises(UnknownSample):
         fam.instantiate([0.5])
+    A, B = fam.instantiate_batch([[1.0], [0.0], [1.0]])
+    assert np.array_equal(A, np.stack([A1, A0, A1]))
+    assert np.array_equal(B, np.stack([B1, B0, B1]))
+    with pytest.raises(UnknownSample, match=r"row 1: 0\.5 is not a table index in 0\.\."):
+        fam.instantiate_batch([[0.0], [0.5], [2.0]])
+    with pytest.raises(UnknownSample, match=r"row 2: 2\.0 is not a table index in 0\.\."):
+        fam.instantiate_batch([[0.0], [1.0], [2.0]])
 
 
 def test_instantiate_function_form():
