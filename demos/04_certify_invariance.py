@@ -49,7 +49,7 @@ policy = ic.solve_affine_policy(family, S, U, scenarios)
 print("\npolicy synthesized: max |gain| =", np.abs(policy.gains).max().round(4),
       " max |offset| =", np.abs(policy.offsets).max().round(4))
 
-support = ic.greedy_support_subsample(family, S, U, scenarios)
+support = ic.greedy_support_subsample(family, S, U, scenarios, policy=policy)
 print("support subsample:", support)
 
 certificate = ic.build_certificate(

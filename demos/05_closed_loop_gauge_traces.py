@@ -48,10 +48,9 @@ weights = rng.dirichlet(np.ones(S.vertex_count), size=1000)
 starts = (weights @ S.vertices) * rng.uniform(0, 1, size=(1000, 1))
 
 T = 30
-traces = np.empty((T + 1, len(starts)))
-for j, x0 in enumerate(starts):
-    traj = ic.simulate_closed_loop(family, w_nominal, S, policy, x0, T=T)
-    traces[:, j] = traj.gauges
+# all starts in one call: the stack is stepped together as arrays
+trajectories = ic.simulate_closed_loop(family, w_nominal, S, policy, starts, T=T)
+traces = np.stack([traj.gauges for traj in trajectories], axis=1)
 
 print(f"{len(starts)} trajectories, horizon {T}")
 print("max gauge over all runs:", traces.max())

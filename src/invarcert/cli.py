@@ -125,7 +125,7 @@ def run_certify(
             }
         return 2, report
 
-    support = scenario.greedy_support_subsample(family, S, U, scen)
+    support = scenario.greedy_support_subsample(family, S, U, scen, policy=policy)
     cert = build_certificate(scen.K, len(support), beta, policy, scen)
     report["status"] = "certified"
     report["policy"] = _policy_payload(policy)
@@ -177,7 +177,12 @@ def _initial_states(spec: str, S: geometry.Polytope, seed: int) -> np.ndarray:
     if spec == "vertices":
         return np.array(S.vertices, dtype=float)
     if spec.startswith("random:"):
-        count = int(spec.split(":", 1)[1])
+        text = spec.split(":", 1)[1]
+        if not text.isdecimal() or int(text) < 1:
+            raise ConfigError(
+                f"--init '{spec}' needs a positive integer count (random:N, N >= 1)"
+            )
+        count = int(text)
         rng = np.random.default_rng(seed)
         # random interior points as convex recombinations of the vertices
         weights = rng.dirichlet(np.ones(S.vertex_count), size=count)
@@ -200,11 +205,11 @@ def run_simulate(
     family, S = config.family, config.state_set
     delta = family.nominal_delta if sample is None else np.asarray(sample, dtype=float)
     starts = _initial_states(init, S, seed)
+    trajectories = closed_loop.simulate_closed_loop(
+        family, delta, S, policy, starts, T=horizon
+    )
     summary = []
-    for idx, x0 in enumerate(starts):
-        traj = closed_loop.simulate_closed_loop(
-            family, delta, S, policy, x0, T=horizon
-        )
+    for idx, traj in enumerate(trajectories):
         if out_dir:
             os.makedirs(out_dir, exist_ok=True)
             closed_loop.write_trajectory_csv(

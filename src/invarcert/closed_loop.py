@@ -1,15 +1,24 @@
 """Vertex control law, closed-loop simulation and violation estimation.
 
 The vertex control law recombines fixed per-vertex inputs through the
-minimal vertex decomposition of the current state: with
-``gamma = vertex_decompose(S, x)`` the applied input is
-``u = sum_i gamma_i u_i``.  For a policy feasible at the running
-parameter, one step maps each vertex into ``S`` and convexity keeps every
-interior point inside as well, so the gauge trace is the natural monitor.
+minimal vertex decomposition of the current state: with ``gamma`` the
+decomposition of ``x`` the applied input is ``u = sum_i gamma_i u_i``.
+For a policy feasible at the running parameter, one step maps each vertex
+into ``S`` and convexity keeps every interior point inside as well, so the
+gauge trace is the natural monitor.
 
-Simulation keeps going when a trajectory leaves the set (an exit is data,
-not an error): from the first exit step onwards the input is frozen at
-zero and the step is flagged.
+On a simplicial facet the law is explicit and piecewise linear
+(Gutman & Cwikel, IEEE TAC 1986): with ``k = argmax_k F_k x``,
+``gamma = V_k^{-1} x`` on that facet's vertices, from inverses computed
+once per call by :func:`geometry.facet_simplices`.  Only a state whose
+facet is not a simplex (a box in three or more dimensions, say) goes
+through the LP of :func:`geometry.vertex_decompose`.
+
+:func:`simulate_closed_loop` steps a whole stack of starts together as
+arrays; one start is a stack of one.  Simulation keeps going when a
+trajectory leaves the set (an exit is data, not an error): from a start's
+first exit step onwards its input is frozen at zero and the step is
+flagged.
 """
 
 import csv
@@ -50,6 +59,37 @@ class Trajectory:
         return float(self.gauges.max())
 
 
+def _apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``M @ x`` for every row ``x`` of ``X`` (N, n); ``M`` is one matrix or
+    one per row.  Each row is its own product, so a row's result does not
+    depend on how many rows are stacked with it."""
+    return (M @ X[:, :, None])[:, :, 0]
+
+
+def _vertex_law(S, facets, vertex_inputs, X, Fx, tol):
+    """Vertex-law inputs (N, m) at the states ``X`` (N, n) inside ``S``.
+
+    ``Fx`` (N, p) holds ``F x`` for every state.  On a simplicial facet
+    ``k = argmax F x`` (lowest index on ties) the decomposition is
+    ``V_k^{-1} x``; it is accepted when no weight is below -1e-11 and
+    clipped at zero.  Every other state goes through the LP of
+    :func:`geometry.vertex_decompose`.  Returns the inputs and the list of
+    the rows no decomposition reaches, whose input is zero.
+    """
+    k = Fx.argmax(axis=1)
+    gamma = _apply(facets.inverses[k], X)
+    explicit = facets.simplex[k] & (gamma.min(axis=1) >= -1e-11)
+    u = (np.maximum(gamma, 0.0)[:, None, :] @ vertex_inputs[facets.vertices[k]])[:, 0]
+    failed = []
+    for s in (~explicit).nonzero()[0]:
+        try:
+            u[s] = geometry.vertex_decompose(S, X[s], tol) @ vertex_inputs
+        except DecompositionInfeasible:
+            u[s] = 0.0
+            failed.append(s)
+    return u, failed
+
+
 def vertex_control_input(S: Polytope, vertex_inputs, x, tol: float = 1e-8) -> np.ndarray:
     """Input prescribed by the vertex control law at state ``x``.
 
@@ -62,53 +102,14 @@ def vertex_control_input(S: Polytope, vertex_inputs, x, tol: float = 1e-8) -> np
         raise DimensionMismatch(
             f"expected {S.vertex_count} vertex inputs, got {VU.shape[0]}"
         )
-    gamma = geometry.vertex_decompose(S, x, tol)
-    return gamma @ VU
-
-
-class _CachedDecomposer:
-    """Vertex decomposition with basis reuse along a trajectory.
-
-    Consecutive states of a converging trajectory usually share the
-    optimal basis.  A cached basis is reused only when it proves the
-    optimum unique (strictly positive reduced costs on every nonbasic
-    column), so the result is identical to a fresh LP solve; anything
-    else falls back to the LP core.
-    """
-
-    def __init__(self, S: Polytope, tol: float):
-        self.S = S
-        self.tol = tol
-        self._columns = None  # vertex indices forming the basis
-        self._basis_matrix = None
-        self._unique = False
-
-    def __call__(self, x) -> np.ndarray:
-        if self._unique:
-            gamma_b = np.linalg.solve(self._basis_matrix, x)
-            if np.all(gamma_b >= -1e-11):
-                gamma = np.zeros(self.S.vertex_count)
-                gamma[self._columns] = np.maximum(gamma_b, 0.0)
-                return gamma
-        gamma = geometry.vertex_decompose(self.S, x, self.tol)
-        self._adopt(gamma)
-        return gamma
-
-    def _adopt(self, gamma) -> None:
-        self._unique = False
-        support = np.flatnonzero(gamma > 1e-12)
-        if support.size != self.S.dim:
-            return
-        basis = self.S.vertices[support].T  # (n, n)
-        if abs(np.linalg.det(basis)) < 1e-12:
-            return
-        dual = np.linalg.solve(basis.T, np.ones(support.size))
-        reduced = 1.0 - self.S.vertices @ dual
-        reduced[support] = np.inf
-        if reduced.min() > 1e-9:
-            self._columns = support
-            self._basis_matrix = basis
-            self._unique = True
+    x = np.asarray(x, dtype=float).ravel()
+    if geometry.minkowski_gauge(S, x) > 1.0 + tol:
+        raise DecompositionInfeasible(f"point outside polytope beyond tol={tol}")
+    X = x[None]
+    u, failed = _vertex_law(S, geometry.facet_simplices(S), VU, X, _apply(S.facets, X), tol)
+    if failed:
+        raise DecompositionInfeasible("no nonnegative vertex combination reaches x")
+    return u[0]
 
 
 def simulate_closed_loop(
@@ -119,55 +120,69 @@ def simulate_closed_loop(
     x0,
     T: int = DEFAULT_HORIZON,
     tol: float = 1e-8,
-) -> Trajectory:
-    """Closed-loop trajectory under the vertex control law.
+):
+    """Closed-loop trajectories under the vertex control law.
 
-    The per-vertex inputs are fixed once from the runtime parameter
-    (``u_i = C_i delta + d_i``); at every step the law recombines them via
-    the decomposition of the current state.  After the first exit from
-    ``S`` the input is zero and ``first_exit`` records the step.
+    ``x0`` is one start (n,), which gives one :class:`Trajectory`, or a
+    stack of starts (N, n), which gives a list of N trajectories; the
+    stack is stepped as arrays.  The per-vertex inputs are fixed once from
+    the runtime parameter (``u_i = C_i delta + d_i``); at every step the
+    law recombines them via the decomposition of the current state.  From
+    a start's first exit from ``S`` on, its input is zero and
+    ``first_exit`` records the step.
     """
     if T < 1:
         raise ValueError("horizon must be >= 1")
     delta = np.asarray(delta, dtype=float).ravel()
     A, B = family.instantiate(delta)
-    x = np.asarray(x0, dtype=float).ravel()
-    if x.size != S.dim:
-        raise DimensionMismatch(f"x0 has dimension {x.size}, expected {S.dim}")
-    if not geometry.contains(S, x, tol):
-        raise DecompositionInfeasible("x0 lies outside S")
+    x0 = np.asarray(x0, dtype=float)
+    single = x0.ndim < 2
+    X = x0.reshape(1, -1) if single else x0
+    if X.ndim != 2 or X.shape[1] != S.dim:
+        raise DimensionMismatch(
+            f"x0 has shape {x0.shape}, expected ({S.dim},) or (N, {S.dim})"
+        )
+    Fx = _apply(S.facets, X)
+    outside = np.flatnonzero((Fx > 1.0 + tol).any(axis=1))
+    if outside.size:
+        raise DecompositionInfeasible(f"start {outside[0]} lies outside S")
 
     vertex_inputs = policy.vertex_inputs(delta)
-    decompose = _CachedDecomposer(S, tol)
-    n, m = S.dim, vertex_inputs.shape[1]
-    states = np.empty((T + 1, n))
-    inputs = np.empty((T, m))
-    gauges = np.empty(T + 1)
-    states[0] = x
-    gauges[0] = geometry.minkowski_gauge(S, x)
-    first_exit = None
+    facets = geometry.facet_simplices(S)
+    N, n, m = X.shape[0], S.dim, vertex_inputs.shape[1]
+    states = np.empty((N, T + 1, n))
+    inputs = np.zeros((N, T, m))
+    gauges = np.empty((N, T + 1))
+    states[:, 0] = X
+    gauges[:, 0] = np.maximum(Fx.max(axis=1), 0.0)
+    first_exit = np.full(N, -1)
     for t in range(T):
-        if first_exit is None:
-            try:
-                u = decompose(states[t]) @ vertex_inputs
-            except DecompositionInfeasible:
-                first_exit = t
-                u = np.zeros(m)
-        else:
-            u = np.zeros(m)
-        inputs[t] = u
-        states[t + 1] = A @ states[t] + B @ u
-        gauges[t + 1] = geometry.minkowski_gauge(S, states[t + 1])
-        if first_exit is None and gauges[t + 1] > 1.0 + tol:
-            first_exit = t + 1
-    return Trajectory(
-        states=states,
-        inputs=inputs,
-        gauges=gauges,
-        delta=delta,
-        policy_fingerprint=policy.fingerprint,
-        first_exit=first_exit,
-    )
+        live = (first_exit < 0).nonzero()[0]
+        if live.size:
+            rows = slice(None) if live.size == N else live
+            inputs[rows, t], failed = _vertex_law(
+                S, facets, vertex_inputs, X[rows], Fx[rows], tol
+            )
+            if failed:
+                first_exit[live[failed]] = t
+        X = _apply(A, X) + _apply(B, inputs[:, t])
+        Fx = _apply(S.facets, X)
+        states[:, t + 1] = X
+        gauges[:, t + 1] = np.maximum(Fx.max(axis=1), 0.0)
+        first_exit[(first_exit < 0) & (gauges[:, t + 1] > 1.0 + tol)] = t + 1
+    fingerprint = policy.fingerprint
+    trajectories = [
+        Trajectory(
+            states=states[s],
+            inputs=inputs[s],
+            gauges=gauges[s],
+            delta=delta,
+            policy_fingerprint=fingerprint,
+            first_exit=None if first_exit[s] < 0 else int(first_exit[s]),
+        )
+        for s in range(N)
+    ]
+    return trajectories[0] if single else trajectories
 
 
 def empirical_violation(family, S, U, policy, samples, tol: float = 1e-8):

@@ -7,8 +7,10 @@ facet/vertex enumeration is exponential in general, and every routine in
 this package needs both forms anyway.
 
 Besides membership tests, the module provides the gauge function
-``minkowski_gauge`` (smallest ``lam >= 0`` with ``x in lam * P``) and the
-minimal vertex decomposition used by the vertex control law.
+``minkowski_gauge`` (smallest ``lam >= 0`` with ``x in lam * P``), the
+minimal vertex decomposition used by the vertex control law, and the
+per-facet inverses that make that decomposition explicit on simplicial
+facets (:func:`facet_simplices`).
 """
 
 import itertools
@@ -192,6 +194,45 @@ def minkowski_gauge(P: Polytope, x) -> float:
     if x.size != P.dim:
         raise DimensionMismatch(f"point has dimension {x.size}, expected {P.dim}")
     return float(max(0.0, (P.facets @ x).max()))
+
+
+@dataclass(frozen=True)
+class FacetSimplices:
+    """Per-facet data of the explicit vertex decomposition.
+
+    Facet ``k`` is a simplex when exactly ``n`` vertices are tight on it
+    and they are affinely independent; then ``vertices[k]`` holds their
+    indices and ``inverses[k]`` is ``V_k^{-1}``, where the columns of
+    ``V_k`` are those vertices.  Rows of non-simplicial facets are zero.
+    """
+
+    simplex: np.ndarray  # (p,) bool
+    vertices: np.ndarray  # (p, n) int
+    inverses: np.ndarray  # (p, n, n)
+
+
+def facet_simplices(P: Polytope) -> FacetSimplices:
+    """Which facets of ``P`` are simplices, their vertices and ``V_k^{-1}``.
+
+    For ``x`` in the cone of a simplicial facet ``k`` (``k`` maximizes
+    ``F x``), ``V_k^{-1} x`` is the minimal vertex decomposition of ``x``
+    on that facet's vertices (Gutman & Cwikel, IEEE TAC 1986): it is
+    nonnegative and sums to ``(F x)_k``, the gauge.
+    """
+    n, p = P.dim, P.facet_count
+    tight = np.abs(P.facets @ P.vertices.T - 1.0) <= DEFAULT_TOL  # (p, N)
+    simplex = tight.sum(axis=1) == n
+    vertices = np.zeros((p, n), dtype=int)
+    vertices[simplex] = np.nonzero(tight[simplex])[1].reshape(-1, n)
+    bases = np.broadcast_to(np.eye(n), (p, n, n)).copy()
+    bases[simplex] = P.vertices[vertices[simplex]].transpose(0, 2, 1)
+    # affinely independent: the unit-column determinant is clear of zero
+    units = bases / np.linalg.norm(bases, axis=1, keepdims=True)
+    simplex &= np.abs(np.linalg.det(units)) > 1e-12
+    inverses = np.zeros((p, n, n))
+    inverses[simplex] = np.linalg.inv(bases[simplex])
+    vertices[~simplex] = 0
+    return FacetSimplices(simplex=simplex, vertices=vertices, inverses=inverses)
 
 
 def vertex_decompose(P: Polytope, x, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -449,6 +449,7 @@ def greedy_support_subsample(
     solution_tol: float = SOLUTION_TOL,
     *,
     feas_tol: float = 1e-9,
+    policy: AffinePolicy | None = None,
 ) -> list[int]:
     """Single-pass greedy support subsample of the scenario program.
 
@@ -464,14 +465,27 @@ def greedy_support_subsample(
     shortcut.  Re-solves touching only the affected vertices cover the
     rest.  If verification fails the literal one-removal-at-a-time pass
     is rerun without shortcuts.
+
+    ``policy``, when given, is the program's solution already synthesized
+    by :func:`solve_affine_policy` on these scenarios, and is used instead
+    of solving the full program again; a policy synthesized on other
+    scenarios raises :class:`MismatchedFingerprints`.
     """
-    prog = _BlockProgram(family, S, U, scenarios.samples, affine=True, feas_tol=feas_tol)
-    full, failed_vertex = prog.solve_all(range(prog.K))
-    if full is None:
-        raise Infeasible(
-            f"full scenario program infeasible at vertex {failed_vertex}; "
-            "greedy reduction requires a feasible program"
+    if policy is not None and policy.scenario_fingerprint != scenarios.fingerprint:
+        raise MismatchedFingerprints(
+            f"policy scenario fingerprint {policy.scenario_fingerprint} "
+            f"does not match the scenario set ({scenarios.fingerprint})"
         )
+    prog = _BlockProgram(family, S, U, scenarios.samples, affine=True, feas_tol=feas_tol)
+    if policy is not None:
+        full = np.hstack([policy.gains.reshape(prog.N, -1), policy.offsets])
+    else:
+        full, failed_vertex = prog.solve_all(range(prog.K))
+        if full is None:
+            raise Infeasible(
+                f"full scenario program infeasible at vertex {failed_vertex}; "
+                "greedy reduction requires a feasible program"
+            )
 
     # per (vertex, sample) minimum slack at the full solution
     slack = np.empty((prog.N, prog.K))

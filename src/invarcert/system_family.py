@@ -35,7 +35,8 @@ class NoInputNodes(GraphError):
 
 
 class UnknownSample(InvarcertError, KeyError):
-    pass
+    def __str__(self):  # KeyError's str() would quote the message
+        return str(self.args[0]) if self.args else ""
 
 
 class ConvergenceFailure(InvarcertError, ArithmeticError):

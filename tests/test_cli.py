@@ -337,7 +337,7 @@ def test_non_integral_table_index_rejected_before_synthesis(tmp_path, capsys):
         "beta": 0.01,
     }
     assert main(["certify", "--config", write(tmp_path, payload)]) == 1
-    assert "row 2: 0.5 is not a table index in 0..1" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: row 2: 0.5 is not a table index in 0..1\n"
 
 
 def test_analyze_skips_enumeration_on_certified_run(tmp_path, capsys, monkeypatch):
@@ -353,3 +353,43 @@ def test_analyze_skips_enumeration_on_certified_run(tmp_path, capsys, monkeypatc
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "certified"
     assert report["feasibility_analysis"] == {"passed": True, "first_failure": None}
+
+
+def _certified_policy(tmp_path, capsys):
+    cfg = write(tmp_path, feasible_config())
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    return cfg, str(tmp_path / "run" / "report.json")
+
+
+@pytest.mark.parametrize("count", ["0", "-3", "abc", "2.5"])
+def test_bad_random_init_rejected_before_simulation(count, tmp_path, capsys, monkeypatch):
+    from invarcert import closed_loop
+
+    cfg, policy = _certified_policy(tmp_path, capsys)
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulation ran before the --init spec was rejected")
+
+    monkeypatch.setattr(closed_loop, "simulate_closed_loop", no_simulation)
+    argv = ["simulate", "--config", cfg, "--policy", policy, f"--init=random:{count}"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --init 'random:{count}' needs a positive integer count "
+        "(random:N, N >= 1)\n"
+    )
+
+
+def test_simulate_outputs_reproducible(tmp_path, capsys):
+    cfg, policy = _certified_policy(tmp_path, capsys)
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        argv = ["simulate", "--config", cfg, "--policy", policy, "--init", "random:7"]
+        assert main(argv + ["--seed", "2", "--horizon", "9", "--out", str(out)]) == 0
+        capsys.readouterr()
+        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(runs[0]) == 8  # summary.json and 7 trajectory CSVs
+    assert runs[0] == runs[1]

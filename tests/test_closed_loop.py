@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 
 import invarcert as ic
+from invarcert import geometry
 from invarcert.closed_loop import DistributionUnavailable, write_trajectory_csv
 from invarcert.geometry import DecompositionInfeasible
 
-from instances import path_instance, unstable_edge_family
+from instances import (
+    cross_polytope,
+    path_instance,
+    random_hull_polytope,
+    six_node_instance,
+    unstable_edge_family,
+)
 
 UNIT2 = ic.box([-1, -1], [1, 1])
 UNIT1 = ic.box([-1], [1])
@@ -191,3 +198,143 @@ def test_unseen_sample_behavior_tracks_admissibility():
             traj = ic.simulate_closed_loop(fam, delta, S, policy, v, T=1)
             ok_one_step &= traj.gauges[1] <= 1.0 + 1e-8
         assert ok_one_step == admissible
+
+
+def _explicit_and_lp(P, points, monkeypatch):
+    """Weights of the explicit law (via identity vertex inputs) next to the
+    LP decomposition, with the LP fallback of the law forbidden."""
+    real = geometry.vertex_decompose
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("explicit law fell back to the LP")
+
+    monkeypatch.setattr(geometry, "vertex_decompose", no_lp)
+    explicit = [ic.vertex_control_input(P, np.eye(P.vertex_count), x) for x in points]
+    monkeypatch.setattr(geometry, "vertex_decompose", real)
+    return np.array(explicit), np.array([real(P, x) for x in points])
+
+
+def _simplicial_test_points(P, rng):
+    """Interior points of every facet cone, points on ridges, the vertices
+    (at full and half scale) and the origin."""
+    n = P.dim
+    fs = geometry.facet_simplices(P)
+    assert fs.simplex.all()
+    points = [np.zeros(n)]
+    for k in range(P.facet_count):
+        V = P.vertices[fs.vertices[k]]
+        points.append(rng.dirichlet(np.ones(n)) @ V * rng.uniform(0.05, 1.0))
+        if n > 1:
+            ridge = rng.dirichlet(np.ones(n - 1)) @ V[rng.permutation(n)[: n - 1]]
+            points += [ridge, 0.3 * ridge]
+    points += list(P.vertices) + list(0.5 * P.vertices)
+    return points
+
+
+@pytest.mark.parametrize("kind", ["polygon", "cross", "simplex"])
+def test_explicit_law_matches_lp_on_simplicial_polytopes(kind, monkeypatch):
+    rng = np.random.default_rng({"polygon": 1, "cross": 2, "simplex": 3}[kind])
+    shapes = []
+    for n in (2, 3, 4, 5):
+        if kind == "polygon" and n == 2:
+            shapes += [random_hull_polytope(rng, 2, count=c) for c in (3, 5, 8)]
+        elif kind == "cross":
+            basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            shapes.append(cross_polytope(basis, rng.uniform(0.3, 2.0, n)))
+        elif kind == "simplex":
+            shapes.append(random_hull_polytope(rng, n, count=n + 1))
+    for P in shapes:
+        explicit, lp = _explicit_and_lp(P, _simplicial_test_points(P, rng), monkeypatch)
+        assert np.abs(explicit - lp).max() <= 1e-9
+
+
+def test_box_steps_all_use_the_lp(monkeypatch):
+    # a 3-D box has square facets, so the law has no closed form there
+    S = ic.box([-1, -1, -1], [1, 1, 1])
+    fam = ic.AffineFamily(
+        A0=0.5 * np.eye(3), B0=np.eye(3), A_terms=[np.zeros((3, 3))], B_terms=[np.zeros((3, 3))]
+    )
+    policy = ic.AffinePolicy(
+        gains=np.zeros((8, 3, 1)), offsets=0.1 * np.random.default_rng(0).normal(size=(8, 3))
+    )
+    calls = []
+    real = geometry.vertex_decompose
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "vertex_decompose", counted)
+    starts = np.random.default_rng(1).uniform(-0.9, 0.9, size=(5, 3))
+    trajectories = ic.simulate_closed_loop(fam, [0.0], S, policy, starts, T=7)
+    assert all(traj.first_exit is None for traj in trajectories)
+    assert len(calls) == 5 * 7
+
+
+def _one_by_one(fam, delta, S, policy, starts, T):
+    return [ic.simulate_closed_loop(fam, delta, S, policy, x0, T=T) for x0 in starts]
+
+
+def _assert_same(stacked, singles):
+    assert len(stacked) == len(singles)
+    for a, b in zip(stacked, singles):
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.inputs, b.inputs)
+        assert np.array_equal(a.gauges, b.gauges)
+        assert a.first_exit == b.first_exit
+        assert a.policy_fingerprint == b.policy_fingerprint
+
+
+@pytest.mark.parametrize("instance", ["path", "six_node", "box3"])
+def test_stacked_starts_equal_single_starts(instance):
+    rng = np.random.default_rng(5)
+    if instance == "box3":
+        S = ic.box([-1, -1, -1], [1, 1, 1])
+        fam = ic.AffineFamily(
+            A0=1.1 * np.linalg.qr(rng.normal(size=(3, 3)))[0],
+            B0=np.eye(3),
+            A_terms=[np.zeros((3, 3))],
+            B_terms=[np.zeros((3, 3))],
+        )
+        policy = ic.AffinePolicy(
+            gains=np.zeros((8, 3, 1)), offsets=-0.1 * S.vertices
+        )
+        delta = [0.0]
+    else:
+        fam, S, U, scen = (
+            path_instance(K=20, seed=4) if instance == "path" else six_node_instance(K=60)
+        )
+        policy = ic.solve_affine_policy(fam, S, U, scen)
+        delta = scen.samples[3]
+    weights = rng.dirichlet(np.ones(S.vertex_count), size=9)
+    starts = np.vstack([S.vertices, (weights @ S.vertices) * rng.uniform(0, 1, (9, 1))])
+    stacked = ic.simulate_closed_loop(fam, delta, S, policy, starts, T=12)
+    _assert_same(stacked, _one_by_one(fam, delta, S, policy, starts, 12))
+    one = ic.simulate_closed_loop(fam, delta, S, policy, starts[:1], T=12)
+    _assert_same(one, stacked[:1])
+
+
+def test_exits_are_frozen_per_start():
+    # x1 grows by 1.4 per step, x2 shrinks; the input only pushes x2
+    fam = ic.AffineFamily(
+        A0=np.diag([1.4, 0.5]), B0=0.05 * np.eye(2), A_terms=[np.zeros((2, 2))],
+        B_terms=[np.zeros((2, 2))],
+    )
+    policy = ic.AffinePolicy(gains=np.zeros((4, 2, 1)), offsets=np.tile([0.0, 1.0], (4, 1)))
+    starts = np.array([[0.9, 0.0], [0.0, 0.9], [0.5, 0.5], [0.2, -0.3]])
+    trajectories = ic.simulate_closed_loop(fam, [0.0], UNIT2, policy, starts, T=10)
+    exits = [traj.first_exit for traj in trajectories]
+    assert exits == [1, None, 3, 5]
+    for traj, first in zip(trajectories, exits):
+        if first is not None:
+            assert np.all(traj.gauges[first] > 1.0)
+            assert np.all(traj.inputs[first:] == 0.0)
+            assert np.all(np.abs(traj.inputs[:first]).sum(axis=1) > 0.0)
+    _assert_same(trajectories, _one_by_one(fam, [0.0], UNIT2, policy, starts, 10))
+
+
+def test_start_outside_named_by_index():
+    fam = zero_dynamics_family()
+    starts = np.array([[0.5, 0.5], [0.1, 0.2], [2.0, 0.0]])
+    with pytest.raises(DecompositionInfeasible, match="start 2 lies outside S"):
+        ic.simulate_closed_loop(fam, [0.0], UNIT2, zero_policy(4, 2), starts)

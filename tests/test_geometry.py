@@ -11,6 +11,7 @@ from invarcert.geometry import (
     RankDeficientFacets,
     UnsupportedFacet,
     VertexOutsideFacets,
+    facet_simplices,
 )
 
 from instances import random_box, random_hull_polytope
@@ -202,3 +203,30 @@ def test_validate_dimension_mismatches():
         ic.validate_polytope(UNIT_BOX_F, np.ones((2, 3)))
     with pytest.raises(ic.DimensionMismatch):
         ic.validate_polytope(UNIT_BOX_F, UNIT_BOX_V, rhs=[1.0, 1.0])
+
+
+def test_facet_simplices_of_boxes_and_cross_polytopes():
+    square = facet_simplices(ic.box([-1, -2], [1, 2]))
+    assert square.simplex.all()  # every polygon edge is a simplex
+    assert not facet_simplices(ic.box([-1] * 3, [1] * 3)).simplex.any()
+    cross = ic.validate_polytope(
+        np.array(list(itertools.product([-1.0, 1.0], repeat=3))),
+        np.vstack([np.eye(3), -np.eye(3)]),
+    )
+    fs = facet_simplices(cross)
+    assert fs.simplex.all()
+    for k in range(cross.facet_count):
+        V = cross.vertices[fs.vertices[k]].T
+        assert np.allclose(cross.facets[k] @ V, 1.0)
+        assert np.allclose(fs.inverses[k] @ V, np.eye(3), atol=1e-12)
+
+
+def test_facet_with_dependent_tight_vertices_is_not_a_simplex():
+    # a redundant facet touching only a duplicated vertex has n tight
+    # vertices that span no simplex
+    P = ic.validate_polytope(
+        np.vstack([UNIT_BOX_F, [[0.5, 0.5]]]), np.vstack([UNIT_BOX_V, [[1.0, 1.0]]])
+    )
+    fs = facet_simplices(P)
+    assert fs.simplex.tolist() == [False, False, True, True, False]
+    assert not fs.inverses[~fs.simplex].any()

@@ -5,6 +5,7 @@ import invarcert as ic
 from invarcert.scenario import Infeasible
 
 from instances import (
+    path_instance,
     random_affine_instance,
     random_scalar_unstable_instance,
     unstable_edge_family,
@@ -502,3 +503,25 @@ def test_admissibility_at_the_tolerance():
     mask = ic.is_admissible(fam, UNIT1, UNIT1, draws, inputs)  # tol = 1e-8
     single = [ic.is_admissible(fam, UNIT1, UNIT1, d, u) for d, u in zip(draws, inputs)]
     assert mask.tolist() == single == [True, False, True, True]
+
+
+def test_greedy_reuses_the_synthesized_policy(monkeypatch):
+    fam, S, U, scen = path_instance(K=40, seed=8)
+    policy = ic.solve_affine_policy(fam, S, U, scen)
+    expected = ic.greedy_support_subsample(fam, S, U, scen)
+    assert expected  # a nonempty support
+
+    from invarcert import scenario
+
+    def no_full_solve(self, sample_indices):
+        raise AssertionError("the full program was solved again")
+
+    monkeypatch.setattr(scenario._BlockProgram, "solve_all", no_full_solve)
+    assert ic.greedy_support_subsample(fam, S, U, scen, policy=policy) == expected
+
+    other = ic.ScenarioSet(samples=scen.samples[:-1])
+    with pytest.raises(ic.MismatchedFingerprints):
+        ic.greedy_support_subsample(fam, S, U, other, policy=policy)
+    anonymous = ic.AffinePolicy(gains=policy.gains, offsets=policy.offsets)
+    with pytest.raises(ic.MismatchedFingerprints):
+        ic.greedy_support_subsample(fam, S, U, scen, policy=anonymous)
