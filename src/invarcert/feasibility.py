@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvarcertError
 from .geometry import Polytope
-from .scenario import vertex_constraints
+from .scenario import CHUNK, vertex_constraints
 
 DET_TOL = 1e-10
 ENUMERATION_CAP = 1_000_000
@@ -80,6 +80,32 @@ def _check_vertex(G, l, q, det_tol, tol, vertex, sample) -> MinorWitness | None:
     return None
 
 
+def _enumerable(family, S, U, cap) -> int:
+    """Number of input rows ``q``, after checking that the enumeration
+    applies (n >= m) and that at most ``cap`` subsets per vertex are needed."""
+    n, m = family.n, family.m
+    if n < m:
+        raise DimensionPrecondition(f"requires n >= m, got n={n}, m={m}")
+    q, p = U.facet_count, S.facet_count
+    if math.comb(q + p, m) > cap:
+        raise EnumerationCapExceeded(
+            f"{math.comb(q + p, m)} row subsets exceed the cap of {cap}"
+        )
+    return q
+
+
+def _check_sample(G, l, q, det_tol, tol, sample) -> tuple[tuple, int | None]:
+    """Witnesses of the vertex blocks ``G u <= l[i]`` of one sample, in
+    vertex order up to the first infeasible one, and that vertex (or None)."""
+    witnesses = []
+    for i in range(l.shape[0]):
+        w = _check_vertex(G, l[i], q, det_tol, tol, vertex=i, sample=sample)
+        if w is None:
+            return tuple(witnesses), i
+        witnesses.append(w)
+    return tuple(witnesses), None
+
+
 def single_sample_iff(
     family,
     S: Polytope,
@@ -97,24 +123,12 @@ def single_sample_iff(
     witnesses carry the certifying basic points.  Requires n >= m and an
     enumeration budget of at most ``cap`` subsets per vertex.
     """
-    n, m = family.n, family.m
-    if n < m:
-        raise DimensionPrecondition(f"requires n >= m, got n={n}, m={m}")
-    q, p = U.facet_count, S.facet_count
-    if math.comb(q + p, m) > cap:
-        raise EnumerationCapExceeded(
-            f"{math.comb(q + p, m)} row subsets exceed the cap of {cap}"
-        )
+    q = _enumerable(family, S, U, cap)
     G, l = vertex_constraints(family, S, U, np.reshape(delta, (1, -1)))
-    witnesses = []
-    for i in range(S.vertex_count):
-        w = _check_vertex(G[0], l[0, i], q, det_tol, tol, vertex=i, sample=sample_index)
-        if w is None:
-            return SingleSampleResult(
-                feasible=False, witnesses=tuple(witnesses), failed_vertex=i
-            )
-        witnesses.append(w)
-    return SingleSampleResult(feasible=True, witnesses=tuple(witnesses))
+    witnesses, failed = _check_sample(G[0], l[0], q, det_tol, tol, sample_index)
+    return SingleSampleResult(
+        feasible=failed is None, witnesses=witnesses, failed_vertex=failed
+    )
 
 
 def multisample_necessary(
@@ -134,19 +148,11 @@ def multisample_necessary(
     Passing does NOT certify joint feasibility: a shared affine policy may
     still not exist even when every sample is individually controllable.
     """
-    for j in range(scenarios.K):
-        result = single_sample_iff(
-            family,
-            S,
-            U,
-            scenarios.samples[j],
-            det_tol=det_tol,
-            tol=tol,
-            sample_index=j,
-            cap=cap,
-        )
-        if not result.feasible:
-            return MultisampleResult(
-                passed=False, first_failure=(result.failed_vertex, j)
-            )
+    q = _enumerable(family, S, U, cap)
+    for lo in range(0, scenarios.K, CHUNK):
+        G, l = vertex_constraints(family, S, U, scenarios.samples[lo : lo + CHUNK])
+        for k in range(G.shape[0]):
+            _, failed = _check_sample(G[k], l[k], q, det_tol, tol, lo + k)
+            if failed is not None:
+                return MultisampleResult(passed=False, first_failure=(failed, lo + k))
     return MultisampleResult(passed=True)

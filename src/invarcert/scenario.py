@@ -293,29 +293,42 @@ class _BlockProgram:
         base = np.asarray(sample_indices, dtype=int) * self.block_rows
         return (base[:, None] + np.arange(self.block_rows)).ravel()
 
-    def violations(self, vertex: int, z: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    def violations(self, vertex: int, z: np.ndarray, idx) -> np.ndarray:
+        """``rows @ z - rhs`` of ``vertex`` on the rows ``idx``: an index
+        array, or a slice, which reads a contiguous run of rows in place."""
         return self.rows[idx] @ z - self.rhs[vertex, idx]
 
     def solve_vertex(self, vertex: int, sample_indices) -> np.ndarray | None:
         """1-norm-minimal feasible point of the vertex block, or None.
 
         Deterministic constraint generation: starting from the empty
-        working set (solution 0), repeatedly add the most violated rows
-        (ties broken by position in the ordered sample list) and re-solve
-        with the deterministic simplex core.
+        working set (solution 0), each round adds the rows chosen by
+        :func:`_most_violated` -- the at most ``_CG_BATCH`` largest
+        violations above ``feas_tol``, ties going to the lowest position
+        in the ordered sample list -- and re-solves with the deterministic
+        simplex core.
+
+        Samples forming one increasing run, as in synthesis, are read
+        from the row matrix in place: the same product as on their
+        gathered copy.  Any other subsample is gathered first, because
+        BLAS may compute the last few rows of a product with another
+        kernel, so its rows read within the full matrix could round
+        differently.
         """
         idx = self.row_indices(sample_indices)
         z = np.zeros(self.dvar)
         if idx.size == 0:
             return z
+        take = idx
+        if np.all(np.diff(idx) == 1):
+            take = slice(int(idx[0]), int(idx[-1]) + 1)
         working: list[int] = []
         in_working = np.zeros(idx.size, dtype=bool)
         for _ in range(idx.size + 1):
-            viol = self.violations(vertex, z, idx)
+            viol = self.violations(vertex, z, take)
             viol[in_working] = -np.inf  # already enforced exactly
-            order = np.argsort(-viol, kind="stable")[:_CG_BATCH]
-            batch = [int(k) for k in order if viol[k] > self.feas_tol]
-            if not batch:
+            batch = _most_violated(viol, self.feas_tol)
+            if batch.size == 0:
                 return z
             working.extend(batch)
             in_working[batch] = True
@@ -391,6 +404,19 @@ class _BlockProgram:
             raise NumericalBreakdown("diagnosis lost feasibility")
         block = self.violations(vertex, z, self.row_indices([culprit]))
         return culprit, vertex, int(np.argmax(block))
+
+
+def _most_violated(viol: np.ndarray, feas_tol: float) -> np.ndarray:
+    """Positions of the at most ``_CG_BATCH`` largest entries of ``viol``
+    above ``feas_tol``, largest first, ties to the lowest position.
+
+    Only the candidates above ``feas_tol`` are sorted: each of them ranks
+    above every other entry, and they are taken in increasing position,
+    so the stable sort breaks ties exactly as a stable sort of all of
+    ``viol`` would.
+    """
+    cand = np.flatnonzero(viol > feas_tol)
+    return cand[np.argsort(-viol[cand], kind="stable")[:_CG_BATCH]]
 
 
 def _policy_from_matrix(Z: np.ndarray, m: int, ell: int, fingerprint) -> AffinePolicy:
@@ -527,9 +553,9 @@ def _match_checker(prog, full, solution_tol):
 def _greedy_literal(prog, full, solution_tol):
     """The one-removal-at-a-time pass with a full re-solve per removal."""
     matches = _match_checker(prog, full, solution_tol)
-    retained = list(range(prog.K))
+    keep = np.ones(prog.K, dtype=bool)
     for j in range(prog.K):
-        candidate = [r for r in retained if r != j]
-        if matches(candidate, range(prog.N)):
-            retained = candidate
-    return retained
+        keep[j] = False
+        if not matches(np.flatnonzero(keep), range(prog.N)):
+            keep[j] = True
+    return np.flatnonzero(keep).tolist()

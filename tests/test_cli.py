@@ -393,3 +393,25 @@ def test_simulate_outputs_reproducible(tmp_path, capsys):
         runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert len(runs[0]) == 8  # summary.json and 7 trajectory CSVs
     assert runs[0] == runs[1]
+
+
+def test_infeasible_analysis_report_past_the_first_chunk(tmp_path, capsys):
+    # 600 file-based samples of A(delta) = (1 + delta) I, B = 0: only
+    # samples 530 and 560 have delta > 0, so both the joint program and
+    # the per-sample enumeration first fail in the second assembly chunk
+    rng = np.random.default_rng(3)
+    samples = rng.uniform(-0.5, 0.0, size=(600, 1))
+    samples[530], samples[560] = 0.01, 0.02
+    np.savetxt(tmp_path / "samples.csv", samples, delimiter=",")
+    payload = infeasible_config()
+    payload["system"]["affine"]["A0"] = [[1.0, 0.0], [0.0, 1.0]]
+    payload["system"]["affine"]["Ak"] = [[[1.0, 0.0], [0.0, 1.0]]]
+    payload["scenarios"] = {"file": "samples.csv"}
+    code = main(["certify", "--config", write(tmp_path, payload), "--analyze"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2 and report["status"] == "infeasible"
+    assert report["first_violation"] == {"sample": 530, "vertex": 0, "row": 4}
+    assert report["feasibility_analysis"] == {
+        "passed": False,
+        "first_failure": {"vertex": 0, "sample": 530},
+    }

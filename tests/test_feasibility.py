@@ -7,7 +7,9 @@ from invarcert.feasibility import (
     DimensionPrecondition,
     EnumerationCapExceeded,
 )
-from invarcert.scenario import Infeasible
+from invarcert.scenario import CHUNK, Infeasible
+
+from instances import random_affine_instance, six_node_instance
 
 
 def zero_dynamics(n=2):
@@ -195,3 +197,53 @@ class TestMultisample:
             assert ic.multisample_necessary(fam, S, U, scen).passed
             checked += 1
         assert checked >= 5
+
+
+def _plants():
+    """The six-node network and a box-constrained affine plant with n=3,
+    m=2, ell=4, each with 700 draws (more than one assembly chunk)."""
+    fam, S, U, scen = six_node_instance(K=700, seed=4)
+    yield fam, S, U, scen.samples
+    rng = np.random.default_rng(6)
+    fam = random_affine_instance(rng, n=3, m=2, ell=4, stable=1.05)
+    S = ic.box([-1.0] * 3, [1.0] * 3)
+    U = ic.box([-2.0] * 2, [2.0] * 2)
+    yield fam, S, U, rng.uniform(-1, 1, size=(700, 4))
+
+
+def test_stacked_rows_equal_single_draw_rows():
+    # multisample_necessary assembles a chunk of draws at once; each
+    # draw's rows must be the ones single_sample_iff assembles alone
+    for fam, S, U, samples in _plants():
+        G, l = ic.vertex_constraints(fam, S, U, samples[:CHUNK])
+        for k in range(0, CHUNK, 7):
+            G1, l1 = ic.vertex_constraints(fam, S, U, samples[k : k + 1])
+            assert np.array_equal(G[k], G1[0]) and np.array_equal(l[k], l1[0])
+
+
+def _first_single_failure(fam, S, U, samples):
+    for j, delta in enumerate(samples):
+        single = ic.single_sample_iff(fam, S, U, delta)
+        if not single.feasible:
+            return single.failed_vertex, j
+    return None
+
+
+def test_chunked_multisample_stops_at_first_failure(monkeypatch):
+    # A(delta) = (1 + delta) I with B = 0 fails exactly at delta > 0;
+    # with chunks of 3 draws the failures sit inside and at the start of
+    # later chunks, and the first (vertex, sample) must be the per-sample one
+    from invarcert import feasibility
+
+    zero = np.zeros((2, 2))
+    fam = ic.AffineFamily(A0=np.eye(2), B0=zero, A_terms=[np.eye(2)], B_terms=[zero])
+    monkeypatch.setattr(feasibility, "CHUNK", 3)
+    for failing in ([7], [6, 10], [2], []):
+        samples = np.full((12, 1), -0.25)
+        samples[failing] = 0.1
+        scen = ic.ScenarioSet(samples=samples)
+        expected = _first_single_failure(fam, UNIT2, UNIT2, samples)
+        result = ic.multisample_necessary(fam, UNIT2, UNIT2, scen)
+        assert result.first_failure == expected
+        assert result.passed == (not failing)
+        assert expected is None or expected[1] == failing[0]

@@ -525,3 +525,111 @@ def test_greedy_reuses_the_synthesized_policy(monkeypatch):
     anonymous = ic.AffinePolicy(gains=policy.gains, offsets=policy.offsets)
     with pytest.raises(ic.MismatchedFingerprints):
         ic.greedy_support_subsample(fam, S, U, scen, policy=anonymous)
+
+
+def _reference_selection(viol, feas_tol):
+    """The batch rule as a stable sort of every entry, then the cut at the tolerance."""
+    from invarcert.scenario import _CG_BATCH
+
+    order = np.argsort(-viol, kind="stable")[:_CG_BATCH]
+    return [int(k) for k in order if viol[k] > feas_tol]
+
+
+@pytest.mark.parametrize(
+    "viol",
+    [
+        [0.5, 0.2, 0.5, 0.5, 0.1, 0.5, 0.2, 0.5, 0.5, 0.5, 0.2],  # ties across the cut
+        [1e-9, 2e-9, 1e-9, -1.0, 1e-9, 3e-9],  # entries equal to the tolerance
+        [-np.inf, 0.3, -np.inf, 0.3, 0.7, -np.inf],  # working-set rows
+        [-np.inf, -1.0, 1e-9, 0.0, -2.0],  # no candidate
+        [],
+        [0.4, -0.1, 0.2],  # fewer than a batch
+        np.linspace(1.0, 0.1, 20),  # more than a batch
+    ],
+)
+def test_most_violated_matches_full_sort(viol):
+    from invarcert.scenario import _most_violated
+
+    viol = np.asarray(viol, dtype=float)
+    assert _most_violated(viol, 1e-9).tolist() == _reference_selection(viol, 1e-9)
+
+
+def test_most_violated_on_random_ties():
+    from invarcert.scenario import _most_violated
+
+    rng = np.random.default_rng(5)
+    levels = np.array([-np.inf, -1.0, 0.0, 1e-9, 0.25, 0.5])
+    for _ in range(300):
+        viol = rng.choice(levels, size=rng.integers(0, 40))
+        assert _most_violated(viol, 1e-9).tolist() == _reference_selection(viol, 1e-9)
+
+
+def _reference_solve_vertex(prog, vertex, sample_indices, seen):
+    """Constraint generation as first written: gathered rows, full sort.
+    Appends each round's violations to ``seen``."""
+    idx = prog.row_indices(sample_indices)
+    z = np.zeros(prog.dvar)
+    if idx.size == 0:
+        return z
+    working = []
+    in_working = np.zeros(idx.size, dtype=bool)
+    for _ in range(idx.size + 1):
+        viol = prog.rows[idx] @ z - prog.rhs[vertex, idx]
+        viol[in_working] = -np.inf
+        seen.append(viol)
+        batch = _reference_selection(viol, prog.feas_tol)
+        if not batch:
+            return z
+        working.extend(batch)
+        in_working[batch] = True
+        z = prog._solve_working(vertex, idx[working])
+        if z is None:
+            return None
+    raise AssertionError("reference constraint generation did not converge")
+
+
+def test_solve_vertex_matches_reference_cg_loop(monkeypatch):
+    # every round must see the same violations, bit for bit, as the loop
+    # on gathered rows, hence pick the same rows and return the same point
+    from invarcert import scenario
+    from invarcert.scenario import _CG_BATCH, _BlockProgram
+
+    seen = []
+
+    def recording(viol, feas_tol, select=scenario._most_violated):
+        seen.append(viol.copy())
+        return select(viol, feas_tol)
+
+    monkeypatch.setattr(scenario, "_most_violated", recording)
+
+    rng = np.random.default_rng(18)
+    fam = random_affine_instance(rng, n=3, m=2, ell=4, stable=1.2)
+    S = ic.box([-1.0] * 3, [1.0] * 3)
+    U = ic.box([-2.0] * 2, [2.0] * 2)
+    samples = rng.uniform(-1, 1, size=(61, 4))
+    prog = _BlockProgram(fam, S, U, samples, affine=True)
+    subsets = [
+        range(61),  # one run: read in place
+        range(20, 41),
+        np.arange(1, 58, 2),  # 29 samples: the row count is not a multiple of 4
+        [3, 4, 5, 9, 40, 41, 52],
+        [],
+    ]
+    z = rng.standard_normal(prog.dvar)  # a run read in place is its gather
+    for run in (range(61), range(20, 41)):
+        idx = prog.row_indices(run)
+        in_place = slice(idx[0], idx[-1] + 1)
+        assert np.array_equal(prog.violations(0, z, in_place), prog.violations(0, z, idx))
+    for subset in subsets:
+        if len(subset) > 20:  # some vertex has more violated rows than a batch at z = 0
+            first = -prog.rhs[:, prog.row_indices(subset)] > prog.feas_tol
+            assert first.sum(axis=1).max() > _CG_BATCH
+        for i in range(prog.N):
+            expected_rounds, seen[:] = [], []
+            expected = _reference_solve_vertex(prog, i, subset, expected_rounds)
+            got = prog.solve_vertex(i, subset)
+            assert len(seen) == len(expected_rounds)
+            assert all(map(np.array_equal, seen, expected_rounds))
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert np.array_equal(got, expected)
