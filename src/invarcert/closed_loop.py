@@ -194,7 +194,7 @@ def empirical_violation(family, S, U, policy, samples, tol: float = 1e-8):
     for lo in range(0, samples.shape[0], CHUNK):
         part = samples[lo : lo + CHUNK]
         ok[lo : lo + CHUNK] = is_admissible(
-            family, S, U, part, policy.vertex_inputs(part), tol
+            family, S, U, part, policy.vertex_inputs(part), tol, first=lo
         )
     failures = np.flatnonzero(~ok).tolist()
     return len(failures) / samples.shape[0], failures

@@ -150,7 +150,8 @@ def multisample_necessary(
     """
     q = _enumerable(family, S, U, cap)
     for lo in range(0, scenarios.K, CHUNK):
-        G, l = vertex_constraints(family, S, U, scenarios.samples[lo : lo + CHUNK])
+        part = scenarios.samples[lo : lo + CHUNK]
+        G, l = vertex_constraints(family, S, U, part, lo)
         for k in range(G.shape[0]):
             _, failed = _check_sample(G[k], l[k], q, det_tol, tol, lo + k)
             if failed is not None:

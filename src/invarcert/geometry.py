@@ -15,6 +15,7 @@ facets (:func:`facet_simplices`).
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +90,21 @@ class Polytope:
     @property
     def vertex_count(self) -> int:
         return self.vertices.shape[0]
+
+    @cached_property
+    def decomposition_lp(self) -> lp_core.LinearProgram:
+        """The LP of :func:`vertex_decompose`, built once: minimize
+        ``sum(gamma)`` subject to ``vertices.T @ gamma = x``, ``gamma >= 0``,
+        here at ``x = 0``; a state only replaces the right-hand side."""
+        N = self.vertex_count
+        return lp_core.LinearProgram(
+            c=np.ones(N),
+            A_in=np.zeros((0, N)),
+            b_in=np.zeros(0),
+            A_eq=self.vertices.T,
+            b_eq=np.zeros(self.dim),
+            bounds=[(0.0, None)] * N,
+        )
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -248,15 +264,7 @@ def vertex_decompose(P: Polytope, x, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise DimensionMismatch(f"point has dimension {x.size}, expected {P.dim}")
     if minkowski_gauge(P, x) > 1.0 + tol:
         raise DecompositionInfeasible(f"point outside polytope beyond tol={tol}")
-    N = P.vertex_count
-    lp = lp_core.LinearProgram(
-        c=np.ones(N),
-        A_in=np.zeros((0, N)),
-        b_in=np.zeros(0),
-        A_eq=P.vertices.T,
-        b_eq=x,
-        bounds=[(0.0, None)] * N,
-    )
+    lp = P.decomposition_lp.with_rhs(b_eq=x)
     outcome = lp_core.solve(lp, feas_tol=max(tol, 1e-9))
     if not outcome.is_optimal:
         raise DecompositionInfeasible("no nonnegative vertex combination reaches x")

@@ -16,11 +16,17 @@ Problem form::
                 lo_k <= z_k <= hi_k     (optional, per variable)
 
 Intended for small dense problems (hundreds of rows); there is no sparse
-path and no factorization reuse.
+path and no factorization reuse between solves.  What a program's
+right-hand side does not touch (its standard form) is built on the first
+solve and kept; :meth:`LinearProgram.with_rhs` gives the same program with
+a new ``b_in``/``b_eq`` that shares it, so a family of programs differing
+only in their right-hand side (the vertex decomposition of
+:mod:`invarcert.geometry`) is validated and converted once.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +48,9 @@ class LinearProgram:
     """Dense LP data.
 
     ``bounds`` is a list of ``(lo, hi)`` pairs, one per variable; ``None``
-    entries (or a ``None`` list) mean free / unbounded on that side.
+    entries (or a ``None`` list) mean free / unbounded on that side.  The
+    data must not be modified after construction: the standard form is
+    built from it on the first solve and kept.
     """
 
     c: np.ndarray
@@ -78,6 +86,32 @@ class LinearProgram:
     def n_vars(self) -> int:
         return self.c.size
 
+    @cached_property
+    def _standard(self) -> "_StandardForm":
+        return _to_standard_form(self)
+
+    def with_rhs(self, *, b_in=None, b_eq=None) -> "LinearProgram":
+        """This program with ``b_in`` and/or ``b_eq`` replaced.
+
+        The cost, the matrices and the bounds are shared, not copied or
+        validated again, and so is their standard form, which is built once
+        for all the variants.  Only the new right-hand side is checked.
+        """
+        self._standard  # built here, so every copy shares it
+        new = object.__new__(LinearProgram)
+        new.__dict__.update(self.__dict__)
+        for matrix, name, value in (("A_in", "b_in", b_in), ("A_eq", "b_eq", b_eq)):
+            if value is None:
+                continue
+            rows = getattr(self, matrix)
+            value = np.asarray(value, dtype=float).ravel()
+            if rows is None or rows.shape[0] != value.size:
+                raise DimensionMismatch(f"{matrix} and {name} row counts differ")
+            if not np.all(np.isfinite(value)):
+                raise ValueError("LP data must be finite")
+            object.__setattr__(new, name, value)
+        return new
+
 
 @dataclass(frozen=True)
 class LpOutcome:
@@ -91,83 +125,98 @@ class LpOutcome:
         return self.status is LpStatus.OPTIMAL
 
 
-@dataclass
+@dataclass(frozen=True)
 class _StandardForm:
-    """min c@y, T y <= r, y >= 0, plus the map back to original variables."""
+    """min c@y, T y <= r, y >= 0, plus the map back to original variables.
+
+    Everything here is independent of the right-hand side: :meth:`rhs`
+    builds ``r`` for a program's ``b_in``/``b_eq``, so one instance serves
+    every :meth:`LinearProgram.with_rhs` variant of a program.
+    """
 
     c: np.ndarray
     T: np.ndarray
-    r: np.ndarray
     # y = pos part - neg part + shift, per original variable
-    pos_col: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    neg_col: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    shift: np.ndarray = field(default_factory=lambda: np.empty(0))
+    pos_col: np.ndarray
+    neg_col: np.ndarray  # -1 where the variable has no negative part
+    split: np.ndarray  # the variables that have a negative part
+    shift: np.ndarray
+    in_offset: np.ndarray  # A_in @ shift
+    eq_offset: np.ndarray | None  # A_eq @ shift
+    caps: np.ndarray  # hi - shift, per finite upper bound
+    lower: np.ndarray  # the bounds, -inf / inf where absent
+    upper: np.ndarray
+
+    def rhs(self, lp: "LinearProgram") -> np.ndarray:
+        parts = [lp.b_in - self.in_offset]
+        if self.eq_offset is not None:
+            # equalities as paired inequalities; keeps every row the same shape
+            e = lp.b_eq - self.eq_offset
+            parts += [e, -e]
+        parts.append(self.caps)
+        return np.concatenate(parts)
+
+    def original(self, y: np.ndarray) -> np.ndarray:
+        z = y[self.pos_col]
+        z[self.split] -= y[self.neg_col[self.split]]
+        return z + self.shift
 
 
 def _to_standard_form(lp: LinearProgram) -> _StandardForm:
     n = lp.n_vars
     bounds = lp.bounds if lp.bounds is not None else [None] * n
-    pos_col = np.full(n, -1, dtype=int)
+    pos_col = np.empty(n, dtype=int)
     neg_col = np.full(n, -1, dtype=int)
-    shift = np.zeros(n)
+    lower = np.full(n, -np.inf)
+    upper = np.full(n, np.inf)
+    capped = []  # variables with a finite upper bound, in order
 
     cols = 0
-    upper = []  # (std col, cap) for finite upper bounds
-    for k in range(n):
-        b = bounds[k]
-        lo = None if b is None else b[0]
-        hi = None if b is None else b[1]
+    for k, b in enumerate(bounds):
+        lo, hi = (None, None) if b is None else b
+        pos_col[k] = cols
         if lo is None:
             # free below: split into difference of two nonnegatives
-            pos_col[k] = cols
             neg_col[k] = cols + 1
             cols += 2
         else:
-            shift[k] = lo
-            pos_col[k] = cols
+            lower[k] = lo
             cols += 1
         if hi is not None:
             if lo is not None and hi < lo:
                 raise ValueError(f"bound lo > hi for variable {k}")
-            upper.append((k, hi))
+            upper[k] = hi
+            capped.append(k)
+    split = np.flatnonzero(neg_col >= 0)
+    shift = np.where(neg_col < 0, lower, 0.0)
 
     def expand(matrix: np.ndarray) -> np.ndarray:
+        matrix = np.atleast_2d(matrix)
         out = np.zeros((matrix.shape[0], cols))
-        for k in range(n):
-            out[:, pos_col[k]] += matrix[:, k]
-            if neg_col[k] >= 0:
-                out[:, neg_col[k]] -= matrix[:, k]
+        out[:, pos_col] += matrix
+        out[:, neg_col[split]] -= matrix[:, split]
         return out
 
     rows = [expand(lp.A_in)]
-    rhs = [lp.b_in - lp.A_in @ shift]
+    eq_offset = None
     if lp.A_eq is not None:
-        # equalities as paired inequalities; keeps every row the same shape
         E = expand(lp.A_eq)
-        e = lp.b_eq - lp.A_eq @ shift
         rows.extend([E, -E])
-        rhs.extend([e, -e])
-    for k, hi in upper:
-        row = np.zeros(cols)
-        row[pos_col[k]] = 1.0
-        if neg_col[k] >= 0:
-            row[neg_col[k]] = -1.0
-        rows.append(row[None, :])
-        rhs.append(np.array([hi - shift[k]]))
-
-    c_std = np.zeros(cols)
-    for k in range(n):
-        c_std[pos_col[k]] += lp.c[k]
-        if neg_col[k] >= 0:
-            c_std[neg_col[k]] -= lp.c[k]
+        eq_offset = lp.A_eq @ shift
+    rows.append(expand(np.eye(n)[capped]))  # y_pos - y_neg <= hi - shift
 
     return _StandardForm(
-        c=c_std,
-        T=np.vstack(rows) if rows else np.zeros((0, cols)),
-        r=np.concatenate(rhs) if rhs else np.zeros(0),
+        c=expand(lp.c)[0],
+        T=np.vstack(rows),
         pos_col=pos_col,
         neg_col=neg_col,
+        split=split,
         shift=shift,
+        in_offset=lp.A_in @ shift,
+        eq_offset=eq_offset,
+        caps=upper[capped] - shift[capped],
+        lower=lower,
+        upper=upper,
     )
 
 
@@ -192,43 +241,38 @@ class _Tableau:
         # their slacks then enter with coefficient -1 and need artificials
         flip = r < 0
         sign = np.where(flip, -1.0, 1.0)
-        body = T * sign[:, None]
-        slack = np.diag(sign)
-        rhs = r * sign
-
-        art_rows = np.flatnonzero(flip)
-        n_art = art_rows.size
-        art = np.zeros((m, n_art))
-        art[art_rows, np.arange(n_art)] = 1.0
-
+        art_rows = flip.nonzero()[0]
         self.n_slack = m
-        self.n_art = n_art
-        self.A = np.hstack([body, slack, art, rhs[:, None]])
+        self.n_art = n_art = art_rows.size
+        slacks = n + np.arange(m)
+        arts = n + m + np.arange(n_art)
+
+        # columns: structural body, slacks, artificials, right-hand side
+        self.A = np.zeros((m, n + m + n_art + 1))
+        np.multiply(T, sign[:, None], out=self.A[:, :n])
+        self.A[np.arange(m), slacks] = sign
+        self.A[art_rows, arts] = 1.0
+        np.multiply(r, sign, out=self.A[:, -1])
         # pristine copy for the final refactorized basis solve
         self.original = self.A.copy()
-        self.basis = np.empty(m, dtype=int)
-        self.basis[:] = n + np.arange(m)  # slacks
-        self.basis[art_rows] = n + m + np.arange(n_art)  # artificials
+        self.basis = slacks
+        self.basis[art_rows] = arts
 
     @property
     def total_cols(self) -> int:
         return self.n_struct + self.n_slack + self.n_art
 
-    def _price(self, cost: np.ndarray) -> np.ndarray:
-        # reduced costs of all columns under the current basis
-        cb = cost[self.basis]
-        return cost[: self.total_cols] - cb @ self.A[:, :-1]
-
     def _pivot(self, row: int, col: int) -> None:
-        piv = self.A[row, col]
+        A = self.A
+        piv = A[row, col]
         if abs(piv) < self.pivot_tol:
             raise NumericalBreakdown(f"pivot {piv:.3e} below threshold")
-        self.A[row] /= piv
-        factors = self.A[:, col].copy()
+        A[row] /= piv
+        factors = A[:, col].copy()
         factors[row] = 0.0
-        self.A -= np.outer(factors, self.A[row])
-        self.A[:, col] = 0.0
-        self.A[row, col] = 1.0
+        A -= factors[:, None] * A[row]
+        A[:, col] = 0.0
+        A[row, col] = 1.0
         self.basis[row] = col
 
     def run(self, cost: np.ndarray, allowed: np.ndarray) -> None:
@@ -240,41 +284,38 @@ class _Tableau:
         """
         stall = 0
         last_objective = np.inf
+        A = self.A
+        priced = cost[: self.total_cols]
+        cb = cost[self.basis]
         while True:
             if self.iterations >= self.max_iterations:
                 raise MaxIterationsExceeded(
                     f"simplex exceeded {self.max_iterations} iterations"
                 )
-            rc = self._price(cost)
-            eligible = np.flatnonzero(allowed & (rc < -self.STABLE_PIVOT))
+            # reduced costs of all columns under the current basis
+            rc = priced - cb @ A[:, :-1]
+            eligible = (allowed & (rc < -self.STABLE_PIVOT)).nonzero()[0]
             if eligible.size == 0:
                 return
             if stall >= self.stall_limit:
-                order = eligible  # Bland: ascending variable index
+                order = eligible.tolist()  # Bland: ascending variable index
             else:
-                order = eligible[np.argsort(rc[eligible], kind="stable")]
-            row = col = None
-            saw_weak_only = False
-            for candidate in order:
-                candidate_row = self._leaving_row(int(candidate))
-                if candidate_row is None:
-                    column = self.A[:, candidate]
-                    if np.all(column <= self.pivot_tol):
-                        raise _Unbounded(int(candidate))
-                    saw_weak_only = True  # only sub-threshold pivots here
-                    continue
-                row, col = candidate_row, int(candidate)
-                break
-            if col is None:
-                if saw_weak_only:
-                    raise NumericalBreakdown(
-                        "no pivot above the stability threshold in any "
-                        "improving column"
-                    )
-                return  # pragma: no cover - eligible was nonempty
+                order = eligible[rc[eligible].argsort(kind="stable")].tolist()
+            for col in order:
+                row = self._leaving_row(col)
+                if row is not None:
+                    break
+                if (A[:, col] <= self.pivot_tol).all():
+                    raise _Unbounded(col)
+            else:  # only sub-threshold pivots in every improving column
+                raise NumericalBreakdown(
+                    "no pivot above the stability threshold in any "
+                    "improving column"
+                )
             self._pivot(row, col)
             self.iterations += 1
-            objective = cost[self.basis] @ self.A[:, -1]
+            cb = cost[self.basis]
+            objective = cb @ A[:, -1]
             if objective < last_objective - self.STABLE_PIVOT:
                 stall = 0
                 last_objective = objective
@@ -283,27 +324,28 @@ class _Tableau:
 
     def _leaving_row(self, col: int) -> int | None:
         column = self.A[:, col]
-        rows = np.flatnonzero(column > self.STABLE_PIVOT)
-        if rows.size == 0:
-            return None
+        rows = (column > self.STABLE_PIVOT).nonzero()[0]
+        if rows.size <= 1:  # no ratio test to settle
+            return int(rows[0]) if rows.size else None
         ratios = self.A[rows, -1] / column[rows]
         best = ratios.min()
         window = self.pivot_tol * max(1.0, abs(best))
         tied = rows[ratios <= best + window]
+        if tied.size == 1:
+            return int(tied[0])
         # prefer the largest pivot (stability), then the lowest basis index
-        strongest = column[tied].max()
-        tied = tied[column[tied] >= strongest * (1.0 - 1e-9)]
-        return int(tied[np.argmin(self.basis[tied])])
+        pivots = column[tied]
+        tied = tied[pivots >= pivots.max() * (1.0 - 1e-9)]
+        return int(tied[self.basis[tied].argmin()])
 
     def drive_out_artificials(self) -> None:
         """Pivot basic artificials (at value zero) onto structural or slack
         columns; rows that admit no pivot are redundant and zeroed."""
         limit = self.n_struct + self.n_slack
-        for row in range(self.m):
-            if self.basis[row] < limit:
-                continue
+        # a pivot changes only the basic variable of its own row
+        for row in (self.basis >= limit).nonzero()[0].tolist():
             entries = np.abs(self.A[row, :limit])
-            col = int(np.argmax(entries))
+            col = int(entries.argmax())
             if entries[col] > self.pivot_tol:
                 self._pivot(row, col)
             else:
@@ -321,7 +363,7 @@ class _Tableau:
         except np.linalg.LinAlgError:
             values = self.A[:, -1]
         else:
-            if not np.all(np.isfinite(values)):
+            if not np.isfinite(values).all():
                 values = self.A[:, -1]
         y[self.basis] = values
         return y
@@ -353,12 +395,13 @@ def solve(
     """
     if pivot_rule not in ("dantzig-bland", "bland"):
         raise ValueError(f"unknown pivot rule '{pivot_rule}'")
-    sf = _to_standard_form(lp)
+    sf = lp._standard
+    r = sf.rhs(lp)
     m, n = sf.T.shape
     if max_iterations is None:
         max_iterations = 200 * (m + n + 10)
 
-    tab = _Tableau(sf.T, sf.r, pivot_tol, max_iterations)
+    tab = _Tableau(sf.T, r, pivot_tol, max_iterations)
     if pivot_rule == "bland":
         tab.stall_limit = 0
     allowed = np.ones(tab.total_cols, dtype=bool)
@@ -371,7 +414,7 @@ def solve(
         except _Unbounded:  # pragma: no cover - phase 1 objective is bounded
             raise NumericalBreakdown("phase 1 reported unbounded")
         art_values = tab.solution()[tab.n_struct + tab.n_slack :]
-        if art_values.sum() > feas_tol * max(1.0, np.abs(sf.r).max(initial=1.0)):
+        if art_values.sum() > feas_tol * max(1.0, np.abs(r).max(initial=1.0)):
             return LpOutcome(LpStatus.INFEASIBLE, iterations=tab.iterations)
         tab.drive_out_artificials()
         allowed[tab.n_struct + tab.n_slack :] = False
@@ -383,15 +426,8 @@ def solve(
     except _Unbounded:
         return LpOutcome(LpStatus.UNBOUNDED, iterations=tab.iterations)
 
-    y = tab.solution()
-    z = np.empty(lp.n_vars)
-    for k in range(lp.n_vars):
-        val = y[sf.pos_col[k]]
-        if sf.neg_col[k] >= 0:
-            val -= y[sf.neg_col[k]]
-        z[k] = val + sf.shift[k]
-
-    _check_primal(lp, z, feas_tol)
+    z = sf.original(tab.solution())
+    _check_primal(lp, sf, z, feas_tol)
     return LpOutcome(
         LpStatus.OPTIMAL,
         z=z,
@@ -400,21 +436,19 @@ def solve(
     )
 
 
-def _check_primal(lp: LinearProgram, z: np.ndarray, feas_tol: float) -> None:
+def _check_primal(
+    lp: LinearProgram, sf: _StandardForm, z: np.ndarray, feas_tol: float
+) -> None:
     scale = max(1.0, float(np.abs(lp.b_in).max(initial=0.0)))
     resid = float((lp.A_in @ z - lp.b_in).max(initial=0.0))
     if lp.A_eq is not None and lp.A_eq.size:
         resid = max(resid, float(np.abs(lp.A_eq @ z - lp.b_eq).max()))
         scale = max(scale, float(np.abs(lp.b_eq).max(initial=0.0)))
-    if lp.bounds is not None:
-        for k, b in enumerate(lp.bounds):
-            if b is None:
-                continue
-            lo, hi = b
-            if lo is not None:
-                resid = max(resid, lo - z[k])
-            if hi is not None:
-                resid = max(resid, z[k] - hi)
+    resid = max(
+        resid,
+        float((sf.lower - z).max(initial=-np.inf)),
+        float((z - sf.upper).max(initial=-np.inf)),
+    )
     if resid > feas_tol * scale:
         raise NumericalBreakdown(
             f"optimal point violates constraints by {resid:.3e}"

@@ -28,6 +28,7 @@ import numpy as np
 from . import lp_core
 from .errors import DimensionMismatch, InvarcertError, NumericalBreakdown
 from .geometry import Polytope
+from .system_family import UnknownSample
 
 SOLUTION_TOL = 1e-6
 _CG_BATCH = 8  # violated rows added per constraint-generation round
@@ -217,15 +218,20 @@ def evaluate_policy(policy: AffinePolicy, delta) -> np.ndarray:
     return policy.vertex_inputs(delta)
 
 
-def vertex_constraints(family, S: Polytope, U: Polytope, deltas):
+def vertex_constraints(family, S: Polytope, U: Polytope, deltas, first: int = 0):
     """Input-space rows of every vertex block, for a (K, ell) stack of draws.
 
     Returns ``G`` (K, q+p, m), the rows ``col(H, F B(delta_k))``, and ``l``
     (K, N, q+p), the right-hand sides ``col(1, 1 - F A(delta_k) x_i)``:
     the input ``u`` at vertex ``x_i`` is admissible for draw k, that is it
     lies in ``U`` and maps the vertex into ``S``, iff ``G[k] u <= l[k, i]``.
+    ``first`` is the position of ``deltas[0]`` in the whole sample list; an
+    :class:`UnknownSample` names its draw by that position.
     """
-    A, B = family.instantiate_batch(deltas)
+    try:
+        A, B = family.instantiate_batch(deltas)
+    except UnknownSample as exc:
+        raise UnknownSample(first + exc.row, exc.value, exc.count) from None
     if A.shape[1:] != (S.dim, S.dim) or B.shape[1:] != (S.dim, U.dim):
         raise DimensionMismatch("family output does not match S and U")
     q = U.facet_count
@@ -237,14 +243,17 @@ def vertex_constraints(family, S: Polytope, U: Polytope, deltas):
     return G, l
 
 
-def is_admissible(family, S: Polytope, U: Polytope, delta, u, tol: float = 1e-8):
+def is_admissible(
+    family, S: Polytope, U: Polytope, delta, u, tol: float = 1e-8, *, first: int = 0
+):
     """True iff every vertex input lies in ``U`` and maps its vertex into ``S``.
 
     ``delta`` is one draw with vertex inputs ``u`` (N, m), or a (M, ell)
     stack of draws with inputs (M, N, m), which gives a boolean mask (M,).
+    ``first`` is as in :func:`vertex_constraints`.
     """
     deltas = np.atleast_2d(np.asarray(delta, dtype=float))
-    G, l = vertex_constraints(family, S, U, deltas)
+    G, l = vertex_constraints(family, S, U, deltas, first)
     u = np.asarray(u, dtype=float).reshape(deltas.shape[0], S.vertex_count, U.dim)
     ok = np.all(u @ G.transpose(0, 2, 1) <= l + tol, axis=(1, 2))
     return bool(ok[0]) if np.ndim(delta) < 2 else ok
@@ -277,7 +286,7 @@ class _BlockProgram:
         rhs = self.rhs.reshape(self.N, self.K, self.block_rows)
         for lo in range(0, self.K, CHUNK):
             part = samples[lo : lo + CHUNK]
-            G, l = vertex_constraints(family, S, U, part)
+            G, l = vertex_constraints(family, S, U, part, lo)
             rhs[:, lo : lo + CHUNK] = l.transpose(1, 0, 2)
             block = rows[lo : lo + CHUNK]
             block[:, :, self.dvar - self.m :] = G

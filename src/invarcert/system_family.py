@@ -35,8 +35,18 @@ class NoInputNodes(GraphError):
 
 
 class UnknownSample(InvarcertError, KeyError):
+    """Draw ``row`` of a stack, ``value``, is not one of the ``count`` table
+    indices."""
+
+    def __init__(self, row: int, value: float, count: int):
+        super().__init__(row, value, count)
+        self.row, self.value, self.count = row, value, count
+
     def __str__(self):  # KeyError's str() would quote the message
-        return str(self.args[0]) if self.args else ""
+        return (
+            f"row {self.row}: {self.value!r} is not a table index "
+            f"in 0..{self.count - 1}"
+        )
 
 
 class ConvergenceFailure(InvarcertError, ArithmeticError):
@@ -291,10 +301,7 @@ class TableFamily:
             ~(np.abs(d[:, 0] - k) <= 1e-9) | (k < 0) | (k >= len(self.pairs))
         )
         if bad.size:
-            raise UnknownSample(
-                f"row {bad[0]}: {float(d[bad[0], 0])!r} is not a table index "
-                f"in 0..{len(self.pairs) - 1}"
-            )
+            raise UnknownSample(int(bad[0]), float(d[bad[0], 0]), len(self.pairs))
         k = k.astype(int)
         return (
             np.stack([A for A, _ in self.pairs])[k],

@@ -114,6 +114,33 @@ def random_box(rng: np.random.Generator, n: int) -> ic.Polytope:
     return ic.box(-rng.uniform(0.3, 2.0, n), rng.uniform(0.3, 2.0, n))
 
 
+def random_prism(rng: np.random.Generator, sides: int = 6) -> ic.Polytope:
+    """A linear image of a prism over a random polygon: its side facets are
+    parallelograms, so no facet is a simplex."""
+    from scipy.spatial import ConvexHull
+
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, sides))
+    angles += 2.0 * np.pi * np.arange(sides) / sides - angles.mean()
+    polygon = rng.uniform(0.5, 1.5, (sides, 1)) * np.column_stack(
+        [np.cos(angles), np.sin(angles)]
+    )
+    hull = ConvexHull(polygon)
+    edges = hull.equations[:, :-1] / -hull.equations[:, -1:]  # a y <= 1
+    low, high = -rng.uniform(0.3, 1.5), rng.uniform(0.3, 1.5)
+    facets = np.vstack(
+        [
+            np.column_stack([edges, np.zeros(len(edges))]),
+            [[0.0, 0.0, 1.0 / high], [0.0, 0.0, 1.0 / low]],
+        ]
+    )
+    ring = polygon[hull.vertices]
+    vertices = np.vstack(
+        [np.column_stack([ring, np.full(len(ring), z)]) for z in (low, high)]
+    )
+    M = np.eye(3) + rng.uniform(-0.3, 0.3, (3, 3))
+    return ic.validate_polytope(facets @ np.linalg.inv(M), vertices @ M.T)
+
+
 def random_affine_instance(rng: np.random.Generator, n=2, m=1, ell=2, stable=0.75):
     """Affine family with a contractive-ish nominal part and small terms."""
     M = rng.normal(size=(n, n))

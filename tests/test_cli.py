@@ -319,8 +319,9 @@ def test_non_finite_scenario_row_rejected(tmp_path, capsys):
     assert captured.err == "error: sample 17 is not finite: [-0.25, nan]\n"
 
 
-def test_non_integral_table_index_rejected_before_synthesis(tmp_path, capsys):
-    np.savetxt(tmp_path / "indices.csv", np.array([[0.0], [1.0], [0.5]]), delimiter=",")
+def table_index_config(tmp_path, indices):
+    """Config of a two-entry table family whose scenarios are ``indices``."""
+    np.savetxt(tmp_path / "indices.csv", np.reshape(indices, (-1, 1)), delimiter=",")
     payload = {
         "schema": 1,
         "system": {
@@ -336,8 +337,23 @@ def test_non_integral_table_index_rejected_before_synthesis(tmp_path, capsys):
         "scenarios": {"file": "indices.csv"},
         "beta": 0.01,
     }
-    assert main(["certify", "--config", write(tmp_path, payload)]) == 1
+    return write(tmp_path, payload)
+
+
+def test_non_integral_table_index_rejected_before_synthesis(tmp_path, capsys):
+    cfg = table_index_config(tmp_path, [0.0, 1.0, 0.5])
+    assert main(["certify", "--config", cfg]) == 1
     assert capsys.readouterr().err == "error: row 2: 0.5 is not a table index in 0..1\n"
+
+
+def test_bad_table_index_past_the_first_chunk_named_by_its_row(tmp_path, capsys):
+    # 601 draws are assembled in two chunks; the row is counted from the
+    # start of the sample list, not from the start of its chunk
+    indices = np.zeros(601)
+    indices[600] = 0.5
+    assert main(["certify", "--config", table_index_config(tmp_path, indices)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: row 600: 0.5 is not a table index in 0..1\n"
 
 
 def test_analyze_skips_enumeration_on_certified_run(tmp_path, capsys, monkeypatch):

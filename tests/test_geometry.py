@@ -13,8 +13,9 @@ from invarcert.geometry import (
     VertexOutsideFacets,
     facet_simplices,
 )
+from invarcert.lp_core import LinearProgram, solve
 
-from instances import random_box, random_hull_polytope
+from instances import random_box, random_hull_polytope, random_prism
 
 UNIT_BOX_F = np.vstack([np.eye(2), -np.eye(2)])
 UNIT_BOX_V = np.array(list(itertools.product([-1.0, 1.0], repeat=2)))
@@ -230,3 +231,74 @@ def test_facet_with_dependent_tight_vertices_is_not_a_simplex():
     fs = facet_simplices(P)
     assert fs.simplex.tolist() == [False, False, True, True, False]
     assert not fs.inverses[~fs.simplex].any()
+
+
+def _fresh_decomposition(P, x, tol=1e-8):
+    """The decomposition LP of ``x`` built from scratch, as one state alone
+    would build it."""
+    N = P.vertex_count
+    lp = LinearProgram(
+        c=np.ones(N),
+        A_in=np.zeros((0, N)),
+        b_in=np.zeros(0),
+        A_eq=P.vertices.T,
+        b_eq=x,
+        bounds=[(0.0, None)] * N,
+    )
+    return solve(lp, feas_tol=max(tol, 1e-9))
+
+
+def _decomposition_states(P, rng):
+    """The origin, every vertex and its half, points on every edge, points
+    inside facets and seeded interior points."""
+    n, V = P.dim, P.vertices
+    tight = np.abs(P.facets @ V.T - 1.0) <= 1e-8  # (p, N)
+    states = [np.zeros(n)]
+    states += [v for v in V] + [0.5 * v for v in V]
+    for i, j in itertools.combinations(range(P.vertex_count), 2):
+        if (tight[:, i] & tight[:, j]).sum() >= n - 1:  # an edge
+            for t in (0.5, rng.uniform()):
+                states.append((1.0 - t) * V[i] + t * V[j])
+    for row in tight:
+        weights = rng.dirichlet(np.ones(row.sum()))
+        states.append(weights @ V[row])
+    for _ in range(60):
+        weights = rng.dirichlet(np.ones(P.vertex_count))
+        states.append((weights @ V) * rng.uniform(0.0, 1.0))
+    return states
+
+
+@pytest.mark.parametrize("name", ["box3", "box4", "prism"])
+def test_per_polytope_decomposition_lp_matches_a_fresh_build(name):
+    rng = np.random.default_rng({"box3": 1, "box4": 2, "prism": 3}[name])
+    P = {
+        "box3": lambda: random_box(rng, 3),
+        "box4": lambda: random_box(rng, 4),
+        "prism": lambda: random_prism(rng),
+    }[name]()
+    assert not facet_simplices(P).simplex.any()
+    for x in _decomposition_states(P, rng):
+        shared = solve(P.decomposition_lp.with_rhs(b_eq=x), feas_tol=1e-9)
+        fresh = _fresh_decomposition(P, x)
+        assert shared.status is fresh.status
+        assert shared.iterations == fresh.iterations
+        assert shared.z.tobytes() == fresh.z.tobytes()
+        gamma = ic.vertex_decompose(P, x)
+        assert gamma.tobytes() == np.maximum(fresh.z, 0.0).tobytes()
+
+
+def test_decomposition_lp_built_once_per_polytope(monkeypatch):
+    from invarcert import lp_core
+
+    built = []
+    standard_form = lp_core._to_standard_form
+    monkeypatch.setattr(
+        lp_core, "_to_standard_form", lambda lp: built.append(lp) or standard_form(lp)
+    )
+    P = ic.box([-1.0, -2.0, -0.5], [1.0, 0.5, 2.0])
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        ic.vertex_decompose(P, rng.uniform(-0.5, 0.5, 3))
+    assert len(built) == 1
+    assert P.decomposition_lp is P.decomposition_lp
+    assert np.array_equal(P.decomposition_lp.b_eq, np.zeros(3))  # not overwritten

@@ -171,3 +171,59 @@ def test_iteration_cap_raises():
     )
     with pytest.raises(MaxIterationsExceeded):
         solve(lp, max_iterations=1)
+
+
+def _outcome_bytes(out):
+    z = None if out.z is None else out.z.tobytes()
+    return out.status, out.iterations, z, out.objective
+
+
+def test_rhs_replacement_matches_a_fresh_build():
+    # free variables, one-sided and two-sided bounds, equalities and
+    # inequalities; every variant must pivot exactly like a fresh program
+    rng = np.random.default_rng(17)
+    kinds = [None, (None, 1.5), (-1.0, None), (-2.0, 2.0), (0.0, None), (0.5, 0.5)]
+    statuses = set()
+    for _ in range(60):
+        n = int(rng.integers(2, 6))
+        data = dict(
+            c=rng.normal(size=n),
+            A_in=rng.normal(size=(int(rng.integers(1, 7)), n)),
+            A_eq=rng.normal(size=(int(rng.integers(1, 3)), n)),
+            bounds=[kinds[int(k)] for k in rng.integers(0, len(kinds), n)],
+        )
+        b_in, b_eq = np.ones(len(data["A_in"])), np.zeros(len(data["A_eq"]))
+        template = LinearProgram(b_in=b_in, b_eq=b_eq, **data)
+        for _ in range(4):
+            new_in = rng.normal(size=b_in.size) + 0.5
+            new_eq = rng.normal(size=b_eq.size)
+            variants = [
+                (template.with_rhs(b_in=new_in, b_eq=new_eq), new_in, new_eq),
+                (template.with_rhs(b_eq=new_eq), b_in, new_eq),
+            ]
+            for variant, rhs_in, rhs_eq in variants:
+                fresh = LinearProgram(b_in=rhs_in, b_eq=rhs_eq, **data)
+                for rule in ("dantzig-bland", "bland"):
+                    got = solve(variant, pivot_rule=rule)
+                    want = solve(fresh, pivot_rule=rule)
+                    assert _outcome_bytes(got) == _outcome_bytes(want)
+                    statuses.add(got.status)
+        assert np.array_equal(template.b_in, b_in)
+        assert np.array_equal(template.b_eq, b_eq)
+    assert statuses == set(LpStatus)
+
+
+def test_rhs_replacement_is_checked():
+    from invarcert.errors import DimensionMismatch
+
+    lp = LinearProgram(
+        c=[1.0, 1.0], A_in=[[1.0, 0.0]], b_in=[1.0], bounds=[(0.0, None)] * 2
+    )
+    with pytest.raises(DimensionMismatch):
+        lp.with_rhs(b_in=[1.0, 2.0])
+    with pytest.raises(DimensionMismatch):
+        lp.with_rhs(b_eq=[1.0])  # the program has no equality rows
+    with pytest.raises(ValueError, match="finite"):
+        lp.with_rhs(b_in=[np.inf])
+    assert solve(lp.with_rhs(b_in=[-1.0])).status is LpStatus.INFEASIBLE
+    assert solve(lp).status is LpStatus.OPTIMAL

@@ -633,3 +633,26 @@ def test_solve_vertex_matches_reference_cg_loop(monkeypatch):
             assert (got is None) == (expected is None)
             if got is not None:
                 assert np.array_equal(got, expected)
+
+
+def test_bad_table_index_named_in_the_whole_sample_list():
+    # K > scenario.CHUNK: the bad draw sits in the second chunk of 512
+    from invarcert import closed_loop, feasibility, scenario
+    from invarcert.system_family import UnknownSample
+
+    fam = ic.TableFamily(pairs=[([[0.5]], [[1.0]]), ([[0.8]], [[1.0]])])
+    rows = np.zeros((601, 1))
+    rows[600, 0] = 0.5
+    assert rows.shape[0] > scenario.CHUNK
+    policy = ic.solve_affine_policy(fam, UNIT1, UNIT1, ic.ScenarioSet(rows[:600]))
+    message = r"^row 600: 0\.5 is not a table index in 0\.\.1$"
+    for run in (
+        lambda: ic.solve_affine_policy(fam, UNIT1, UNIT1, ic.ScenarioSet(rows)),
+        lambda: closed_loop.empirical_violation(fam, UNIT1, UNIT1, policy, rows),
+        lambda: feasibility.multisample_necessary(
+            fam, UNIT1, UNIT1, ic.ScenarioSet(rows)
+        ),
+    ):
+        with pytest.raises(UnknownSample, match=message) as info:
+            run()
+        assert (info.value.row, info.value.value, info.value.count) == (600, 0.5, 2)
