@@ -19,7 +19,7 @@ graph = ic.Graph(
     nominal_weights=[-0.38, 0.05, 0.05, 0.05, 0.05, 0.10,
                      0.50, 0.50, 0.15, 0.15, 0.10, 0.10],
 )
-family = ic.build_network_family(graph)
+family = ic.NetworkFamily(graph)
 print(f"n = {family.n} states, m = {family.m} inputs, ell = {family.ell} weights")
 
 D_F, D_I = ic.build_incidence(graph)

@@ -23,7 +23,7 @@ graph = ic.Graph(
     nominal_weights=[-0.38, 0.05, 0.05, 0.05, 0.05, 0.10,
                      0.50, 0.50, 0.15, 0.15, 0.10, 0.10],
 )
-family = ic.build_network_family(graph)
+family = ic.NetworkFamily(graph)
 w_nominal = graph.nominal_weights
 A, _ = family.instantiate(w_nominal)
 print("open-loop spectral radius:", ic.spectral_radius_estimate(A))

@@ -50,7 +50,6 @@ from .scenario import (
     MismatchedFingerprints,
     ScenarioSet,
     UniformBox,
-    evaluate_policy,
     greedy_support_subsample,
     is_admissible,
     solve_affine_policy,
@@ -63,8 +62,6 @@ from .system_family import (
     NetworkFamily,
     TableFamily,
     build_incidence,
-    build_network_family,
-    instantiate,
     spectral_radius_estimate,
 )
 

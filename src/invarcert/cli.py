@@ -16,7 +16,7 @@ import numpy as np
 from . import closed_loop, feasibility, geometry, scenario
 from .certificate import build_certificate, epsilon_even_split, epsilon_table
 from .config import ConfigError, ProblemConfig, load_config
-from .errors import InvarcertError
+from .errors import InvalidArguments, InvarcertError
 from .system_family import spectral_radius_estimate
 
 SCHEMA_VERSION = 1
@@ -88,6 +88,8 @@ def run_certify(
         raise closed_loop.DistributionUnavailable(
             "--estimate needs a sampling distribution; file-based scenarios have none"
         )
+    if estimate is not None and estimate < 1:
+        raise InvalidArguments(f"--estimate M must be >= 1, got {estimate}")
     report = {
         "schema": SCHEMA_VERSION,
         "command": "certify",
@@ -360,8 +362,9 @@ def main(argv=None) -> int:
             return code
         if args.command == "epsilon":
             if args.table:
+                table = epsilon_table(args.K, args.beta)  # fails before any output
                 sys.stdout.write("h,epsilon\n")
-                for h, eps in enumerate(epsilon_table(args.K, args.beta)):
+                for h, eps in enumerate(table):
                     sys.stdout.write(f"{h},{eps!r}\n")
             else:
                 eps = epsilon_even_split(args.h, args.K, args.beta)

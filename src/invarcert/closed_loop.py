@@ -28,8 +28,8 @@ import numpy as np
 
 from . import geometry
 from .errors import DimensionMismatch, InvarcertError
-from .geometry import DecompositionInfeasible, Polytope
-from .scenario import CHUNK, AffinePolicy, is_admissible
+from .geometry import DEFAULT_TOL, DecompositionInfeasible, Polytope
+from .scenario import AffinePolicy, chunks, is_admissible
 
 DEFAULT_HORIZON = 50
 DEFAULT_MC_SAMPLES = 10_000
@@ -66,7 +66,7 @@ def _apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (M @ X[:, :, None])[:, :, 0]
 
 
-def _vertex_law(S, facets, vertex_inputs, X, Fx, tol):
+def _vertex_law(S, facets, vertex_inputs, X, Fx):
     """Vertex-law inputs (N, m) at the states ``X`` (N, n) inside ``S``.
 
     ``Fx`` (N, p) holds ``F x`` for every state.  On a simplicial facet
@@ -83,14 +83,14 @@ def _vertex_law(S, facets, vertex_inputs, X, Fx, tol):
     failed = []
     for s in (~explicit).nonzero()[0]:
         try:
-            u[s] = geometry.vertex_decompose(S, X[s], tol) @ vertex_inputs
+            u[s] = geometry.vertex_decompose(S, X[s]) @ vertex_inputs
         except DecompositionInfeasible:
             u[s] = 0.0
             failed.append(s)
     return u, failed
 
 
-def vertex_control_input(S: Polytope, vertex_inputs, x, tol: float = 1e-8) -> np.ndarray:
+def vertex_control_input(S: Polytope, vertex_inputs, x) -> np.ndarray:
     """Input prescribed by the vertex control law at state ``x``.
 
     ``vertex_inputs`` holds one input per vertex of ``S`` (shape (N, m)).
@@ -103,13 +103,23 @@ def vertex_control_input(S: Polytope, vertex_inputs, x, tol: float = 1e-8) -> np
             f"expected {S.vertex_count} vertex inputs, got {VU.shape[0]}"
         )
     x = np.asarray(x, dtype=float).ravel()
-    if geometry.minkowski_gauge(S, x) > 1.0 + tol:
-        raise DecompositionInfeasible(f"point outside polytope beyond tol={tol}")
+    if geometry.minkowski_gauge(S, x) > 1.0 + DEFAULT_TOL:
+        raise DecompositionInfeasible(f"point outside polytope beyond tol={DEFAULT_TOL}")
     X = x[None]
-    u, failed = _vertex_law(S, geometry.facet_simplices(S), VU, X, _apply(S.facets, X), tol)
+    u, failed = _vertex_law(S, geometry.facet_simplices(S), VU, X, _apply(S.facets, X))
     if failed:
         raise DecompositionInfeasible("no nonnegative vertex combination reaches x")
     return u[0]
+
+
+def _check_policy_shape(family, S: Polytope, policy: AffinePolicy) -> None:
+    """A policy must give one (m, ell) gain per vertex of ``S``."""
+    expected = (S.vertex_count, family.m, family.ell)
+    if policy.gains.shape != expected:
+        raise DimensionMismatch(
+            f"policy gains have shape {policy.gains.shape}, expected {expected} "
+            "(vertices of S, inputs, parameters)"
+        )
 
 
 def simulate_closed_loop(
@@ -119,7 +129,6 @@ def simulate_closed_loop(
     policy: AffinePolicy,
     x0,
     T: int = DEFAULT_HORIZON,
-    tol: float = 1e-8,
 ):
     """Closed-loop trajectories under the vertex control law.
 
@@ -129,10 +138,12 @@ def simulate_closed_loop(
     the runtime parameter (``u_i = C_i delta + d_i``); at every step the
     law recombines them via the decomposition of the current state.  From
     a start's first exit from ``S`` on, its input is zero and
-    ``first_exit`` records the step.
+    ``first_exit`` records the step.  A policy whose gains are not
+    (vertices of ``S``, m, ell) raises :class:`DimensionMismatch` first.
     """
     if T < 1:
         raise ValueError("horizon must be >= 1")
+    _check_policy_shape(family, S, policy)
     delta = np.asarray(delta, dtype=float).ravel()
     A, B = family.instantiate(delta)
     x0 = np.asarray(x0, dtype=float)
@@ -143,7 +154,7 @@ def simulate_closed_loop(
             f"x0 has shape {x0.shape}, expected ({S.dim},) or (N, {S.dim})"
         )
     Fx = _apply(S.facets, X)
-    outside = np.flatnonzero((Fx > 1.0 + tol).any(axis=1))
+    outside = np.flatnonzero((Fx > 1.0 + DEFAULT_TOL).any(axis=1))
     if outside.size:
         raise DecompositionInfeasible(f"start {outside[0]} lies outside S")
 
@@ -161,7 +172,7 @@ def simulate_closed_loop(
         if live.size:
             rows = slice(None) if live.size == N else live
             inputs[rows, t], failed = _vertex_law(
-                S, facets, vertex_inputs, X[rows], Fx[rows], tol
+                S, facets, vertex_inputs, X[rows], Fx[rows]
             )
             if failed:
                 first_exit[live[failed]] = t
@@ -169,7 +180,7 @@ def simulate_closed_loop(
         Fx = _apply(S.facets, X)
         states[:, t + 1] = X
         gauges[:, t + 1] = np.maximum(Fx.max(axis=1), 0.0)
-        first_exit[(first_exit < 0) & (gauges[:, t + 1] > 1.0 + tol)] = t + 1
+        first_exit[(first_exit < 0) & (gauges[:, t + 1] > 1.0 + DEFAULT_TOL)] = t + 1
     fingerprint = policy.fingerprint
     trajectories = [
         Trajectory(
@@ -185,16 +196,17 @@ def simulate_closed_loop(
     return trajectories[0] if single else trajectories
 
 
-def empirical_violation(family, S, U, policy, samples, tol: float = 1e-8):
+def empirical_violation(family, S, U, policy, samples):
     """Fraction of the given samples at which the policy is inadmissible."""
+    _check_policy_shape(family, S, policy)
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
         samples = samples[:, None]
     ok = np.empty(samples.shape[0], dtype=bool)
-    for lo in range(0, samples.shape[0], CHUNK):
-        part = samples[lo : lo + CHUNK]
-        ok[lo : lo + CHUNK] = is_admissible(
-            family, S, U, part, policy.vertex_inputs(part), tol, first=lo
+    for lo, hi in chunks(samples.shape[0]):
+        part = samples[lo:hi]
+        ok[lo:hi] = is_admissible(
+            family, S, U, part, policy.vertex_inputs(part), first=lo
         )
     failures = np.flatnonzero(~ok).tolist()
     return len(failures) / samples.shape[0], failures
@@ -207,7 +219,6 @@ class ViolationEstimate:
     sample_count: int
     seed: int
     failures: tuple  # indices into the drawn multisample
-    failed_samples: np.ndarray = None  # the offending draws, (len(failures), ell)
 
 
 def estimate_violation(
@@ -218,7 +229,6 @@ def estimate_violation(
     distribution,
     M: int = DEFAULT_MC_SAMPLES,
     seed: int = 0,
-    tol: float = 1e-8,
 ) -> ViolationEstimate:
     """Monte Carlo estimate of the policy's violation probability.
 
@@ -234,14 +244,13 @@ def estimate_violation(
         )
     rng = np.random.default_rng(seed)
     draws = distribution.draw(M, rng)
-    v_hat, failures = empirical_violation(family, S, U, policy, draws, tol)
+    v_hat, failures = empirical_violation(family, S, U, policy, draws)
     return ViolationEstimate(
         v_hat=v_hat,
         std_error=float(np.sqrt(v_hat * (1.0 - v_hat) / M)),
         sample_count=M,
         seed=seed,
         failures=tuple(failures),
-        failed_samples=draws[list(failures)],
     )
 
 

@@ -11,8 +11,11 @@ Top-level keys::
                  | {"uniform": {"lower": [...], "upper": [...]},
                     "count": K, "seed": 0},
       "beta": 1e-6,
-      "options": {"horizon": 50, "estimate_samples": 10000, ...}
+      "options": {"estimate_seed": 0}
     }
+
+``options.estimate_seed`` seeds the Monte Carlo draws of ``certify
+--estimate``; it is the only option, and any other key is an error.
 
 Cross-dimension consistency (state dim, input dim, parameter dim) is
 checked here so the pipelines can assume well-formed inputs.
@@ -22,13 +25,16 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import InvarcertError
-from .geometry import Polytope, box, validate_polytope
+from .geometry import DEFAULT_TOL, Polytope, box, validate_polytope
 from .scenario import ScenarioSet
 from .system_family import AffineFamily, Graph, NetworkFamily, TableFamily
 
 
 class ConfigError(InvarcertError, ValueError):
     pass
+
+
+OPTIONS = ("estimate_seed",)
 
 
 @dataclass
@@ -55,7 +61,7 @@ def parse_polytope(spec, context) -> Polytope:
         return box(_require(b, "lower", context), _require(b, "upper", context))
     facets = _require(spec, "facets", context)
     vertices = _require(spec, "vertices", context)
-    return validate_polytope(facets, vertices, tol=spec.get("tol", 1e-8))
+    return validate_polytope(facets, vertices, tol=spec.get("tol", DEFAULT_TOL))
 
 
 def parse_family(spec):
@@ -137,6 +143,11 @@ def parse_config(raw: dict, base_dir=None) -> ProblemConfig:
     options = raw.get("options", {})
     if not isinstance(options, dict):
         raise ConfigError("'options' must be an object")
+    unknown = sorted(set(options) - set(OPTIONS))
+    if unknown:
+        raise ConfigError(
+            f"unknown key '{unknown[0]}' in options (known: {', '.join(OPTIONS)})"
+        )
     return ProblemConfig(
         family=family,
         state_set=state_set,

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvarcertError
-from .geometry import Polytope
-from .scenario import CHUNK, vertex_constraints
+from .geometry import DEFAULT_TOL, Polytope
+from .scenario import chunks, vertex_constraints
 
 DET_TOL = 1e-10
 ENUMERATION_CAP = 1_000_000
@@ -57,18 +57,18 @@ class MultisampleResult:
     first_failure: tuple | None = None  # (vertex, sample)
 
 
-def _check_vertex(G, l, q, det_tol, tol, vertex, sample) -> MinorWitness | None:
+def _check_vertex(G, l, q, vertex, sample) -> MinorWitness | None:
     """First (lexicographic) satisfying minor of one vertex block, or None."""
     total, m = G.shape
     for subset in itertools.combinations(range(total), m):
         sub = G[list(subset)]
         # LU with partial pivoting underlies both the det and the solve
-        if abs(np.linalg.det(sub)) <= det_tol:
+        if abs(np.linalg.det(sub)) <= DET_TOL:
             continue
         point = np.linalg.solve(sub, l[list(subset)])
         residual = G @ point - l
         residual[list(subset)] = 0.0
-        if np.all(residual <= tol):
+        if np.all(residual <= DEFAULT_TOL):
             return MinorWitness(
                 vertex=vertex,
                 sample=sample,
@@ -94,12 +94,12 @@ def _enumerable(family, S, U, cap) -> int:
     return q
 
 
-def _check_sample(G, l, q, det_tol, tol, sample) -> tuple[tuple, int | None]:
+def _check_sample(G, l, q, sample) -> tuple[tuple, int | None]:
     """Witnesses of the vertex blocks ``G u <= l[i]`` of one sample, in
     vertex order up to the first infeasible one, and that vertex (or None)."""
     witnesses = []
     for i in range(l.shape[0]):
-        w = _check_vertex(G, l[i], q, det_tol, tol, vertex=i, sample=sample)
+        w = _check_vertex(G, l[i], q, vertex=i, sample=sample)
         if w is None:
             return tuple(witnesses), i
         witnesses.append(w)
@@ -111,8 +111,6 @@ def single_sample_iff(
     S: Polytope,
     U: Polytope,
     delta,
-    det_tol: float = DET_TOL,
-    tol: float = 1e-8,
     *,
     sample_index: int = 0,
     cap: int = ENUMERATION_CAP,
@@ -125,7 +123,7 @@ def single_sample_iff(
     """
     q = _enumerable(family, S, U, cap)
     G, l = vertex_constraints(family, S, U, np.reshape(delta, (1, -1)))
-    witnesses, failed = _check_sample(G[0], l[0], q, det_tol, tol, sample_index)
+    witnesses, failed = _check_sample(G[0], l[0], q, sample_index)
     return SingleSampleResult(
         feasible=failed is None, witnesses=witnesses, failed_vertex=failed
     )
@@ -136,8 +134,6 @@ def multisample_necessary(
     S: Polytope,
     U: Polytope,
     scenarios,
-    det_tol: float = DET_TOL,
-    tol: float = 1e-8,
     *,
     cap: int = ENUMERATION_CAP,
 ) -> MultisampleResult:
@@ -149,11 +145,10 @@ def multisample_necessary(
     still not exist even when every sample is individually controllable.
     """
     q = _enumerable(family, S, U, cap)
-    for lo in range(0, scenarios.K, CHUNK):
-        part = scenarios.samples[lo : lo + CHUNK]
-        G, l = vertex_constraints(family, S, U, part, lo)
+    for lo, hi in chunks(scenarios.K):
+        G, l = vertex_constraints(family, S, U, scenarios.samples[lo:hi], lo)
         for k in range(G.shape[0]):
-            _, failed = _check_sample(G[k], l[k], q, det_tol, tol, lo + k)
+            _, failed = _check_sample(G[k], l[k], q, lo + k)
             if failed is not None:
                 return MultisampleResult(passed=False, first_failure=(failed, lo + k))
     return MultisampleResult(passed=True)

@@ -196,12 +196,12 @@ def box(lower, upper) -> Polytope:
     return Polytope(facets=_freeze(F), vertices=_freeze(verts))
 
 
-def contains(P: Polytope, x, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ``F x <= (1 + tol)`` componentwise."""
+def contains(P: Polytope, x) -> bool:
+    """True iff ``F x <= 1 + DEFAULT_TOL`` componentwise."""
     x = np.asarray(x, dtype=float).ravel()
     if x.size != P.dim:
         raise DimensionMismatch(f"point has dimension {x.size}, expected {P.dim}")
-    return bool(np.all(P.facets @ x <= 1.0 + tol))
+    return bool(np.all(P.facets @ x <= 1.0 + DEFAULT_TOL))
 
 
 def minkowski_gauge(P: Polytope, x) -> float:
@@ -251,7 +251,7 @@ def facet_simplices(P: Polytope) -> FacetSimplices:
     return FacetSimplices(simplex=simplex, vertices=vertices, inverses=inverses)
 
 
-def vertex_decompose(P: Polytope, x, tol: float = DEFAULT_TOL) -> np.ndarray:
+def vertex_decompose(P: Polytope, x) -> np.ndarray:
     """Minimal-weight vertex decomposition of a point of ``P``.
 
     Returns ``gamma >= 0`` with ``sum_i gamma_i vertex_i = x`` and
@@ -262,10 +262,10 @@ def vertex_decompose(P: Polytope, x, tol: float = DEFAULT_TOL) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if x.size != P.dim:
         raise DimensionMismatch(f"point has dimension {x.size}, expected {P.dim}")
-    if minkowski_gauge(P, x) > 1.0 + tol:
-        raise DecompositionInfeasible(f"point outside polytope beyond tol={tol}")
+    if minkowski_gauge(P, x) > 1.0 + DEFAULT_TOL:
+        raise DecompositionInfeasible(f"point outside polytope beyond tol={DEFAULT_TOL}")
     lp = P.decomposition_lp.with_rhs(b_eq=x)
-    outcome = lp_core.solve(lp, feas_tol=max(tol, 1e-9))
+    outcome = lp_core.solve(lp, feas_tol=DEFAULT_TOL)
     if not outcome.is_optimal:
         raise DecompositionInfeasible("no nonnegative vertex combination reaches x")
     gamma = np.maximum(outcome.z, 0.0)

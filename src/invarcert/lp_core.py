@@ -223,17 +223,16 @@ def _to_standard_form(lp: LinearProgram) -> _StandardForm:
 class _Tableau:
     """Simplex tableau; every pivot choice is deterministic."""
 
-    # entering / ratio-test eligibility floor; pivots between pivot_tol and
-    # this are used only when nothing larger is available
+    # entering / ratio-test eligibility floor; smaller pivots (down to
+    # DEFAULT_PIVOT_TOL) are used only when nothing larger is available
     STABLE_PIVOT = 1e-9
     # consecutive non-improving iterations before switching to Bland's rule
     # under the default "dantzig-bland" pivot rule; 0 means Bland throughout
     stall_limit = 40
 
-    def __init__(self, T, r, pivot_tol, max_iterations):
+    def __init__(self, T, r, max_iterations):
         m, n = T.shape
-        self.m, self.n_struct = m, n
-        self.pivot_tol = pivot_tol
+        self.n_struct = n
         self.max_iterations = max_iterations
         self.iterations = 0
 
@@ -265,7 +264,7 @@ class _Tableau:
     def _pivot(self, row: int, col: int) -> None:
         A = self.A
         piv = A[row, col]
-        if abs(piv) < self.pivot_tol:
+        if abs(piv) < DEFAULT_PIVOT_TOL:
             raise NumericalBreakdown(f"pivot {piv:.3e} below threshold")
         A[row] /= piv
         factors = A[:, col].copy()
@@ -305,7 +304,7 @@ class _Tableau:
                 row = self._leaving_row(col)
                 if row is not None:
                     break
-                if (A[:, col] <= self.pivot_tol).all():
+                if (A[:, col] <= DEFAULT_PIVOT_TOL).all():
                     raise _Unbounded(col)
             else:  # only sub-threshold pivots in every improving column
                 raise NumericalBreakdown(
@@ -329,7 +328,7 @@ class _Tableau:
             return int(rows[0]) if rows.size else None
         ratios = self.A[rows, -1] / column[rows]
         best = ratios.min()
-        window = self.pivot_tol * max(1.0, abs(best))
+        window = DEFAULT_PIVOT_TOL * max(1.0, abs(best))
         tied = rows[ratios <= best + window]
         if tied.size == 1:
             return int(tied[0])
@@ -346,7 +345,7 @@ class _Tableau:
         for row in (self.basis >= limit).nonzero()[0].tolist():
             entries = np.abs(self.A[row, :limit])
             col = int(entries.argmax())
-            if entries[col] > self.pivot_tol:
+            if entries[col] > DEFAULT_PIVOT_TOL:
                 self._pivot(row, col)
             else:
                 self.A[row, :-1] = 0.0  # redundant row
@@ -378,7 +377,6 @@ def solve(
     lp: LinearProgram,
     *,
     feas_tol: float = DEFAULT_FEAS_TOL,
-    pivot_tol: float = DEFAULT_PIVOT_TOL,
     pivot_rule: str = "dantzig-bland",
     max_iterations: int | None = None,
 ) -> LpOutcome:
@@ -401,7 +399,7 @@ def solve(
     if max_iterations is None:
         max_iterations = 200 * (m + n + 10)
 
-    tab = _Tableau(sf.T, r, pivot_tol, max_iterations)
+    tab = _Tableau(sf.T, r, max_iterations)
     if pivot_rule == "bland":
         tab.stall_limit = 0
     allowed = np.ones(tab.total_cols, dtype=bool)

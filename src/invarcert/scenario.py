@@ -27,13 +27,20 @@ import numpy as np
 
 from . import lp_core
 from .errors import DimensionMismatch, InvarcertError, NumericalBreakdown
-from .geometry import Polytope
+from .geometry import DEFAULT_TOL, Polytope
 from .system_family import UnknownSample
 
 SOLUTION_TOL = 1e-6
 _CG_BATCH = 8  # violated rows added per constraint-generation round
 _ACTIVE_TOL = 1e-7  # slack below this marks a sample as potentially supporting
 CHUNK = 512  # draws per batched assembly; bounds the temporaries
+
+
+def chunks(count: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` of the runs of at most :data:`CHUNK` draws that cover
+    ``count`` draws in order; every batched pass over a sample list
+    (synthesis, Monte Carlo, minor enumeration) is cut here."""
+    return [(lo, min(lo + CHUNK, count)) for lo in range(0, count, CHUNK)]
 
 
 class Infeasible(InvarcertError):
@@ -213,11 +220,6 @@ class AffinePolicy:
         return self.gains @ d + self.offsets
 
 
-def evaluate_policy(policy: AffinePolicy, delta) -> np.ndarray:
-    """Stacked per-vertex inputs (N, m); row i is ``C_i delta + d_i``."""
-    return policy.vertex_inputs(delta)
-
-
 def vertex_constraints(family, S: Polytope, U: Polytope, deltas, first: int = 0):
     """Input-space rows of every vertex block, for a (K, ell) stack of draws.
 
@@ -243,10 +245,9 @@ def vertex_constraints(family, S: Polytope, U: Polytope, deltas, first: int = 0)
     return G, l
 
 
-def is_admissible(
-    family, S: Polytope, U: Polytope, delta, u, tol: float = 1e-8, *, first: int = 0
-):
-    """True iff every vertex input lies in ``U`` and maps its vertex into ``S``.
+def is_admissible(family, S: Polytope, U: Polytope, delta, u, *, first: int = 0):
+    """True iff every vertex input lies in ``U`` and maps its vertex into ``S``,
+    within :data:`geometry.DEFAULT_TOL`.
 
     ``delta`` is one draw with vertex inputs ``u`` (N, m), or a (M, ell)
     stack of draws with inputs (M, N, m), which gives a boolean mask (M,).
@@ -255,7 +256,7 @@ def is_admissible(
     deltas = np.atleast_2d(np.asarray(delta, dtype=float))
     G, l = vertex_constraints(family, S, U, deltas, first)
     u = np.asarray(u, dtype=float).reshape(deltas.shape[0], S.vertex_count, U.dim)
-    ok = np.all(u @ G.transpose(0, 2, 1) <= l + tol, axis=(1, 2))
+    ok = np.all(u @ G.transpose(0, 2, 1) <= l + DEFAULT_TOL, axis=(1, 2))
     return bool(ok[0]) if np.ndim(delta) < 2 else ok
 
 
@@ -269,14 +270,13 @@ class _BlockProgram:
     right-hand side depends on the vertex.
     """
 
-    def __init__(self, family, S, U, samples, affine=True, feas_tol=1e-9):
+    def __init__(self, family, S, U, samples, affine=True):
         samples = np.asarray(samples, dtype=float)
         if samples.ndim == 1:
             samples = samples[:, None]
         self.K, ell = samples.shape
         self.N = S.vertex_count
         self.m = U.dim
-        self.feas_tol = feas_tol
         self.dvar = self.m * (ell + 1) if affine else self.m
         self.block_rows = U.facet_count + S.facet_count
 
@@ -284,11 +284,11 @@ class _BlockProgram:
         self.rhs = np.empty((self.N, self.K * self.block_rows))
         rows = self.rows.reshape(self.K, self.block_rows, self.dvar)
         rhs = self.rhs.reshape(self.N, self.K, self.block_rows)
-        for lo in range(0, self.K, CHUNK):
-            part = samples[lo : lo + CHUNK]
+        for lo, hi in chunks(self.K):
+            part = samples[lo:hi]
             G, l = vertex_constraints(family, S, U, part, lo)
-            rhs[:, lo : lo + CHUNK] = l.transpose(1, 0, 2)
-            block = rows[lo : lo + CHUNK]
+            rhs[:, lo:hi] = l.transpose(1, 0, 2)
+            block = rows[lo:hi]
             block[:, :, self.dvar - self.m :] = G
             if affine:  # column (a, k) of C_i multiplies G[:, a] by delta_k
                 gains = block[:, :, : self.m * ell]
@@ -313,9 +313,9 @@ class _BlockProgram:
         Deterministic constraint generation: starting from the empty
         working set (solution 0), each round adds the rows chosen by
         :func:`_most_violated` -- the at most ``_CG_BATCH`` largest
-        violations above ``feas_tol``, ties going to the lowest position
-        in the ordered sample list -- and re-solves with the deterministic
-        simplex core.
+        violations above ``lp_core.DEFAULT_FEAS_TOL``, ties going to the
+        lowest position in the ordered sample list -- and re-solves with
+        the deterministic simplex core.
 
         Samples forming one increasing run, as in synthesis, are read
         from the row matrix in place: the same product as on their
@@ -336,7 +336,7 @@ class _BlockProgram:
         for _ in range(idx.size + 1):
             viol = self.violations(vertex, z, take)
             viol[in_working] = -np.inf  # already enforced exactly
-            batch = _most_violated(viol, self.feas_tol)
+            batch = _most_violated(viol, lp_core.DEFAULT_FEAS_TOL)
             if batch.size == 0:
                 return z
             working.extend(batch)
@@ -365,7 +365,7 @@ class _BlockProgram:
             b_in=b_in,
             bounds=[(None, None)] * d + [(0.0, None)] * d,
         )
-        outcome = lp_core.solve(lp, feas_tol=self.feas_tol)
+        outcome = lp_core.solve(lp)
         if outcome.status is lp_core.LpStatus.INFEASIBLE:
             return None
         if not outcome.is_optimal:  # pragma: no cover - objective bounded below
@@ -373,14 +373,14 @@ class _BlockProgram:
         return outcome.z[:d]
 
     def solve_all(self, sample_indices):
-        """Solutions for every vertex, or (None, vertex) at first failure."""
+        """Solutions for every vertex, or None when some vertex fails."""
         out = np.empty((self.N, self.dvar))
         for i in range(self.N):
             z = self.solve_vertex(i, sample_indices)
             if z is None:
-                return None, i
+                return None
             out[i] = z
-        return out, None
+        return out
 
     def diagnose(self) -> tuple[int, int, int]:
         """First (sample, vertex, row) triple at which the program fails.
@@ -428,20 +428,11 @@ def _most_violated(viol: np.ndarray, feas_tol: float) -> np.ndarray:
     return cand[np.argsort(-viol[cand], kind="stable")[:_CG_BATCH]]
 
 
-def _policy_from_matrix(Z: np.ndarray, m: int, ell: int, fingerprint) -> AffinePolicy:
-    N = Z.shape[0]
-    gains = Z[:, : m * ell].reshape(N, m, ell)
-    offsets = Z[:, m * ell :]
-    return AffinePolicy(
-        gains=gains, offsets=offsets, scenario_fingerprint=fingerprint
-    )
-
-
-def _solve_program(family, S, U, scenarios, affine, feas_tol, what) -> np.ndarray:
+def _solve_program(family, S, U, scenarios, affine, what) -> np.ndarray:
     """Per-vertex solutions of the whole program, or :class:`Infeasible`
     with the first violated triple and ``what`` naming the missing object."""
-    prog = _BlockProgram(family, S, U, scenarios.samples, affine=affine, feas_tol=feas_tol)
-    Z, _ = prog.solve_all(range(prog.K))
+    prog = _BlockProgram(family, S, U, scenarios.samples, affine=affine)
+    Z = prog.solve_all(range(prog.K))
     if Z is None:
         sample, vertex, row = prog.diagnose()
         raise Infeasible(
@@ -454,26 +445,31 @@ def _solve_program(family, S, U, scenarios, affine, feas_tol, what) -> np.ndarra
 
 
 def solve_affine_policy(
-    family, S: Polytope, U: Polytope, scenarios: ScenarioSet, *, feas_tol: float = 1e-9
+    family, S: Polytope, U: Polytope, scenarios: ScenarioSet
 ) -> AffinePolicy:
     """Affine vertex policy feasible for every scenario (the map Theta_K).
 
     Deterministic in the ordered sample list.  Raises :class:`Infeasible`
     with the first violated (sample, vertex, row) triple otherwise.
     """
-    Z = _solve_program(family, S, U, scenarios, True, feas_tol, "affine policy")
-    return _policy_from_matrix(Z, U.dim, scenarios.ell, scenarios.fingerprint)
+    Z = _solve_program(family, S, U, scenarios, True, "affine policy")
+    m, ell = U.dim, scenarios.ell
+    return AffinePolicy(
+        gains=Z[:, : m * ell].reshape(-1, m, ell),
+        offsets=Z[:, m * ell :],
+        scenario_fingerprint=scenarios.fingerprint,
+    )
 
 
 def solve_constant_input(
-    family, S: Polytope, U: Polytope, scenarios: ScenarioSet, *, feas_tol: float = 1e-9
+    family, S: Polytope, U: Polytope, scenarios: ScenarioSet
 ) -> np.ndarray:
     """One fixed input per vertex, valid for all samples simultaneously.
 
     The conservative baseline: equivalent to restricting the affine policy
     to zero gains.  Returns a (N, m) array or raises :class:`Infeasible`.
     """
-    return _solve_program(family, S, U, scenarios, False, feas_tol, "common input")
+    return _solve_program(family, S, U, scenarios, False, "common input")
 
 
 def greedy_support_subsample(
@@ -481,16 +477,14 @@ def greedy_support_subsample(
     S: Polytope,
     U: Polytope,
     scenarios: ScenarioSet,
-    solution_tol: float = SOLUTION_TOL,
     *,
-    feas_tol: float = 1e-9,
     policy: AffinePolicy | None = None,
 ) -> list[int]:
     """Single-pass greedy support subsample of the scenario program.
 
     Scans samples in ascending order; a sample is discarded when
     re-solving without it reproduces the full-sample policy within
-    ``solution_tol`` (max-norm over all policy entries).  Returns the
+    :data:`SOLUTION_TOL` (max-norm over all policy entries).  Returns the
     retained indices (increasing); re-solving on exactly that subsample
     reproduces the full solution, which is verified before returning.
 
@@ -501,26 +495,21 @@ def greedy_support_subsample(
     rest.  If verification fails the literal one-removal-at-a-time pass
     is rerun without shortcuts.
 
-    ``policy``, when given, is the program's solution already synthesized
-    by :func:`solve_affine_policy` on these scenarios, and is used instead
-    of solving the full program again; a policy synthesized on other
-    scenarios raises :class:`MismatchedFingerprints`.
+    ``policy`` is the program's solution synthesized by
+    :func:`solve_affine_policy` on these scenarios; without it the program
+    is solved here first (raising :class:`Infeasible` as that function
+    does).  A policy synthesized on other scenarios raises
+    :class:`MismatchedFingerprints`.
     """
-    if policy is not None and policy.scenario_fingerprint != scenarios.fingerprint:
+    if policy is None:
+        policy = solve_affine_policy(family, S, U, scenarios)
+    elif policy.scenario_fingerprint != scenarios.fingerprint:
         raise MismatchedFingerprints(
             f"policy scenario fingerprint {policy.scenario_fingerprint} "
             f"does not match the scenario set ({scenarios.fingerprint})"
         )
-    prog = _BlockProgram(family, S, U, scenarios.samples, affine=True, feas_tol=feas_tol)
-    if policy is not None:
-        full = np.hstack([policy.gains.reshape(prog.N, -1), policy.offsets])
-    else:
-        full, failed_vertex = prog.solve_all(range(prog.K))
-        if full is None:
-            raise Infeasible(
-                f"full scenario program infeasible at vertex {failed_vertex}; "
-                "greedy reduction requires a feasible program"
-            )
+    prog = _BlockProgram(family, S, U, scenarios.samples)
+    full = np.hstack([policy.gains.reshape(prog.N, -1), policy.offsets])
 
     # per (vertex, sample) minimum slack at the full solution
     slack = np.empty((prog.N, prog.K))
@@ -529,7 +518,7 @@ def greedy_support_subsample(
         slack[i] = s.reshape(prog.K, prog.block_rows).min(axis=1)
     touches = slack < _ACTIVE_TOL  # (N, K)
 
-    matches = _match_checker(prog, full, solution_tol)
+    matches = _match_checker(prog, full)
     keep = np.ones(prog.K, dtype=bool)
     for j in range(prog.K):
         keep[j] = False
@@ -541,10 +530,10 @@ def greedy_support_subsample(
     if matches(retained, range(prog.N)):
         return retained
     # shortcut assumptions failed (ties between optima); literal pass
-    return _greedy_literal(prog, full, solution_tol)
+    return _greedy_literal(prog, full)
 
 
-def _match_checker(prog, full, solution_tol):
+def _match_checker(prog, full):
     def matches(subset, vertices) -> bool:
         for i in vertices:
             z = prog.solve_vertex(i, subset)
@@ -552,16 +541,16 @@ def _match_checker(prog, full, solution_tol):
                 raise InfeasibleOnSubsample(
                     f"vertex {i} infeasible on a subsample; determinism fault"
                 )
-            if np.max(np.abs(z - full[i])) > solution_tol:
+            if np.max(np.abs(z - full[i])) > SOLUTION_TOL:
                 return False
         return True
 
     return matches
 
 
-def _greedy_literal(prog, full, solution_tol):
+def _greedy_literal(prog, full):
     """The one-removal-at-a-time pass with a full re-solve per removal."""
-    matches = _match_checker(prog, full, solution_tol)
+    matches = _match_checker(prog, full)
     keep = np.ones(prog.K, dtype=bool)
     for j in range(prog.K):
         keep[j] = False

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvarcertError
+from .errors import DimensionMismatch, InvarcertError, NumericalBreakdown
 
 
 class GraphError(InvarcertError, ValueError):
@@ -47,10 +47,6 @@ class UnknownSample(InvarcertError, KeyError):
             f"row {self.row}: {self.value!r} is not a table index "
             f"in 0..{self.count - 1}"
         )
-
-
-class ConvergenceFailure(InvarcertError, ArithmeticError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -236,10 +232,6 @@ class NetworkFamily(AffineFamily):
         return self.graph.nominal_weights
 
 
-def build_network_family(g: Graph) -> NetworkFamily:
-    return NetworkFamily(graph=g)
-
-
 @dataclass(frozen=True)
 class TableFamily:
     """Measured (A, B) snapshots addressed by integer index.
@@ -309,16 +301,11 @@ class TableFamily:
         )
 
 
-def instantiate(family, delta):
-    """Functional form of ``family.instantiate(delta)``."""
-    return family.instantiate(delta)
-
-
 def spectral_radius_estimate(A) -> float:
     """Largest eigenvalue modulus of a square matrix (diagnostic only).
 
     Backed by LAPACK's Hessenberg-QR eigensolver; a
-    :class:`ConvergenceFailure` is raised if the QR iteration does not
+    :class:`NumericalBreakdown` is raised if the QR iteration does not
     converge.
     """
     A = np.asarray(A, dtype=float)
@@ -329,5 +316,5 @@ def spectral_radius_estimate(A) -> float:
     try:
         eigs = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+        raise NumericalBreakdown(str(exc)) from exc
     return float(np.abs(eigs).max())

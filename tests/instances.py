@@ -49,7 +49,7 @@ def six_node_instance(K: int = 600, seed: int = 12345):
         inputs=[1, 3],
         nominal_weights=SIX_NODE_WEIGHTS,
     )
-    family = ic.build_network_family(graph)
+    family = ic.NetworkFamily(graph)
     A_nominal, _ = family.instantiate(SIX_NODE_WEIGHTS)
     eigenvalues, eigenvectors = np.linalg.eigh(A_nominal)
     order = np.argsort(-np.abs(eigenvalues))
@@ -72,7 +72,7 @@ def path_instance(K: int = 150, seed: int = 42):
     graph = ic.Graph(
         edges=[(0, 1), (1, 2)], floating=[0, 2], inputs=[1], nominal_weights=nominal
     )
-    family = ic.build_network_family(graph)
+    family = ic.NetworkFamily(graph)
     S = ic.box([-1, -1], [1, 1])
     U = ic.box([-1], [1])
     lo, hi = uncertainty_box(nominal)
@@ -85,7 +85,7 @@ def unstable_edge_family(weight: float = -0.25):
     graph = ic.Graph(
         edges=[(0, 1)], floating=[0], inputs=[1], nominal_weights=[weight]
     )
-    return ic.build_network_family(graph)
+    return ic.NetworkFamily(graph)
 
 
 def random_hull_polytope(rng: np.random.Generator, n: int, count: int) -> ic.Polytope:

@@ -431,3 +431,76 @@ def test_infeasible_analysis_report_past_the_first_chunk(tmp_path, capsys):
         "passed": False,
         "first_failure": {"vertex": 0, "sample": 530},
     }
+
+
+@pytest.mark.parametrize("estimate", ["0", "-5"])
+def test_nonpositive_estimate_fails_before_synthesis(
+    estimate, tmp_path, capsys, monkeypatch
+):
+    from invarcert import scenario
+
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesis ran before the estimate size was rejected")
+
+    monkeypatch.setattr(scenario, "solve_affine_policy", no_synthesis)
+    cfg = write(tmp_path, feasible_config())
+    assert main(["certify", "--config", cfg, f"--estimate={estimate}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --estimate M must be >= 1, got {estimate}\n"
+
+
+def test_epsilon_table_fails_before_any_output(capsys):
+    assert main(["epsilon", "--K", "0", "--beta", "0.1", "--table"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_unknown_option_key_named(tmp_path, capsys):
+    payload = feasible_config()
+    payload["options"] = {"estimate_seed": 3, "horizon": 50}
+    cfg = write(tmp_path, payload)
+    with pytest.raises(ConfigError, match="unknown key 'horizon' in options"):
+        load_config(cfg)
+    assert main(["certify", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown key 'horizon' in options" in captured.err
+
+
+# the certified policy of feasible_config: 4 vertices of S, m = 1, ell = 2
+WRONG_SHAPES = {
+    "three of four vertices": lambda a: a[:3],
+    "five vertices": lambda a: np.concatenate([a, a[:1]]),
+    "two inputs": lambda a: np.concatenate([a, a], axis=1),
+}
+
+
+@pytest.mark.parametrize(
+    "case, shape",
+    [
+        ("three of four vertices", (3, 1, 2)),
+        ("five vertices", (5, 1, 2)),
+        ("two inputs", (4, 2, 2)),
+    ],
+)
+def test_simulate_rejects_policy_of_the_wrong_shape(case, shape, tmp_path, capsys):
+    cfg, report = _certified_policy(tmp_path, capsys)
+    with open(report) as fh:
+        policy = json.load(fh)["policy"]
+    reshape = WRONG_SHAPES[case]
+    gains = reshape(np.asarray(policy["gains"]))
+    offsets = reshape(np.asarray(policy["offsets"]))
+    assert gains.shape == shape
+    payload = {"gains": gains.tolist(), "offsets": offsets.tolist()}
+    bad = write(tmp_path, payload, "bad.json")
+    argv = ["simulate", "--config", cfg, "--policy", bad, "--init", "random:3"]
+    assert main(argv + ["--out", str(tmp_path / "sim")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: policy gains have shape {shape}, expected (4, 1, 2) "
+        "(vertices of S, inputs, parameters)\n"
+    )
+    assert not list(tmp_path.glob("**/trajectory_*.csv"))

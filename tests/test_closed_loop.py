@@ -191,7 +191,7 @@ def test_unseen_sample_behavior_tracks_admissibility():
     for _ in range(10):
         delta = scen.distribution.draw(1, rng)[0]
         admissible = ic.is_admissible(
-            fam, S, U, delta, ic.evaluate_policy(policy, delta)
+            fam, S, U, delta, policy.vertex_inputs(delta)
         )
         ok_one_step = True
         for v in S.vertices:
@@ -338,3 +338,19 @@ def test_start_outside_named_by_index():
     starts = np.array([[0.5, 0.5], [0.1, 0.2], [2.0, 0.0]])
     with pytest.raises(DecompositionInfeasible, match="start 2 lies outside S"):
         ic.simulate_closed_loop(fam, [0.0], UNIT2, zero_policy(4, 2), starts)
+
+
+@pytest.mark.parametrize("N, m, ell", [(3, 2, 1), (5, 2, 1), (4, 1, 1), (4, 2, 2)])
+def test_policy_shape_checked_before_any_step(N, m, ell, monkeypatch):
+    fam = zero_dynamics_family()  # S = UNIT2 has 4 vertices, m = 2, ell = 1
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran with a policy of the wrong shape")
+
+    monkeypatch.setattr(fam.__class__, "instantiate", no_step)
+    monkeypatch.setattr(fam.__class__, "instantiate_batch", no_step)
+    message = rf"policy gains have shape \({N}, {m}, {ell}\), expected \(4, 2, 1\)"
+    with pytest.raises(ic.DimensionMismatch, match=message):
+        ic.simulate_closed_loop(fam, [0.0], UNIT2, zero_policy(N, m, ell), [0.1, 0.2])
+    with pytest.raises(ic.DimensionMismatch, match=message):
+        ic.empirical_violation(fam, UNIT2, UNIT2, zero_policy(N, m, ell), [[0.0]])

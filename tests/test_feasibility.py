@@ -233,11 +233,11 @@ def test_chunked_multisample_stops_at_first_failure(monkeypatch):
     # A(delta) = (1 + delta) I with B = 0 fails exactly at delta > 0;
     # with chunks of 3 draws the failures sit inside and at the start of
     # later chunks, and the first (vertex, sample) must be the per-sample one
-    from invarcert import feasibility
+    from invarcert import scenario
 
     zero = np.zeros((2, 2))
     fam = ic.AffineFamily(A0=np.eye(2), B0=zero, A_terms=[np.eye(2)], B_terms=[zero])
-    monkeypatch.setattr(feasibility, "CHUNK", 3)
+    monkeypatch.setattr(scenario, "CHUNK", 3)
     for failing in ([7], [6, 10], [2], []):
         samples = np.full((12, 1), -0.25)
         samples[failing] = 0.1

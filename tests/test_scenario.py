@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import invarcert as ic
+from invarcert import lp_core
 from invarcert.scenario import Infeasible
 
 from instances import (
@@ -96,7 +97,7 @@ class TestAssembly:
     def test_single_edge_hand_assembly(self):
         # w = 0.5, S = U = [-1,1], vertex x = 1: image rows are
         # 0.5 u <= 1 - 0.5 and -0.5 u <= 1 + 0.5
-        fam = ic.build_network_family(
+        fam = ic.NetworkFamily(
             ic.Graph(edges=[(0, 1)], floating=[0], inputs=[1], nominal_weights=[0.5])
         )
         G, l = ic.vertex_constraints(fam, UNIT1, UNIT1, [[0.5]])
@@ -131,7 +132,7 @@ class TestPolicySynthesis:
         assert exc.row >= UNIT2.facet_count  # an image row, not an input row
 
     def test_single_edge_three_samples_direct_substitution(self):
-        fam = ic.build_network_family(
+        fam = ic.NetworkFamily(
             ic.Graph(edges=[(0, 1)], floating=[0], inputs=[1], nominal_weights=[0.5])
         )
         scen = ic.ScenarioSet(samples=np.array([[0.4], [0.5], [0.6]]))
@@ -156,7 +157,7 @@ class TestPolicySynthesis:
             for j in range(scen.K):
                 d = scen.samples[j]
                 assert ic.is_admissible(
-                    fam, S, U, d, ic.evaluate_policy(policy, d), tol=1e-8
+                    fam, S, U, d, policy.vertex_inputs(d)
                 )
         assert solved == 8
 
@@ -207,7 +208,7 @@ class TestConstantInput:
         assert both >= 3
 
     def test_single_edge_constant_vs_affine_slack(self):
-        fam = ic.build_network_family(
+        fam = ic.NetworkFamily(
             ic.Graph(edges=[(0, 1)], floating=[0], inputs=[1], nominal_weights=[0.5])
         )
         scen = ic.ScenarioSet(samples=np.array([[0.4], [0.5], [0.6]]))
@@ -231,7 +232,7 @@ class TestConstantInput:
 class TestEvaluatePolicy:
     def test_constant_policy(self):
         policy = ic.AffinePolicy(gains=np.zeros((2, 1, 1)), offsets=[[0.3], [-0.3]])
-        out = ic.evaluate_policy(policy, [5.0])
+        out = policy.vertex_inputs([5.0])
         assert np.allclose(out, [[0.3], [-0.3]])
 
     def test_zero_sample_returns_offsets(self):
@@ -239,7 +240,7 @@ class TestEvaluatePolicy:
         policy = ic.AffinePolicy(
             gains=rng.normal(size=(3, 2, 2)), offsets=rng.normal(size=(3, 2))
         )
-        assert np.allclose(ic.evaluate_policy(policy, [0.0, 0.0]), policy.offsets)
+        assert np.allclose(policy.vertex_inputs([0.0, 0.0]), policy.offsets)
 
     def test_matches_direct_matrix_arithmetic(self):
         rng = np.random.default_rng(2)
@@ -247,7 +248,7 @@ class TestEvaluatePolicy:
         offsets = rng.normal(size=(4, 2))
         policy = ic.AffinePolicy(gains=gains, offsets=offsets)
         delta = rng.normal(size=2)
-        out = ic.evaluate_policy(policy, delta)
+        out = policy.vertex_inputs(delta)
         for i in range(4):
             assert np.allclose(out[i], gains[i] @ delta + offsets[i], atol=1e-12)
 
@@ -447,8 +448,8 @@ def test_fast_path_matches_literal_pass():
         scen = ic.ScenarioSet(samples=rng.uniform(-1, 1, size=(18, 2)))
         fast = ic.greedy_support_subsample(fam, S, U, scen)
         prog = _BlockProgram(fam, S, U, scen.samples, affine=True)
-        full, _ = prog.solve_all(range(prog.K))
-        literal = _greedy_literal(prog, full, 1e-6)
+        full = prog.solve_all(range(prog.K))
+        literal = _greedy_literal(prog, full)
         assert fast == literal
 
 
@@ -476,7 +477,7 @@ def _admissibility_case(kind, rng):
 
 @pytest.mark.parametrize("kind", ["affine", "network", "table"])
 def test_batched_admissibility_matches_single_draws(kind, monkeypatch):
-    from invarcert import closed_loop
+    from invarcert import scenario
 
     fam, S, U, policy, draws = _admissibility_case(kind, np.random.default_rng(29))
     inputs = policy.vertex_inputs(draws)
@@ -485,9 +486,9 @@ def test_batched_admissibility_matches_single_draws(kind, monkeypatch):
     assert mask.dtype == bool and mask.tolist() == single
     assert 0 < mask.sum() < mask.size  # both outcomes occur
     for k in (0, 17, 299):
-        single_inputs = ic.evaluate_policy(policy, draws[k])
+        single_inputs = policy.vertex_inputs(draws[k])
         assert np.allclose(inputs[k], single_inputs, rtol=0, atol=1e-15)
-    monkeypatch.setattr(closed_loop, "CHUNK", 7)  # several chunks, one partial
+    monkeypatch.setattr(scenario, "CHUNK", 7)  # several chunks, one partial
     _, failures = ic.empirical_violation(fam, S, U, policy, draws)
     assert failures == np.flatnonzero(~mask).tolist()
 
@@ -577,7 +578,7 @@ def _reference_solve_vertex(prog, vertex, sample_indices, seen):
         viol = prog.rows[idx] @ z - prog.rhs[vertex, idx]
         viol[in_working] = -np.inf
         seen.append(viol)
-        batch = _reference_selection(viol, prog.feas_tol)
+        batch = _reference_selection(viol, lp_core.DEFAULT_FEAS_TOL)
         if not batch:
             return z
         working.extend(batch)
@@ -622,7 +623,7 @@ def test_solve_vertex_matches_reference_cg_loop(monkeypatch):
         assert np.array_equal(prog.violations(0, z, in_place), prog.violations(0, z, idx))
     for subset in subsets:
         if len(subset) > 20:  # some vertex has more violated rows than a batch at z = 0
-            first = -prog.rhs[:, prog.row_indices(subset)] > prog.feas_tol
+            first = -prog.rhs[:, prog.row_indices(subset)] > lp_core.DEFAULT_FEAS_TOL
             assert first.sum(axis=1).max() > _CG_BATCH
         for i in range(prog.N):
             expected_rounds, seen[:] = [], []
@@ -656,3 +657,30 @@ def test_bad_table_index_named_in_the_whole_sample_list():
         with pytest.raises(UnknownSample, match=message) as info:
             run()
         assert (info.value.row, info.value.value, info.value.count) == (600, 0.5, 2)
+
+
+def test_one_chunk_size_for_every_batched_pass(monkeypatch):
+    # patching scenario.CHUNK alone cuts synthesis, the Monte Carlo
+    # admissibility pass and the minor enumeration into the same runs
+    from invarcert import scenario
+
+    sizes = []
+    assemble = ic.AffineFamily.instantiate_batch
+
+    def recording(self, deltas):
+        sizes.append(len(deltas))
+        return assemble(self, deltas)
+
+    monkeypatch.setattr(ic.AffineFamily, "instantiate_batch", recording)
+    monkeypatch.setattr(scenario, "CHUNK", 4)
+    zero = np.zeros((2, 2))
+    fam = ic.AffineFamily(A0=0.5 * np.eye(2), B0=zero, A_terms=[zero], B_terms=[zero])
+    scen = ic.ScenarioSet(samples=np.linspace(-1.0, 1.0, 10)[:, None])
+    policy = ic.solve_affine_policy(fam, UNIT2, UNIT2, scen)
+    assert sizes == [4, 4, 2]
+    sizes.clear()
+    assert ic.empirical_violation(fam, UNIT2, UNIT2, policy, scen.samples)[1] == []
+    assert sizes == [4, 4, 2]
+    sizes.clear()
+    assert ic.multisample_necessary(fam, UNIT2, UNIT2, scen).passed
+    assert sizes == [4, 4, 2]

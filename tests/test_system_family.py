@@ -3,7 +3,6 @@ import pytest
 
 import invarcert as ic
 from invarcert.system_family import (
-    ConvergenceFailure,
     GraphError,
     NoFloatingNodes,
     NoInputNodes,
@@ -37,7 +36,7 @@ def test_path_incidence_rows():
 
 def test_single_edge_network_formula():
     # hand evaluation: D_F = [1], D_I = [-1] gives A = 1 - w and B = w
-    fam = ic.build_network_family(single_edge())
+    fam = ic.NetworkFamily(single_edge())
     for w in (0.0, 0.25, 0.5, -0.3):
         A, B = fam.instantiate([w])
         assert A[0, 0] == pytest.approx(1.0 - w)
@@ -51,7 +50,7 @@ def test_zero_weights_identity():
         inputs=[2],
         nominal_weights=[0.3, 0.3, 0.3],
     )
-    fam = ic.build_network_family(g)
+    fam = ic.NetworkFamily(g)
     A, B = fam.instantiate(np.zeros(3))
     assert np.allclose(A, np.eye(2))
     assert np.allclose(B, 0.0)
@@ -65,7 +64,7 @@ def test_network_symmetry_and_consistency():
         inputs=[3],
         nominal_weights=rng.uniform(-0.5, 1.0, 5),
     )
-    fam = ic.build_network_family(g)
+    fam = ic.NetworkFamily(g)
     D_F, D_I = ic.build_incidence(g)
     for _ in range(10):
         w = rng.uniform(-1.0, 1.0, 5)
@@ -120,8 +119,8 @@ def test_orientation_invariance():
         edges=[(1, 0), (2, 1)], floating=[0, 2], inputs=[1], nominal_weights=[0.4, 0.7]
     )
     w = [0.4, 0.7]
-    A1, B1 = ic.build_network_family(g).instantiate(w)
-    A2, B2 = ic.build_network_family(g_flipped).instantiate(w)
+    A1, B1 = ic.NetworkFamily(g).instantiate(w)
+    A2, B2 = ic.NetworkFamily(g_flipped).instantiate(w)
     assert np.array_equal(A1, A2) and np.array_equal(B1, B2)
 
 
@@ -179,8 +178,8 @@ def test_table_family():
 
 
 def test_instantiate_function_form():
-    fam = ic.build_network_family(single_edge())
-    A, B = ic.instantiate(fam, [0.5])
+    fam = ic.NetworkFamily(single_edge())
+    A, B = fam.instantiate([0.5])
     assert A[0, 0] == pytest.approx(0.5) and B[0, 0] == pytest.approx(0.5)
 
 
@@ -198,6 +197,15 @@ def test_spectral_radius_companion_oracle():
     companion[0, :] = -coeffs[1:]
     companion[1:, :-1] = np.eye(3)
     assert ic.spectral_radius_estimate(companion) == pytest.approx(1.5, abs=1e-6)
+
+
+def test_spectral_radius_lapack_failure_is_numerical_breakdown(monkeypatch):
+    def no_convergence(A):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    with pytest.raises(ic.NumericalBreakdown, match="did not converge"):
+        ic.spectral_radius_estimate(np.eye(2))
 
 
 def test_spectral_radius_requires_square():
