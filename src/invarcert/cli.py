@@ -90,6 +90,8 @@ def run_certify(
         )
     if estimate is not None and estimate < 1:
         raise InvalidArguments(f"--estimate M must be >= 1, got {estimate}")
+    if not 0.0 < beta < 1.0:
+        raise InvalidArguments(f"beta must lie in (0, 1), got {beta}")
     report = {
         "schema": SCHEMA_VERSION,
         "command": "certify",
@@ -175,7 +177,9 @@ def _load_policy(path) -> scenario.AffinePolicy:
     )
 
 
-def _initial_states(spec: str, S: geometry.Polytope, seed: int) -> np.ndarray:
+def _initial_states(
+    spec: str, S: geometry.Polytope, seed: int, horizon: int
+) -> np.ndarray:
     if spec == "vertices":
         return np.array(S.vertices, dtype=float)
     if spec.startswith("random:"):
@@ -185,6 +189,7 @@ def _initial_states(spec: str, S: geometry.Polytope, seed: int) -> np.ndarray:
                 f"--init '{spec}' needs a positive integer count (random:N, N >= 1)"
             )
         count = int(text)
+        closed_loop.check_size(count, horizon, S.dim)  # before drawing them
         rng = np.random.default_rng(seed)
         # random interior points as convex recombinations of the vertices
         weights = rng.dirichlet(np.ones(S.vertex_count), size=count)
@@ -206,7 +211,7 @@ def run_simulate(
     """simulate pipeline: trajectories + gauge summary for one parameter."""
     family, S = config.family, config.state_set
     delta = family.nominal_delta if sample is None else np.asarray(sample, dtype=float)
-    starts = _initial_states(init, S, seed)
+    starts = _initial_states(init, S, seed, horizon)
     trajectories = closed_loop.simulate_closed_loop(
         family, delta, S, policy, starts, T=horizon
     )
@@ -242,6 +247,9 @@ def run_feasibility(
 ) -> tuple[int, dict]:
     family, S, U = config.family, config.state_set, config.input_set
     report = {"schema": SCHEMA_VERSION, "command": "feasibility"}
+    K = config.scenarios.K
+    if sample is not None and not 0 <= sample < K:
+        raise InvalidArguments(f"--sample {sample} is not a sample index in 0..{K - 1}")
     if sample is not None:
         result = feasibility.single_sample_iff(
             family, S, U, config.scenarios.samples[sample], sample_index=sample

@@ -10,9 +10,11 @@ gauge trace is the natural monitor.
 On a simplicial facet the law is explicit and piecewise linear
 (Gutman & Cwikel, IEEE TAC 1986): with ``k = argmax_k F_k x``,
 ``gamma = V_k^{-1} x`` on that facet's vertices, from inverses computed
-once per call by :func:`geometry.facet_simplices`.  Only a state whose
-facet is not a simplex (a box in three or more dimensions, say) goes
-through the LP of :func:`geometry.vertex_decompose`.
+once per polytope (:attr:`geometry.Polytope.facet_simplices`).  Only a
+state whose facet is not a simplex (a box in three or more dimensions,
+say) goes through the LP of :func:`geometry.vertex_decompose`; all such
+states of a step go in one call, which solves their LPs as one stack of
+tableaux (:func:`lp_core.solve_batch`).
 
 :func:`simulate_closed_loop` steps a whole stack of starts together as
 arrays; one start is a stack of one.  Simulation keeps going when a
@@ -27,12 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import DimensionMismatch, InvarcertError
+from .errors import DimensionMismatch, InvalidArguments, InvarcertError
 from .geometry import DEFAULT_TOL, DecompositionInfeasible, Polytope
 from .scenario import AffinePolicy, chunks, is_admissible
 
 DEFAULT_HORIZON = 50
 DEFAULT_MC_SAMPLES = 10_000
+# the most states (starts x (horizon + 1) x dimension) one simulation may
+# hold: 80 MB of float64
+MAX_STATES = 10_000_000
 
 
 class DistributionUnavailable(InvarcertError):
@@ -66,27 +71,29 @@ def _apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (M @ X[:, :, None])[:, :, 0]
 
 
-def _vertex_law(S, facets, vertex_inputs, X, Fx):
+def _vertex_law(S, facet_inputs, vertex_inputs, X, Fx):
     """Vertex-law inputs (N, m) at the states ``X`` (N, n) inside ``S``.
 
-    ``Fx`` (N, p) holds ``F x`` for every state.  On a simplicial facet
-    ``k = argmax F x`` (lowest index on ties) the decomposition is
+    ``Fx`` (N, p) holds ``F x`` for every state and ``facet_inputs`` (p,
+    n, m) the inputs at each facet's simplex vertices.  On a simplicial
+    facet ``k = argmax F x`` (lowest index on ties) the decomposition is
     ``V_k^{-1} x``; it is accepted when no weight is below -1e-11 and
-    clipped at zero.  Every other state goes through the LP of
-    :func:`geometry.vertex_decompose`.  Returns the inputs and the list of
-    the rows no decomposition reaches, whose input is zero.
+    clipped at zero.  Every other state goes into one stacked
+    :func:`geometry.vertex_decompose`.  Returns the inputs and the rows no
+    decomposition reaches, whose input is zero.
     """
+    facets = S.facet_simplices
     k = Fx.argmax(axis=1)
     gamma = _apply(facets.inverses[k], X)
     explicit = facets.simplex[k] & (gamma.min(axis=1) >= -1e-11)
-    u = (np.maximum(gamma, 0.0)[:, None, :] @ vertex_inputs[facets.vertices[k]])[:, 0]
-    failed = []
-    for s in (~explicit).nonzero()[0]:
-        try:
-            u[s] = geometry.vertex_decompose(S, X[s]) @ vertex_inputs
-        except DecompositionInfeasible:
-            u[s] = 0.0
-            failed.append(s)
+    u = (np.maximum(gamma, 0.0)[:, None, :] @ facet_inputs[k])[:, 0]
+    rows = (~explicit).nonzero()[0]
+    if not rows.size:
+        return u, rows
+    weights = geometry.vertex_decompose(S, X[rows])
+    u[rows] = (weights[:, None, :] @ vertex_inputs)[:, 0]
+    failed = rows[np.isnan(weights[:, 0])]
+    u[failed] = 0.0
     return u, failed
 
 
@@ -106,10 +113,21 @@ def vertex_control_input(S: Polytope, vertex_inputs, x) -> np.ndarray:
     if geometry.minkowski_gauge(S, x) > 1.0 + DEFAULT_TOL:
         raise DecompositionInfeasible(f"point outside polytope beyond tol={DEFAULT_TOL}")
     X = x[None]
-    u, failed = _vertex_law(S, geometry.facet_simplices(S), VU, X, _apply(S.facets, X))
-    if failed:
+    facet_inputs = VU[S.facet_simplices.vertices]
+    u, failed = _vertex_law(S, facet_inputs, VU, X, _apply(S.facets, X))
+    if failed.size:
         raise DecompositionInfeasible("no nonnegative vertex combination reaches x")
     return u[0]
+
+
+def check_size(N: int, T: int, n: int) -> None:
+    """Refuse a simulation of ``N`` starts over ``T`` steps in ``n``
+    dimensions that would hold more than :data:`MAX_STATES` states."""
+    if N * (T + 1) * n > MAX_STATES:
+        raise InvalidArguments(
+            f"{N} starts over {T} steps in {n} dimensions are "
+            f"{N * (T + 1) * n} states, more than the cap of {MAX_STATES}"
+        )
 
 
 def _check_policy_shape(family, S: Polytope, policy: AffinePolicy) -> None:
@@ -139,7 +157,9 @@ def simulate_closed_loop(
     law recombines them via the decomposition of the current state.  From
     a start's first exit from ``S`` on, its input is zero and
     ``first_exit`` records the step.  A policy whose gains are not
-    (vertices of ``S``, m, ell) raises :class:`DimensionMismatch` first.
+    (vertices of ``S``, m, ell) raises :class:`DimensionMismatch` first,
+    and a run of more than :data:`MAX_STATES` states raises
+    :class:`InvalidArguments` before anything is allocated.
     """
     if T < 1:
         raise ValueError("horizon must be >= 1")
@@ -153,13 +173,14 @@ def simulate_closed_loop(
         raise DimensionMismatch(
             f"x0 has shape {x0.shape}, expected ({S.dim},) or (N, {S.dim})"
         )
+    check_size(X.shape[0], T, S.dim)
     Fx = _apply(S.facets, X)
     outside = np.flatnonzero((Fx > 1.0 + DEFAULT_TOL).any(axis=1))
     if outside.size:
         raise DecompositionInfeasible(f"start {outside[0]} lies outside S")
 
     vertex_inputs = policy.vertex_inputs(delta)
-    facets = geometry.facet_simplices(S)
+    facet_inputs = vertex_inputs[S.facet_simplices.vertices]
     N, n, m = X.shape[0], S.dim, vertex_inputs.shape[1]
     states = np.empty((N, T + 1, n))
     inputs = np.zeros((N, T, m))
@@ -167,20 +188,20 @@ def simulate_closed_loop(
     states[:, 0] = X
     gauges[:, 0] = np.maximum(Fx.max(axis=1), 0.0)
     first_exit = np.full(N, -1)
+    live = slice(None)  # the starts that have not exited: all, until one does
     for t in range(T):
-        live = (first_exit < 0).nonzero()[0]
-        if live.size:
-            rows = slice(None) if live.size == N else live
-            inputs[rows, t], failed = _vertex_law(
-                S, facets, vertex_inputs, X[rows], Fx[rows]
-            )
-            if failed:
-                first_exit[live[failed]] = t
+        inputs[live, t], failed = _vertex_law(
+            S, facet_inputs, vertex_inputs, X[live], Fx[live]
+        )
         X = _apply(A, X) + _apply(B, inputs[:, t])
         Fx = _apply(S.facets, X)
         states[:, t + 1] = X
         gauges[:, t + 1] = np.maximum(Fx.max(axis=1), 0.0)
-        first_exit[(first_exit < 0) & (gauges[:, t + 1] > 1.0 + DEFAULT_TOL)] = t + 1
+        out = gauges[:, t + 1] > 1.0 + DEFAULT_TOL
+        if failed.size or out.any():
+            first_exit[np.arange(N)[live][failed]] = t
+            first_exit[(first_exit < 0) & out] = t + 1
+            live = (first_exit < 0).nonzero()[0]
     fingerprint = policy.fingerprint
     trajectories = [
         Trajectory(

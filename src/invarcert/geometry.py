@@ -68,6 +68,21 @@ class DecompositionInfeasible(InvarcertError):
 
 
 @dataclass(frozen=True)
+class FacetSimplices:
+    """Per-facet data of the explicit vertex decomposition.
+
+    Facet ``k`` is a simplex when exactly ``n`` vertices are tight on it
+    and they are affinely independent; then ``vertices[k]`` holds their
+    indices and ``inverses[k]`` is ``V_k^{-1}``, where the columns of
+    ``V_k`` are those vertices.  Rows of non-simplicial facets are zero.
+    """
+
+    simplex: np.ndarray  # (p,) bool
+    vertices: np.ndarray  # (p, n) int
+    inverses: np.ndarray  # (p, n, n)
+
+
+@dataclass(frozen=True)
 class Polytope:
     """C-polytope ``{x | F x <= 1}`` together with its vertex list.
 
@@ -105,6 +120,33 @@ class Polytope:
             b_eq=np.zeros(self.dim),
             bounds=[(0.0, None)] * N,
         )
+
+    @cached_property
+    def facet_simplices(self) -> FacetSimplices:
+        """Which facets are simplices, their vertices and ``V_k^{-1}``,
+        built once.
+
+        For ``x`` in the cone of a simplicial facet ``k`` (``k`` maximizes
+        ``F x``), ``V_k^{-1} x`` is the minimal vertex decomposition of
+        ``x`` on that facet's vertices (Gutman & Cwikel, IEEE TAC 1986): it
+        is nonnegative and sums to ``(F x)_k``, the gauge.
+        """
+        n, p = self.dim, self.facet_count
+        tight = np.abs(self.facets @ self.vertices.T - 1.0) <= DEFAULT_TOL  # (p, N)
+        simplex = tight.sum(axis=1) == n
+        vertices = np.zeros((p, n), dtype=int)
+        vertices[simplex] = np.nonzero(tight[simplex])[1].reshape(-1, n)
+        bases = np.broadcast_to(np.eye(n), (p, n, n)).copy()
+        bases[simplex] = self.vertices[vertices[simplex]].transpose(0, 2, 1)
+        # affinely independent: the unit-column determinant is clear of zero
+        units = bases / np.linalg.norm(bases, axis=1, keepdims=True)
+        simplex &= np.abs(np.linalg.det(units)) > 1e-12
+        inverses = np.zeros((p, n, n))
+        inverses[simplex] = np.linalg.inv(bases[simplex])
+        vertices[~simplex] = 0
+        for a in (simplex, vertices, inverses):
+            a.setflags(write=False)
+        return FacetSimplices(simplex=simplex, vertices=vertices, inverses=inverses)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -212,61 +254,37 @@ def minkowski_gauge(P: Polytope, x) -> float:
     return float(max(0.0, (P.facets @ x).max()))
 
 
-@dataclass(frozen=True)
-class FacetSimplices:
-    """Per-facet data of the explicit vertex decomposition.
-
-    Facet ``k`` is a simplex when exactly ``n`` vertices are tight on it
-    and they are affinely independent; then ``vertices[k]`` holds their
-    indices and ``inverses[k]`` is ``V_k^{-1}``, where the columns of
-    ``V_k`` are those vertices.  Rows of non-simplicial facets are zero.
-    """
-
-    simplex: np.ndarray  # (p,) bool
-    vertices: np.ndarray  # (p, n) int
-    inverses: np.ndarray  # (p, n, n)
-
-
-def facet_simplices(P: Polytope) -> FacetSimplices:
-    """Which facets of ``P`` are simplices, their vertices and ``V_k^{-1}``.
-
-    For ``x`` in the cone of a simplicial facet ``k`` (``k`` maximizes
-    ``F x``), ``V_k^{-1} x`` is the minimal vertex decomposition of ``x``
-    on that facet's vertices (Gutman & Cwikel, IEEE TAC 1986): it is
-    nonnegative and sums to ``(F x)_k``, the gauge.
-    """
-    n, p = P.dim, P.facet_count
-    tight = np.abs(P.facets @ P.vertices.T - 1.0) <= DEFAULT_TOL  # (p, N)
-    simplex = tight.sum(axis=1) == n
-    vertices = np.zeros((p, n), dtype=int)
-    vertices[simplex] = np.nonzero(tight[simplex])[1].reshape(-1, n)
-    bases = np.broadcast_to(np.eye(n), (p, n, n)).copy()
-    bases[simplex] = P.vertices[vertices[simplex]].transpose(0, 2, 1)
-    # affinely independent: the unit-column determinant is clear of zero
-    units = bases / np.linalg.norm(bases, axis=1, keepdims=True)
-    simplex &= np.abs(np.linalg.det(units)) > 1e-12
-    inverses = np.zeros((p, n, n))
-    inverses[simplex] = np.linalg.inv(bases[simplex])
-    vertices[~simplex] = 0
-    return FacetSimplices(simplex=simplex, vertices=vertices, inverses=inverses)
-
-
 def vertex_decompose(P: Polytope, x) -> np.ndarray:
-    """Minimal-weight vertex decomposition of a point of ``P``.
+    """Minimal-weight vertex decomposition of a point of ``P``, or of every
+    row of a stack of points (N, n).
 
     Returns ``gamma >= 0`` with ``sum_i gamma_i vertex_i = x`` and
-    ``sum(gamma) = minkowski_gauge(P, x)``; ties are settled by the LP
-    core's deterministic pivoting.  The bound ``gamma_i <= 1`` is implied
-    by the gauge being <= 1 and is not imposed explicitly.
+    ``sum(gamma) = minkowski_gauge(P, x)``, one row per point of a stack;
+    ties are settled by the LP core's deterministic pivoting.  The bound
+    ``gamma_i <= 1`` is implied by the gauge being <= 1 and is not imposed
+    explicitly.  All the points are decomposed by one
+    :func:`lp_core.solve_batch`.  A point outside ``P`` raises
+    :class:`DecompositionInfeasible`; so does a single point that no
+    nonnegative vertex combination reaches, which in a stack gives a row
+    of NaN instead.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != P.dim:
-        raise DimensionMismatch(f"point has dimension {x.size}, expected {P.dim}")
-    if minkowski_gauge(P, x) > 1.0 + DEFAULT_TOL:
-        raise DecompositionInfeasible(f"point outside polytope beyond tol={DEFAULT_TOL}")
-    lp = P.decomposition_lp.with_rhs(b_eq=x)
-    outcome = lp_core.solve(lp, feas_tol=DEFAULT_TOL)
-    if not outcome.is_optimal:
+    x = np.asarray(x, dtype=float)
+    single = x.ndim < 2
+    X = x.reshape(1, -1) if single else x
+    if X.ndim != 2 or X.shape[1] != P.dim:
+        raise DimensionMismatch(
+            f"points have shape {x.shape}, expected ({P.dim},) or (N, {P.dim})"
+        )
+    outside = ((P.facets @ X[:, :, None])[:, :, 0] > 1.0 + DEFAULT_TOL).any(axis=1)
+    if outside.any():
+        which = "point" if single else f"point {outside.argmax()}"
+        raise DecompositionInfeasible(f"{which} outside polytope beyond tol={DEFAULT_TOL}")
+    outcomes = lp_core.solve_batch(P.decomposition_lp, b_eq=X, feas_tol=DEFAULT_TOL)
+    gamma = np.full((len(X), P.vertex_count), np.nan)
+    for row, outcome in enumerate(outcomes):
+        if outcome.is_optimal:
+            gamma[row] = outcome.z
+    if single and not outcomes[0].is_optimal:
         raise DecompositionInfeasible("no nonnegative vertex combination reaches x")
-    gamma = np.maximum(outcome.z, 0.0)
-    return gamma
+    gamma = np.maximum(gamma, 0.0)
+    return gamma[0] if single else gamma

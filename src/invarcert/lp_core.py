@@ -22,6 +22,18 @@ solve and kept; :meth:`LinearProgram.with_rhs` gives the same program with
 a new ``b_in``/``b_eq`` that shares it, so a family of programs differing
 only in their right-hand side (the vertex decomposition of
 :mod:`invarcert.geometry`) is validated and converted once.
+
+:func:`solve_batch` solves such a family, a stack of ``b_eq``, as one
+stack of tableaux: pricing is one stacked ``matmul``, a pivot one
+broadcast update, the basis solves one stacked ``np.linalg.solve``, and
+finished lanes drop out.  Every lane makes the choices of the lone
+tableau, and a stacked ``matmul`` or ``solve`` computes each lane as the
+lone call does, so each outcome is bit for bit that of :func:`solve`.  A
+lane that needs one of the rare rules (a second-choice entering column,
+an unbounded or infeasible program, a redundant row, the iteration cap)
+is handed to the lone tableau, so those rules live in one place.  A
+single program is cheaper through :func:`solve`; the stack pays off from
+a few lanes on.
 """
 
 from dataclasses import dataclass
@@ -147,18 +159,26 @@ class _StandardForm:
     lower: np.ndarray  # the bounds, -inf / inf where absent
     upper: np.ndarray
 
-    def rhs(self, lp: "LinearProgram") -> np.ndarray:
-        parts = [lp.b_in - self.in_offset]
+    def rhs(self, b_in: np.ndarray, b_eq: np.ndarray | None) -> np.ndarray:
+        """``r`` for one right-hand side, or (L, m) for a (L, k) stack of
+        ``b_eq``."""
+        parts = [b_in - self.in_offset]
         if self.eq_offset is not None:
             # equalities as paired inequalities; keeps every row the same shape
-            e = lp.b_eq - self.eq_offset
+            e = b_eq - self.eq_offset
             parts += [e, -e]
         parts.append(self.caps)
-        return np.concatenate(parts)
+        if b_eq is not None and b_eq.ndim > 1:
+            lanes = len(b_eq)
+            parts[0], parts[-1] = (
+                np.broadcast_to(part, (lanes, part.size)) for part in (parts[0], parts[-1])
+            )
+        return np.concatenate(parts, axis=-1)
 
     def original(self, y: np.ndarray) -> np.ndarray:
-        z = y[self.pos_col]
-        z[self.split] -= y[self.neg_col[self.split]]
+        """The original variables of ``y``, or of each row of a stack."""
+        z = y[..., self.pos_col]
+        z[..., self.split] -= y[..., self.neg_col[self.split]]
         return z + self.shift
 
 
@@ -220,6 +240,33 @@ def _to_standard_form(lp: LinearProgram) -> _StandardForm:
     )
 
 
+def _initial_tableaux(T: np.ndarray, R: np.ndarray):
+    """Phase-1 tableaux of ``T y <= r``, one for every row ``r`` of ``R``.
+
+    Rows with a negative right-hand side are flipped so the rhs column is
+    >= 0; their slacks then enter with coefficient -1 and need artificials.
+    Every row of ``R`` must have the same number of negative entries, so
+    that the tableaux share one shape.  Returns the (L, m, cols) tableaux,
+    their (L, m) bases and the number of artificials.
+    """
+    L, m = R.shape
+    n = T.shape[1]
+    flip = R < 0
+    sign = np.where(flip, -1.0, 1.0)
+    lanes, rows = flip.nonzero()
+    n_art = lanes.size // L if L else 0
+    # columns: structural body, slacks, artificials, right-hand side
+    A = np.zeros((L, m, n + m + n_art + 1))
+    np.multiply(T, sign[:, :, None], out=A[:, :, :n])
+    diagonal = np.arange(m)
+    A[:, diagonal, n + diagonal] = sign
+    # the k-th flipped row of a lane gets the k-th artificial
+    basis = np.where(flip, np.cumsum(flip, axis=1) + (n + m - 1), n + diagonal)
+    A[lanes, rows, basis[lanes, rows]] = 1.0
+    np.multiply(R, sign, out=A[:, :, -1])
+    return A, basis, n_art
+
+
 class _Tableau:
     """Simplex tableau; every pivot choice is deterministic."""
 
@@ -230,32 +277,16 @@ class _Tableau:
     # under the default "dantzig-bland" pivot rule; 0 means Bland throughout
     stall_limit = 40
 
-    def __init__(self, T, r, max_iterations):
-        m, n = T.shape
-        self.n_struct = n
-        self.max_iterations = max_iterations
-        self.iterations = 0
-
-        # rows with negative rhs are flipped so the rhs column is >= 0;
-        # their slacks then enter with coefficient -1 and need artificials
-        flip = r < 0
-        sign = np.where(flip, -1.0, 1.0)
-        art_rows = flip.nonzero()[0]
-        self.n_slack = m
-        self.n_art = n_art = art_rows.size
-        slacks = n + np.arange(m)
-        arts = n + m + np.arange(n_art)
-
-        # columns: structural body, slacks, artificials, right-hand side
-        self.A = np.zeros((m, n + m + n_art + 1))
-        np.multiply(T, sign[:, None], out=self.A[:, :n])
-        self.A[np.arange(m), slacks] = sign
-        self.A[art_rows, arts] = 1.0
-        np.multiply(r, sign, out=self.A[:, -1])
+    def __init__(self, A, original, basis, n_art, max_iterations, iterations=0):
+        self.A = A
         # pristine copy for the final refactorized basis solve
-        self.original = self.A.copy()
-        self.basis = slacks
-        self.basis[art_rows] = arts
+        self.original = original
+        self.basis = basis
+        self.n_slack = A.shape[0]
+        self.n_art = n_art
+        self.n_struct = A.shape[1] - 1 - self.n_slack - n_art
+        self.max_iterations = max_iterations
+        self.iterations = iterations
 
     @property
     def total_cols(self) -> int:
@@ -274,15 +305,21 @@ class _Tableau:
         A[row, col] = 1.0
         self.basis[row] = col
 
-    def run(self, cost: np.ndarray, allowed: np.ndarray) -> None:
+    def run(
+        self,
+        cost: np.ndarray,
+        allowed: np.ndarray,
+        stall: int = 0,
+        last_objective: float = np.inf,
+    ) -> None:
         """Deterministic pivoting: most-negative reduced cost (lowest index
         on ties) while the objective makes progress, with a switch to pure
         Bland's rule after a degenerate stall so cycling cannot occur.  The
         leaving row is the minimum-ratio row, preferring the numerically
         largest pivot among ties and then the lowest basic-variable index.
+        A run taken over from :class:`_TableauStack` resumes with its stall
+        count and last objective.
         """
-        stall = 0
-        last_objective = np.inf
         A = self.A
         priced = cost[: self.total_cols]
         cb = cost[self.basis]
@@ -373,6 +410,266 @@ class _Unbounded(Exception):
         self.col = col
 
 
+def _leaving_rows(A: np.ndarray, lanes: np.ndarray, cols: np.ndarray, basis):
+    """:meth:`_Tableau._leaving_row` of column ``cols[l]`` in every tableau
+    ``A[l]``; ``found`` is False where that returns None."""
+    column = A[lanes, :, cols]
+    eligible = column > _Tableau.STABLE_PIVOT
+    ratios = np.divide(
+        A[:, :, -1], column, out=np.full(column.shape, np.inf), where=eligible
+    )
+    best = ratios.min(axis=1, keepdims=True)
+    tied = ratios <= best + DEFAULT_PIVOT_TOL * np.maximum(1.0, np.abs(best))
+    # prefer the largest pivot (stability), then the lowest basis index
+    top = np.where(tied, column, -np.inf).max(axis=1, keepdims=True)
+    tied &= column >= top * (1.0 - 1e-9)
+    rows = np.where(tied, basis, A.shape[2]).argmin(axis=1)  # above every basis index
+    return rows, eligible[lanes, rows]
+
+
+class _TableauStack:
+    """Tableaux of one standard form under a stack of right-hand sides,
+    pivoted together; every lane makes the choices of :class:`_Tableau`.
+
+    The lanes share one shape (the same number of artificials), so a
+    stacked ``matmul`` or ``solve`` computes each lane bit for bit as the
+    lone tableau does.  A lane whose next step takes a rule that is not
+    stacked here (a second-choice entering column, an unbounded column, a
+    sub-threshold pivot, a redundant row in drive-out, the iteration cap,
+    an infeasible phase 1, a primal violation) leaves the stack as a
+    :class:`_Tableau`, through ``resume(lane, tableau, stage, stall,
+    last_objective)``.
+    """
+
+    _ARRAYS = ("A", "original", "basis", "iterations", "lanes")
+
+    def __init__(self, A, basis, lanes, n_art, max_iterations, resume):
+        self.A = A
+        self.original = A.copy()
+        self.basis = basis
+        self.iterations = np.zeros(lanes.size, dtype=int)
+        self.lanes = lanes  # positions in the batch
+        self.n_slack = A.shape[1]
+        self.n_art = n_art
+        self.n_struct = A.shape[2] - 1 - self.n_slack - n_art
+        self.max_iterations = max_iterations
+        self.resume = resume
+
+    def take(self, keep) -> "_TableauStack":
+        new = object.__new__(_TableauStack)
+        new.__dict__.update(self.__dict__)
+        for name in self._ARRAYS:
+            setattr(new, name, getattr(self, name)[keep])
+        return new
+
+    def tableau(self, i: int) -> _Tableau:
+        """Lane ``i`` as a lone tableau, on copies of its state."""
+        return _Tableau(
+            self.A[i].copy(),
+            self.original[i],
+            self.basis[i].copy(),
+            self.n_art,
+            self.max_iterations,
+            int(self.iterations[i]),
+        )
+
+    def hand_off(self, i: int, stage: int, stall=0, last_objective=np.inf) -> None:
+        """Give lane ``i`` to the lone code; the caller drops it."""
+        self.resume(int(self.lanes[i]), self.tableau(i), stage, int(stall), last_objective)
+
+    def leave(self, mask: np.ndarray, stage: int) -> "_TableauStack":
+        """The stack without the lanes of ``mask``, which are handed off."""
+        if not mask.any():
+            return self
+        for i in mask.nonzero()[0]:
+            self.hand_off(i, stage)
+        return self.take(~mask)
+
+    def _pivot(self, lanes, rows, cols) -> None:
+        """:meth:`_Tableau._pivot` on ``(rows[j], cols[j])`` of every lane
+        ``lanes[j]``; ``lanes`` None means every lane, in order."""
+        A = self.A
+        every = lanes is None
+        if every:
+            lanes = np.arange(len(A))
+        at = np.arange(lanes.size)
+        pivot_rows = A[lanes, rows]
+        pivot_rows /= pivot_rows[at, cols][:, None]
+        A[lanes, rows] = pivot_rows
+        factors = A[lanes, :, cols]
+        factors[at, rows] = 0.0
+        update = factors[:, :, None] * pivot_rows[:, None, :]
+        if every:
+            A -= update
+        else:
+            A[lanes] -= update
+        A[lanes, :, cols] = 0.0
+        A[lanes, rows, cols] = 1.0
+        self.basis[lanes, rows] = cols
+
+    def run(self, cost: np.ndarray, allowed: np.ndarray, stage: int) -> "_TableauStack":
+        """:meth:`_Tableau.run` on every lane.  Returns the stack of the
+        lanes that reached the optimum; the others have been handed off."""
+        blocked = (~allowed).nonzero()[0]
+        work, done = self, []
+        stall = np.zeros(self.lanes.size, dtype=int)
+        last = np.full(self.lanes.size, np.inf)
+        # every lane still in ``work`` has pivoted at each step, so none can
+        # reach the cap or stall for long before these many steps
+        room = self.max_iterations - self.iterations.max(initial=0)
+        steps = 0
+        while work.lanes.size:
+            A, basis = work.A, work.basis
+            lanes = np.arange(work.lanes.size)
+            # reduced costs of all columns under every lane's basis
+            rc = cost - (cost[basis][:, None, :] @ A[:, :, :-1])[:, 0]
+            eligible = rc < -_Tableau.STABLE_PIVOT
+            if blocked.size:
+                eligible[:, blocked] = False
+            cols = np.where(eligible, rc, np.inf).argmin(axis=1)
+            if steps >= _Tableau.stall_limit:  # Bland: lowest variable index
+                cols = np.where(
+                    stall >= _Tableau.stall_limit, eligible.argmax(axis=1), cols
+                )
+            improving = eligible[lanes, cols]
+            capped = work.iterations >= work.max_iterations if steps >= room else None
+            if capped is None and not improving.any():
+                done.append(work)
+                break
+            rows, found = _leaving_rows(A, lanes, cols, basis)
+            go = improving & found
+            if capped is not None or not go.all():
+                if capped is None:
+                    capped = np.zeros(lanes.size, dtype=bool)
+                # the lone tableau raises at the cap, and settles a first
+                # choice without a leaving row
+                for i in (capped | (improving & ~found)).nonzero()[0]:
+                    work.hand_off(i, stage, stall[i], last[i])
+                optimal = ~capped & ~improving
+                if optimal.any():
+                    done.append(work.take(optimal))
+                go &= ~capped
+                work = work.take(go)
+                cols, rows, stall, last = cols[go], rows[go], stall[go], last[go]
+                if not go.any():
+                    break
+            work._pivot(None, rows, cols)
+            work.iterations += 1
+            steps += 1
+            objective = (cost[work.basis][:, None, :] @ work.A[:, :, -1:])[:, 0, 0]
+            better = objective < last - _Tableau.STABLE_PIVOT
+            stall = np.where(better, 0, stall + 1)
+            last = np.where(better, objective, last)
+        if len(done) == 1:
+            return done[0]
+        joined = self.take(slice(0, 0))
+        for name in self._ARRAYS:
+            parts = [getattr(part, name) for part in [joined, *done]]
+            setattr(joined, name, np.concatenate(parts))
+        return joined
+
+    def drive_out(self) -> "_TableauStack":
+        """:meth:`_Tableau.drive_out_artificials` on every lane; a lane with
+        a redundant row is handed off."""
+        limit = self.n_struct + self.n_slack
+        # a pivot changes only the basic variable of its own row, so the
+        # rows to clear are known now; the k-th row of every lane goes at once
+        lanes, rows = (self.basis >= limit).nonzero()
+        rank = np.arange(lanes.size) - np.searchsorted(lanes, lanes)
+        gone = np.zeros(self.lanes.size, dtype=bool)
+        for k in range(rank.max(initial=-1) + 1):
+            at = (rank == k).nonzero()[0]
+            lane, row = lanes[at], rows[at]
+            if gone.any():
+                lane, row = lane[~gone[lane]], row[~gone[lane]]
+            entries = np.abs(self.A[lane, row, :limit])
+            cols = entries.argmax(axis=1)
+            pivots = entries[np.arange(lane.size), cols] > DEFAULT_PIVOT_TOL
+            if not pivots.all():
+                for i in lane[~pivots]:
+                    self.hand_off(i, _DRIVE_OUT)
+                gone[lane[~pivots]] = True
+                lane, row, cols = lane[pivots], row[pivots], cols[pivots]
+            self._pivot(lane, row, cols)
+        return self.take(~gone) if gone.any() else self
+
+    def solutions(self) -> np.ndarray:
+        """:meth:`_Tableau.solution` of every lane, as a stack."""
+        L, m = self.basis.shape
+        lanes = np.arange(L)[:, None]
+        rows = np.arange(m)[:, None]
+        basis_matrices = self.original[lanes[:, :, None], rows, self.basis[:, None, :]]
+        try:
+            values = np.linalg.solve(basis_matrices, self.original[:, :, -1:])[:, :, 0]
+        except np.linalg.LinAlgError:  # some lane is singular: each on its own
+            return np.array([self.tableau(i).solution() for i in range(L)])
+        broken = ~np.isfinite(values).all(axis=1)
+        values[broken] = self.A[broken, :, -1]
+        y = np.zeros((L, self.A.shape[2] - 1))
+        y[lanes, self.basis] = values
+        return y
+
+
+# where a solve stands: the stage a handed-off tableau resumes at
+_PHASE1, _CHECK, _DRIVE_OUT, _PHASE2 = range(4)
+
+
+def _phase_costs(sf: _StandardForm, total_cols: int, arts: int):
+    phase1 = np.zeros(total_cols)
+    phase1[arts:] = 1.0
+    phase2 = np.zeros(total_cols)
+    phase2[: sf.c.size] = sf.c
+    return phase1, phase2
+
+
+def _complete(
+    lp: LinearProgram,
+    sf: _StandardForm,
+    r: np.ndarray,
+    tab: _Tableau,
+    feas_tol: float,
+    stage: int,
+    stall: int = 0,
+    last_objective: float = np.inf,
+) -> LpOutcome:
+    """The two-phase method on ``tab`` from ``stage`` on: inside phase 1,
+    before the infeasibility check, in the drive-out of basic artificials
+    or inside phase 2.  The run of that stage resumes with ``stall`` and
+    ``last_objective``."""
+    arts = tab.n_struct + tab.n_slack
+    phase1, phase2 = _phase_costs(sf, tab.total_cols, arts)
+    allowed = np.ones(tab.total_cols, dtype=bool)
+    if tab.n_art > 0 and stage < _PHASE2:
+        if stage == _PHASE1:
+            try:
+                tab.run(phase1, allowed, stall, last_objective)
+            except _Unbounded:  # pragma: no cover - phase 1 objective is bounded
+                raise NumericalBreakdown("phase 1 reported unbounded")
+            stall, last_objective = 0, np.inf
+        if stage <= _CHECK:
+            art_values = tab.solution()[arts:]
+            if art_values.sum() > feas_tol * max(1.0, np.abs(r).max(initial=1.0)):
+                return LpOutcome(LpStatus.INFEASIBLE, iterations=tab.iterations)
+        tab.drive_out_artificials()
+    allowed[arts:] = False
+
+    try:
+        tab.run(phase2, allowed, stall, last_objective)
+    except _Unbounded:
+        return LpOutcome(LpStatus.UNBOUNDED, iterations=tab.iterations)
+
+    z = sf.original(tab.solution())
+    resid, scale = _violations(lp, sf, z[None], None if lp.b_eq is None else lp.b_eq[None])
+    if (resid > feas_tol * scale)[0]:
+        raise NumericalBreakdown(f"optimal point violates constraints by {resid[0]:.3e}")
+    return LpOutcome(
+        LpStatus.OPTIMAL,
+        z=z,
+        objective=float(lp.c @ z),
+        iterations=tab.iterations,
+    )
+
+
 def solve(
     lp: LinearProgram,
     *,
@@ -394,60 +691,95 @@ def solve(
     if pivot_rule not in ("dantzig-bland", "bland"):
         raise ValueError(f"unknown pivot rule '{pivot_rule}'")
     sf = lp._standard
-    r = sf.rhs(lp)
+    r = sf.rhs(lp.b_in, lp.b_eq)
     m, n = sf.T.shape
     if max_iterations is None:
         max_iterations = 200 * (m + n + 10)
 
-    tab = _Tableau(sf.T, r, max_iterations)
+    A, basis, n_art = _initial_tableaux(sf.T, r[None])
+    tab = _Tableau(A[0], A[0].copy(), basis[0], n_art, max_iterations)
     if pivot_rule == "bland":
         tab.stall_limit = 0
-    allowed = np.ones(tab.total_cols, dtype=bool)
-
-    if tab.n_art > 0:
-        phase1 = np.zeros(tab.total_cols)
-        phase1[tab.n_struct + tab.n_slack :] = 1.0
-        try:
-            tab.run(phase1, allowed)
-        except _Unbounded:  # pragma: no cover - phase 1 objective is bounded
-            raise NumericalBreakdown("phase 1 reported unbounded")
-        art_values = tab.solution()[tab.n_struct + tab.n_slack :]
-        if art_values.sum() > feas_tol * max(1.0, np.abs(r).max(initial=1.0)):
-            return LpOutcome(LpStatus.INFEASIBLE, iterations=tab.iterations)
-        tab.drive_out_artificials()
-        allowed[tab.n_struct + tab.n_slack :] = False
-
-    phase2 = np.zeros(tab.total_cols)
-    phase2[: sf.c.size] = sf.c
-    try:
-        tab.run(phase2, allowed)
-    except _Unbounded:
-        return LpOutcome(LpStatus.UNBOUNDED, iterations=tab.iterations)
-
-    z = sf.original(tab.solution())
-    _check_primal(lp, sf, z, feas_tol)
-    return LpOutcome(
-        LpStatus.OPTIMAL,
-        z=z,
-        objective=float(lp.c @ z),
-        iterations=tab.iterations,
-    )
+    return _complete(lp, sf, r, tab, feas_tol, _PHASE1)
 
 
-def _check_primal(
-    lp: LinearProgram, sf: _StandardForm, z: np.ndarray, feas_tol: float
-) -> None:
-    scale = max(1.0, float(np.abs(lp.b_in).max(initial=0.0)))
-    resid = float((lp.A_in @ z - lp.b_in).max(initial=0.0))
-    if lp.A_eq is not None and lp.A_eq.size:
-        resid = max(resid, float(np.abs(lp.A_eq @ z - lp.b_eq).max()))
-        scale = max(scale, float(np.abs(lp.b_eq).max(initial=0.0)))
-    resid = max(
-        resid,
-        float((sf.lower - z).max(initial=-np.inf)),
-        float((z - sf.upper).max(initial=-np.inf)),
-    )
-    if resid > feas_tol * scale:
-        raise NumericalBreakdown(
-            f"optimal point violates constraints by {resid:.3e}"
+def solve_batch(
+    lp: LinearProgram,
+    *,
+    b_eq,
+    feas_tol: float = DEFAULT_FEAS_TOL,
+    max_iterations: int | None = None,
+) -> list[LpOutcome]:
+    """:func:`solve` of ``lp.with_rhs(b_eq=row)`` for every row of ``b_eq``.
+
+    The (L, k) stack of right-hand sides is solved as one stack of
+    tableaux, pivoted together.  Each outcome, with its iteration count
+    and ``z``, is bit for bit that of the lone solve: every lane makes the
+    same choices, and a lane that needs one of the rare rules finishes in
+    the lone code.  Raises what the lone solve of the first lane that
+    raises would raise.
+    """
+    b_eq = np.asarray(b_eq, dtype=float)
+    k = 0 if lp.A_eq is None else lp.A_eq.shape[0]
+    if lp.A_eq is None or b_eq.ndim != 2 or b_eq.shape[1] != k:
+        raise DimensionMismatch(f"b_eq must be a stack of shape (L, {k})")
+    if not np.all(np.isfinite(b_eq)):
+        raise ValueError("LP data must be finite")
+    sf = lp._standard
+    R = sf.rhs(lp.b_in, b_eq)
+    m, n = sf.T.shape
+    if max_iterations is None:
+        max_iterations = 200 * (m + n + 10)
+    arts = n + m
+    outcomes: list = [None] * len(b_eq)
+
+    def resume(lane, tab, stage, stall=0, last_objective=np.inf):
+        program = lp.with_rhs(b_eq=b_eq[lane])
+        outcomes[lane] = lambda: _complete(
+            program, sf, R[lane], tab, feas_tol, stage, stall, last_objective
         )
+
+    counts = (R < 0).sum(axis=1)
+    for count in np.bincount(counts).nonzero()[0]:
+        lanes = (counts == count).nonzero()[0]
+        A, basis, n_art = _initial_tableaux(sf.T, R[lanes])
+        stack = _TableauStack(A, basis, lanes, n_art, max_iterations, resume)
+        phase1, phase2 = _phase_costs(sf, A.shape[2] - 1, arts)
+        allowed = np.ones(A.shape[2] - 1, dtype=bool)
+        if n_art:
+            stack = stack.run(phase1, allowed, _PHASE1)
+            art_sums = stack.solutions()[:, arts:].sum(axis=1)
+            scale = np.abs(R[stack.lanes]).max(axis=1, initial=1.0)
+            stack = stack.leave(art_sums > feas_tol * scale, _CHECK)
+            stack = stack.drive_out()
+            allowed[arts:] = False
+        stack = stack.run(phase2, allowed, _PHASE2)
+        Z = sf.original(stack.solutions())
+        resid, scale = _violations(lp, sf, Z, b_eq[stack.lanes])
+        violated = resid > feas_tol * scale  # the lone code raises on these
+        stack = stack.leave(violated, _PHASE2)
+        Z = Z[~violated]
+        objective = (Z[:, None, :] @ lp.c[:, None])[:, 0, 0]
+        for i, lane in enumerate(stack.lanes.tolist()):
+            outcomes[lane] = LpOutcome(
+                LpStatus.OPTIMAL,
+                z=Z[i],
+                objective=float(objective[i]),
+                iterations=int(stack.iterations[i]),
+            )
+    return [o if isinstance(o, LpOutcome) else o() for o in outcomes]
+
+
+def _violations(lp: LinearProgram, sf: _StandardForm, Z: np.ndarray, B_eq):
+    """How far each row of ``Z`` violates the constraints of ``lp``, with
+    the same row of ``B_eq`` as ``b_eq``, and the scale it is judged by."""
+    scale = max(1.0, np.abs(lp.b_in).max(initial=0.0))
+    resid = np.maximum(sf.lower - Z, Z - sf.upper).max(axis=1, initial=0.0)
+    if len(lp.A_in):
+        rows = (lp.A_in @ Z[:, :, None])[:, :, 0] - lp.b_in
+        resid = np.maximum(resid, rows.max(axis=1))
+    if lp.A_eq is not None and lp.A_eq.size:
+        rows = np.abs((lp.A_eq @ Z[:, :, None])[:, :, 0] - B_eq)
+        resid = np.maximum(resid, rows.max(axis=1))
+        scale = np.maximum(scale, np.abs(B_eq).max(axis=1, initial=0.0))
+    return resid, scale

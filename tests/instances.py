@@ -141,6 +141,26 @@ def random_prism(rng: np.random.Generator, sides: int = 6) -> ic.Polytope:
     return ic.validate_polytope(facets @ np.linalg.inv(M), vertices @ M.T)
 
 
+def decomposition_states(P, rng):
+    """The origin, every vertex and its half, points on every edge, points
+    inside facets and seeded interior points."""
+    n, V = P.dim, P.vertices
+    tight = np.abs(P.facets @ V.T - 1.0) <= 1e-8  # (p, N)
+    states = [np.zeros(n)]
+    states += [v for v in V] + [0.5 * v for v in V]
+    for i, j in itertools.combinations(range(P.vertex_count), 2):
+        if (tight[:, i] & tight[:, j]).sum() >= n - 1:  # an edge
+            for t in (0.5, rng.uniform()):
+                states.append((1.0 - t) * V[i] + t * V[j])
+    for row in tight:
+        weights = rng.dirichlet(np.ones(row.sum()))
+        states.append(weights @ V[row])
+    for _ in range(60):
+        weights = rng.dirichlet(np.ones(P.vertex_count))
+        states.append((weights @ V) * rng.uniform(0.0, 1.0))
+    return states
+
+
 def random_affine_instance(rng: np.random.Generator, n=2, m=1, ell=2, stable=0.75):
     """Affine family with a contractive-ish nominal part and small terms."""
     M = rng.normal(size=(n, n))

@@ -504,3 +504,56 @@ def test_simulate_rejects_policy_of_the_wrong_shape(case, shape, tmp_path, capsy
         "(vertices of S, inputs, parameters)\n"
     )
     assert not list(tmp_path.glob("**/trajectory_*.csv"))
+
+
+@pytest.mark.parametrize("index", ["25", "-1"])
+def test_feasibility_sample_index_out_of_range(index, tmp_path, capsys, monkeypatch):
+    from invarcert import feasibility
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("a sample was checked before its index was rejected")
+
+    monkeypatch.setattr(feasibility, "single_sample_iff", no_check)
+    cfg = write(tmp_path, feasible_config(count=25))
+    assert main(["feasibility", "--config", cfg, f"--sample={index}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --sample {index} is not a sample index in 0..24\n"
+
+
+def test_beta_override_outside_unit_interval_fails_before_synthesis(
+    tmp_path, capsys, monkeypatch
+):
+    from invarcert import scenario
+
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesis ran before --beta was rejected")
+
+    monkeypatch.setattr(scenario, "solve_affine_policy", no_synthesis)
+    cfg = write(tmp_path, feasible_config())
+    assert main(["certify", "--config", cfg, "--beta", "1.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: beta must lie in (0, 1), got 1.5\n"
+
+
+def test_oversized_simulation_rejected_before_drawing_starts(
+    tmp_path, capsys, monkeypatch
+):
+    # 10**12 starts could not even be drawn: the cap must come first
+    from invarcert import closed_loop
+
+    cfg, policy = _certified_policy(tmp_path, capsys)
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulation ran past the size cap")
+
+    monkeypatch.setattr(closed_loop, "simulate_closed_loop", no_simulation)
+    argv = ["simulate", "--config", cfg, "--policy", policy, "--init", "random:1000000000000"]
+    assert main(argv + ["--horizon", "9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 1000000000000 starts over 9 steps in 2 dimensions are "
+        f"20000000000000 states, more than the cap of {closed_loop.MAX_STATES}\n"
+    )

@@ -218,7 +218,7 @@ def _simplicial_test_points(P, rng):
     """Interior points of every facet cone, points on ridges, the vertices
     (at full and half scale) and the origin."""
     n = P.dim
-    fs = geometry.facet_simplices(P)
+    fs = P.facet_simplices
     assert fs.simplex.all()
     points = [np.zeros(n)]
     for k in range(P.facet_count):
@@ -260,15 +260,16 @@ def test_box_steps_all_use_the_lp(monkeypatch):
     calls = []
     real = geometry.vertex_decompose
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(P, x):
+        calls.append(np.shape(x))
+        return real(P, x)
 
     monkeypatch.setattr(geometry, "vertex_decompose", counted)
     starts = np.random.default_rng(1).uniform(-0.9, 0.9, size=(5, 3))
     trajectories = ic.simulate_closed_loop(fam, [0.0], S, policy, starts, T=7)
     assert all(traj.first_exit is None for traj in trajectories)
-    assert len(calls) == 5 * 7
+    # one stacked decomposition per step, of all five states
+    assert calls == [(5, 3)] * 7
 
 
 def _one_by_one(fam, delta, S, policy, starts, T):
@@ -331,6 +332,32 @@ def test_exits_are_frozen_per_start():
             assert np.all(traj.inputs[first:] == 0.0)
             assert np.all(np.abs(traj.inputs[:first]).sum(axis=1) > 0.0)
     _assert_same(trajectories, _one_by_one(fam, [0.0], UNIT2, policy, starts, 10))
+
+
+def test_lp_steps_with_exits_match_single_starts():
+    # a 3-D box takes the stacked LP at every step; x1 grows, so starts
+    # leave one after another and drop out of the stack
+    S = ic.box([-1, -1, -1], [1, 1, 1])
+    fam = ic.AffineFamily(
+        A0=np.diag([1.3, 0.6, 0.7]), B0=np.diag([0.5, 0.05, 0.05]), A_terms=[np.zeros((3, 3))],
+        B_terms=[np.zeros((3, 3))],
+    )
+    policy = ic.AffinePolicy(gains=np.zeros((8, 3, 1)), offsets=-0.5 * S.vertices)
+    rng = np.random.default_rng(8)
+    starts = rng.uniform(-0.9, 0.9, size=(12, 3))
+    trajectories = ic.simulate_closed_loop(fam, [0.0], S, policy, starts, T=15)
+    exits = [traj.first_exit for traj in trajectories]
+    assert None in exits and len(set(exits) - {None}) > 2
+    _assert_same(trajectories, _one_by_one(fam, [0.0], S, policy, starts, 15))
+
+
+def test_oversized_simulation_rejected_before_allocation():
+    from invarcert.closed_loop import MAX_STATES
+    from invarcert.errors import InvalidArguments
+
+    fam = zero_dynamics_family()
+    with pytest.raises(InvalidArguments, match=f"more than the cap of {MAX_STATES}"):
+        ic.simulate_closed_loop(fam, [0.0], UNIT2, zero_policy(4, 2), [0.1, 0.2], T=10**12)
 
 
 def test_start_outside_named_by_index():

@@ -11,11 +11,15 @@ from invarcert.geometry import (
     RankDeficientFacets,
     UnsupportedFacet,
     VertexOutsideFacets,
-    facet_simplices,
 )
 from invarcert.lp_core import LinearProgram, solve
 
-from instances import random_box, random_hull_polytope, random_prism
+from instances import (
+    decomposition_states,
+    random_box,
+    random_hull_polytope,
+    random_prism,
+)
 
 UNIT_BOX_F = np.vstack([np.eye(2), -np.eye(2)])
 UNIT_BOX_V = np.array(list(itertools.product([-1.0, 1.0], repeat=2)))
@@ -143,6 +147,19 @@ def test_decompose_outside_raises():
     P = ic.box([-1, -1], [1, 1])
     with pytest.raises(DecompositionInfeasible):
         ic.vertex_decompose(P, [1.5, 0.0])
+    with pytest.raises(DecompositionInfeasible, match="point 1 outside"):
+        ic.vertex_decompose(P, [[0.5, 0.0], [1.5, 0.0]])
+
+
+@pytest.mark.parametrize("name", ["box3", "prism"])
+def test_stacked_decomposition_rows_equal_single_points(name):
+    rng = np.random.default_rng(11)
+    P = random_box(rng, 3) if name == "box3" else random_prism(rng)
+    states = np.array(decomposition_states(P, rng))
+    stacked = ic.vertex_decompose(P, states)
+    assert stacked.shape == (len(states), P.vertex_count)
+    for x, row in zip(states, stacked):
+        assert row.tobytes() == ic.vertex_decompose(P, x).tobytes()
 
 
 def test_gauge_decomposition_duality_random():
@@ -207,14 +224,14 @@ def test_validate_dimension_mismatches():
 
 
 def test_facet_simplices_of_boxes_and_cross_polytopes():
-    square = facet_simplices(ic.box([-1, -2], [1, 2]))
+    square = ic.box([-1, -2], [1, 2]).facet_simplices
     assert square.simplex.all()  # every polygon edge is a simplex
-    assert not facet_simplices(ic.box([-1] * 3, [1] * 3)).simplex.any()
+    assert not ic.box([-1] * 3, [1] * 3).facet_simplices.simplex.any()
     cross = ic.validate_polytope(
         np.array(list(itertools.product([-1.0, 1.0], repeat=3))),
         np.vstack([np.eye(3), -np.eye(3)]),
     )
-    fs = facet_simplices(cross)
+    fs = cross.facet_simplices
     assert fs.simplex.all()
     for k in range(cross.facet_count):
         V = cross.vertices[fs.vertices[k]].T
@@ -228,7 +245,7 @@ def test_facet_with_dependent_tight_vertices_is_not_a_simplex():
     P = ic.validate_polytope(
         np.vstack([UNIT_BOX_F, [[0.5, 0.5]]]), np.vstack([UNIT_BOX_V, [[1.0, 1.0]]])
     )
-    fs = facet_simplices(P)
+    fs = P.facet_simplices
     assert fs.simplex.tolist() == [False, False, True, True, False]
     assert not fs.inverses[~fs.simplex].any()
 
@@ -248,26 +265,6 @@ def _fresh_decomposition(P, x, tol=1e-8):
     return solve(lp, feas_tol=max(tol, 1e-9))
 
 
-def _decomposition_states(P, rng):
-    """The origin, every vertex and its half, points on every edge, points
-    inside facets and seeded interior points."""
-    n, V = P.dim, P.vertices
-    tight = np.abs(P.facets @ V.T - 1.0) <= 1e-8  # (p, N)
-    states = [np.zeros(n)]
-    states += [v for v in V] + [0.5 * v for v in V]
-    for i, j in itertools.combinations(range(P.vertex_count), 2):
-        if (tight[:, i] & tight[:, j]).sum() >= n - 1:  # an edge
-            for t in (0.5, rng.uniform()):
-                states.append((1.0 - t) * V[i] + t * V[j])
-    for row in tight:
-        weights = rng.dirichlet(np.ones(row.sum()))
-        states.append(weights @ V[row])
-    for _ in range(60):
-        weights = rng.dirichlet(np.ones(P.vertex_count))
-        states.append((weights @ V) * rng.uniform(0.0, 1.0))
-    return states
-
-
 @pytest.mark.parametrize("name", ["box3", "box4", "prism"])
 def test_per_polytope_decomposition_lp_matches_a_fresh_build(name):
     rng = np.random.default_rng({"box3": 1, "box4": 2, "prism": 3}[name])
@@ -276,8 +273,8 @@ def test_per_polytope_decomposition_lp_matches_a_fresh_build(name):
         "box4": lambda: random_box(rng, 4),
         "prism": lambda: random_prism(rng),
     }[name]()
-    assert not facet_simplices(P).simplex.any()
-    for x in _decomposition_states(P, rng):
+    assert not P.facet_simplices.simplex.any()
+    for x in decomposition_states(P, rng):
         shared = solve(P.decomposition_lp.with_rhs(b_eq=x), feas_tol=1e-9)
         fresh = _fresh_decomposition(P, x)
         assert shared.status is fresh.status
