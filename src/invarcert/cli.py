@@ -166,8 +166,10 @@ def _load_policy(path) -> scenario.AffinePolicy:
             payload = json.load(fh)
     except OSError as exc:
         raise MissingPolicy(f"cannot read policy file: {exc}") from exc
-    if "policy" in payload:
+    if isinstance(payload, dict) and "policy" in payload:
         payload = payload["policy"]
+    if not isinstance(payload, dict):
+        raise MissingPolicy("policy file must hold a JSON object")
     if "gains" not in payload or "offsets" not in payload:
         raise MissingPolicy("policy file needs 'gains' and 'offsets'")
     return scenario.AffinePolicy(

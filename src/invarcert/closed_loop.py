@@ -122,7 +122,10 @@ def vertex_control_input(S: Polytope, vertex_inputs, x) -> np.ndarray:
 
 def check_size(N: int, T: int, n: int) -> None:
     """Refuse a simulation of ``N`` starts over ``T`` steps in ``n``
-    dimensions that would hold more than :data:`MAX_STATES` states."""
+    dimensions unless ``T >= 1`` and it holds at most :data:`MAX_STATES`
+    states."""
+    if T < 1:
+        raise InvalidArguments("horizon must be >= 1")
     if N * (T + 1) * n > MAX_STATES:
         raise InvalidArguments(
             f"{N} starts over {T} steps in {n} dimensions are "
@@ -158,11 +161,9 @@ def simulate_closed_loop(
     a start's first exit from ``S`` on, its input is zero and
     ``first_exit`` records the step.  A policy whose gains are not
     (vertices of ``S``, m, ell) raises :class:`DimensionMismatch` first,
-    and a run of more than :data:`MAX_STATES` states raises
-    :class:`InvalidArguments` before anything is allocated.
+    and a horizon ``T < 1`` or a run of more than :data:`MAX_STATES`
+    states raises :class:`InvalidArguments` before anything is allocated.
     """
-    if T < 1:
-        raise ValueError("horizon must be >= 1")
     _check_policy_shape(family, S, policy)
     delta = np.asarray(delta, dtype=float).ravel()
     A, B = family.instantiate(delta)

@@ -48,6 +48,8 @@ class ProblemConfig:
 
 
 def _require(mapping, key, context):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{context} must be an object")
     if key not in mapping:
         raise ConfigError(f"missing key '{key}' in {context}")
     return mapping[key]
@@ -85,7 +87,10 @@ def parse_family(spec):
         )
     if kind == "table":
         pairs = _require(body, "pairs", "system.table")
-        return TableFamily(pairs=[(e["A"], e["B"]) for e in pairs])
+        entries = [(e, f"system.table.pairs[{i}]") for i, e in enumerate(pairs)]
+        return TableFamily(
+            pairs=[(_require(e, "A", at), _require(e, "B", at)) for e, at in entries]
+        )
     raise ConfigError(f"unknown system kind '{kind}'")
 
 

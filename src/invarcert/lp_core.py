@@ -26,14 +26,16 @@ only in their right-hand side (the vertex decomposition of
 :func:`solve_batch` solves such a family, a stack of ``b_eq``, as one
 stack of tableaux: pricing is one stacked ``matmul``, a pivot one
 broadcast update, the basis solves one stacked ``np.linalg.solve``, and
-finished lanes drop out.  Every lane makes the choices of the lone
+finished lanes drop out.  The stack runs Dantzig's rule only, for no more
+steps than a lone run takes before it could switch to Bland's rule or
+reach the iteration cap; every lane makes the choices of the lone
 tableau, and a stacked ``matmul`` or ``solve`` computes each lane as the
-lone call does, so each outcome is bit for bit that of :func:`solve`.  A
-lane that needs one of the rare rules (a second-choice entering column,
-an unbounded or infeasible program, a redundant row, the iteration cap)
-is handed to the lone tableau, so those rules live in one place.  A
-single program is cheaper through :func:`solve`; the stack pays off from
-a few lanes on.
+lone call does.  Any other lane (a second-choice entering column, an
+unbounded or infeasible program, a lane still pivoting at that step, a
+singular basis, a primal violation) is solved again from the start by
+:func:`solve`, so each outcome is bit for bit that of :func:`solve` and
+the rare rules live in one place.  A single program is cheaper through
+:func:`solve`; the stack pays off from a few lanes on.
 """
 
 from dataclasses import dataclass
@@ -277,16 +279,16 @@ class _Tableau:
     # under the default "dantzig-bland" pivot rule; 0 means Bland throughout
     stall_limit = 40
 
-    def __init__(self, A, original, basis, n_art, max_iterations, iterations=0):
+    def __init__(self, A, basis, n_art, max_iterations):
         self.A = A
         # pristine copy for the final refactorized basis solve
-        self.original = original
+        self.original = A.copy()
         self.basis = basis
         self.n_slack = A.shape[0]
         self.n_art = n_art
         self.n_struct = A.shape[1] - 1 - self.n_slack - n_art
         self.max_iterations = max_iterations
-        self.iterations = iterations
+        self.iterations = 0
 
     @property
     def total_cols(self) -> int:
@@ -305,24 +307,17 @@ class _Tableau:
         A[row, col] = 1.0
         self.basis[row] = col
 
-    def run(
-        self,
-        cost: np.ndarray,
-        allowed: np.ndarray,
-        stall: int = 0,
-        last_objective: float = np.inf,
-    ) -> None:
+    def run(self, cost: np.ndarray, allowed: np.ndarray) -> None:
         """Deterministic pivoting: most-negative reduced cost (lowest index
         on ties) while the objective makes progress, with a switch to pure
         Bland's rule after a degenerate stall so cycling cannot occur.  The
         leaving row is the minimum-ratio row, preferring the numerically
         largest pivot among ties and then the lowest basic-variable index.
-        A run taken over from :class:`_TableauStack` resumes with its stall
-        count and last objective.
         """
         A = self.A
         priced = cost[: self.total_cols]
         cb = cost[self.basis]
+        stall, last_objective = 0, np.inf
         while True:
             if self.iterations >= self.max_iterations:
                 raise MaxIterationsExceeded(
@@ -342,7 +337,7 @@ class _Tableau:
                 if row is not None:
                     break
                 if (A[:, col] <= DEFAULT_PIVOT_TOL).all():
-                    raise _Unbounded(col)
+                    raise _Unbounded
             else:  # only sub-threshold pivots in every improving column
                 raise NumericalBreakdown(
                     "no pivot above the stability threshold in any "
@@ -376,16 +371,17 @@ class _Tableau:
 
     def drive_out_artificials(self) -> None:
         """Pivot basic artificials (at value zero) onto structural or slack
-        columns; rows that admit no pivot are redundant and zeroed."""
+        columns, at the largest entry of their row.
+
+        The slack column of a flipped row starts as minus its artificial's
+        column and every pivot keeps it so, so the row of a basic artificial
+        holds that slack at -1: no row is redundant, and every pivot here is
+        at least 1 in size.
+        """
         limit = self.n_struct + self.n_slack
         # a pivot changes only the basic variable of its own row
         for row in (self.basis >= limit).nonzero()[0].tolist():
-            entries = np.abs(self.A[row, :limit])
-            col = int(entries.argmax())
-            if entries[col] > DEFAULT_PIVOT_TOL:
-                self._pivot(row, col)
-            else:
-                self.A[row, :-1] = 0.0  # redundant row
+            self._pivot(row, int(np.abs(self.A[row, :limit]).argmax()))
 
     def solution(self) -> np.ndarray:
         """Basic solution; re-solved against the pristine data so that pivot
@@ -406,8 +402,7 @@ class _Tableau:
 
 
 class _Unbounded(Exception):
-    def __init__(self, col):
-        self.col = col
+    pass
 
 
 def _leaving_rows(A: np.ndarray, lanes: np.ndarray, cols: np.ndarray, basis):
@@ -429,31 +424,28 @@ def _leaving_rows(A: np.ndarray, lanes: np.ndarray, cols: np.ndarray, basis):
 
 class _TableauStack:
     """Tableaux of one standard form under a stack of right-hand sides,
-    pivoted together; every lane makes the choices of :class:`_Tableau`.
+    pivoted together with Dantzig's rule; every lane makes the choices of
+    :class:`_Tableau`.
 
     The lanes share one shape (the same number of artificials), so a
     stacked ``matmul`` or ``solve`` computes each lane bit for bit as the
-    lone tableau does.  A lane whose next step takes a rule that is not
-    stacked here (a second-choice entering column, an unbounded column, a
-    sub-threshold pivot, a redundant row in drive-out, the iteration cap,
-    an infeasible phase 1, a primal violation) leaves the stack as a
-    :class:`_Tableau`, through ``resume(lane, tableau, stage, stall,
-    last_objective)``.
+    lone tableau does.  A lane whose next step is not the lone tableau's
+    first choice under Dantzig's rule leaves the stack: its position in the
+    batch goes to ``alone``, to be solved from the start by :func:`solve`.
     """
 
     _ARRAYS = ("A", "original", "basis", "iterations", "lanes")
 
-    def __init__(self, A, basis, lanes, n_art, max_iterations, resume):
+    def __init__(self, A, basis, lanes, n_art, max_iterations, alone):
         self.A = A
         self.original = A.copy()
         self.basis = basis
         self.iterations = np.zeros(lanes.size, dtype=int)
         self.lanes = lanes  # positions in the batch
         self.n_slack = A.shape[1]
-        self.n_art = n_art
         self.n_struct = A.shape[2] - 1 - self.n_slack - n_art
         self.max_iterations = max_iterations
-        self.resume = resume
+        self.alone = alone
 
     def take(self, keep) -> "_TableauStack":
         new = object.__new__(_TableauStack)
@@ -462,27 +454,11 @@ class _TableauStack:
             setattr(new, name, getattr(self, name)[keep])
         return new
 
-    def tableau(self, i: int) -> _Tableau:
-        """Lane ``i`` as a lone tableau, on copies of its state."""
-        return _Tableau(
-            self.A[i].copy(),
-            self.original[i],
-            self.basis[i].copy(),
-            self.n_art,
-            self.max_iterations,
-            int(self.iterations[i]),
-        )
-
-    def hand_off(self, i: int, stage: int, stall=0, last_objective=np.inf) -> None:
-        """Give lane ``i`` to the lone code; the caller drops it."""
-        self.resume(int(self.lanes[i]), self.tableau(i), stage, int(stall), last_objective)
-
-    def leave(self, mask: np.ndarray, stage: int) -> "_TableauStack":
-        """The stack without the lanes of ``mask``, which are handed off."""
+    def leave(self, mask: np.ndarray) -> "_TableauStack":
+        """The stack without the lanes of ``mask``, which are solved alone."""
         if not mask.any():
             return self
-        for i in mask.nonzero()[0]:
-            self.hand_off(i, stage)
+        self.alone.extend(self.lanes[mask].tolist())
         return self.take(~mask)
 
     def _pivot(self, lanes, rows, cols) -> None:
@@ -507,18 +483,19 @@ class _TableauStack:
         A[lanes, rows, cols] = 1.0
         self.basis[lanes, rows] = cols
 
-    def run(self, cost: np.ndarray, allowed: np.ndarray, stage: int) -> "_TableauStack":
-        """:meth:`_Tableau.run` on every lane.  Returns the stack of the
-        lanes that reached the optimum; the others have been handed off."""
+    def run(self, cost: np.ndarray, allowed: np.ndarray) -> "_TableauStack":
+        """:meth:`_Tableau.run` on every lane, with Dantzig's rule.  Returns
+        the stack of the lanes that reached the optimum; the others leave.
+
+        A lone run switches to Bland's rule only after ``stall_limit``
+        pivots and reaches the iteration cap only after ``max_iterations -
+        iterations`` of them, so the stack takes at most that many steps and
+        sends every lane still pivoting then to the lone solve.
+        """
         blocked = (~allowed).nonzero()[0]
         work, done = self, []
-        stall = np.zeros(self.lanes.size, dtype=int)
-        last = np.full(self.lanes.size, np.inf)
-        # every lane still in ``work`` has pivoted at each step, so none can
-        # reach the cap or stall for long before these many steps
-        room = self.max_iterations - self.iterations.max(initial=0)
-        steps = 0
-        while work.lanes.size:
+        steps = min(_Tableau.stall_limit, self.max_iterations - self.iterations.max(initial=0))
+        for _ in range(steps):
             A, basis = work.A, work.basis
             lanes = np.arange(work.lanes.size)
             # reduced costs of all columns under every lane's basis
@@ -527,39 +504,22 @@ class _TableauStack:
             if blocked.size:
                 eligible[:, blocked] = False
             cols = np.where(eligible, rc, np.inf).argmin(axis=1)
-            if steps >= _Tableau.stall_limit:  # Bland: lowest variable index
-                cols = np.where(
-                    stall >= _Tableau.stall_limit, eligible.argmax(axis=1), cols
-                )
             improving = eligible[lanes, cols]
-            capped = work.iterations >= work.max_iterations if steps >= room else None
-            if capped is None and not improving.any():
+            if not improving.any():
                 done.append(work)
                 break
             rows, found = _leaving_rows(A, lanes, cols, basis)
             go = improving & found
-            if capped is not None or not go.all():
-                if capped is None:
-                    capped = np.zeros(lanes.size, dtype=bool)
-                # the lone tableau raises at the cap, and settles a first
-                # choice without a leaving row
-                for i in (capped | (improving & ~found)).nonzero()[0]:
-                    work.hand_off(i, stage, stall[i], last[i])
-                optimal = ~capped & ~improving
-                if optimal.any():
-                    done.append(work.take(optimal))
-                go &= ~capped
-                work = work.take(go)
-                cols, rows, stall, last = cols[go], rows[go], stall[go], last[go]
-                if not go.any():
-                    break
+            if not go.all():
+                # the lone tableau settles a first choice without a leaving
+                # row by a second choice or by an unbounded outcome
+                done.append(work.take(~improving))
+                self.alone.extend(work.lanes[improving & ~found].tolist())
+                work, rows, cols = work.take(go), rows[go], cols[go]
             work._pivot(None, rows, cols)
             work.iterations += 1
-            steps += 1
-            objective = (cost[work.basis][:, None, :] @ work.A[:, :, -1:])[:, 0, 0]
-            better = objective < last - _Tableau.STABLE_PIVOT
-            stall = np.where(better, 0, stall + 1)
-            last = np.where(better, objective, last)
+        else:
+            self.alone.extend(work.lanes.tolist())
         if len(done) == 1:
             return done[0]
         joined = self.take(slice(0, 0))
@@ -568,50 +528,34 @@ class _TableauStack:
             setattr(joined, name, np.concatenate(parts))
         return joined
 
-    def drive_out(self) -> "_TableauStack":
-        """:meth:`_Tableau.drive_out_artificials` on every lane; a lane with
-        a redundant row is handed off."""
+    def drive_out(self) -> None:
+        """:meth:`_Tableau.drive_out_artificials` on every lane."""
         limit = self.n_struct + self.n_slack
         # a pivot changes only the basic variable of its own row, so the
         # rows to clear are known now; the k-th row of every lane goes at once
         lanes, rows = (self.basis >= limit).nonzero()
         rank = np.arange(lanes.size) - np.searchsorted(lanes, lanes)
-        gone = np.zeros(self.lanes.size, dtype=bool)
         for k in range(rank.max(initial=-1) + 1):
             at = (rank == k).nonzero()[0]
             lane, row = lanes[at], rows[at]
-            if gone.any():
-                lane, row = lane[~gone[lane]], row[~gone[lane]]
-            entries = np.abs(self.A[lane, row, :limit])
-            cols = entries.argmax(axis=1)
-            pivots = entries[np.arange(lane.size), cols] > DEFAULT_PIVOT_TOL
-            if not pivots.all():
-                for i in lane[~pivots]:
-                    self.hand_off(i, _DRIVE_OUT)
-                gone[lane[~pivots]] = True
-                lane, row, cols = lane[pivots], row[pivots], cols[pivots]
-            self._pivot(lane, row, cols)
-        return self.take(~gone) if gone.any() else self
+            self._pivot(lane, row, np.abs(self.A[lane, row, :limit]).argmax(axis=1))
 
-    def solutions(self) -> np.ndarray:
-        """:meth:`_Tableau.solution` of every lane, as a stack."""
+    def solutions(self):
+        """The stack and :meth:`_Tableau.solution` of each of its lanes; a
+        singular basis in any lane sends every lane to the lone solve."""
         L, m = self.basis.shape
         lanes = np.arange(L)[:, None]
         rows = np.arange(m)[:, None]
         basis_matrices = self.original[lanes[:, :, None], rows, self.basis[:, None, :]]
         try:
             values = np.linalg.solve(basis_matrices, self.original[:, :, -1:])[:, :, 0]
-        except np.linalg.LinAlgError:  # some lane is singular: each on its own
-            return np.array([self.tableau(i).solution() for i in range(L)])
+        except np.linalg.LinAlgError:
+            return self.leave(np.ones(L, dtype=bool)), np.zeros((0, self.A.shape[2] - 1))
         broken = ~np.isfinite(values).all(axis=1)
         values[broken] = self.A[broken, :, -1]
         y = np.zeros((L, self.A.shape[2] - 1))
         y[lanes, self.basis] = values
-        return y
-
-
-# where a solve stands: the stage a handed-off tableau resumes at
-_PHASE1, _CHECK, _DRIVE_OUT, _PHASE2 = range(4)
+        return self, y
 
 
 def _phase_costs(sf: _StandardForm, total_cols: int, arts: int):
@@ -620,54 +564,6 @@ def _phase_costs(sf: _StandardForm, total_cols: int, arts: int):
     phase2 = np.zeros(total_cols)
     phase2[: sf.c.size] = sf.c
     return phase1, phase2
-
-
-def _complete(
-    lp: LinearProgram,
-    sf: _StandardForm,
-    r: np.ndarray,
-    tab: _Tableau,
-    feas_tol: float,
-    stage: int,
-    stall: int = 0,
-    last_objective: float = np.inf,
-) -> LpOutcome:
-    """The two-phase method on ``tab`` from ``stage`` on: inside phase 1,
-    before the infeasibility check, in the drive-out of basic artificials
-    or inside phase 2.  The run of that stage resumes with ``stall`` and
-    ``last_objective``."""
-    arts = tab.n_struct + tab.n_slack
-    phase1, phase2 = _phase_costs(sf, tab.total_cols, arts)
-    allowed = np.ones(tab.total_cols, dtype=bool)
-    if tab.n_art > 0 and stage < _PHASE2:
-        if stage == _PHASE1:
-            try:
-                tab.run(phase1, allowed, stall, last_objective)
-            except _Unbounded:  # pragma: no cover - phase 1 objective is bounded
-                raise NumericalBreakdown("phase 1 reported unbounded")
-            stall, last_objective = 0, np.inf
-        if stage <= _CHECK:
-            art_values = tab.solution()[arts:]
-            if art_values.sum() > feas_tol * max(1.0, np.abs(r).max(initial=1.0)):
-                return LpOutcome(LpStatus.INFEASIBLE, iterations=tab.iterations)
-        tab.drive_out_artificials()
-    allowed[arts:] = False
-
-    try:
-        tab.run(phase2, allowed, stall, last_objective)
-    except _Unbounded:
-        return LpOutcome(LpStatus.UNBOUNDED, iterations=tab.iterations)
-
-    z = sf.original(tab.solution())
-    resid, scale = _violations(lp, sf, z[None], None if lp.b_eq is None else lp.b_eq[None])
-    if (resid > feas_tol * scale)[0]:
-        raise NumericalBreakdown(f"optimal point violates constraints by {resid[0]:.3e}")
-    return LpOutcome(
-        LpStatus.OPTIMAL,
-        z=z,
-        objective=float(lp.c @ z),
-        iterations=tab.iterations,
-    )
 
 
 def solve(
@@ -697,10 +593,38 @@ def solve(
         max_iterations = 200 * (m + n + 10)
 
     A, basis, n_art = _initial_tableaux(sf.T, r[None])
-    tab = _Tableau(A[0], A[0].copy(), basis[0], n_art, max_iterations)
+    tab = _Tableau(A[0], basis[0], n_art, max_iterations)
     if pivot_rule == "bland":
         tab.stall_limit = 0
-    return _complete(lp, sf, r, tab, feas_tol, _PHASE1)
+    arts = n + m
+    phase1, phase2 = _phase_costs(sf, tab.total_cols, arts)
+    allowed = np.ones(tab.total_cols, dtype=bool)
+    if n_art:
+        try:
+            tab.run(phase1, allowed)
+        except _Unbounded:  # pragma: no cover - phase 1 objective is bounded
+            raise NumericalBreakdown("phase 1 reported unbounded")
+        art_values = tab.solution()[arts:]
+        if art_values.sum() > feas_tol * max(1.0, np.abs(r).max(initial=1.0)):
+            return LpOutcome(LpStatus.INFEASIBLE, iterations=tab.iterations)
+        tab.drive_out_artificials()
+        allowed[arts:] = False
+
+    try:
+        tab.run(phase2, allowed)
+    except _Unbounded:
+        return LpOutcome(LpStatus.UNBOUNDED, iterations=tab.iterations)
+
+    z = sf.original(tab.solution())
+    resid, scale = _violations(lp, sf, z[None], None if lp.b_eq is None else lp.b_eq[None])
+    if (resid > feas_tol * scale)[0]:
+        raise NumericalBreakdown(f"optimal point violates constraints by {resid[0]:.3e}")
+    return LpOutcome(
+        LpStatus.OPTIMAL,
+        z=z,
+        objective=float(lp.c @ z),
+        iterations=tab.iterations,
+    )
 
 
 def solve_batch(
@@ -713,11 +637,11 @@ def solve_batch(
     """:func:`solve` of ``lp.with_rhs(b_eq=row)`` for every row of ``b_eq``.
 
     The (L, k) stack of right-hand sides is solved as one stack of
-    tableaux, pivoted together.  Each outcome, with its iteration count
-    and ``z``, is bit for bit that of the lone solve: every lane makes the
-    same choices, and a lane that needs one of the rare rules finishes in
-    the lone code.  Raises what the lone solve of the first lane that
-    raises would raise.
+    tableaux, pivoted together with Dantzig's rule.  Each outcome, with its
+    iteration count and ``z``, is bit for bit that of the lone solve: every
+    lane in the stack makes the same choices, and any other lane is solved
+    alone from the start, after the stacks and in lane order.  Raises what
+    the lone solve of the first lane that raises would raise.
     """
     b_eq = np.asarray(b_eq, dtype=float)
     k = 0 if lp.A_eq is None else lp.A_eq.shape[0]
@@ -728,36 +652,30 @@ def solve_batch(
     sf = lp._standard
     R = sf.rhs(lp.b_in, b_eq)
     m, n = sf.T.shape
-    if max_iterations is None:
-        max_iterations = 200 * (m + n + 10)
+    cap = 200 * (m + n + 10) if max_iterations is None else max_iterations
     arts = n + m
     outcomes: list = [None] * len(b_eq)
-
-    def resume(lane, tab, stage, stall=0, last_objective=np.inf):
-        program = lp.with_rhs(b_eq=b_eq[lane])
-        outcomes[lane] = lambda: _complete(
-            program, sf, R[lane], tab, feas_tol, stage, stall, last_objective
-        )
+    alone: list = []
 
     counts = (R < 0).sum(axis=1)
     for count in np.bincount(counts).nonzero()[0]:
         lanes = (counts == count).nonzero()[0]
         A, basis, n_art = _initial_tableaux(sf.T, R[lanes])
-        stack = _TableauStack(A, basis, lanes, n_art, max_iterations, resume)
+        stack = _TableauStack(A, basis, lanes, n_art, cap, alone)
         phase1, phase2 = _phase_costs(sf, A.shape[2] - 1, arts)
         allowed = np.ones(A.shape[2] - 1, dtype=bool)
         if n_art:
-            stack = stack.run(phase1, allowed, _PHASE1)
-            art_sums = stack.solutions()[:, arts:].sum(axis=1)
+            stack, Y = stack.run(phase1, allowed).solutions()
+            art_sums = Y[:, arts:].sum(axis=1)
             scale = np.abs(R[stack.lanes]).max(axis=1, initial=1.0)
-            stack = stack.leave(art_sums > feas_tol * scale, _CHECK)
-            stack = stack.drive_out()
+            stack = stack.leave(art_sums > feas_tol * scale)
+            stack.drive_out()
             allowed[arts:] = False
-        stack = stack.run(phase2, allowed, _PHASE2)
-        Z = sf.original(stack.solutions())
+        stack, Y = stack.run(phase2, allowed).solutions()
+        Z = sf.original(Y)
         resid, scale = _violations(lp, sf, Z, b_eq[stack.lanes])
-        violated = resid > feas_tol * scale  # the lone code raises on these
-        stack = stack.leave(violated, _PHASE2)
+        violated = resid > feas_tol * scale  # the lone solve raises on these
+        stack = stack.leave(violated)
         Z = Z[~violated]
         objective = (Z[:, None, :] @ lp.c[:, None])[:, 0, 0]
         for i, lane in enumerate(stack.lanes.tolist()):
@@ -767,7 +685,11 @@ def solve_batch(
                 objective=float(objective[i]),
                 iterations=int(stack.iterations[i]),
             )
-    return [o if isinstance(o, LpOutcome) else o() for o in outcomes]
+    for lane in sorted(alone):
+        outcomes[lane] = solve(
+            lp.with_rhs(b_eq=b_eq[lane]), feas_tol=feas_tol, max_iterations=max_iterations
+        )
+    return outcomes
 
 
 def _violations(lp: LinearProgram, sf: _StandardForm, Z: np.ndarray, B_eq):

@@ -557,3 +557,72 @@ def test_oversized_simulation_rejected_before_drawing_starts(
         "error: 1000000000000 starts over 9 steps in 2 dimensions are "
         f"20000000000000 states, more than the cap of {closed_loop.MAX_STATES}\n"
     )
+
+
+@pytest.mark.parametrize("horizon", ["0", "-2"])
+def test_short_horizon_rejected_before_drawing_starts(horizon, tmp_path, capsys, monkeypatch):
+    cfg, policy = _certified_policy(tmp_path, capsys)
+    default_rng = np.random.default_rng
+
+    class NoStartDraw:
+        """A generator whose Dirichlet draw of the starts must not run."""
+
+        def __init__(self, *args):
+            self.rng = default_rng(*args)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def dirichlet(self, *args, **kwargs):
+            raise AssertionError("starts were drawn before the horizon was rejected")
+
+    monkeypatch.setattr(np.random, "default_rng", NoStartDraw)
+    argv = ["simulate", "--config", cfg, "--policy", policy, "--init", "random:3"]
+    assert main(argv + [f"--horizon={horizon}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: horizon must be >= 1\n"
+
+
+def _table_entry_without_b(payload):
+    payload["system"] = {"table": {"pairs": [{"A": [[0.5]], "B": [[1.0]]}, {"A": [[0.8]]}]}}
+    payload["state_set"] = payload["input_set"] = {"box": {"lower": [-1], "upper": [1]}}
+    payload["scenarios"] = {"uniform": {"lower": [0], "upper": [1]}, "count": 3, "seed": 0}
+    return payload
+
+
+def _affine_not_an_object(payload):
+    payload["system"] = {"affine": 3}
+    return payload
+
+
+def _uniform_not_an_object(payload):
+    payload["scenarios"] = {"uniform": 5}
+    return payload
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_table_entry_without_b, "missing key 'B' in system.table.pairs[1]"),
+        (_affine_not_an_object, "system.affine must be an object"),
+        (lambda payload: 3, "config must be an object"),
+        (_uniform_not_an_object, "scenarios.uniform must be an object"),
+    ],
+)
+def test_malformed_config_object_named(edit, message, tmp_path, capsys):
+    cfg = write(tmp_path, edit(feasible_config()))
+    assert main(["certify", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("payload", [3, {"policy": [1, 2]}])
+def test_policy_file_not_an_object(payload, tmp_path, capsys):
+    cfg = write(tmp_path, feasible_config())
+    policy = write(tmp_path, payload, name="policy.json")
+    assert main(["simulate", "--config", cfg, "--policy", policy]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: policy file must hold a JSON object\n"

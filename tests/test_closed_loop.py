@@ -381,3 +381,15 @@ def test_policy_shape_checked_before_any_step(N, m, ell, monkeypatch):
         ic.simulate_closed_loop(fam, [0.0], UNIT2, zero_policy(N, m, ell), [0.1, 0.2])
     with pytest.raises(ic.DimensionMismatch, match=message):
         ic.empirical_violation(fam, UNIT2, UNIT2, zero_policy(N, m, ell), [[0.0]])
+
+
+@pytest.mark.parametrize("T", [0, -2])
+def test_short_horizon_rejected_before_allocation(T):
+    from invarcert.closed_loop import check_size
+    from invarcert.errors import InvalidArguments
+
+    with pytest.raises(InvalidArguments, match="^horizon must be >= 1$"):
+        check_size(10**12, T, 2)  # N x (T + 1) x n would be <= 0, under the cap
+    fam = zero_dynamics_family()
+    with pytest.raises(InvalidArguments, match="^horizon must be >= 1$"):
+        ic.simulate_closed_loop(fam, [0.0], UNIT2, zero_policy(4, 2), [0.1, 0.2], T=T)

@@ -4,8 +4,12 @@ Equal means the same status, the same iteration count and the same bytes
 of ``z``, or the same exception with the same message.  The decomposition
 programs of the simulation are checked at the points of the decomposition
 test, in stacks of 1, 4 and 1000; small crafted programs send lanes down
-every branch that the stack hands over to the lone tableau.
+every rule that the stack leaves to the lone solve.  The invariant that
+lets every drive-out pivot without a redundant-row case is checked over
+the differential corpus and the decomposition programs.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from invarcert.errors import NumericalBreakdown
 from invarcert.lp_core import LinearProgram, LpStatus, solve, solve_batch
 
 from instances import decomposition_states, random_box, random_prism
+from test_lp_differential import CASES, PER_CASE
 
 POLYTOPES = {
     "box3": (1, lambda rng: random_box(rng, 3)),
@@ -47,8 +52,23 @@ def _assert_lanes_are_lone(lp, B, **kwargs):
     return lone
 
 
+@pytest.fixture
+def alone(monkeypatch):
+    """The ``b_eq`` of every lane that ``solve_batch`` solves alone, in
+    the order it solves them."""
+    seen = []
+
+    def spy(lp, **kwargs):
+        if sys._getframe(1).f_code is solve_batch.__code__:
+            seen.append(lp.b_eq.tolist())
+        return solve(lp, **kwargs)
+
+    monkeypatch.setattr(lp_core, "solve", spy)
+    return seen
+
+
 @pytest.mark.parametrize("name", list(POLYTOPES))
-def test_decomposition_lanes_are_lone_solves(name):
+def test_decomposition_lanes_are_lone_solves(name, alone):
     seed, build = POLYTOPES[name]
     rng = np.random.default_rng(seed)
     P = build(rng)
@@ -61,13 +81,14 @@ def test_decomposition_lanes_are_lone_solves(name):
     wide = np.vstack([states, (weights @ P.vertices) * rng.uniform(0, 1, (len(weights), 1))])
     lone = _assert_lanes_are_lone(lp, wide, feas_tol=1e-8)
     assert {o[0] for o in lone} == {LpStatus.OPTIMAL}
+    assert alone == []  # every decomposition lane finishes in the stack
 
 
 @pytest.mark.parametrize("limit", [0, 1, 2])
-def test_bland_switch_after_a_stall(limit, monkeypatch):
+def test_bland_switch_after_a_stall(limit, monkeypatch, alone):
     # with the stall limit lowered, degenerate decomposition pivots switch
-    # lanes to Bland's rule; each lane must switch exactly where it would
-    # switch alone
+    # lanes to Bland's rule; the stack stops before any lane could switch,
+    # and each lane solved alone switches exactly where it would
     rng = np.random.default_rng(2)
     P = random_box(rng, 4)
     states = np.array(decomposition_states(P, rng))
@@ -75,20 +96,7 @@ def test_bland_switch_after_a_stall(limit, monkeypatch):
     monkeypatch.setattr(lp_core._Tableau, "stall_limit", limit)
     lone = _assert_lanes_are_lone(P.decomposition_lp, states, feas_tol=1e-8)
     assert lone != dantzig
-
-
-@pytest.fixture
-def handoffs(monkeypatch):
-    """(stage, iterations) of every lane the stack hands to the lone code."""
-    seen = []
-    real = lp_core._TableauStack.hand_off
-
-    def spy(self, i, stage, *args):
-        seen.append((stage, int(self.iterations[i])))
-        return real(self, i, stage, *args)
-
-    monkeypatch.setattr(lp_core._TableauStack, "hand_off", spy)
-    return seen
+    assert alone
 
 
 def _program(c, A_eq, bounds, A_in=None, b_in=()):
@@ -99,7 +107,7 @@ def _program(c, A_eq, bounds, A_in=None, b_in=()):
     )
 
 
-def test_second_choice_entering_column(handoffs):
+def test_second_choice_entering_column(alone):
     # x1 prices best, but its only positive entry (5e-10) is below the
     # stability floor, so x2 enters first; its pivot gives x1 a real row
     lp = _program(
@@ -109,74 +117,99 @@ def test_second_choice_entering_column(handoffs):
         A_eq=[[0.0, 0.0, 1.0]],
         bounds=[(0.0, None)] * 3,
     )
-    lone = _assert_lanes_are_lone(lp, np.array([[0.0], [0.5], [1.0]]))
+    B = np.array([[0.0], [0.5], [1.0]])
+    lone = _assert_lanes_are_lone(lp, B)
     assert [o[0] for o in lone] == [LpStatus.OPTIMAL] * 3
-    assert {stage for stage, _ in handoffs} == {lp_core._PHASE2}
+    assert alone == B.tolist()
 
 
-def test_unbounded_program(handoffs):
+def test_unbounded_program(alone):
     lp = _program(c=[-1.0, 0.0], A_eq=[[1.0, -1.0]], bounds=[(0.0, None)] * 2)
-    lone = _assert_lanes_are_lone(lp, np.array([[-1.0], [0.0], [1.0]]))
+    B = np.array([[-1.0], [0.0], [1.0]])
+    lone = _assert_lanes_are_lone(lp, B)
     assert [o[0] for o in lone] == [LpStatus.UNBOUNDED] * 3
-    assert [stage for stage, _ in handoffs] == [lp_core._PHASE2] * 3
+    assert alone == B.tolist()
 
 
-def test_infeasible_lanes_next_to_feasible_ones(handoffs):
+def test_infeasible_lanes_next_to_feasible_ones(alone):
     lp = _program(c=[1.0, 1.0], A_eq=[[1.0, 1.0]], bounds=[(0.0, 1.0)] * 2)
-    lone = _assert_lanes_are_lone(lp, np.array([[0.5], [5.0], [1.5], [-1.0]]))
+    B = np.array([[0.5], [5.0], [1.5], [-1.0]])
+    lone = _assert_lanes_are_lone(lp, B)
     assert [o[0] for o in lone] == [
         LpStatus.OPTIMAL,
         LpStatus.INFEASIBLE,
         LpStatus.OPTIMAL,
         LpStatus.INFEASIBLE,
     ]
-    assert sorted(stage for stage, _ in handoffs) == [lp_core._CHECK] * 2
+    assert alone == B[[1, 3]].tolist()
 
 
-def test_sub_threshold_pivots_only(handoffs):
+def test_sub_threshold_pivots_only(alone):
     # x prices best, but 5e-10 is below the stability floor and no other
     # column improves: the lone code raises, and so does the batch
     lp = _program(c=[-1.0, 0.0], A_eq=[[5e-10, -1.0]], bounds=[(0.0, None)] * 2)
-    lone = _assert_lanes_are_lone(lp, np.array([[1.0], [0.0]]))
+    B = np.array([[1.0], [0.0]])
+    lone = _assert_lanes_are_lone(lp, B)
     assert lone[0][0] is LpStatus.INFEASIBLE
     assert lone[1][0] is NumericalBreakdown
-    assert (lp_core._PHASE2, 0) in handoffs
+    assert alone == B.tolist()
 
 
-def test_iteration_cap(handoffs):
+def test_iteration_cap(alone):
     P = random_box(np.random.default_rng(1), 3)
     states = np.array([np.zeros(3), 0.1 * P.vertices[0], 0.4 * P.vertices[5]])
     lone = _assert_lanes_are_lone(P.decomposition_lp, states, max_iterations=2)
     assert lone[0][0] is LpStatus.OPTIMAL
-    assert lone[2][0] is lp_core.MaxIterationsExceeded
-    assert (lp_core._PHASE1, 2) in handoffs
+    assert lone[1][0] is lone[2][0] is lp_core.MaxIterationsExceeded
+    assert alone == states[[1]].tolist()  # the batch raises at the first
 
 
-def test_redundant_row_in_drive_out():
-    # Every artificial has a slack twin in the same row, so no program
-    # leaves a basic artificial on an all-zero row; the tableaux are built
-    # by hand.  Columns: x, two slacks, one artificial, right-hand side.
-    A = np.array(
-        [
-            [[1.0, 0.5, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0, 0.0]],  # redundant
-            [[1.0, 0.5, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 1.0, 0.0]],
-        ]
-    )
-    basis = np.array([[0, 3], [0, 3]])
-    resumed = []
-    stack = lp_core._TableauStack(
-        A.copy(), basis.copy(), np.arange(2), 1, 10, lambda *args: resumed.append(args)
-    )
-    stack = stack.drive_out()
-    assert [(lane, stage) for lane, _, stage, *_ in resumed] == [(0, lp_core._DRIVE_OUT)]
-    assert stack.lanes.tolist() == [1]
-    for lane, tab in [(0, resumed[0][1]), (1, stack.tableau(0))]:
-        lone = lp_core._Tableau(A[lane].copy(), A[lane].copy(), basis[lane].copy(), 1, 10)
-        lone.drive_out_artificials()
-        if lane == 0:
-            tab.drive_out_artificials()  # as the resumed solve does
-        assert tab.A.tobytes() == lone.A.tobytes()
-        assert tab.basis.tolist() == lone.basis.tolist()
+@pytest.fixture
+def drive_outs(monkeypatch):
+    """Check, at every drive-out of the lone and the stacked tableau, that
+    the slack column of each flipped row is minus its artificial's column
+    (by value: the signs of zeros differ); collects the number of basic
+    artificials met in each tableau."""
+    met = []
+
+    def check(tab, lanes):
+        arts = tab.n_struct + tab.n_slack
+        for A, original, basis in lanes:
+            flipped = original[:, arts:-1].argmax(axis=0)  # each artificial's row
+            assert np.array_equal(A[:, tab.n_struct + flipped], -A[:, arts:-1])
+            met.append(int((basis >= arts).sum()))
+
+    lone = lp_core._Tableau.drive_out_artificials
+    stacked = lp_core._TableauStack.drive_out
+
+    def lone_spy(tab):
+        check(tab, [(tab.A, tab.original, tab.basis)])
+        return lone(tab)
+
+    def stacked_spy(stack):
+        check(stack, zip(stack.A, stack.original, stack.basis))
+        return stacked(stack)
+
+    monkeypatch.setattr(lp_core._Tableau, "drive_out_artificials", lone_spy)
+    monkeypatch.setattr(lp_core._TableauStack, "drive_out", stacked_spy)
+    return met
+
+
+def test_basic_artificials_keep_their_slack_twin(drive_outs):
+    # the invariant that leaves the drive-out no redundant row: the row of
+    # a basic artificial holds that artificial's slack twin at -1
+    for case, build in CASES.items():
+        rng = np.random.default_rng(sorted(CASES).index(case))
+        for _ in range(PER_CASE):
+            solve(LinearProgram(**build(rng)))
+    for seed, build in POLYTOPES.values():
+        rng = np.random.default_rng(seed)
+        P = build(rng)
+        states = np.array(decomposition_states(P, rng))
+        for x in states:
+            solve(P.decomposition_lp.with_rhs(b_eq=x), feas_tol=1e-8)
+        solve_batch(P.decomposition_lp, b_eq=states, feas_tol=1e-8)
+    assert len(drive_outs) > 500 and sum(drive_outs) > 1000
 
 
 def test_batch_checks_its_right_hand_sides():
