@@ -49,12 +49,12 @@ policy = ic.solve_affine_policy(family, S, U, scenarios)
 print("\npolicy synthesized: max |gain| =", np.abs(policy.gains).max().round(4),
       " max |offset| =", np.abs(policy.offsets).max().round(4))
 
+# greedy starts from the synthesized policy and drops every sample whose
+# removal leaves it unchanged; the certificate reads K off the scenarios
 support = ic.greedy_support_subsample(family, S, U, scenarios, policy=policy)
 print("support subsample:", support)
 
-certificate = ic.build_certificate(
-    scenarios.K, len(support), 1e-6, policy, scenarios
-)
+certificate = ic.build_certificate(len(support), 1e-6, policy, scenarios)
 print("\n" + certificate.statement)
 print("epsilon =", round(certificate.epsilon, 4),
       " invariance probability >=", round(certificate.invariance_probability, 4))

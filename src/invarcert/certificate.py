@@ -8,6 +8,8 @@ which gives the closed form
 
 with ``eps(K) = 1``.  Everything is evaluated in the log domain through
 the log-gamma function, so K in the hundreds or thousands is fine.
+:func:`build_certificate` evaluates it at the size of a support subsample,
+with ``K`` the size of the scenario set the policy was synthesized on.
 """
 
 import json
@@ -100,17 +102,16 @@ class Certificate:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def build_certificate(K, s_K, beta, policy, scenarios) -> Certificate:
+def build_certificate(s_K, beta, policy, scenarios) -> Certificate:
     """Package the certificate for a policy and the scenarios that built it.
 
     ``s_K`` must come from the greedy support-subsample reduction run on
-    the same scenario set that produced ``policy``; fingerprints guard
-    against mixing runs.
+    the same scenario set that produced ``policy``; ``K`` is that set's
+    size, and fingerprints guard against mixing runs.
     """
     from .scenario import MismatchedFingerprints
 
-    if K != scenarios.K:
-        raise InvalidArguments(f"K={K} does not match the scenario set (K={scenarios.K})")
+    K = scenarios.K
     if (
         policy.scenario_fingerprint is not None
         and policy.scenario_fingerprint != scenarios.fingerprint

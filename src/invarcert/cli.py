@@ -130,7 +130,7 @@ def run_certify(
         return 2, report
 
     support = scenario.greedy_support_subsample(family, S, U, scen, policy=policy)
-    cert = build_certificate(scen.K, len(support), beta, policy, scen)
+    cert = build_certificate(len(support), beta, policy, scen)
     report["status"] = "certified"
     report["policy"] = _policy_payload(policy)
     report["support"] = {"indices": support, "s_K": len(support)}
@@ -144,7 +144,7 @@ def run_certify(
             policy,
             scen.distribution,
             M=estimate,
-            seed=int(config.options.get("estimate_seed", 0)),
+            seed=config.options.get("estimate_seed", 0),
         )
         report["violation_estimate"] = {
             "M": est.sample_count,

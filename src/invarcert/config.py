@@ -15,17 +15,25 @@ Top-level keys::
     }
 
 ``options.estimate_seed`` seeds the Monte Carlo draws of ``certify
---estimate``; it is the only option, and any other key is an error.
+--estimate``; it is the only option, and any other key is an error, as is
+any key of a polytope besides ``box`` or ``facets`` and ``vertices``.
+Facets have the unit right-hand side, ``F x <= 1``.
 
-Cross-dimension consistency (state dim, input dim, parameter dim) is
-checked here so the pipelines can assume well-formed inputs.
+Every value is checked where it is read: a matrix or vector must hold
+finite numbers (JSON ``NaN`` and ``Infinity`` are refused), a count or
+seed must be an integer, and a :class:`ConfigError` names the offending
+key.  Cross-dimension consistency (state dim, input dim, parameter dim)
+is checked here too, so the pipelines can assume well-formed inputs.
 """
 
 import json
+import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InvarcertError
-from .geometry import DEFAULT_TOL, Polytope, box, validate_polytope
+from .geometry import Polytope, box, validate_polytope
 from .scenario import ScenarioSet
 from .system_family import AffineFamily, Graph, NetworkFamily, TableFamily
 
@@ -55,42 +63,89 @@ def _require(mapping, key, context):
     return mapping[key]
 
 
+def _only(mapping, known, context) -> None:
+    unknown = sorted(set(mapping) - set(known))
+    if unknown:
+        raise ConfigError(
+            f"unknown key '{unknown[0]}' in {context} (known: {', '.join(known)})"
+        )
+
+
+def _list(mapping, key, context) -> list:
+    value = _require(mapping, key, context)
+    if not isinstance(value, list):
+        raise ConfigError(f"{context}.{key} must be a list")
+    return value
+
+
+def _array(value, at, ndim=None) -> np.ndarray:
+    """``value`` as a float array of finite numbers, with ``ndim``
+    dimensions when given; otherwise a :class:`ConfigError` names ``at``."""
+    try:
+        a = np.array(value)
+    except ValueError:  # ragged nesting
+        a = np.array(None)
+    if a.dtype.kind not in "biuf" or (ndim is not None and a.ndim != ndim):
+        dims = "an array" if ndim is None else f"a {ndim}-d array"
+        raise ConfigError(f"{at} must be {dims} of numbers")
+    if not np.isfinite(a).all():
+        raise ConfigError(f"{at} must be finite")
+    return a.astype(float)
+
+
+def _field(mapping, key, context, ndim=None) -> np.ndarray:
+    return _array(_require(mapping, key, context), f"{context}.{key}", ndim)
+
+
+def _integer(mapping, key, context, low) -> int:
+    value = _require(mapping, key, context)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        float(value).is_integer() and value >= low
+    ):
+        raise ConfigError(f"{context}.{key} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def parse_polytope(spec, context) -> Polytope:
     if not isinstance(spec, dict):
         raise ConfigError(f"{context} must be an object")
     if "box" in spec:
-        b = spec["box"]
-        return box(_require(b, "lower", context), _require(b, "upper", context))
-    facets = _require(spec, "facets", context)
-    vertices = _require(spec, "vertices", context)
-    return validate_polytope(facets, vertices, tol=spec.get("tol", DEFAULT_TOL))
+        _only(spec, ("box",), context)
+        return box(*(_field(spec["box"], k, f"{context}.box", 1) for k in ("lower", "upper")))
+    _only(spec, ("facets", "vertices"), context)
+    return validate_polytope(*(_field(spec, k, context, 2) for k in ("facets", "vertices")))
 
 
 def parse_family(spec):
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ConfigError("'system' must hold exactly one of network/affine/table")
     kind, body = next(iter(spec.items()))
+    at = f"system.{kind}"
     if kind == "network":
-        graph = Graph(
-            edges=_require(body, "edges", "system.network"),
-            floating=_require(body, "floating", "system.network"),
-            inputs=_require(body, "inputs", "system.network"),
-            nominal_weights=_require(body, "nominal_weights", "system.network"),
-        )
+        shapes = (("edges", 2), ("floating", 1), ("inputs", 1))
+        nodes = {key: _field(body, key, at, ndim) for key, ndim in shapes}
+        for key, ids in nodes.items():
+            if (ids != np.rint(ids)).any():
+                raise ConfigError(f"{at}.{key} must hold node numbers")
+        if nodes["edges"].shape[1] != 2:
+            raise ConfigError(f"{at}.edges must hold [i, j] pairs")
+        graph = Graph(**nodes, nominal_weights=_field(body, "nominal_weights", at, 1))
         return NetworkFamily(graph=graph)
     if kind == "affine":
+
+        def terms(key):
+            items = _list(body, key, at) if key in body else []
+            return [_array(t, f"{at}.{key}[{k}]") for k, t in enumerate(items)]
+
         return AffineFamily(
-            A0=_require(body, "A0", "system.affine"),
-            B0=_require(body, "B0", "system.affine"),
-            A_terms=body.get("Ak", ()),
-            B_terms=body.get("Bk", ()),
+            A0=_field(body, "A0", at),
+            B0=_field(body, "B0", at),
+            A_terms=terms("Ak"),
+            B_terms=terms("Bk"),
         )
     if kind == "table":
-        pairs = _require(body, "pairs", "system.table")
-        entries = [(e, f"system.table.pairs[{i}]") for i, e in enumerate(pairs)]
-        return TableFamily(
-            pairs=[(_require(e, "A", at), _require(e, "B", at)) for e, at in entries]
-        )
+        entries = [(e, f"{at}.pairs[{i}]") for i, e in enumerate(_list(body, "pairs", at))]
+        return TableFamily(pairs=[(_field(e, "A", c), _field(e, "B", c)) for e, c in entries])
     raise ConfigError(f"unknown system kind '{kind}'")
 
 
@@ -99,25 +154,23 @@ def parse_scenarios(spec, base_dir=None) -> ScenarioSet:
         raise ConfigError("'scenarios' must be an object")
     if "file" in spec:
         path = spec["file"]
+        if not isinstance(path, str):
+            raise ConfigError("scenarios.file must be a path")
         if base_dir is not None:
-            import os
-
             path = os.path.join(base_dir, path) if not os.path.isabs(path) else path
         return ScenarioSet.from_csv(path)
     if "uniform" in spec:
         u = spec["uniform"]
         return ScenarioSet.from_uniform_box(
-            _require(u, "lower", "scenarios.uniform"),
-            _require(u, "upper", "scenarios.uniform"),
-            count=int(_require(spec, "count", "scenarios")),
-            seed=int(_require(spec, "seed", "scenarios")),
+            _field(u, "lower", "scenarios.uniform", 1),
+            _field(u, "upper", "scenarios.uniform", 1),
+            count=_integer(spec, "count", "scenarios", 1),
+            seed=_integer(spec, "seed", "scenarios", 0),
         )
     raise ConfigError("'scenarios' needs either 'file' or 'uniform'")
 
 
 def load_config(path) -> ProblemConfig:
-    import os
-
     with open(path) as fh:
         raw = json.load(fh)
     return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
@@ -128,9 +181,9 @@ def parse_config(raw: dict, base_dir=None) -> ProblemConfig:
     state_set = parse_polytope(_require(raw, "state_set", "config"), "state_set")
     input_set = parse_polytope(_require(raw, "input_set", "config"), "input_set")
     scenarios = parse_scenarios(_require(raw, "scenarios", "config"), base_dir)
-    beta = float(raw.get("beta", 1e-6))
-    if not 0.0 < beta < 1.0:
-        raise ConfigError("beta must lie in (0, 1)")
+    beta = raw.get("beta", 1e-6)
+    if isinstance(beta, bool) or not isinstance(beta, (int, float)) or not 0.0 < beta < 1.0:
+        raise ConfigError(f"beta must be a number in (0, 1), got {beta!r}")
 
     if state_set.dim != family.n:
         raise ConfigError(
@@ -148,16 +201,12 @@ def parse_config(raw: dict, base_dir=None) -> ProblemConfig:
     options = raw.get("options", {})
     if not isinstance(options, dict):
         raise ConfigError("'options' must be an object")
-    unknown = sorted(set(options) - set(OPTIONS))
-    if unknown:
-        raise ConfigError(
-            f"unknown key '{unknown[0]}' in options (known: {', '.join(OPTIONS)})"
-        )
+    _only(options, OPTIONS, "options")
     return ProblemConfig(
         family=family,
         state_set=state_set,
         input_set=input_set,
         scenarios=scenarios,
-        beta=beta,
-        options=options,
+        beta=float(beta),
+        options={key: _integer(options, key, "options", 0) for key in options},
     )

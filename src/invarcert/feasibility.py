@@ -7,7 +7,8 @@ rows.  Exhaustively enumerating the m-row subsets therefore decides
 feasibility exactly (single sample) and gives a necessary condition when
 quantified over all samples: one failing (vertex, sample) pair certifies
 that no common policy exists, while passing proves nothing beyond the
-per-sample blocks.
+per-sample blocks.  Both checks refuse a block of more than
+:data:`ENUMERATION_CAP` row subsets before enumerating any.
 """
 
 import itertools
@@ -21,7 +22,7 @@ from .geometry import DEFAULT_TOL, Polytope
 from .scenario import chunks, vertex_constraints
 
 DET_TOL = 1e-10
-ENUMERATION_CAP = 1_000_000
+ENUMERATION_CAP = 1_000_000  # row subsets per vertex block
 
 
 class EnumerationCapExceeded(InvarcertError):
@@ -80,16 +81,17 @@ def _check_vertex(G, l, q, vertex, sample) -> MinorWitness | None:
     return None
 
 
-def _enumerable(family, S, U, cap) -> int:
+def _enumerable(family, S, U) -> int:
     """Number of input rows ``q``, after checking that the enumeration
-    applies (n >= m) and that at most ``cap`` subsets per vertex are needed."""
+    applies (n >= m) and that at most :data:`ENUMERATION_CAP` subsets per
+    vertex are needed."""
     n, m = family.n, family.m
     if n < m:
         raise DimensionPrecondition(f"requires n >= m, got n={n}, m={m}")
     q, p = U.facet_count, S.facet_count
-    if math.comb(q + p, m) > cap:
+    if math.comb(q + p, m) > ENUMERATION_CAP:
         raise EnumerationCapExceeded(
-            f"{math.comb(q + p, m)} row subsets exceed the cap of {cap}"
+            f"{math.comb(q + p, m)} row subsets exceed the cap of {ENUMERATION_CAP}"
         )
     return q
 
@@ -107,21 +109,16 @@ def _check_sample(G, l, q, sample) -> tuple[tuple, int | None]:
 
 
 def single_sample_iff(
-    family,
-    S: Polytope,
-    U: Polytope,
-    delta,
-    *,
-    sample_index: int = 0,
-    cap: int = ENUMERATION_CAP,
+    family, S: Polytope, U: Polytope, delta, *, sample_index: int = 0
 ) -> SingleSampleResult:
     """Exact feasibility of the single-sample program by minor enumeration.
 
     Equivalent to LP feasibility of every vertex block; the returned
-    witnesses carry the certifying basic points.  Requires n >= m and an
-    enumeration budget of at most ``cap`` subsets per vertex.
+    witnesses carry the certifying basic points, each naming the sample as
+    ``sample_index``.  Requires n >= m and at most :data:`ENUMERATION_CAP`
+    row subsets per vertex.
     """
-    q = _enumerable(family, S, U, cap)
+    q = _enumerable(family, S, U)
     G, l = vertex_constraints(family, S, U, np.reshape(delta, (1, -1)))
     witnesses, failed = _check_sample(G[0], l[0], q, sample_index)
     return SingleSampleResult(
@@ -129,22 +126,16 @@ def single_sample_iff(
     )
 
 
-def multisample_necessary(
-    family,
-    S: Polytope,
-    U: Polytope,
-    scenarios,
-    *,
-    cap: int = ENUMERATION_CAP,
-) -> MultisampleResult:
+def multisample_necessary(family, S: Polytope, U: Polytope, scenarios) -> MultisampleResult:
     """Necessary condition for the joint scenario program over all samples.
 
     Fails (with the first failing (vertex, sample) pair) as soon as one
     sample's block is infeasible, which certifies the joint program empty.
     Passing does NOT certify joint feasibility: a shared affine policy may
     still not exist even when every sample is individually controllable.
+    The enumeration bounds of :func:`single_sample_iff` apply.
     """
-    q = _enumerable(family, S, U, cap)
+    q = _enumerable(family, S, U)
     for lo, hi in chunks(scenarios.K):
         G, l = vertex_constraints(family, S, U, scenarios.samples[lo:hi], lo)
         for k in range(G.shape[0]):

@@ -2,9 +2,10 @@
 
 A :class:`Polytope` carries both a facet matrix ``F`` (half-space form
 ``F x <= 1``, unit right-hand side) and an explicit vertex list.  The two
-representations are validated against each other rather than converted:
-facet/vertex enumeration is exponential in general, and every routine in
-this package needs both forms anyway.
+representations are validated against each other, within
+:data:`DEFAULT_TOL`, rather than converted: facet/vertex enumeration is
+exponential in general, and every routine in this package needs both
+forms anyway.
 
 Besides membership tests, the module provides the gauge function
 ``minkowski_gauge`` (smallest ``lam >= 0`` with ``x in lam * P``), the
@@ -155,16 +156,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def validate_polytope(facets, vertices, tol: float = DEFAULT_TOL, rhs=None) -> Polytope:
-    """Validate a facet matrix / vertex list pair and return a Polytope.
+def validate_polytope(facets, vertices) -> Polytope:
+    """Validate a facet matrix (unit right-hand side, ``F x <= 1``) and a
+    vertex list against each other, within :data:`DEFAULT_TOL`, and return
+    a Polytope.
 
-    ``rhs``, when given, is a positive right-hand side vector; rows are
-    rescaled to the unit form ``F x <= 1`` before checking.  On failure,
-    raises the specific error when a single invariant is violated, or a
-    :class:`PolytopeValidationError` listing all of them.
+    On failure, raises the specific error when a single invariant is
+    violated, or a :class:`PolytopeValidationError` listing all of them.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     F = np.array(facets, dtype=float)
     X = np.array(vertices, dtype=float)
     if F.ndim != 2 or X.ndim != 2:
@@ -173,13 +172,6 @@ def validate_polytope(facets, vertices, tol: float = DEFAULT_TOL, rhs=None) -> P
         raise DimensionMismatch(
             f"facet columns ({F.shape[1]}) != vertex dimension ({X.shape[1]})"
         )
-    if rhs is not None:
-        b = np.asarray(rhs, dtype=float).ravel()
-        if b.size != F.shape[0]:
-            raise DimensionMismatch("rhs length must match facet rows")
-        if np.any(b <= 0):
-            raise OriginNotInterior("right-hand side must be strictly positive")
-        F = F / b[:, None]
 
     issues = []
     n = F.shape[1]
@@ -188,14 +180,14 @@ def validate_polytope(facets, vertices, tol: float = DEFAULT_TOL, rhs=None) -> P
 
     values = X @ F.T  # (N, p)
     over = values - 1.0
-    for v, k in zip(*np.nonzero(over > tol)):
+    for v, k in zip(*np.nonzero(over > DEFAULT_TOL)):
         issues.append(VertexOutsideFacets(int(v), int(k), float(over[v, k])))
 
     reach = values.max(axis=0)
-    for k in np.flatnonzero(reach < 1.0 - tol):
+    for k in np.flatnonzero(reach < 1.0 - DEFAULT_TOL):
         issues.append(UnsupportedFacet(int(k), float(reach[k])))
 
-    if not _origin_in_hull(X, tol):
+    if not _origin_in_hull(X):
         issues.append(OriginNotInterior("origin is not in the vertex hull"))
 
     if issues:
@@ -203,7 +195,7 @@ def validate_polytope(facets, vertices, tol: float = DEFAULT_TOL, rhs=None) -> P
     return Polytope(facets=_freeze(F), vertices=_freeze(X))
 
 
-def _origin_in_hull(X: np.ndarray, tol: float) -> bool:
+def _origin_in_hull(X: np.ndarray) -> bool:
     # 0 = sum lam_i x_i with lam >= 0, sum lam = 1, checked by LP phase 1
     N = X.shape[0]
     A_eq = np.vstack([X.T, np.ones((1, N))])
@@ -216,7 +208,7 @@ def _origin_in_hull(X: np.ndarray, tol: float) -> bool:
         b_eq=b_eq,
         bounds=[(0.0, None)] * N,
     )
-    return lp_core.solve(lp, feas_tol=max(tol, 1e-9)).is_optimal
+    return lp_core.solve(lp, feas_tol=DEFAULT_TOL).is_optimal
 
 
 def box(lower, upper) -> Polytope:

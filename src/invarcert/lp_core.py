@@ -1,12 +1,12 @@
 """Deterministic dense linear-programming core.
 
-A small two-phase tableau simplex.  The default pricing picks the most
-negative reduced cost and falls back to Bland's anti-cycling rule on
-degenerate stalls; pure Bland pivoting is available via ``pivot_rule``.
-Either way the solver is a pure function of its input: fixed rules, no
-randomized perturbation, so repeated calls on identical data return
-bit-identical solutions.  That determinism is what the rest of the
-toolbox leans on to make policy synthesis single-valued.
+A small two-phase tableau simplex.  Pricing picks the most negative
+reduced cost and falls back to Bland's anti-cycling rule after
+``_Tableau.stall_limit`` degenerate pivots; a solve takes at most
+:func:`_max_iterations` pivots.  The solver is a pure function of its
+input: fixed rules, no randomized perturbation, so repeated calls on
+identical data return bit-identical solutions.  That determinism is what
+the rest of the toolbox leans on to make policy synthesis single-valued.
 
 Problem form::
 
@@ -19,8 +19,8 @@ Intended for small dense problems (hundreds of rows); there is no sparse
 path and no factorization reuse between solves.  What a program's
 right-hand side does not touch (its standard form) is built on the first
 solve and kept; :meth:`LinearProgram.with_rhs` gives the same program with
-a new ``b_in``/``b_eq`` that shares it, so a family of programs differing
-only in their right-hand side (the vertex decomposition of
+a new ``b_eq`` that shares it, so a family of programs differing only in
+their equality right-hand side (the vertex decomposition of
 :mod:`invarcert.geometry`) is validated and converted once.
 
 :func:`solve_batch` solves such a family, a stack of ``b_eq``, as one
@@ -104,8 +104,8 @@ class LinearProgram:
     def _standard(self) -> "_StandardForm":
         return _to_standard_form(self)
 
-    def with_rhs(self, *, b_in=None, b_eq=None) -> "LinearProgram":
-        """This program with ``b_in`` and/or ``b_eq`` replaced.
+    def with_rhs(self, *, b_eq) -> "LinearProgram":
+        """This program with ``b_eq`` replaced.
 
         The cost, the matrices and the bounds are shared, not copied or
         validated again, and so is their standard form, which is built once
@@ -114,16 +114,12 @@ class LinearProgram:
         self._standard  # built here, so every copy shares it
         new = object.__new__(LinearProgram)
         new.__dict__.update(self.__dict__)
-        for matrix, name, value in (("A_in", "b_in", b_in), ("A_eq", "b_eq", b_eq)):
-            if value is None:
-                continue
-            rows = getattr(self, matrix)
-            value = np.asarray(value, dtype=float).ravel()
-            if rows is None or rows.shape[0] != value.size:
-                raise DimensionMismatch(f"{matrix} and {name} row counts differ")
-            if not np.all(np.isfinite(value)):
-                raise ValueError("LP data must be finite")
-            object.__setattr__(new, name, value)
+        b_eq = np.asarray(b_eq, dtype=float).ravel()
+        if self.A_eq is None or self.A_eq.shape[0] != b_eq.size:
+            raise DimensionMismatch("A_eq and b_eq row counts differ")
+        if not np.all(np.isfinite(b_eq)):
+            raise ValueError("LP data must be finite")
+        object.__setattr__(new, "b_eq", b_eq)
         return new
 
 
@@ -269,17 +265,22 @@ def _initial_tableaux(T: np.ndarray, R: np.ndarray):
     return A, basis, n_art
 
 
+def _max_iterations(m: int, n: int) -> int:
+    """The iteration cap of a solve on a standard form ``T`` of shape (m, n)."""
+    return 200 * (m + n + 10)
+
+
 class _Tableau:
     """Simplex tableau; every pivot choice is deterministic."""
 
     # entering / ratio-test eligibility floor; smaller pivots (down to
     # DEFAULT_PIVOT_TOL) are used only when nothing larger is available
     STABLE_PIVOT = 1e-9
-    # consecutive non-improving iterations before switching to Bland's rule
-    # under the default "dantzig-bland" pivot rule; 0 means Bland throughout
+    # consecutive non-improving iterations before switching to Bland's
+    # rule; 0 means Bland throughout
     stall_limit = 40
 
-    def __init__(self, A, basis, n_art, max_iterations):
+    def __init__(self, A, basis, n_art):
         self.A = A
         # pristine copy for the final refactorized basis solve
         self.original = A.copy()
@@ -287,7 +288,7 @@ class _Tableau:
         self.n_slack = A.shape[0]
         self.n_art = n_art
         self.n_struct = A.shape[1] - 1 - self.n_slack - n_art
-        self.max_iterations = max_iterations
+        self.max_iterations = _max_iterations(self.n_slack, self.n_struct)
         self.iterations = 0
 
     @property
@@ -436,7 +437,7 @@ class _TableauStack:
 
     _ARRAYS = ("A", "original", "basis", "iterations", "lanes")
 
-    def __init__(self, A, basis, lanes, n_art, max_iterations, alone):
+    def __init__(self, A, basis, lanes, n_art, alone):
         self.A = A
         self.original = A.copy()
         self.basis = basis
@@ -444,7 +445,7 @@ class _TableauStack:
         self.lanes = lanes  # positions in the batch
         self.n_slack = A.shape[1]
         self.n_struct = A.shape[2] - 1 - self.n_slack - n_art
-        self.max_iterations = max_iterations
+        self.max_iterations = _max_iterations(self.n_slack, self.n_struct)
         self.alone = alone
 
     def take(self, keep) -> "_TableauStack":
@@ -566,37 +567,20 @@ def _phase_costs(sf: _StandardForm, total_cols: int, arts: int):
     return phase1, phase2
 
 
-def solve(
-    lp: LinearProgram,
-    *,
-    feas_tol: float = DEFAULT_FEAS_TOL,
-    pivot_rule: str = "dantzig-bland",
-    max_iterations: int | None = None,
-) -> LpOutcome:
+def solve(lp: LinearProgram, *, feas_tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
     """Solve ``lp`` with the two-phase simplex.
-
-    ``pivot_rule`` is "dantzig-bland" (most-negative entering column with
-    an automatic switch to Bland's rule on degenerate stalls; the default)
-    or "bland" (Bland's rule throughout).  Both are fully deterministic.
 
     Returns an :class:`LpOutcome`; an ``OPTIMAL`` outcome is rechecked for
     primal feasibility within ``feas_tol`` before being reported.  Raises
     :class:`NumericalBreakdown` on pivot failure and
-    :class:`MaxIterationsExceeded` past the iteration cap.
+    :class:`MaxIterationsExceeded` past :func:`_max_iterations`.
     """
-    if pivot_rule not in ("dantzig-bland", "bland"):
-        raise ValueError(f"unknown pivot rule '{pivot_rule}'")
     sf = lp._standard
     r = sf.rhs(lp.b_in, lp.b_eq)
-    m, n = sf.T.shape
-    if max_iterations is None:
-        max_iterations = 200 * (m + n + 10)
+    arts = sum(sf.T.shape)  # the first artificial column
 
     A, basis, n_art = _initial_tableaux(sf.T, r[None])
-    tab = _Tableau(A[0], basis[0], n_art, max_iterations)
-    if pivot_rule == "bland":
-        tab.stall_limit = 0
-    arts = n + m
+    tab = _Tableau(A[0], basis[0], n_art)
     phase1, phase2 = _phase_costs(sf, tab.total_cols, arts)
     allowed = np.ones(tab.total_cols, dtype=bool)
     if n_art:
@@ -619,20 +603,12 @@ def solve(
     resid, scale = _violations(lp, sf, z[None], None if lp.b_eq is None else lp.b_eq[None])
     if (resid > feas_tol * scale)[0]:
         raise NumericalBreakdown(f"optimal point violates constraints by {resid[0]:.3e}")
-    return LpOutcome(
-        LpStatus.OPTIMAL,
-        z=z,
-        objective=float(lp.c @ z),
-        iterations=tab.iterations,
-    )
+    objective = float(lp.c @ z)
+    return LpOutcome(LpStatus.OPTIMAL, z=z, objective=objective, iterations=tab.iterations)
 
 
 def solve_batch(
-    lp: LinearProgram,
-    *,
-    b_eq,
-    feas_tol: float = DEFAULT_FEAS_TOL,
-    max_iterations: int | None = None,
+    lp: LinearProgram, *, b_eq, feas_tol: float = DEFAULT_FEAS_TOL
 ) -> list[LpOutcome]:
     """:func:`solve` of ``lp.with_rhs(b_eq=row)`` for every row of ``b_eq``.
 
@@ -651,9 +627,7 @@ def solve_batch(
         raise ValueError("LP data must be finite")
     sf = lp._standard
     R = sf.rhs(lp.b_in, b_eq)
-    m, n = sf.T.shape
-    cap = 200 * (m + n + 10) if max_iterations is None else max_iterations
-    arts = n + m
+    arts = sum(sf.T.shape)  # the first artificial column
     outcomes: list = [None] * len(b_eq)
     alone: list = []
 
@@ -661,7 +635,7 @@ def solve_batch(
     for count in np.bincount(counts).nonzero()[0]:
         lanes = (counts == count).nonzero()[0]
         A, basis, n_art = _initial_tableaux(sf.T, R[lanes])
-        stack = _TableauStack(A, basis, lanes, n_art, cap, alone)
+        stack = _TableauStack(A, basis, lanes, n_art, alone)
         phase1, phase2 = _phase_costs(sf, A.shape[2] - 1, arts)
         allowed = np.ones(A.shape[2] - 1, dtype=bool)
         if n_art:
@@ -686,9 +660,7 @@ def solve_batch(
                 iterations=int(stack.iterations[i]),
             )
     for lane in sorted(alone):
-        outcomes[lane] = solve(
-            lp.with_rhs(b_eq=b_eq[lane]), feas_tol=feas_tol, max_iterations=max_iterations
-        )
+        outcomes[lane] = solve(lp.with_rhs(b_eq=b_eq[lane]), feas_tol=feas_tol)
     return outcomes
 
 

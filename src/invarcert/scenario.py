@@ -16,8 +16,8 @@ certificate requires.
 
 The module also provides the conservative common-input baseline (one
 fixed input per vertex for all samples), admissibility checks, and the
-greedy support-subsample reduction whose cardinality drives the
-certificate.
+greedy support-subsample reduction of a synthesized policy, whose
+cardinality drives the certificate.
 """
 
 import hashlib
@@ -473,37 +473,27 @@ def solve_constant_input(
 
 
 def greedy_support_subsample(
-    family,
-    S: Polytope,
-    U: Polytope,
-    scenarios: ScenarioSet,
-    *,
-    policy: AffinePolicy | None = None,
+    family, S: Polytope, U: Polytope, scenarios: ScenarioSet, *, policy: AffinePolicy
 ) -> list[int]:
     """Single-pass greedy support subsample of the scenario program.
 
-    Scans samples in ascending order; a sample is discarded when
-    re-solving without it reproduces the full-sample policy within
-    :data:`SOLUTION_TOL` (max-norm over all policy entries).  Returns the
-    retained indices (increasing); re-solving on exactly that subsample
-    reproduces the full solution, which is verified before returning.
+    ``policy`` is the program's solution, synthesized by
+    :func:`solve_affine_policy` on these scenarios; a policy synthesized on
+    other scenarios raises :class:`MismatchedFingerprints`.  Scans samples
+    in ascending order; a sample is discarded when re-solving without it
+    reproduces the policy within :data:`SOLUTION_TOL` (max-norm over all
+    policy entries).  Returns the retained indices (increasing); re-solving
+    on exactly that subsample reproduces the policy, which is verified
+    before returning.
 
-    Samples whose constraint rows are all strictly slack at the full
-    solution cannot move the 1-norm optimum of any vertex block; they are
-    discarded without a re-solve, and the final verification guards the
-    shortcut.  Re-solves touching only the affected vertices cover the
-    rest.  If verification fails the literal one-removal-at-a-time pass
-    is rerun without shortcuts.
-
-    ``policy`` is the program's solution synthesized by
-    :func:`solve_affine_policy` on these scenarios; without it the program
-    is solved here first (raising :class:`Infeasible` as that function
-    does).  A policy synthesized on other scenarios raises
-    :class:`MismatchedFingerprints`.
+    Samples whose constraint rows are all strictly slack (by at least
+    :data:`_ACTIVE_TOL`) at the policy cannot move the 1-norm optimum of
+    any vertex block; they are discarded without a re-solve, and the final
+    verification guards the shortcut.  Re-solves touching only the affected
+    vertices cover the rest.  If verification fails, the literal pass
+    re-solves every vertex for every removal.
     """
-    if policy is None:
-        policy = solve_affine_policy(family, S, U, scenarios)
-    elif policy.scenario_fingerprint != scenarios.fingerprint:
+    if policy.scenario_fingerprint != scenarios.fingerprint:
         raise MismatchedFingerprints(
             f"policy scenario fingerprint {policy.scenario_fingerprint} "
             f"does not match the scenario set ({scenarios.fingerprint})"
@@ -518,22 +508,22 @@ def greedy_support_subsample(
         slack[i] = s.reshape(prog.K, prog.block_rows).min(axis=1)
     touches = slack < _ACTIVE_TOL  # (N, K)
 
-    matches = _match_checker(prog, full)
-    keep = np.ones(prog.K, dtype=bool)
-    for j in range(prog.K):
-        keep[j] = False
-        affected = np.flatnonzero(touches[:, j])
-        if affected.size and not matches(np.flatnonzero(keep), affected):
-            keep[j] = True
-    retained = np.flatnonzero(keep).tolist()
-
-    if matches(retained, range(prog.N)):
-        return retained
-    # shortcut assumptions failed (ties between optima); literal pass
-    return _greedy_literal(prog, full)
+    retained = _reduce(prog, full, touches)
+    if retained is None:
+        # shortcut assumptions failed (ties between optima); literal pass
+        retained = _reduce(prog, full, np.ones_like(touches))
+    if retained is None:
+        raise MismatchedFingerprints("policy is not the solution of this scenario program")
+    return retained
 
 
-def _match_checker(prog, full):
+def _reduce(prog, full, touches) -> list[int] | None:
+    """The one-removal-at-a-time pass: sample j is dropped when re-solving
+    the vertices ``touches[:, j]`` marks, without it and every sample
+    dropped before, reproduces ``full`` within :data:`SOLUTION_TOL`.
+    Returns the retained indices, or None when re-solving every vertex on
+    them does not reproduce ``full``."""
+
     def matches(subset, vertices) -> bool:
         for i in vertices:
             z = prog.solve_vertex(i, subset)
@@ -545,15 +535,11 @@ def _match_checker(prog, full):
                 return False
         return True
 
-    return matches
-
-
-def _greedy_literal(prog, full):
-    """The one-removal-at-a-time pass with a full re-solve per removal."""
-    matches = _match_checker(prog, full)
     keep = np.ones(prog.K, dtype=bool)
     for j in range(prog.K):
         keep[j] = False
-        if not matches(np.flatnonzero(keep), range(prog.N)):
+        affected = np.flatnonzero(touches[:, j])
+        if affected.size and not matches(np.flatnonzero(keep), affected):
             keep[j] = True
-    return np.flatnonzero(keep).tolist()
+    retained = np.flatnonzero(keep).tolist()
+    return retained if matches(retained, range(prog.N)) else None

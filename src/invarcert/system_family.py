@@ -153,10 +153,14 @@ class AffineFamily:
         if B0.shape[0] != A0.shape[0]:
             raise DimensionMismatch("B0 row count must match A0")
         A_terms = tuple(np.array(t, dtype=float) for t in A_terms)
-        B_terms = tuple(np.array(t, dtype=float).reshape(B0.shape) for t in B_terms)
-        for t in A_terms:
-            if t.shape != A0.shape:
-                raise DimensionMismatch("every A term must match A0's shape")
+        B_terms = tuple(np.array(t, dtype=float) for t in B_terms)
+        B_terms = tuple(t[:, None] if t.ndim == 1 else t for t in B_terms)
+        for name, terms, shape in (("A", A_terms, A0.shape), ("B", B_terms, B0.shape)):
+            for k, t in enumerate(terms):
+                if t.shape != shape:
+                    raise DimensionMismatch(
+                        f"{name}k[{k}] has shape {t.shape}, expected {shape} as {name}0"
+                    )
         if A_terms and B_terms and len(A_terms) != len(B_terms):
             raise DimensionMismatch("A and B term counts differ")
         for a in (A0, B0) + A_terms + B_terms:

@@ -91,7 +91,8 @@ def _small_run(K=4):
 
 def test_build_certificate_and_serialization():
     _, _, _, scen, policy = _small_run()
-    cert = ic.build_certificate(scen.K, 2, 1e-3, policy, scen)
+    cert = ic.build_certificate(2, 1e-3, policy, scen)
+    assert cert.K == scen.K and cert.s_K == 2
     assert cert.epsilon == pytest.approx(epsilon_even_split(2, scen.K, 1e-3))
     assert cert.invariance_probability == pytest.approx(1 - cert.epsilon)
     assert not cert.vacuous
@@ -102,7 +103,7 @@ def test_build_certificate_and_serialization():
 
 def test_vacuous_certificate_flagged():
     _, _, _, scen, policy = _small_run()
-    cert = ic.build_certificate(scen.K, scen.K, 1e-3, policy, scen)
+    cert = ic.build_certificate(scen.K, 1e-3, policy, scen)
     assert cert.epsilon == 1.0
     assert cert.invariance_probability == 0.0
     assert cert.vacuous
@@ -113,13 +114,7 @@ def test_fingerprint_mismatch_rejected():
     _, _, _, scen, policy = _small_run()
     other = ic.ScenarioSet(samples=np.array([[0.123], [0.456], [0.7], [0.9]]))
     with pytest.raises(ic.MismatchedFingerprints):
-        ic.build_certificate(other.K, 1, 1e-3, policy, other)
-
-
-def test_certificate_k_must_match_scenarios():
-    _, _, _, scen, policy = _small_run()
-    with pytest.raises(InvalidArguments):
-        ic.build_certificate(scen.K + 1, 1, 1e-3, policy, scen)
+        ic.build_certificate(1, 1e-3, policy, other)
 
 
 def test_arguments_must_be_integers():

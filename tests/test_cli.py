@@ -626,3 +626,156 @@ def test_policy_file_not_an_object(payload, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: policy file must hold a JSON object\n"
+
+
+def affine_config():
+    """A 2-state affine plant with one parameter and explicit facets; certifies."""
+    return {
+        "schema": 1,
+        "system": {
+            "affine": {
+                "A0": [[1.1, 0.1], [0.0, 0.5]],
+                "B0": [[1.0], [0.0]],
+                "Ak": [[[0.1, 0.0], [0.0, 0.1]]],
+                "Bk": [[[0.0], [0.1]]],
+            }
+        },
+        "state_set": {
+            "facets": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+            "vertices": [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]],
+        },
+        "input_set": {"box": {"lower": [-1], "upper": [1]}},
+        "scenarios": {"uniform": {"lower": [-1], "upper": [1]}, "count": 5, "seed": 0},
+        "beta": 1e-3,
+    }
+
+
+def _edit(path, value):
+    """An edit of ``affine_config`` that sets the entry at ``path`` to ``value``."""
+
+    def edit(payload):
+        *parents, last = path
+        for key in parents:
+            payload = payload[key]
+        payload[last] = value
+
+    return edit
+
+
+def _network_edges(edges):
+    """An edit that turns the config into ``feasible_config`` with ``edges``."""
+
+    def edit(payload):
+        payload.update(feasible_config())
+        payload["system"]["network"]["edges"] = edges
+
+    return edit
+
+
+BAD_VALUES = {
+    "table-pairs-not-a-list": (
+        lambda p: p.update(system={"table": {"pairs": 3}}),
+        "system.table.pairs must be a list",
+    ),
+    "network-node-not-an-integer": (
+        _network_edges([[0, 1], [1, 2.5]]),
+        "system.network.edges must hold node numbers",
+    ),
+    "network-edge-not-a-pair": (
+        _network_edges([[0, 1, 2], [1, 2, 0]]),
+        "system.network.edges must hold [i, j] pairs",
+    ),
+    "scenario-file-not-a-path": (
+        _edit(["scenarios"], {"file": 3}),
+        "scenarios.file must be a path",
+    ),
+    "beta-a-list": (_edit(["beta"], [1]), "beta must be a number in (0, 1), got [1]"),
+    "count-a-list": (
+        _edit(["scenarios", "count"], [3]),
+        "scenarios.count must be an integer >= 1, got [3]",
+    ),
+    "uniform-lower-nan": (
+        _edit(["scenarios", "uniform", "lower"], [float("nan")]),
+        "scenarios.uniform.lower must be finite",
+    ),
+    "affine-A0-nan": (
+        _edit(["system", "affine", "A0", 0, 1], float("nan")),
+        "system.affine.A0 must be finite",
+    ),
+    "affine-Bk-string": (
+        _edit(["system", "affine", "Bk", 0], "B"),
+        "system.affine.Bk[0] must be an array of numbers",
+    ),
+    "affine-Bk-flat": (
+        _edit(["system", "affine", "Bk", 0], [[0.0, 0.1]]),
+        "Bk[0] has shape (1, 2), expected (2, 1) as B0",
+    ),
+    "facets-nan": (
+        _edit(["state_set", "facets", 2, 0], float("nan")),
+        "state_set.facets must be finite",
+    ),
+    "box-lower-infinite": (
+        _edit(["input_set", "box", "lower"], [float("-inf")]),
+        "input_set.box.lower must be finite",
+    ),
+    "count-not-an-integer": (
+        _edit(["scenarios", "count"], 2.7),
+        "scenarios.count must be an integer >= 1, got 2.7",
+    ),
+    "box-lower-a-matrix": (
+        _edit(["input_set", "box", "lower"], [[-1]]),
+        "input_set.box.lower must be a 1-d array of numbers",
+    ),
+    "state-set-tol": (
+        _edit(["state_set", "tol"], 1e-6),
+        "unknown key 'tol' in state_set (known: facets, vertices)",
+    ),
+    "estimate-seed-negative": (
+        _edit(["options"], {"estimate_seed": -1}),
+        "options.estimate_seed must be an integer >= 0, got -1",
+    ),
+}
+
+
+def test_affine_config_certifies(tmp_path, capsys):
+    assert main(["certify", "--config", write(tmp_path, affine_config())]) == 0
+
+
+@pytest.mark.parametrize("case", list(BAD_VALUES))
+def test_bad_config_value_named_at_load(case, tmp_path, capsys, monkeypatch):
+    # each value fails with one error line naming its key, before synthesis
+    from invarcert import scenario
+
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesis ran")
+
+    monkeypatch.setattr(scenario, "solve_affine_policy", no_synthesis)
+    edit, message = BAD_VALUES[case]
+    payload = affine_config()
+    edit(payload)
+    assert main(["certify", "--config", write(tmp_path, payload)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_non_finite_plant_fails_simulate_before_any_step(tmp_path, capsys, monkeypatch):
+    from invarcert import closed_loop
+
+    clean = write(tmp_path, affine_config(), name="clean.json")
+    out = tmp_path / "run"
+    assert main(["certify", "--config", clean, "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulation ran")
+
+    monkeypatch.setattr(closed_loop, "simulate_closed_loop", no_simulation)
+    payload = affine_config()
+    payload["system"]["affine"]["A0"][0][1] = float("nan")
+    cfg = write(tmp_path, payload)
+    argv = ["simulate", "--config", cfg, "--policy", str(out / "report.json")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: system.affine.A0 must be finite\n"

@@ -109,9 +109,18 @@ def test_requires_state_dim_at_least_input_dim():
         ic.single_sample_iff(fam, ic.box([-1], [1]), ic.box([-1, -1], [1, 1]), [0.0])
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    # 8 rows, m = 2: 28 row subsets per vertex block
+    from invarcert import feasibility
+
+    monkeypatch.setattr(feasibility, "ENUMERATION_CAP", 27)
+    with pytest.raises(EnumerationCapExceeded, match="28 row subsets exceed the cap of 27"):
+        ic.single_sample_iff(zero_dynamics(), UNIT2, UNIT2, [0.0])
+    scen = ic.ScenarioSet(samples=np.zeros((2, 1)))
     with pytest.raises(EnumerationCapExceeded):
-        ic.single_sample_iff(zero_dynamics(), UNIT2, UNIT2, [0.0], cap=3)
+        ic.multisample_necessary(zero_dynamics(), UNIT2, UNIT2, scen)
+    monkeypatch.setattr(feasibility, "ENUMERATION_CAP", 28)
+    assert ic.single_sample_iff(zero_dynamics(), UNIT2, UNIT2, [0.0]).feasible
 
 
 class TestMultisample:

@@ -155,10 +155,13 @@ def test_sub_threshold_pivots_only(alone):
     assert alone == B.tolist()
 
 
-def test_iteration_cap(alone):
+def test_iteration_cap(alone, monkeypatch):
+    # with the cap lowered to 2 pivots, the stack stops after 2 steps and
+    # the lanes still pivoting then reach the cap in their lone solve
     P = random_box(np.random.default_rng(1), 3)
     states = np.array([np.zeros(3), 0.1 * P.vertices[0], 0.4 * P.vertices[5]])
-    lone = _assert_lanes_are_lone(P.decomposition_lp, states, max_iterations=2)
+    monkeypatch.setattr(lp_core, "_max_iterations", lambda m, n: 2)
+    lone = _assert_lanes_are_lone(P.decomposition_lp, states)
     assert lone[0][0] is LpStatus.OPTIMAL
     assert lone[1][0] is lone[2][0] is lp_core.MaxIterationsExceeded
     assert alone == states[[1]].tolist()  # the batch raises at the first

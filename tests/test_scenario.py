@@ -29,6 +29,12 @@ UNIT2 = ic.box([-1, -1], [1, 1])
 UNIT1 = ic.box([-1], [1])
 
 
+def greedy(family, S, U, scen):
+    """The support subsample of the policy synthesized on ``scen``."""
+    policy = ic.solve_affine_policy(family, S, U, scen)
+    return ic.greedy_support_subsample(family, S, U, scen, policy=policy)
+
+
 def reference_blocks(family, S, U, delta):
     """Per-vertex rows ``G`` and right-hand sides ``l`` of one draw, built
     directly from ``family.instantiate``: ``{u : H u <= 1, F B u <= 1 - F A x_i}``."""
@@ -273,7 +279,7 @@ class TestGreedySupportSubsample:
     def test_duplicates_collapse_to_one(self):
         fam = constant_scalar_family(1.3)
         scen = ic.ScenarioSet(samples=np.full((7, 1), 0.7))
-        kept = ic.greedy_support_subsample(fam, UNIT1, UNIT1, scen)
+        kept = greedy(fam, UNIT1, UNIT1, scen)
         assert len(kept) == 1
 
     def test_implied_sample_discarded(self):
@@ -281,14 +287,14 @@ class TestGreedySupportSubsample:
         # interval, so the middle delta's block is implied by the outer two
         fam = constant_scalar_family(1.3)
         scen = ic.ScenarioSet(samples=np.array([[0.5], [0.0], [1.0]]))
-        kept = ic.greedy_support_subsample(fam, UNIT1, UNIT1, scen)
+        kept = greedy(fam, UNIT1, UNIT1, scen)
         assert 0 not in kept
         assert len(kept) == 1
 
     def test_single_sample(self):
         fam = constant_scalar_family(1.3)
         scen = ic.ScenarioSet(samples=np.array([[0.4]]))
-        kept = ic.greedy_support_subsample(fam, UNIT1, UNIT1, scen)
+        kept = greedy(fam, UNIT1, UNIT1, scen)
         assert kept == [0]
 
     def test_contractive_system_needs_no_samples(self):
@@ -296,7 +302,7 @@ class TestGreedySupportSubsample:
         # can be removed without moving the optimum
         fam = constant_scalar_family(0.5)
         scen = ic.ScenarioSet(samples=np.linspace(0, 1, 6)[:, None])
-        assert ic.greedy_support_subsample(fam, UNIT1, UNIT1, scen) == []
+        assert greedy(fam, UNIT1, UNIT1, scen) == []
 
     def test_support_reproduces_full_solution(self):
         rng = np.random.default_rng(31)
@@ -305,7 +311,7 @@ class TestGreedySupportSubsample:
             fam, S, U = random_scalar_unstable_instance(rng)
             scen = ic.ScenarioSet(samples=rng.uniform(-1, 1, size=(20, 2)))
             full = ic.solve_affine_policy(fam, S, U, scen)
-            kept = ic.greedy_support_subsample(fam, S, U, scen)
+            kept = ic.greedy_support_subsample(fam, S, U, scen, policy=full)
             if kept:
                 sub = ic.ScenarioSet(samples=scen.samples[kept])
                 again = ic.solve_affine_policy(fam, S, U, sub)
@@ -315,11 +321,15 @@ class TestGreedySupportSubsample:
         assert nontrivial >= 3
 
     def test_infeasible_program_rejected(self):
+        # the reduction starts from a synthesized policy, which an
+        # infeasible program does not have; it never synthesizes one itself
         fam = ic.AffineFamily(
             A0=[[3.0]], B0=[[0.0]], A_terms=[[[0.0]]], B_terms=[[[0.0]]]
         )
         scen = ic.ScenarioSet(samples=np.array([[0.0]]))
         with pytest.raises(Infeasible):
+            ic.solve_affine_policy(fam, UNIT1, UNIT1, scen)
+        with pytest.raises(TypeError, match="policy"):
             ic.greedy_support_subsample(fam, UNIT1, UNIT1, scen)
 
 
@@ -399,7 +409,7 @@ class TestGreedyUnderTies:
         ):
             scen = ic.ScenarioSet(samples=samples)
             full = ic.solve_affine_policy(fam, UNIT1, UNIT1, scen)
-            kept = ic.greedy_support_subsample(fam, UNIT1, UNIT1, scen)
+            kept = ic.greedy_support_subsample(fam, UNIT1, UNIT1, scen, policy=full)
             if kept:
                 sub = ic.ScenarioSet(samples=scen.samples[kept])
                 again = ic.solve_affine_policy(fam, UNIT1, UNIT1, sub)
@@ -437,20 +447,60 @@ def test_assembly_routes_agree(monkeypatch):
             assert np.array_equal(baseline.rhs[i, idx], prog.rhs[i, idx])
 
 
+def _literal_pass(fam, S, U, scen):
+    """The reduction with every (vertex, sample) pair marked as touching."""
+    from invarcert.scenario import _BlockProgram, _reduce
+
+    prog = _BlockProgram(fam, S, U, scen.samples, affine=True)
+    full = prog.solve_all(range(prog.K))
+    return _reduce(prog, full, np.ones((prog.N, prog.K), dtype=bool))
+
+
 def test_fast_path_matches_literal_pass():
     # the slack-based shortcut must return the same subsample as the
     # literal one-removal-at-a-time pass whenever optima are unique
-    from invarcert.scenario import _BlockProgram, _greedy_literal
-
     rng = np.random.default_rng(91)
     for _ in range(12):
         fam, S, U = random_scalar_unstable_instance(rng)
         scen = ic.ScenarioSet(samples=rng.uniform(-1, 1, size=(18, 2)))
-        fast = ic.greedy_support_subsample(fam, S, U, scen)
-        prog = _BlockProgram(fam, S, U, scen.samples, affine=True)
-        full = prog.solve_all(range(prog.K))
-        literal = _greedy_literal(prog, full)
-        assert fast == literal
+        assert greedy(fam, S, U, scen) == _literal_pass(fam, S, U, scen)
+
+
+def test_greedy_falls_back_to_the_literal_pass(monkeypatch):
+    # with a negative activity tolerance no sample touches any vertex, so
+    # the shortcut drops every sample; its verification fails on this
+    # nonempty support and the public function reruns the literal pass
+    from invarcert import scenario
+
+    fam, S, U, scen = path_instance(K=40, seed=8)
+    policy = ic.solve_affine_policy(fam, S, U, scen)
+    expected = ic.greedy_support_subsample(fam, S, U, scen, policy=policy)
+    assert expected  # a nonempty support
+    masks = []
+
+    def spy(prog, full, touches):
+        masks.append(touches.copy())
+        return reduce(prog, full, touches)
+
+    reduce = scenario._reduce
+    monkeypatch.setattr(scenario, "_ACTIVE_TOL", -1.0)
+    monkeypatch.setattr(scenario, "_reduce", spy)
+    kept = ic.greedy_support_subsample(fam, S, U, scen, policy=policy)
+    assert [mask.mean() for mask in masks] == [0.0, 1.0]  # shortcut, then literal
+    assert kept == _literal_pass(fam, S, U, scen) == expected
+    again = ic.solve_affine_policy(fam, S, U, ic.ScenarioSet(samples=scen.samples[kept]))
+    assert np.abs(again.gains - policy.gains).max() <= scenario.SOLUTION_TOL
+    assert np.abs(again.offsets - policy.offsets).max() <= scenario.SOLUTION_TOL
+
+
+def test_greedy_rejects_the_policy_of_another_program():
+    # the scenarios match, but the policy solves the program of another S,
+    # so not even the full sample list reproduces it
+    fam, S, U, scen = path_instance(K=40, seed=8)
+    policy = ic.solve_affine_policy(fam, S, U, scen)
+    with pytest.raises(ic.MismatchedFingerprints, match="not the solution"):
+        other_S = ic.box([-0.9, -0.9], [0.9, 0.9])
+        ic.greedy_support_subsample(fam, other_S, U, scen, policy=policy)
 
 
 def _admissibility_case(kind, rng):
@@ -509,7 +559,7 @@ def test_admissibility_at_the_tolerance():
 def test_greedy_reuses_the_synthesized_policy(monkeypatch):
     fam, S, U, scen = path_instance(K=40, seed=8)
     policy = ic.solve_affine_policy(fam, S, U, scen)
-    expected = ic.greedy_support_subsample(fam, S, U, scen)
+    expected = ic.greedy_support_subsample(fam, S, U, scen, policy=policy)
     assert expected  # a nonempty support
 
     from invarcert import scenario

@@ -157,6 +157,18 @@ def test_affine_family():
         fam.instantiate([0.1, 0.2])
 
 
+def test_affine_term_shapes_must_match():
+    # a B term given flat (1 x n*m) is refused, not reshaped; a vector is a
+    # column, as for B0
+    A0, B0 = np.eye(2), np.ones((2, 2))
+    with pytest.raises(ic.DimensionMismatch, match=r"Bk\[0\] has shape \(1, 4\)"):
+        ic.AffineFamily(A0=A0, B0=B0, A_terms=[A0], B_terms=[np.ones((1, 4))])
+    with pytest.raises(ic.DimensionMismatch, match=r"Ak\[1\] has shape \(2, 3\)"):
+        ic.AffineFamily(A0=A0, B0=B0, A_terms=[A0, np.ones((2, 3))])
+    column = ic.AffineFamily(A0=A0, B0=[1.0, 0.0], B_terms=[[0.5, 0.5]])
+    assert column.B_terms[0].shape == (2, 1)
+
+
 def test_table_family():
     A0, B0 = np.eye(2), np.ones((2, 1))
     A1, B1 = 0.5 * np.eye(2), -np.ones((2, 1))
