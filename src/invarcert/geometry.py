@@ -161,8 +161,10 @@ def validate_polytope(facets, vertices) -> Polytope:
     vertex list against each other, within :data:`DEFAULT_TOL`, and return
     a Polytope.
 
-    On failure, raises the specific error when a single invariant is
-    violated, or a :class:`PolytopeValidationError` listing all of them.
+    A non-finite facet row or vertex is refused first, by a
+    :class:`PolytopeError` naming it.  On any other failure, raises the
+    specific error when a single invariant is violated, or a
+    :class:`PolytopeValidationError` listing all of them.
     """
     F = np.array(facets, dtype=float)
     X = np.array(vertices, dtype=float)
@@ -172,6 +174,11 @@ def validate_polytope(facets, vertices) -> Polytope:
         raise DimensionMismatch(
             f"facet columns ({F.shape[1]}) != vertex dimension ({X.shape[1]})"
         )
+    for what, M in (("facet row", F), ("vertex", X)):
+        finite = np.isfinite(M).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise PolytopeError(f"{what} {row} is not finite: {M[row].tolist()}")
 
     issues = []
     n = F.shape[1]

@@ -18,27 +18,27 @@ Problem form::
 Intended for small dense problems (hundreds of rows); there is no sparse
 path and no factorization reuse between solves.  What a program's
 right-hand side does not touch (its standard form) is built on the first
-solve and kept; :meth:`LinearProgram.with_rhs` gives the same program with
-a new ``b_eq`` that shares it, so a family of programs differing only in
-their equality right-hand side (the vertex decomposition of
-:mod:`invarcert.geometry`) is validated and converted once.
+solve and kept.
 
-:func:`solve_batch` solves such a family, a stack of ``b_eq``, as one
-stack of tableaux: pricing is one stacked ``matmul``, a pivot one
-broadcast update, the basis solves one stacked ``np.linalg.solve``, and
-finished lanes drop out.  The stack runs Dantzig's rule only, for no more
-steps than a lone run takes before it could switch to Bland's rule or
-reach the iteration cap; every lane makes the choices of the lone
-tableau, and a stacked ``matmul`` or ``solve`` computes each lane as the
-lone call does.  Any other lane (a second-choice entering column, an
-unbounded or infeasible program, a lane still pivoting at that step, a
-singular basis, a primal violation) is solved again from the start by
-:func:`solve`, so each outcome is bit for bit that of :func:`solve` and
-the rare rules live in one place.  A single program is cheaper through
-:func:`solve`; the stack pays off from a few lanes on.
+:func:`solve_batch` solves a family of programs that differ only in
+their equality right-hand side (the vertex decomposition of
+:mod:`invarcert.geometry`), given as one program and a stack of
+``b_eq``, validated and converted once, as one stack of tableaux:
+pricing is one stacked ``matmul``, a pivot one broadcast update, the
+basis solves one stacked ``np.linalg.solve``, and finished lanes drop
+out.  The stack runs Dantzig's rule only, for no more steps than a lone
+run takes before it could switch to Bland's rule or reach the iteration
+cap; every lane makes the choices of the lone tableau, and a stacked
+``matmul`` or ``solve`` computes each lane as the lone call does.  Any
+other lane (a second-choice entering column, an unbounded or infeasible
+program, a lane still pivoting at that step, a singular basis, a primal
+violation) is solved again from the start by :func:`solve`, as a fresh
+program with its own ``b_eq``, so each outcome is bit for bit that of
+:func:`solve` and the rare rules live in one place.  A single program is
+cheaper through :func:`solve`; the stack pays off from a few lanes on.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
@@ -104,24 +104,6 @@ class LinearProgram:
     def _standard(self) -> "_StandardForm":
         return _to_standard_form(self)
 
-    def with_rhs(self, *, b_eq) -> "LinearProgram":
-        """This program with ``b_eq`` replaced.
-
-        The cost, the matrices and the bounds are shared, not copied or
-        validated again, and so is their standard form, which is built once
-        for all the variants.  Only the new right-hand side is checked.
-        """
-        self._standard  # built here, so every copy shares it
-        new = object.__new__(LinearProgram)
-        new.__dict__.update(self.__dict__)
-        b_eq = np.asarray(b_eq, dtype=float).ravel()
-        if self.A_eq is None or self.A_eq.shape[0] != b_eq.size:
-            raise DimensionMismatch("A_eq and b_eq row counts differ")
-        if not np.all(np.isfinite(b_eq)):
-            raise ValueError("LP data must be finite")
-        object.__setattr__(new, "b_eq", b_eq)
-        return new
-
 
 @dataclass(frozen=True)
 class LpOutcome:
@@ -141,7 +123,7 @@ class _StandardForm:
 
     Everything here is independent of the right-hand side: :meth:`rhs`
     builds ``r`` for a program's ``b_in``/``b_eq``, so one instance serves
-    every :meth:`LinearProgram.with_rhs` variant of a program.
+    every lane of :func:`solve_batch`.
     """
 
     c: np.ndarray
@@ -610,7 +592,7 @@ def solve(lp: LinearProgram, *, feas_tol: float = DEFAULT_FEAS_TOL) -> LpOutcome
 def solve_batch(
     lp: LinearProgram, *, b_eq, feas_tol: float = DEFAULT_FEAS_TOL
 ) -> list[LpOutcome]:
-    """:func:`solve` of ``lp.with_rhs(b_eq=row)`` for every row of ``b_eq``.
+    """:func:`solve` of ``lp`` with ``b_eq`` replaced by each row of ``b_eq``.
 
     The (L, k) stack of right-hand sides is solved as one stack of
     tableaux, pivoted together with Dantzig's rule.  Each outcome, with its
@@ -660,7 +642,7 @@ def solve_batch(
                 iterations=int(stack.iterations[i]),
             )
     for lane in sorted(alone):
-        outcomes[lane] = solve(lp.with_rhs(b_eq=b_eq[lane]), feas_tol=feas_tol)
+        outcomes[lane] = solve(replace(lp, b_eq=b_eq[lane]), feas_tol=feas_tol)
     return outcomes
 
 

@@ -164,7 +164,10 @@ class ScenarioSet:
             [float(tok) for tok in first.replace(",", " ").split()]
         except ValueError:
             skip = 1  # header line
-        samples = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+        try:
+            samples = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         return cls(samples=samples)
 
     @property
@@ -266,8 +269,15 @@ class _BlockProgram:
     For the affine policy the unknown is ``z_i = (vec C_i, d_i)``, so the
     rows are the input-space rows ``G`` composed with the policy map
     ``u = C_i delta + d_i``; for the constant-input baseline it is ``d_i``
-    alone.  The row matrix is shared by all vertices; only the image
-    right-hand side depends on the vertex.
+    alone.  The rows are indexed by sample, ``rows`` (K, block_rows, dvar)
+    shared by all vertices and ``rhs`` (N, K, block_rows), since only the
+    image right-hand side depends on the vertex.
+
+    Every working LP of constraint generation minimizes ``sum(t)`` over
+    ``(z, t)`` subject to its working rows on ``z`` and the epigraph rows
+    ``z - t <= 0``, ``-z - t <= 0``, with ``t >= 0``; the epigraph rows,
+    the cost and the bounds are the same for all of them and are built
+    here, once.
     """
 
     def __init__(self, family, S, U, samples, affine=True):
@@ -277,19 +287,17 @@ class _BlockProgram:
         self.K, ell = samples.shape
         self.N = S.vertex_count
         self.m = U.dim
-        self.dvar = self.m * (ell + 1) if affine else self.m
+        self.dvar = d = self.m * (ell + 1) if affine else self.m
         self.block_rows = U.facet_count + S.facet_count
 
-        self.rows = np.empty((self.K * self.block_rows, self.dvar))
-        self.rhs = np.empty((self.N, self.K * self.block_rows))
-        rows = self.rows.reshape(self.K, self.block_rows, self.dvar)
-        rhs = self.rhs.reshape(self.N, self.K, self.block_rows)
+        self.rows = np.empty((self.K, self.block_rows, d))
+        self.rhs = np.empty((self.N, self.K, self.block_rows))
         for lo, hi in chunks(self.K):
             part = samples[lo:hi]
             G, l = vertex_constraints(family, S, U, part, lo)
-            rhs[:, lo:hi] = l.transpose(1, 0, 2)
-            block = rows[lo:hi]
-            block[:, :, self.dvar - self.m :] = G
+            self.rhs[:, lo:hi] = l.transpose(1, 0, 2)
+            block = self.rows[lo:hi]
+            block[:, :, d - self.m :] = G
             if affine:  # column (a, k) of C_i multiplies G[:, a] by delta_k
                 gains = block[:, :, : self.m * ell]
                 np.multiply(
@@ -298,14 +306,10 @@ class _BlockProgram:
                     out=gains.reshape(part.shape[0], self.block_rows, self.m, ell),
                 )
 
-    def row_indices(self, sample_indices) -> np.ndarray:
-        base = np.asarray(sample_indices, dtype=int) * self.block_rows
-        return (base[:, None] + np.arange(self.block_rows)).ravel()
-
-    def violations(self, vertex: int, z: np.ndarray, idx) -> np.ndarray:
-        """``rows @ z - rhs`` of ``vertex`` on the rows ``idx``: an index
-        array, or a slice, which reads a contiguous run of rows in place."""
-        return self.rows[idx] @ z - self.rhs[vertex, idx]
+        eye = np.eye(d)
+        self._epigraph = np.block([[eye, -eye], [-eye, -eye]])
+        self._cost = np.concatenate([np.zeros(d), np.ones(d)])
+        self._bounds = [(None, None)] * d + [(0.0, None)] * d
 
     def solve_vertex(self, vertex: int, sample_indices) -> np.ndarray | None:
         """1-norm-minimal feasible point of the vertex block, or None.
@@ -317,54 +321,45 @@ class _BlockProgram:
         lowest position in the ordered sample list -- and re-solves with
         the deterministic simplex core.
 
-        Samples forming one increasing run, as in synthesis, are read
-        from the row matrix in place: the same product as on their
-        gathered copy.  Any other subsample is gathered first, because
-        BLAS may compute the last few rows of a product with another
-        kernel, so its rows read within the full matrix could round
-        differently.
+        The subsample's rows and right-hand side are taken once, and every
+        round reads both from that pair.  Samples forming one increasing
+        run, as in synthesis, are a view of the stored rows: the same
+        product as on their gathered copy.  Any other subsample is
+        gathered, because BLAS may compute the last few rows of a product
+        with another kernel, so its rows read within the full matrix could
+        round differently.
         """
-        idx = self.row_indices(sample_indices)
+        take = np.asarray(sample_indices, dtype=int)
         z = np.zeros(self.dvar)
-        if idx.size == 0:
+        if take.size == 0:
             return z
-        take = idx
-        if np.all(np.diff(idx) == 1):
-            take = slice(int(idx[0]), int(idx[-1]) + 1)
+        if np.all(np.diff(take) == 1):
+            take = slice(int(take[0]), int(take[-1]) + 1)
+        A = self.rows[take].reshape(-1, self.dvar)
+        b = self.rhs[vertex, take].reshape(-1)
         working: list[int] = []
-        in_working = np.zeros(idx.size, dtype=bool)
-        for _ in range(idx.size + 1):
-            viol = self.violations(vertex, z, take)
+        in_working = np.zeros(b.size, dtype=bool)
+        for _ in range(b.size + 1):
+            viol = A @ z - b
             viol[in_working] = -np.inf  # already enforced exactly
             batch = _most_violated(viol, lp_core.DEFAULT_FEAS_TOL)
             if batch.size == 0:
                 return z
             working.extend(batch)
             in_working[batch] = True
-            z = self._solve_working(vertex, idx[working])
+            z = self._solve_working(A[working], b[working])
             if z is None:
                 return None
         raise NumericalBreakdown("constraint generation failed to converge")
 
-    def _solve_working(self, vertex: int, row_idx: np.ndarray) -> np.ndarray | None:
-        A_w = self.rows[row_idx]
-        b_w = self.rhs[vertex, row_idx]
-        d = self.dvar
-        eye = np.eye(d)
-        A_in = np.vstack(
-            [
-                np.hstack([A_w, np.zeros((A_w.shape[0], d))]),
-                np.hstack([eye, -eye]),
-                np.hstack([-eye, -eye]),
-            ]
-        )
-        b_in = np.concatenate([b_w, np.zeros(2 * d)])
-        lp = lp_core.LinearProgram(
-            c=np.concatenate([np.zeros(d), np.ones(d)]),
-            A_in=A_in,
-            b_in=b_in,
-            bounds=[(None, None)] * d + [(0.0, None)] * d,
-        )
+    def _solve_working(self, A_w: np.ndarray, b_w: np.ndarray) -> np.ndarray | None:
+        w, d = b_w.size, self.dvar
+        A_in = np.zeros((w + 2 * d, 2 * d))
+        A_in[:w, :d] = A_w
+        A_in[w:] = self._epigraph
+        b_in = np.zeros(w + 2 * d)
+        b_in[:w] = b_w
+        lp = lp_core.LinearProgram(c=self._cost, A_in=A_in, b_in=b_in, bounds=self._bounds)
         outcome = lp_core.solve(lp)
         if outcome.status is lp_core.LpStatus.INFEASIBLE:
             return None
@@ -390,20 +385,13 @@ class _BlockProgram:
         the most violated one of that sample's block at the solution of
         the prefix without it.
         """
-
-        def prefix_feasible(length: int) -> bool:
-            return all(
-                self.solve_vertex(i, range(length)) is not None
-                for i in range(self.N)
-            )
-
         lo, hi = 0, self.K  # prefix [:lo] feasible, [:hi] infeasible
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if prefix_feasible(mid):
-                lo = mid
-            else:
+            if self.solve_all(range(mid)) is None:
                 hi = mid
+            else:
+                lo = mid
         culprit = hi - 1
         vertex = next(
             i for i in range(self.N) if self.solve_vertex(i, range(hi)) is None
@@ -411,7 +399,7 @@ class _BlockProgram:
         z = self.solve_vertex(vertex, range(culprit))
         if z is None:  # pragma: no cover - prefix was verified feasible
             raise NumericalBreakdown("diagnosis lost feasibility")
-        block = self.violations(vertex, z, self.row_indices([culprit]))
+        block = self.rows[culprit] @ z - self.rhs[vertex, culprit]
         return culprit, vertex, int(np.argmax(block))
 
 
@@ -479,7 +467,9 @@ def greedy_support_subsample(
 
     ``policy`` is the program's solution, synthesized by
     :func:`solve_affine_policy` on these scenarios; a policy synthesized on
-    other scenarios raises :class:`MismatchedFingerprints`.  Scans samples
+    other scenarios raises :class:`MismatchedFingerprints`, and so does a
+    policy that violates a row of this program by more than
+    :data:`geometry.DEFAULT_TOL`, before any re-solve.  Scans samples
     in ascending order; a sample is discarded when re-solving without it
     reproduces the policy within :data:`SOLUTION_TOL` (max-norm over all
     policy entries).  Returns the retained indices (increasing); re-solving
@@ -502,10 +492,16 @@ def greedy_support_subsample(
     full = np.hstack([policy.gains.reshape(prog.N, -1), policy.offsets])
 
     # per (vertex, sample) minimum slack at the full solution
+    rows = prog.rows.reshape(-1, prog.dvar)
     slack = np.empty((prog.N, prog.K))
     for i in range(prog.N):
-        s = prog.rhs[i] - prog.rows @ full[i]
-        slack[i] = s.reshape(prog.K, prog.block_rows).min(axis=1)
+        slack[i] = (prog.rhs[i] - (rows @ full[i]).reshape(prog.K, -1)).min(axis=1)
+    if slack.min() < -DEFAULT_TOL:
+        vertex, sample = np.unravel_index(np.argmin(slack), slack.shape)
+        raise MismatchedFingerprints(
+            f"policy is not the solution of this scenario program: it violates "
+            f"sample {sample} at vertex {vertex} by {-slack[vertex, sample]:.3e}"
+        )
     touches = slack < _ACTIVE_TOL  # (N, K)
 
     retained = _reduce(prog, full, touches)

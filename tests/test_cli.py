@@ -319,6 +319,18 @@ def test_non_finite_scenario_row_rejected(tmp_path, capsys):
     assert captured.err == "error: sample 17 is not finite: [-0.25, nan]\n"
 
 
+def test_non_numeric_scenario_cell_names_the_file(tmp_path, capsys):
+    (tmp_path / "w.csv").write_text("w1,w2\n-0.25,0.5\n-0.25,x\n")
+    payload = feasible_config()
+    payload["scenarios"] = {"file": "w.csv"}
+    assert main(["certify", "--config", write(tmp_path, payload)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(tmp_path / "w.csv") in captured.err
+    assert "could not convert string 'x'" in captured.err
+
+
 def table_index_config(tmp_path, indices):
     """Config of a two-entry table family whose scenarios are ``indices``."""
     np.savetxt(tmp_path / "indices.csv", np.reshape(indices, (-1, 1)), delimiter=",")

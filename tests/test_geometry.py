@@ -7,12 +7,13 @@ import invarcert as ic
 from invarcert.geometry import (
     DecompositionInfeasible,
     OriginNotInterior,
+    PolytopeError,
     PolytopeValidationError,
     RankDeficientFacets,
     UnsupportedFacet,
     VertexOutsideFacets,
 )
-from invarcert.lp_core import LinearProgram, solve
+from invarcert.lp_core import LinearProgram, solve, solve_batch
 
 from instances import (
     decomposition_states,
@@ -57,6 +58,23 @@ def test_origin_not_interior():
     V = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     with pytest.raises((OriginNotInterior, PolytopeValidationError)):
         ic.validate_polytope(F, V)
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        ("facets", np.nan, r"^facet row 1 is not finite: \[nan, 1\.0\]$"),
+        ("facets", np.inf, r"^facet row 1 is not finite: \[inf, 1\.0\]$"),
+        ("vertices", -np.inf, r"^vertex 1 is not finite: \[-inf, 1\.0\]$"),
+    ],
+)
+def test_non_finite_row_refused_first(where, value, message):
+    data = {"facets": UNIT_BOX_F.copy(), "vertices": UNIT_BOX_V.copy()}
+    data[where][1, 0] = value
+    data[where][3, 1] = value  # a later row is not named
+    with pytest.raises(PolytopeError, match=message) as info:
+        ic.validate_polytope(**data)
+    assert type(info.value) is PolytopeError
 
 
 def test_multiple_violations_aggregate():
@@ -264,7 +282,7 @@ def test_per_polytope_decomposition_lp_matches_a_fresh_build(name):
     }[name]()
     assert not P.facet_simplices.simplex.any()
     for x in decomposition_states(P, rng):
-        shared = solve(P.decomposition_lp.with_rhs(b_eq=x), feas_tol=1e-9)
+        shared = solve_batch(P.decomposition_lp, b_eq=x[None], feas_tol=1e-9)[0]
         fresh = _fresh_decomposition(P, x)
         assert shared.status is fresh.status
         assert shared.iterations == fresh.iterations

@@ -10,6 +10,7 @@ the differential corpus and the decomposition programs.
 """
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ POLYTOPES = {
 
 def _lone(lp, b_eq, **kwargs):
     try:
-        out = solve(lp.with_rhs(b_eq=b_eq), **kwargs)
+        out = solve(replace(lp, b_eq=b_eq), **kwargs)
     except NumericalBreakdown as exc:
         return type(exc), str(exc)
     return out.status, out.iterations, None if out.z is None else out.z.tobytes()
@@ -210,7 +211,7 @@ def test_basic_artificials_keep_their_slack_twin(drive_outs):
         P = build(rng)
         states = np.array(decomposition_states(P, rng))
         for x in states:
-            solve(P.decomposition_lp.with_rhs(b_eq=x), feas_tol=1e-8)
+            solve(replace(P.decomposition_lp, b_eq=x), feas_tol=1e-8)
         solve_batch(P.decomposition_lp, b_eq=states, feas_tol=1e-8)
     assert len(drive_outs) > 500 and sum(drive_outs) > 1000
 
@@ -222,3 +223,6 @@ def test_batch_checks_its_right_hand_sides():
     with pytest.raises(ValueError, match="finite"):
         solve_batch(lp, b_eq=[[np.nan]])
     assert solve_batch(lp, b_eq=np.zeros((0, 1))) == []
+    no_equalities = LinearProgram(c=[1.0], A_in=[[1.0]], b_in=[1.0])
+    with pytest.raises(lp_core.DimensionMismatch):
+        solve_batch(no_equalities, b_eq=[[1.0]])

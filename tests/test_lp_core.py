@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from invarcert import lp_core
-from invarcert.lp_core import LinearProgram, LpStatus, solve
+from invarcert.lp_core import LinearProgram, LpStatus, solve, solve_batch
 
 from lp_oracle import enumerate_optimum
 
@@ -187,7 +187,8 @@ def _outcome_bytes(out):
 
 def test_rhs_replacement_matches_a_fresh_build(monkeypatch):
     # free variables, one-sided and two-sided bounds, equalities and
-    # inequalities; every variant must pivot exactly like a fresh program
+    # inequalities; every lane of solve_batch must pivot exactly like a
+    # fresh program, with Dantzig's rule and with Bland's from the start
     rng = np.random.default_rng(17)
     kinds = [None, (None, 1.5), (-1.0, None), (-2.0, 2.0), (0.0, None), (0.5, 0.5)]
     statuses = set()
@@ -202,34 +203,14 @@ def test_rhs_replacement_matches_a_fresh_build(monkeypatch):
         b_in = rng.normal(size=len(data["A_in"])) + 0.5
         b_eq = np.zeros(len(data["A_eq"]))
         template = LinearProgram(b_in=b_in, b_eq=b_eq, **data)
-        for _ in range(8):
-            new_eq = rng.normal(size=b_eq.size)
-            variant = template.with_rhs(b_eq=new_eq)
-            fresh = LinearProgram(b_in=b_in, b_eq=new_eq, **data)
-            for run in (solve, lambda lp: _bland(monkeypatch, lp)):
-                got, want = run(variant), run(fresh)
-                assert _outcome_bytes(got) == _outcome_bytes(want)
-                statuses.add(got.status)
+        B = rng.normal(size=(8, b_eq.size))
+        for stall_limit in (lp_core._Tableau.stall_limit, 0):
+            with monkeypatch.context() as patch:
+                patch.setattr(lp_core._Tableau, "stall_limit", stall_limit)
+                got = solve_batch(template, b_eq=B)
+                want = [solve(LinearProgram(b_in=b_in, b_eq=row, **data)) for row in B]
+            assert list(map(_outcome_bytes, got)) == list(map(_outcome_bytes, want))
+            statuses.update(out.status for out in got)
         assert np.array_equal(template.b_in, b_in)
         assert np.array_equal(template.b_eq, b_eq)
     assert statuses == set(LpStatus)
-
-
-def test_rhs_replacement_is_checked():
-    from invarcert.errors import DimensionMismatch
-
-    lp = LinearProgram(
-        c=[1.0, 1.0], A_in=[[1.0, 0.0]], b_in=[1.0], bounds=[(0.0, None)] * 2
-    )
-    with pytest.raises(DimensionMismatch):
-        lp.with_rhs(b_eq=[1.0])  # the program has no equality rows
-    lp = LinearProgram(
-        c=[1.0, 1.0], A_in=[[1.0, 0.0]], b_in=[1.0], A_eq=[[1.0, 1.0]], b_eq=[1.0],
-        bounds=[(0.0, None)] * 2,
-    )
-    with pytest.raises(DimensionMismatch):
-        lp.with_rhs(b_eq=[1.0, 2.0])
-    with pytest.raises(ValueError, match="finite"):
-        lp.with_rhs(b_eq=[np.inf])
-    assert solve(lp.with_rhs(b_eq=[-1.0])).status is LpStatus.INFEASIBLE
-    assert solve(lp).status is LpStatus.OPTIMAL

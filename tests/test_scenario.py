@@ -9,6 +9,7 @@ from instances import (
     path_instance,
     random_affine_instance,
     random_scalar_unstable_instance,
+    six_node_instance,
     unstable_edge_family,
 )
 
@@ -437,14 +438,13 @@ def test_assembly_routes_agree(monkeypatch):
         delta = samples[j]
         M = np.hstack([np.kron(np.eye(2), delta), np.eye(2)])
         ref_G, ref_l = reference_blocks(fam, S, U, delta)
-        idx = prog.row_indices([j])
         assert np.allclose(G[j], ref_G, atol=1e-12)
-        assert np.allclose(prog.rows[idx], ref_G @ M, atol=1e-12)
-        assert np.array_equal(baseline.rows[idx], G[j])
+        assert np.allclose(prog.rows[j], ref_G @ M, atol=1e-12)
+        assert np.array_equal(baseline.rows[j], G[j])
         for i in range(S.vertex_count):
             assert np.allclose(l[j, i], ref_l[i], atol=1e-12)
-            assert np.allclose(prog.rhs[i, idx], ref_l[i], atol=1e-12)
-            assert np.array_equal(baseline.rhs[i, idx], prog.rhs[i, idx])
+            assert np.allclose(prog.rhs[i, j], ref_l[i], atol=1e-12)
+            assert np.array_equal(baseline.rhs[i, j], prog.rhs[i, j])
 
 
 def _literal_pass(fam, S, U, scen):
@@ -493,14 +493,34 @@ def test_greedy_falls_back_to_the_literal_pass(monkeypatch):
     assert np.abs(again.offsets - policy.offsets).max() <= scenario.SOLUTION_TOL
 
 
-def test_greedy_rejects_the_policy_of_another_program():
-    # the scenarios match, but the policy solves the program of another S,
-    # so not even the full sample list reproduces it
+def test_greedy_rejects_the_policy_of_another_program(monkeypatch):
+    # the scenarios match, but the policy solves the program of another S
+    # and violates its rows, which is seen before any re-solve
+    from invarcert.scenario import _BlockProgram
+
     fam, S, U, scen = path_instance(K=40, seed=8)
     policy = ic.solve_affine_policy(fam, S, U, scen)
-    with pytest.raises(ic.MismatchedFingerprints, match="not the solution"):
+    calls = []
+    solve_vertex = _BlockProgram.solve_vertex
+    monkeypatch.setattr(
+        _BlockProgram,
+        "solve_vertex",
+        lambda self, *args: calls.append(args) or solve_vertex(self, *args),
+    )
+    message = "not the solution .* violates sample 0 at vertex 0 by 7.72"
+    with pytest.raises(ic.MismatchedFingerprints, match=message):
         other_S = ic.box([-0.9, -0.9], [0.9, 0.9])
         ic.greedy_support_subsample(fam, other_S, U, scen, policy=policy)
+    assert calls == []
+
+
+def test_network6_scenario_draw_support_is_pinned():
+    # the scenario draw of the network6 workload (seed 0); S is built here
+    # from the eigenvectors, not from the workload's written-out facets, so
+    # the policy fingerprint differs and only the support is pinned
+    fam, S, U, scen = six_node_instance(K=600, seed=0)
+    policy = ic.solve_affine_policy(fam, S, U, scen)
+    assert ic.greedy_support_subsample(fam, S, U, scen, policy=policy) == [110]
 
 
 def _admissibility_case(kind, rng):
@@ -616,16 +636,22 @@ def test_most_violated_on_random_ties():
 
 
 def _reference_solve_vertex(prog, vertex, sample_indices, seen):
-    """Constraint generation as first written: gathered rows, full sort.
-    Appends each round's violations to ``seen``."""
-    idx = prog.row_indices(sample_indices)
-    z = np.zeros(prog.dvar)
+    """Constraint generation as first written: each round gathers the
+    subsample's rows, sorts all violations, and builds its working LP with
+    the epigraph rows of the 1-norm.  Appends each round's violations to
+    ``seen``."""
+    d = prog.dvar
+    sample_indices = np.asarray(sample_indices, dtype=int)
+    rows = prog.rows.reshape(-1, d)
+    rhs = prog.rhs[vertex].ravel()
+    idx = (sample_indices[:, None] * prog.block_rows + np.arange(prog.block_rows)).ravel()
+    z = np.zeros(d)
     if idx.size == 0:
         return z
     working = []
     in_working = np.zeros(idx.size, dtype=bool)
     for _ in range(idx.size + 1):
-        viol = prog.rows[idx] @ z - prog.rhs[vertex, idx]
+        viol = rows[idx] @ z - rhs[idx]
         viol[in_working] = -np.inf
         seen.append(viol)
         batch = _reference_selection(viol, lp_core.DEFAULT_FEAS_TOL)
@@ -633,9 +659,25 @@ def _reference_solve_vertex(prog, vertex, sample_indices, seen):
             return z
         working.extend(batch)
         in_working[batch] = True
-        z = prog._solve_working(vertex, idx[working])
-        if z is None:
+        A_w, b_w = rows[idx[working]], rhs[idx[working]]
+        eye = np.eye(d)
+        lp = lp_core.LinearProgram(
+            c=np.concatenate([np.zeros(d), np.ones(d)]),
+            A_in=np.vstack(
+                [
+                    np.hstack([A_w, np.zeros((A_w.shape[0], d))]),
+                    np.hstack([eye, -eye]),
+                    np.hstack([-eye, -eye]),
+                ]
+            ),
+            b_in=np.concatenate([b_w, np.zeros(2 * d)]),
+            bounds=[(None, None)] * d + [(0.0, None)] * d,
+        )
+        outcome = lp_core.solve(lp)
+        if outcome.status is lp_core.LpStatus.INFEASIBLE:
             return None
+        assert outcome.is_optimal
+        z = outcome.z[:d]
     raise AssertionError("reference constraint generation did not converge")
 
 
@@ -667,14 +709,16 @@ def test_solve_vertex_matches_reference_cg_loop(monkeypatch):
         [],
     ]
     z = rng.standard_normal(prog.dvar)  # a run read in place is its gather
-    for run in (range(61), range(20, 41)):
-        idx = prog.row_indices(run)
-        in_place = slice(idx[0], idx[-1] + 1)
-        assert np.array_equal(prog.violations(0, z, in_place), prog.violations(0, z, idx))
+    flat = prog.rows.reshape(-1, prog.dvar)
+    for lo, hi in ((0, 61), (20, 41)):
+        gathered = flat[np.arange(lo * prog.block_rows, hi * prog.block_rows)]
+        in_place = prog.rows[lo:hi].reshape(-1, prog.dvar)
+        assert np.shares_memory(in_place, prog.rows)
+        assert np.array_equal(in_place @ z, gathered @ z)
     for subset in subsets:
         if len(subset) > 20:  # some vertex has more violated rows than a batch at z = 0
-            first = -prog.rhs[:, prog.row_indices(subset)] > lp_core.DEFAULT_FEAS_TOL
-            assert first.sum(axis=1).max() > _CG_BATCH
+            first = -prog.rhs[:, subset] > lp_core.DEFAULT_FEAS_TOL
+            assert first.sum(axis=(1, 2)).max() > _CG_BATCH
         for i in range(prog.N):
             expected_rounds, seen[:] = [], []
             expected = _reference_solve_vertex(prog, i, subset, expected_rounds)
