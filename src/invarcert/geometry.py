@@ -119,7 +119,6 @@ class Polytope:
             b_in=np.zeros(0),
             A_eq=self.vertices.T,
             b_eq=np.zeros(self.dim),
-            bounds=[(0.0, None)] * N,
         )
 
     @cached_property
@@ -213,7 +212,6 @@ def _origin_in_hull(X: np.ndarray) -> bool:
         b_in=np.zeros(0),
         A_eq=A_eq,
         b_eq=b_eq,
-        bounds=[(0.0, None)] * N,
     )
     return lp_core.solve(lp, feas_tol=DEFAULT_TOL).is_optimal
 

@@ -13,8 +13,10 @@ Problem form::
     minimize    c @ z
     subject to  A_in @ z <= b_in
                 A_eq @ z == b_eq        (optional)
-                lo_k <= z_k <= hi_k     (optional, per variable)
+                z >= 0
 
+Every variable is nonnegative; a caller states a free variable as the
+difference of two columns and a finite bound as an inequality row.
 Intended for small dense problems (hundreds of rows); there is no sparse
 path and no factorization reuse between solves.  What a program's
 right-hand side does not touch (its standard form) is built on the first
@@ -59,12 +61,10 @@ class LpStatus(Enum):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Dense LP data.
+    """Dense LP data over nonnegative variables ``z >= 0``.
 
-    ``bounds`` is a list of ``(lo, hi)`` pairs, one per variable; ``None``
-    entries (or a ``None`` list) mean free / unbounded on that side.  The
-    data must not be modified after construction: the standard form is
-    built from it on the first solve and kept.
+    The data must not be modified after construction: the standard form
+    is built from it on the first solve and kept.
     """
 
     c: np.ndarray
@@ -72,7 +72,6 @@ class LinearProgram:
     b_in: np.ndarray
     A_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
-    bounds: list | None = None
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -90,8 +89,6 @@ class LinearProgram:
                 raise DimensionMismatch("A_eq and b_eq row counts differ")
             object.__setattr__(self, "A_eq", A_eq)
             object.__setattr__(self, "b_eq", b_eq)
-        if self.bounds is not None and len(self.bounds) != c.size:
-            raise DimensionMismatch("bounds length must equal len(c)")
         for block in (self.c, self.A_in, self.b_in, self.A_eq, self.b_eq):
             if block is not None and not np.all(np.isfinite(block)):
                 raise ValueError("LP data must be finite")
@@ -119,7 +116,8 @@ class LpOutcome:
 
 @dataclass(frozen=True)
 class _StandardForm:
-    """min c@y, T y <= r, y >= 0, plus the map back to original variables.
+    """min c@y, T y <= r, y >= 0: the rows of ``A_in``, then each equality
+    row as a pair of inequalities, which keeps every row the same shape.
 
     Everything here is independent of the right-hand side: :meth:`rhs`
     builds ``r`` for a program's ``b_in``/``b_eq``, so one instance serves
@@ -128,96 +126,27 @@ class _StandardForm:
 
     c: np.ndarray
     T: np.ndarray
-    # y = pos part - neg part + shift, per original variable
-    pos_col: np.ndarray
-    neg_col: np.ndarray  # -1 where the variable has no negative part
-    split: np.ndarray  # the variables that have a negative part
-    shift: np.ndarray
-    in_offset: np.ndarray  # A_in @ shift
-    eq_offset: np.ndarray | None  # A_eq @ shift
-    caps: np.ndarray  # hi - shift, per finite upper bound
-    lower: np.ndarray  # the bounds, -inf / inf where absent
-    upper: np.ndarray
 
     def rhs(self, b_in: np.ndarray, b_eq: np.ndarray | None) -> np.ndarray:
         """``r`` for one right-hand side, or (L, m) for a (L, k) stack of
         ``b_eq``."""
-        parts = [b_in - self.in_offset]
-        if self.eq_offset is not None:
-            # equalities as paired inequalities; keeps every row the same shape
-            e = b_eq - self.eq_offset
-            parts += [e, -e]
-        parts.append(self.caps)
-        if b_eq is not None and b_eq.ndim > 1:
-            lanes = len(b_eq)
-            parts[0], parts[-1] = (
-                np.broadcast_to(part, (lanes, part.size)) for part in (parts[0], parts[-1])
-            )
-        return np.concatenate(parts, axis=-1)
+        if b_eq is None:
+            return b_in
+        if b_eq.ndim > 1:
+            b_in = np.broadcast_to(b_in, (len(b_eq), b_in.size))
+        return np.concatenate([b_in, b_eq, -b_eq], axis=-1)
 
     def original(self, y: np.ndarray) -> np.ndarray:
-        """The original variables of ``y``, or of each row of a stack."""
-        z = y[..., self.pos_col]
-        z[..., self.split] -= y[..., self.neg_col[self.split]]
-        return z + self.shift
+        """The program's variables of ``y``, or of each row of a stack;
+        adding 0.0 turns a -0.0 of the basis solve into 0.0."""
+        return y[..., : self.c.size] + 0.0
 
 
 def _to_standard_form(lp: LinearProgram) -> _StandardForm:
-    n = lp.n_vars
-    bounds = lp.bounds if lp.bounds is not None else [None] * n
-    pos_col = np.empty(n, dtype=int)
-    neg_col = np.full(n, -1, dtype=int)
-    lower = np.full(n, -np.inf)
-    upper = np.full(n, np.inf)
-    capped = []  # variables with a finite upper bound, in order
-
-    cols = 0
-    for k, b in enumerate(bounds):
-        lo, hi = (None, None) if b is None else b
-        pos_col[k] = cols
-        if lo is None:
-            # free below: split into difference of two nonnegatives
-            neg_col[k] = cols + 1
-            cols += 2
-        else:
-            lower[k] = lo
-            cols += 1
-        if hi is not None:
-            if lo is not None and hi < lo:
-                raise ValueError(f"bound lo > hi for variable {k}")
-            upper[k] = hi
-            capped.append(k)
-    split = np.flatnonzero(neg_col >= 0)
-    shift = np.where(neg_col < 0, lower, 0.0)
-
-    def expand(matrix: np.ndarray) -> np.ndarray:
-        matrix = np.atleast_2d(matrix)
-        out = np.zeros((matrix.shape[0], cols))
-        out[:, pos_col] += matrix
-        out[:, neg_col[split]] -= matrix[:, split]
-        return out
-
-    rows = [expand(lp.A_in)]
-    eq_offset = None
+    rows = [lp.A_in]
     if lp.A_eq is not None:
-        E = expand(lp.A_eq)
-        rows.extend([E, -E])
-        eq_offset = lp.A_eq @ shift
-    rows.append(expand(np.eye(n)[capped]))  # y_pos - y_neg <= hi - shift
-
-    return _StandardForm(
-        c=expand(lp.c)[0],
-        T=np.vstack(rows),
-        pos_col=pos_col,
-        neg_col=neg_col,
-        split=split,
-        shift=shift,
-        in_offset=lp.A_in @ shift,
-        eq_offset=eq_offset,
-        caps=upper[capped] - shift[capped],
-        lower=lower,
-        upper=upper,
-    )
+        rows += [lp.A_eq, -lp.A_eq]
+    return _StandardForm(c=lp.c, T=np.vstack(rows))
 
 
 def _initial_tableaux(T: np.ndarray, R: np.ndarray):
@@ -582,7 +511,7 @@ def solve(lp: LinearProgram, *, feas_tol: float = DEFAULT_FEAS_TOL) -> LpOutcome
         return LpOutcome(LpStatus.UNBOUNDED, iterations=tab.iterations)
 
     z = sf.original(tab.solution())
-    resid, scale = _violations(lp, sf, z[None], None if lp.b_eq is None else lp.b_eq[None])
+    resid, scale = _violations(lp, z[None], None if lp.b_eq is None else lp.b_eq[None])
     if (resid > feas_tol * scale)[0]:
         raise NumericalBreakdown(f"optimal point violates constraints by {resid[0]:.3e}")
     objective = float(lp.c @ z)
@@ -629,7 +558,7 @@ def solve_batch(
             allowed[arts:] = False
         stack, Y = stack.run(phase2, allowed).solutions()
         Z = sf.original(Y)
-        resid, scale = _violations(lp, sf, Z, b_eq[stack.lanes])
+        resid, scale = _violations(lp, Z, b_eq[stack.lanes])
         violated = resid > feas_tol * scale  # the lone solve raises on these
         stack = stack.leave(violated)
         Z = Z[~violated]
@@ -646,11 +575,11 @@ def solve_batch(
     return outcomes
 
 
-def _violations(lp: LinearProgram, sf: _StandardForm, Z: np.ndarray, B_eq):
+def _violations(lp: LinearProgram, Z: np.ndarray, B_eq):
     """How far each row of ``Z`` violates the constraints of ``lp``, with
     the same row of ``B_eq`` as ``b_eq``, and the scale it is judged by."""
     scale = max(1.0, np.abs(lp.b_in).max(initial=0.0))
-    resid = np.maximum(sf.lower - Z, Z - sf.upper).max(axis=1, initial=0.0)
+    resid = (-Z).max(axis=1, initial=0.0)  # z >= 0
     if len(lp.A_in):
         rows = (lp.A_in @ Z[:, :, None])[:, :, 0] - lp.b_in
         resid = np.maximum(resid, rows.max(axis=1))

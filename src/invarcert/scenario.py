@@ -21,7 +21,7 @@ cardinality drives the certificate.
 """
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -190,6 +190,9 @@ class AffinePolicy:
     gains: np.ndarray  # (N, m, ell)
     offsets: np.ndarray  # (N, m)
     scenario_fingerprint: str | None = None
+    # the program a synthesized policy solves, which greedy reduces it on;
+    # it lives as long as the policy
+    _program: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.array(self.gains, dtype=float)
@@ -273,14 +276,14 @@ class _BlockProgram:
     shared by all vertices and ``rhs`` (N, K, block_rows), since only the
     image right-hand side depends on the vertex.
 
-    Every working LP of constraint generation minimizes ``sum(t)`` over
-    ``(z, t)`` subject to its working rows on ``z`` and the epigraph rows
-    ``z - t <= 0``, ``-z - t <= 0``, with ``t >= 0``; the epigraph rows,
-    the cost and the bounds are the same for all of them and are built
-    here, once.
+    Every working LP of constraint generation has only its working rows:
+    ``z = p - q`` with ``p, q >= 0`` minimizing ``sum(p + q)``, the 1-norm
+    of ``z``.  Greedy re-solves start from the rows active at the policy;
+    synthesis and every cold check start from none.
     """
 
     def __init__(self, family, S, U, samples, affine=True):
+        self.inputs = (family, S, U, samples)
         samples = np.asarray(samples, dtype=float)
         if samples.ndim == 1:
             samples = samples[:, None]
@@ -306,12 +309,11 @@ class _BlockProgram:
                     out=gains.reshape(part.shape[0], self.block_rows, self.m, ell),
                 )
 
-        eye = np.eye(d)
-        self._epigraph = np.block([[eye, -eye], [-eye, -eye]])
-        self._cost = np.concatenate([np.zeros(d), np.ones(d)])
-        self._bounds = [(None, None)] * d + [(0.0, None)] * d
+    def built_from(self, family, S, U, samples) -> bool:
+        """True iff this program was built from these very objects."""
+        return all(a is b for a, b in zip(self.inputs, (family, S, U, samples)))
 
-    def solve_vertex(self, vertex: int, sample_indices) -> np.ndarray | None:
+    def solve_vertex(self, vertex: int, sample_indices, start=None) -> np.ndarray | None:
         """1-norm-minimal feasible point of the vertex block, or None.
 
         Deterministic constraint generation: starting from the empty
@@ -319,7 +321,12 @@ class _BlockProgram:
         :func:`_most_violated` -- the at most ``_CG_BATCH`` largest
         violations above ``lp_core.DEFAULT_FEAS_TOL``, ties going to the
         lowest position in the ordered sample list -- and re-solves with
-        the deterministic simplex core.
+        the deterministic simplex core.  Given a point ``start``, the
+        first working set is instead the subsample's rows whose slack at
+        ``start`` is below :data:`_ACTIVE_TOL`, the first ``dvar`` of
+        them; the rounds then go on as above.  More than ``dvar`` rows are
+        active only at a degenerate point; the rest would cost phase-1
+        pivots, and the rounds add any of them that is violated.
 
         The subsample's rows and right-hand side are taken once, and every
         round reads both from that pair.  Samples forming one increasing
@@ -339,6 +346,13 @@ class _BlockProgram:
         b = self.rhs[vertex, take].reshape(-1)
         working: list[int] = []
         in_working = np.zeros(b.size, dtype=bool)
+        if start is not None:
+            working = np.flatnonzero(b - A @ start < _ACTIVE_TOL)[: self.dvar].tolist()
+            in_working[working] = True
+        if working:
+            z = self._solve_working(A[working], b[working])
+            if z is None:
+                return None
         for _ in range(b.size + 1):
             viol = A @ z - b
             viol[in_working] = -np.inf  # already enforced exactly
@@ -353,19 +367,17 @@ class _BlockProgram:
         raise NumericalBreakdown("constraint generation failed to converge")
 
     def _solve_working(self, A_w: np.ndarray, b_w: np.ndarray) -> np.ndarray | None:
-        w, d = b_w.size, self.dvar
-        A_in = np.zeros((w + 2 * d, 2 * d))
-        A_in[:w, :d] = A_w
-        A_in[w:] = self._epigraph
-        b_in = np.zeros(w + 2 * d)
-        b_in[:w] = b_w
-        lp = lp_core.LinearProgram(c=self._cost, A_in=A_in, b_in=b_in, bounds=self._bounds)
+        """1-norm-minimal ``z`` with ``A_w z <= b_w``, or None.  The cost
+        of ``p`` and ``q`` is positive, so no optimum has both ``p_k`` and
+        ``q_k`` positive."""
+        d = self.dvar
+        lp = lp_core.LinearProgram(c=np.ones(2 * d), A_in=np.hstack([A_w, -A_w]), b_in=b_w)
         outcome = lp_core.solve(lp)
         if outcome.status is lp_core.LpStatus.INFEASIBLE:
             return None
         if not outcome.is_optimal:  # pragma: no cover - objective bounded below
             raise NumericalBreakdown(f"unexpected LP status {outcome.status}")
-        return outcome.z[:d]
+        return outcome.z[:d] - outcome.z[d:]
 
     def solve_all(self, sample_indices):
         """Solutions for every vertex, or None when some vertex fails."""
@@ -416,10 +428,9 @@ def _most_violated(viol: np.ndarray, feas_tol: float) -> np.ndarray:
     return cand[np.argsort(-viol[cand], kind="stable")[:_CG_BATCH]]
 
 
-def _solve_program(family, S, U, scenarios, affine, what) -> np.ndarray:
+def _solve_program(prog: _BlockProgram, what: str) -> np.ndarray:
     """Per-vertex solutions of the whole program, or :class:`Infeasible`
     with the first violated triple and ``what`` naming the missing object."""
-    prog = _BlockProgram(family, S, U, scenarios.samples, affine=affine)
     Z = prog.solve_all(range(prog.K))
     if Z is None:
         sample, vertex, row = prog.diagnose()
@@ -440,13 +451,16 @@ def solve_affine_policy(
     Deterministic in the ordered sample list.  Raises :class:`Infeasible`
     with the first violated (sample, vertex, row) triple otherwise.
     """
-    Z = _solve_program(family, S, U, scenarios, True, "affine policy")
+    prog = _BlockProgram(family, S, U, scenarios.samples)
+    Z = _solve_program(prog, "affine policy")
     m, ell = U.dim, scenarios.ell
-    return AffinePolicy(
+    policy = AffinePolicy(
         gains=Z[:, : m * ell].reshape(-1, m, ell),
         offsets=Z[:, m * ell :],
         scenario_fingerprint=scenarios.fingerprint,
     )
+    object.__setattr__(policy, "_program", prog)
+    return policy
 
 
 def solve_constant_input(
@@ -457,7 +471,8 @@ def solve_constant_input(
     The conservative baseline: equivalent to restricting the affine policy
     to zero gains.  Returns a (N, m) array or raises :class:`Infeasible`.
     """
-    return _solve_program(family, S, U, scenarios, False, "common input")
+    prog = _BlockProgram(family, S, U, scenarios.samples, affine=False)
+    return _solve_program(prog, "common input")
 
 
 def greedy_support_subsample(
@@ -480,15 +495,24 @@ def greedy_support_subsample(
     :data:`_ACTIVE_TOL`) at the policy cannot move the 1-norm optimum of
     any vertex block; they are discarded without a re-solve, and the final
     verification guards the shortcut.  Re-solves touching only the affected
-    vertices cover the rest.  If verification fails, the literal pass
-    re-solves every vertex for every removal.
+    vertices cover the rest; each starts constraint generation from the
+    subsample's rows that are active (slack below :data:`_ACTIVE_TOL`) at
+    the policy for its vertex, at most ``dvar`` of them (see
+    :meth:`_BlockProgram.solve_vertex`).  The final verification starts
+    cold.  If it fails, the literal pass re-solves every vertex for every
+    removal, cold.
+
+    The program that :func:`solve_affine_policy` built for ``policy`` is
+    reused when it was built from these very arguments.
     """
     if policy.scenario_fingerprint != scenarios.fingerprint:
         raise MismatchedFingerprints(
             f"policy scenario fingerprint {policy.scenario_fingerprint} "
             f"does not match the scenario set ({scenarios.fingerprint})"
         )
-    prog = _BlockProgram(family, S, U, scenarios.samples)
+    prog = policy._program
+    if prog is None or not prog.built_from(family, S, U, scenarios.samples):
+        prog = _BlockProgram(family, S, U, scenarios.samples)
     full = np.hstack([policy.gains.reshape(prog.N, -1), policy.offsets])
 
     # per (vertex, sample) minimum slack at the full solution
@@ -504,7 +528,7 @@ def greedy_support_subsample(
         )
     touches = slack < _ACTIVE_TOL  # (N, K)
 
-    retained = _reduce(prog, full, touches)
+    retained = _reduce(prog, full, touches, seeded=True)
     if retained is None:
         # shortcut assumptions failed (ties between optima); literal pass
         retained = _reduce(prog, full, np.ones_like(touches))
@@ -513,16 +537,19 @@ def greedy_support_subsample(
     return retained
 
 
-def _reduce(prog, full, touches) -> list[int] | None:
+def _reduce(prog, full, touches, seeded=False) -> list[int] | None:
     """The one-removal-at-a-time pass: sample j is dropped when re-solving
     the vertices ``touches[:, j]`` marks, without it and every sample
-    dropped before, reproduces ``full`` within :data:`SOLUTION_TOL`.
-    Returns the retained indices, or None when re-solving every vertex on
-    them does not reproduce ``full``."""
+    dropped before, reproduces ``full`` within :data:`SOLUTION_TOL`.  A
+    sample that touches no vertex is dropped without a re-solve, so only
+    the touched samples are visited.  With ``seeded``, each re-solve of
+    vertex i starts from the rows active at ``full[i]``; otherwise cold.
+    Returns the retained indices, or None when cold re-solves of every
+    vertex on them do not reproduce ``full``."""
 
-    def matches(subset, vertices) -> bool:
+    def matches(subset, vertices, seeded) -> bool:
         for i in vertices:
-            z = prog.solve_vertex(i, subset)
+            z = prog.solve_vertex(i, subset, full[i] if seeded else None)
             if z is None:
                 raise InfeasibleOnSubsample(
                     f"vertex {i} infeasible on a subsample; determinism fault"
@@ -532,10 +559,12 @@ def _reduce(prog, full, touches) -> list[int] | None:
         return True
 
     keep = np.ones(prog.K, dtype=bool)
-    for j in range(prog.K):
-        keep[j] = False
-        affected = np.flatnonzero(touches[:, j])
-        if affected.size and not matches(np.flatnonzero(keep), affected):
+    untested = 0  # the samples from here on have not been visited
+    for j in np.flatnonzero(touches.any(axis=0)).tolist():
+        keep[untested : j + 1] = False  # j, and the untouched samples before it
+        if not matches(np.flatnonzero(keep), np.flatnonzero(touches[:, j]), seeded):
             keep[j] = True
+        untested = j + 1
+    keep[untested:] = False
     retained = np.flatnonzero(keep).tolist()
-    return retained if matches(retained, range(prog.N)) else None
+    return retained if matches(retained, range(prog.N), False) else None

@@ -80,6 +80,23 @@ def path_instance(K: int = 150, seed: int = 42):
     return family, S, U, scenarios
 
 
+def affine3_instance(K: int, seed: int):
+    """The n=3, m=2, ell=4 affine plant of the affine3 benchmark workload,
+    its unit box S, the input box [-2, 2]^2 and K uniform draws on
+    [-1, 1]^4."""
+    rng = np.random.default_rng(6)
+    M = rng.normal(size=(3, 3))
+    A0 = 1.05 * M / np.abs(np.linalg.eigvals(M)).max()
+    B0 = rng.uniform(-1.0, 1.0, size=(3, 2))
+    A_terms = [rng.uniform(-0.05, 0.05, size=(3, 3)) for _ in range(4)]
+    B_terms = [rng.uniform(-0.05, 0.05, size=(3, 2)) for _ in range(4)]
+    family = ic.AffineFamily(A0=A0, B0=B0, A_terms=A_terms, B_terms=B_terms)
+    S = ic.box([-1.0] * 3, [1.0] * 3)
+    U = ic.box([-2.0] * 2, [2.0] * 2)
+    scenarios = ic.ScenarioSet.from_uniform_box(-np.ones(4), np.ones(4), count=K, seed=seed)
+    return family, S, U, scenarios
+
+
 def unstable_edge_family(weight: float = -0.25):
     """Single-edge network x+ = (1 - w) x + w u, unstable for w < 0."""
     graph = ic.Graph(

@@ -34,9 +34,8 @@ def lp_block_feasible(family, S, U, delta):
     FAX = S.facets @ A @ S.vertices.T
     for i in range(S.vertex_count):
         l = np.concatenate([np.ones(U.facet_count), 1.0 - FAX[:, i]])
-        lp = lp_core.LinearProgram(
-            c=np.zeros(U.dim), A_in=G, b_in=l, bounds=[(None, None)] * U.dim
-        )
+        # the free input u as p - q with p, q >= 0
+        lp = lp_core.LinearProgram(c=np.zeros(2 * U.dim), A_in=np.hstack([G, -G]), b_in=l)
         if lp_core.solve(lp).status is not lp_core.LpStatus.OPTIMAL:
             return False
     return True

@@ -267,7 +267,6 @@ def _fresh_decomposition(P, x, tol=1e-8):
         b_in=np.zeros(0),
         A_eq=P.vertices.T,
         b_eq=x,
-        bounds=[(0.0, None)] * N,
     )
     return solve(lp, feas_tol=max(tol, 1e-9))
 

@@ -20,6 +20,7 @@ from invarcert.errors import NumericalBreakdown
 from invarcert.lp_core import LinearProgram, LpStatus, solve, solve_batch
 
 from instances import decomposition_states, random_box, random_prism
+from lp_forms import nonnegative
 from test_lp_differential import CASES, PER_CASE
 
 POLYTOPES = {
@@ -100,12 +101,10 @@ def test_bland_switch_after_a_stall(limit, monkeypatch, alone):
     assert alone
 
 
-def _program(c, A_eq, bounds, A_in=None, b_in=()):
+def _program(c, A_eq, A_in=None, b_in=()):
     c = np.asarray(c, dtype=float)
     A_in = np.zeros((0, c.size)) if A_in is None else A_in
-    return LinearProgram(
-        c=c, A_in=A_in, b_in=b_in, A_eq=A_eq, b_eq=np.zeros(len(A_eq)), bounds=bounds
-    )
+    return LinearProgram(c=c, A_in=A_in, b_in=b_in, A_eq=A_eq, b_eq=np.zeros(len(A_eq)))
 
 
 def test_second_choice_entering_column(alone):
@@ -116,7 +115,6 @@ def test_second_choice_entering_column(alone):
         A_in=[[5e-10, 2e-9, 0.0], [0.0, -4.0, 0.0]],
         b_in=[1e-9, 0.0],
         A_eq=[[0.0, 0.0, 1.0]],
-        bounds=[(0.0, None)] * 3,
     )
     B = np.array([[0.0], [0.5], [1.0]])
     lone = _assert_lanes_are_lone(lp, B)
@@ -125,7 +123,7 @@ def test_second_choice_entering_column(alone):
 
 
 def test_unbounded_program(alone):
-    lp = _program(c=[-1.0, 0.0], A_eq=[[1.0, -1.0]], bounds=[(0.0, None)] * 2)
+    lp = _program(c=[-1.0, 0.0], A_eq=[[1.0, -1.0]])
     B = np.array([[-1.0], [0.0], [1.0]])
     lone = _assert_lanes_are_lone(lp, B)
     assert [o[0] for o in lone] == [LpStatus.UNBOUNDED] * 3
@@ -133,7 +131,8 @@ def test_unbounded_program(alone):
 
 
 def test_infeasible_lanes_next_to_feasible_ones(alone):
-    lp = _program(c=[1.0, 1.0], A_eq=[[1.0, 1.0]], bounds=[(0.0, 1.0)] * 2)
+    # z <= 1 as rows: a lane asking z1 + z2 outside [0, 2] is infeasible
+    lp = _program(c=[1.0, 1.0], A_eq=[[1.0, 1.0]], A_in=np.eye(2), b_in=[1.0, 1.0])
     B = np.array([[0.5], [5.0], [1.5], [-1.0]])
     lone = _assert_lanes_are_lone(lp, B)
     assert [o[0] for o in lone] == [
@@ -148,7 +147,7 @@ def test_infeasible_lanes_next_to_feasible_ones(alone):
 def test_sub_threshold_pivots_only(alone):
     # x prices best, but 5e-10 is below the stability floor and no other
     # column improves: the lone code raises, and so does the batch
-    lp = _program(c=[-1.0, 0.0], A_eq=[[5e-10, -1.0]], bounds=[(0.0, None)] * 2)
+    lp = _program(c=[-1.0, 0.0], A_eq=[[5e-10, -1.0]])
     B = np.array([[1.0], [0.0]])
     lone = _assert_lanes_are_lone(lp, B)
     assert lone[0][0] is LpStatus.INFEASIBLE
@@ -205,7 +204,7 @@ def test_basic_artificials_keep_their_slack_twin(drive_outs):
     for case, build in CASES.items():
         rng = np.random.default_rng(sorted(CASES).index(case))
         for _ in range(PER_CASE):
-            solve(LinearProgram(**build(rng)))
+            solve(LinearProgram(**nonnegative(**build(rng))[0]))
     for seed, build in POLYTOPES.values():
         rng = np.random.default_rng(seed)
         P = build(rng)
@@ -217,7 +216,7 @@ def test_basic_artificials_keep_their_slack_twin(drive_outs):
 
 
 def test_batch_checks_its_right_hand_sides():
-    lp = _program(c=[1.0, 1.0], A_eq=[[1.0, 1.0]], bounds=[(0.0, 1.0)] * 2)
+    lp = _program(c=[1.0, 1.0], A_eq=[[1.0, 1.0]])
     with pytest.raises(lp_core.DimensionMismatch):
         solve_batch(lp, b_eq=[0.5])
     with pytest.raises(ValueError, match="finite"):

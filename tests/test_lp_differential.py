@@ -2,9 +2,12 @@
 
 Every case is a seeded family of small LPs that stresses one part of the
 solver: degenerate vertices, Klee-Minty cubes, duplicate and
-near-parallel rows, free variables, equality rows and upper bounds.  The
-status must match ``scipy.optimize.linprog(method="highs")`` and optimal
-objectives must agree within ``1e-7 * max(1, |objective|)``.
+near-parallel rows, free variables, equality rows and upper bounds.
+HiGHS solves each program with its bounds; the simplex core solves it
+over ``z >= 0``, with free variables split and other bounds as rows
+(:func:`lp_forms.nonnegative`).  The status must match
+``scipy.optimize.linprog(method="highs")`` and optimal objectives must
+agree within ``1e-7 * max(1, |objective|)``.
 """
 
 import numpy as np
@@ -12,6 +15,8 @@ import pytest
 from scipy.optimize import linprog
 
 from invarcert.lp_core import LinearProgram, LpStatus, solve
+
+from lp_forms import nonnegative
 
 HIGHS_STATUS = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
 PER_CASE = 40
@@ -140,7 +145,7 @@ def test_simplex_agrees_with_highs(case):
     for trial in range(PER_CASE):
         data = CASES[case](rng)
         status, objective = _highs(data)
-        mine = solve(LinearProgram(**data))
+        mine = solve(LinearProgram(**nonnegative(**data)[0]))
         assert mine.status is status, f"{case} trial {trial}"
         if status is LpStatus.OPTIMAL:
             gap = abs(mine.objective - objective)
@@ -153,6 +158,6 @@ def test_simplex_agrees_with_highs(case):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_dantzig_rule_visits_every_klee_minty_vertex(n):
-    out = solve(LinearProgram(**klee_minty_cube(n)))
+    out = solve(LinearProgram(**nonnegative(**klee_minty_cube(n))[0]))
     assert out.objective == -(5.0**n)
     assert out.iterations == 2**n - 1

@@ -6,6 +6,7 @@ from invarcert import lp_core
 from invarcert.scenario import Infeasible
 
 from instances import (
+    affine3_instance,
     path_instance,
     random_affine_instance,
     random_scalar_unstable_instance,
@@ -478,9 +479,9 @@ def test_greedy_falls_back_to_the_literal_pass(monkeypatch):
     assert expected  # a nonempty support
     masks = []
 
-    def spy(prog, full, touches):
+    def spy(prog, full, touches, **options):
         masks.append(touches.copy())
-        return reduce(prog, full, touches)
+        return reduce(prog, full, touches, **options)
 
     reduce = scenario._reduce
     monkeypatch.setattr(scenario, "_ACTIVE_TOL", -1.0)
@@ -521,6 +522,101 @@ def test_network6_scenario_draw_support_is_pinned():
     fam, S, U, scen = six_node_instance(K=600, seed=0)
     policy = ic.solve_affine_policy(fam, S, U, scen)
     assert ic.greedy_support_subsample(fam, S, U, scen, policy=policy) == [110]
+
+
+# supports of the cold greedy, before re-solves were seeded: the network6
+# and affine3 benchmark plants at several K and scenario seeds, and the
+# degenerate path network, where every sample has active rows
+SEEDED_SWEEP = {
+    ("affine3", 200, 0): [19, 23, 44, 69, 95, 126, 179, 186],
+    ("affine3", 200, 1): [46, 58, 73, 95, 104, 153, 162, 176, 187],
+    ("affine3", 200, 2): [7, 13, 21, 46, 55, 102, 152, 172, 190],
+    ("affine3", 200, 3): [30, 64, 69, 118, 121, 127, 148, 151, 171],
+    ("affine3", 600, 0): [19, 23, 44, 69, 95, 126, 179, 283, 417],
+    ("affine3", 600, 1): [46, 59, 73, 95, 153, 176, 187, 294, 531, 546],
+    ("affine3", 600, 2): [7, 21, 46, 112, 172, 268, 279, 292, 315, 492, 562, 568, 591],
+    ("affine3", 600, 3): [118, 148, 210, 273, 327, 331, 350, 378, 427, 430, 515],
+    ("affine3", 1500, 0): [23, 59, 68, 95, 837, 1068, 1069, 1180, 1228, 1383],
+    ("affine3", 1500, 1): [46, 176, 294, 694, 815, 857, 1115, 1255, 1314],
+    ("affine3", 1500, 2): [21, 46, 172, 268, 279, 568, 926, 951, 1032, 1131, 1302, 1309, 1319, 1331],
+    ("affine3", 1500, 3): [118, 148, 210, 331, 515, 936, 953, 1076, 1090, 1259, 1431],
+    ("network6", 100, 0): [78],
+    ("network6", 100, 1): [20, 64],
+    ("network6", 100, 2): [46, 98],
+    ("network6", 100, 3): [53],
+    ("network6", 300, 0): [110],
+    ("network6", 300, 1): [115],
+    ("network6", 300, 2): [128, 155],
+    ("network6", 300, 3): [180, 206],
+    ("network6", 600, 0): [110],
+    ("network6", 600, 1): [367, 379],
+    ("network6", 600, 2): [317],
+    ("network6", 600, 3): [180, 335],
+    ("path", 40, 0): [39],
+    ("path", 40, 1): [39],
+    ("path", 40, 2): [39],
+    ("path", 40, 3): [39],
+}
+
+
+@pytest.mark.parametrize("plant", ["affine3", "network6", "path"])
+def test_seeded_greedy_keeps_the_cold_supports(plant, monkeypatch):
+    from invarcert import scenario
+    from invarcert.scenario import _BlockProgram
+
+    build = {
+        "affine3": affine3_instance,
+        "network6": six_node_instance,
+        "path": path_instance,
+    }[plant]
+    seeds = []  # (active rows of the subsample, dvar) of every seeded re-solve
+    solve_vertex = _BlockProgram.solve_vertex
+
+    def spy(self, vertex, sample_indices, start=None):
+        if start is not None:
+            take = np.asarray(sample_indices, dtype=int)
+            slack = self.rhs[vertex, take] - self.rows[take] @ start
+            seeds.append((int((slack < scenario._ACTIVE_TOL).sum()), self.dvar))
+        return solve_vertex(self, vertex, sample_indices, start)
+
+    monkeypatch.setattr(_BlockProgram, "solve_vertex", spy)
+    for (name, K, seed), support in SEEDED_SWEEP.items():
+        if name == plant:
+            fam, S, U, scen = build(K=K, seed=seed)
+            policy = ic.solve_affine_policy(fam, S, U, scen)
+            got = ic.greedy_support_subsample(fam, S, U, scen, policy=policy)
+            assert got == support, (name, K, seed)
+    most, dvar = max(seeds)
+    if plant == "affine3":
+        assert 0 < most <= dvar  # seeded re-solves
+    if plant == "path":
+        assert most > dvar  # degenerate: the seed is cut to dvar rows
+
+
+def test_synthesis_and_greedy_share_one_program(monkeypatch):
+    import gc
+    import weakref
+
+    from invarcert.scenario import _BlockProgram
+
+    built = []
+    init = _BlockProgram.__init__
+    monkeypatch.setattr(
+        _BlockProgram, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k)
+    )
+    fam, S, U, scen = path_instance(K=40, seed=8)
+    policy = ic.solve_affine_policy(fam, S, U, scen)
+    assert ic.greedy_support_subsample(fam, S, U, scen, policy=policy) == [39]
+    assert len(built) == 1
+    # other arguments, though equal, get their own program
+    same_S = ic.box([-1, -1], [1, 1])
+    assert ic.greedy_support_subsample(fam, same_S, U, scen, policy=policy) == [39]
+    assert len(built) == 2
+    # the program lives as long as the policy
+    program = weakref.ref(policy._program)
+    del policy
+    gc.collect()
+    assert program() is None
 
 
 def _admissibility_case(kind, rng):
@@ -637,9 +733,9 @@ def test_most_violated_on_random_ties():
 
 def _reference_solve_vertex(prog, vertex, sample_indices, seen):
     """Constraint generation as first written: each round gathers the
-    subsample's rows, sorts all violations, and builds its working LP with
-    the epigraph rows of the 1-norm.  Appends each round's violations to
-    ``seen``."""
+    subsample's rows, sorts all violations, and builds its working LP over
+    the split ``z = p - q``, ``p, q >= 0``, minimizing ``sum(p + q)``.
+    Appends each round's violations to ``seen``."""
     d = prog.dvar
     sample_indices = np.asarray(sample_indices, dtype=int)
     rows = prog.rows.reshape(-1, d)
@@ -660,24 +756,16 @@ def _reference_solve_vertex(prog, vertex, sample_indices, seen):
         working.extend(batch)
         in_working[batch] = True
         A_w, b_w = rows[idx[working]], rhs[idx[working]]
-        eye = np.eye(d)
-        lp = lp_core.LinearProgram(
-            c=np.concatenate([np.zeros(d), np.ones(d)]),
-            A_in=np.vstack(
-                [
-                    np.hstack([A_w, np.zeros((A_w.shape[0], d))]),
-                    np.hstack([eye, -eye]),
-                    np.hstack([-eye, -eye]),
-                ]
-            ),
-            b_in=np.concatenate([b_w, np.zeros(2 * d)]),
-            bounds=[(None, None)] * d + [(0.0, None)] * d,
-        )
+        split = np.zeros((A_w.shape[0], 2 * d))
+        split[:, :d] = A_w
+        split[:, d:] = -A_w
+        lp = lp_core.LinearProgram(c=np.ones(2 * d), A_in=split, b_in=b_w)
         outcome = lp_core.solve(lp)
         if outcome.status is lp_core.LpStatus.INFEASIBLE:
             return None
         assert outcome.is_optimal
-        z = outcome.z[:d]
+        p, q = np.split(outcome.z, 2)
+        z = p - q
     raise AssertionError("reference constraint generation did not converge")
 
 
