@@ -17,7 +17,7 @@ from . import closed_loop, feasibility, geometry, scenario
 from .certificate import build_certificate, epsilon_even_split, epsilon_table
 from .config import ConfigError, ProblemConfig, load_config
 from .errors import InvalidArguments, InvarcertError
-from .system_family import spectral_radius_estimate
+from .system_family import UnknownSample, spectral_radius_estimate
 
 SCHEMA_VERSION = 1
 
@@ -200,6 +200,26 @@ def _initial_states(
     raise ConfigError(f"unknown --init spec '{spec}' (use vertices or random:N)")
 
 
+def _sample_parameter(family, sample) -> np.ndarray:
+    """``sample`` as the parameter of a simulation: ``ell`` finite numbers
+    whose plant ``A(delta), B(delta)`` is finite."""
+    delta = np.asarray(sample, dtype=float)
+    if delta.shape != (family.ell,):
+        raise InvalidArguments(f"--sample has {delta.size} values, expected {family.ell}")
+    if not np.isfinite(delta).all():
+        raise InvalidArguments(f"--sample values must be finite, got {delta.tolist()}")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            plant = family.instantiate(delta)
+    except UnknownSample as exc:
+        raise InvalidArguments(
+            f"--sample {exc.value!r} is not a table index in 0..{exc.count - 1}"
+        ) from None
+    if not all(np.isfinite(M).all() for M in plant):
+        raise InvalidArguments(f"--sample {delta.tolist()} gives a non-finite plant")
+    return delta
+
+
 def run_simulate(
     config: ProblemConfig,
     policy: scenario.AffinePolicy,
@@ -212,7 +232,9 @@ def run_simulate(
 ) -> tuple[int, dict]:
     """simulate pipeline: trajectories + gauge summary for one parameter."""
     family, S = config.family, config.state_set
-    delta = family.nominal_delta if sample is None else np.asarray(sample, dtype=float)
+    if seed < 0:
+        raise InvalidArguments(f"--seed must be >= 0, got {seed}")
+    delta = family.nominal_delta if sample is None else _sample_parameter(family, sample)
     starts = _initial_states(init, S, seed, horizon)
     trajectories = closed_loop.simulate_closed_loop(
         family, delta, S, policy, starts, T=horizon
@@ -354,11 +376,16 @@ def main(argv=None) -> int:
             _write_report(report, args.out, "report.json")
             return code
         if args.command == "simulate":
+            sample = None
+            if args.sample is not None:
+                try:
+                    sample = [float(tok) for tok in args.sample.split(",")]
+                except ValueError:
+                    raise InvalidArguments(
+                        f"--sample '{args.sample}' is not a comma-separated list of numbers"
+                    ) from None
             config = load_config(args.config)
             policy = _load_policy(args.policy)
-            sample = None
-            if args.sample:
-                sample = [float(tok) for tok in args.sample.split(",")]
             code, report = run_simulate(
                 config,
                 policy,

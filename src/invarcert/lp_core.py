@@ -18,26 +18,26 @@ Problem form::
 Every variable is nonnegative; a caller states a free variable as the
 difference of two columns and a finite bound as an inequality row.
 Intended for small dense problems (hundreds of rows); there is no sparse
-path and no factorization reuse between solves.  What a program's
-right-hand side does not touch (its standard form) is built on the first
-solve and kept.
+path and no factorization reuse between solves.  A program's tableau
+rows (:attr:`LinearProgram._rows`) are built on its first solve and kept;
+:func:`_rhs` builds the right-hand side of one program or of a stack.
 
 :func:`solve_batch` solves a family of programs that differ only in
 their equality right-hand side (the vertex decomposition of
-:mod:`invarcert.geometry`), given as one program and a stack of
-``b_eq``, validated and converted once, as one stack of tableaux:
-pricing is one stacked ``matmul``, a pivot one broadcast update, the
-basis solves one stacked ``np.linalg.solve``, and finished lanes drop
-out.  The stack runs Dantzig's rule only, for no more steps than a lone
-run takes before it could switch to Bland's rule or reach the iteration
-cap; every lane makes the choices of the lone tableau, and a stacked
+:mod:`invarcert.geometry`) as one stack of tableaux: pricing is one
+stacked ``matmul``, a pivot one broadcast update, the basis solves one
+stacked ``np.linalg.solve``.  Every lane stays in the stack; one that
+reaches the optimum stops, and each step pivots the lanes still live.
+The stack runs Dantzig's rule only, for no more steps than a lone run
+takes before it could switch to Bland's rule or reach the iteration cap;
+every lane makes the choices of the lone tableau, and a stacked
 ``matmul`` or ``solve`` computes each lane as the lone call does.  Any
 other lane (a second-choice entering column, an unbounded or infeasible
 program, a lane still pivoting at that step, a singular basis, a primal
-violation) is solved again from the start by :func:`solve`, as a fresh
-program with its own ``b_eq``, so each outcome is bit for bit that of
-:func:`solve` and the rare rules live in one place.  A single program is
-cheaper through :func:`solve`; the stack pays off from a few lanes on.
+violation) leaves the stack and is solved again from the start by
+:func:`solve` with its own ``b_eq``, so each outcome is bit for bit that
+of :func:`solve` and the rare rules live in one place.  A single program
+is cheaper through :func:`solve`; the stack pays off from a few lanes on.
 """
 
 from dataclasses import dataclass, replace
@@ -63,8 +63,8 @@ class LpStatus(Enum):
 class LinearProgram:
     """Dense LP data over nonnegative variables ``z >= 0``.
 
-    The data must not be modified after construction: the standard form
-    is built from it on the first solve and kept.
+    The data must not be modified after construction: the tableau rows
+    are built from it on the first solve and kept.
     """
 
     c: np.ndarray
@@ -93,13 +93,15 @@ class LinearProgram:
             if block is not None and not np.all(np.isfinite(block)):
                 raise ValueError("LP data must be finite")
 
-    @property
-    def n_vars(self) -> int:
-        return self.c.size
-
     @cached_property
-    def _standard(self) -> "_StandardForm":
-        return _to_standard_form(self)
+    def _rows(self) -> np.ndarray:
+        """``T`` of ``T y <= r``, ``y >= 0``: the rows of ``A_in``, then
+        each equality row as a pair of inequalities, which keeps every row
+        the same shape; one ``T`` serves every lane of :func:`solve_batch`."""
+        rows = [self.A_in]
+        if self.A_eq is not None:
+            rows += [self.A_eq, -self.A_eq]
+        return np.vstack(rows)
 
 
 @dataclass(frozen=True)
@@ -114,39 +116,14 @@ class LpOutcome:
         return self.status is LpStatus.OPTIMAL
 
 
-@dataclass(frozen=True)
-class _StandardForm:
-    """min c@y, T y <= r, y >= 0: the rows of ``A_in``, then each equality
-    row as a pair of inequalities, which keeps every row the same shape.
-
-    Everything here is independent of the right-hand side: :meth:`rhs`
-    builds ``r`` for a program's ``b_in``/``b_eq``, so one instance serves
-    every lane of :func:`solve_batch`.
-    """
-
-    c: np.ndarray
-    T: np.ndarray
-
-    def rhs(self, b_in: np.ndarray, b_eq: np.ndarray | None) -> np.ndarray:
-        """``r`` for one right-hand side, or (L, m) for a (L, k) stack of
-        ``b_eq``."""
-        if b_eq is None:
-            return b_in
-        if b_eq.ndim > 1:
-            b_in = np.broadcast_to(b_in, (len(b_eq), b_in.size))
-        return np.concatenate([b_in, b_eq, -b_eq], axis=-1)
-
-    def original(self, y: np.ndarray) -> np.ndarray:
-        """The program's variables of ``y``, or of each row of a stack;
-        adding 0.0 turns a -0.0 of the basis solve into 0.0."""
-        return y[..., : self.c.size] + 0.0
-
-
-def _to_standard_form(lp: LinearProgram) -> _StandardForm:
-    rows = [lp.A_in]
-    if lp.A_eq is not None:
-        rows += [lp.A_eq, -lp.A_eq]
-    return _StandardForm(c=lp.c, T=np.vstack(rows))
+def _rhs(b_in: np.ndarray, b_eq: np.ndarray | None) -> np.ndarray:
+    """``r`` of :attr:`LinearProgram._rows` for one right-hand side, or
+    (L, m) for a (L, k) stack of ``b_eq``."""
+    if b_eq is None:
+        return b_in
+    if b_eq.ndim > 1:
+        b_in = np.broadcast_to(b_in, (len(b_eq), b_in.size))
+    return np.concatenate([b_in, b_eq, -b_eq], axis=-1)
 
 
 def _initial_tableaux(T: np.ndarray, R: np.ndarray):
@@ -335,18 +312,17 @@ def _leaving_rows(A: np.ndarray, lanes: np.ndarray, cols: np.ndarray, basis):
 
 
 class _TableauStack:
-    """Tableaux of one standard form under a stack of right-hand sides,
-    pivoted together with Dantzig's rule; every lane makes the choices of
+    """Tableaux of one program under a stack of right-hand sides, pivoted
+    together with Dantzig's rule; every lane makes the choices of
     :class:`_Tableau`.
 
     The lanes share one shape (the same number of artificials), so a
     stacked ``matmul`` or ``solve`` computes each lane bit for bit as the
     lone tableau does.  A lane whose next step is not the lone tableau's
-    first choice under Dantzig's rule leaves the stack: its position in the
-    batch goes to ``alone``, to be solved from the start by :func:`solve`.
+    first choice under Dantzig's rule leaves the stack through
+    :meth:`leave`: its position in the batch goes to ``alone``, to be
+    solved from the start by :func:`solve`.
     """
-
-    _ARRAYS = ("A", "original", "basis", "iterations", "lanes")
 
     def __init__(self, A, basis, lanes, n_art, alone):
         self.A = A
@@ -359,19 +335,14 @@ class _TableauStack:
         self.max_iterations = _max_iterations(self.n_slack, self.n_struct)
         self.alone = alone
 
-    def take(self, keep) -> "_TableauStack":
-        new = object.__new__(_TableauStack)
-        new.__dict__.update(self.__dict__)
-        for name in self._ARRAYS:
-            setattr(new, name, getattr(self, name)[keep])
-        return new
-
-    def leave(self, mask: np.ndarray) -> "_TableauStack":
-        """The stack without the lanes of ``mask``, which are solved alone."""
-        if not mask.any():
-            return self
-        self.alone.extend(self.lanes[mask].tolist())
-        return self.take(~mask)
+    def leave(self, mask: np.ndarray) -> None:
+        """Remove the lanes of ``mask`` from the stack, to be solved alone."""
+        if mask.any():
+            self.alone.extend(self.lanes[mask].tolist())
+            keep = ~mask
+            self.A, self.original = self.A[keep], self.original[keep]
+            self.basis, self.iterations = self.basis[keep], self.iterations[keep]
+            self.lanes = self.lanes[keep]
 
     def _pivot(self, lanes, rows, cols) -> None:
         """:meth:`_Tableau._pivot` on ``(rows[j], cols[j])`` of every lane
@@ -395,50 +366,47 @@ class _TableauStack:
         A[lanes, rows, cols] = 1.0
         self.basis[lanes, rows] = cols
 
-    def run(self, cost: np.ndarray, allowed: np.ndarray) -> "_TableauStack":
-        """:meth:`_Tableau.run` on every lane, with Dantzig's rule.  Returns
-        the stack of the lanes that reached the optimum; the others leave.
+    def run(self, cost: np.ndarray, allowed: np.ndarray) -> None:
+        """:meth:`_Tableau.run` on every lane, with Dantzig's rule; the
+        lanes that do not reach the optimum leave.
 
-        A lone run switches to Bland's rule only after ``stall_limit``
-        pivots and reaches the iteration cap only after ``max_iterations -
-        iterations`` of them, so the stack takes at most that many steps and
-        sends every lane still pivoting then to the lone solve.
+        A lane that reaches the optimum stops: each step pivots only the
+        lanes still live, the whole stack at once while every lane is.  A
+        lone run switches to Bland's rule only after ``stall_limit`` pivots
+        and reaches the iteration cap only after ``max_iterations -
+        iterations`` of them, so the stack takes at most that many steps
+        and sends every lane still pivoting then to the lone solve.
         """
         blocked = (~allowed).nonzero()[0]
-        work, done = self, []
+        live = np.ones(self.lanes.size, dtype=bool)  # the lanes that pivoted last
         steps = min(_Tableau.stall_limit, self.max_iterations - self.iterations.max(initial=0))
         for _ in range(steps):
-            A, basis = work.A, work.basis
-            lanes = np.arange(work.lanes.size)
-            # reduced costs of all columns under every lane's basis
+            A, basis = self.A, self.basis
+            lanes = np.arange(live.size)
+            # reduced costs of all columns under every lane's basis; a lane
+            # at its optimum keeps its tableau, so it stays there
             rc = cost - (cost[basis][:, None, :] @ A[:, :, :-1])[:, 0]
             eligible = rc < -_Tableau.STABLE_PIVOT
-            if blocked.size:
-                eligible[:, blocked] = False
+            eligible[:, blocked] = False
             cols = np.where(eligible, rc, np.inf).argmin(axis=1)
             improving = eligible[lanes, cols]
             if not improving.any():
-                done.append(work)
-                break
+                return
             rows, found = _leaving_rows(A, lanes, cols, basis)
-            go = improving & found
-            if not go.all():
-                # the lone tableau settles a first choice without a leaving
-                # row by a second choice or by an unbounded outcome
-                done.append(work.take(~improving))
-                self.alone.extend(work.lanes[improving & ~found].tolist())
-                work, rows, cols = work.take(go), rows[go], cols[go]
-            work._pivot(None, rows, cols)
-            work.iterations += 1
-        else:
-            self.alone.extend(work.lanes.tolist())
-        if len(done) == 1:
-            return done[0]
-        joined = self.take(slice(0, 0))
-        for name in self._ARRAYS:
-            parts = [getattr(part, name) for part in [joined, *done]]
-            setattr(joined, name, np.concatenate(parts))
-        return joined
+            live = improving & found
+            if live.all():
+                self._pivot(None, rows, cols)
+                self.iterations += 1
+                continue
+            self._pivot(live.nonzero()[0], rows[live], cols[live])
+            self.iterations[live] += 1
+            # the lone tableau settles a first choice without a leaving
+            # row by a second choice or by an unbounded outcome
+            stuck = improving & ~found
+            if stuck.any():
+                live = live[~stuck]
+                self.leave(stuck)
+        self.leave(live)
 
     def drive_out(self) -> None:
         """:meth:`_Tableau.drive_out_artificials` on every lane."""
@@ -452,29 +420,27 @@ class _TableauStack:
             lane, row = lanes[at], rows[at]
             self._pivot(lane, row, np.abs(self.A[lane, row, :limit]).argmax(axis=1))
 
-    def solutions(self):
-        """The stack and :meth:`_Tableau.solution` of each of its lanes; a
-        singular basis in any lane sends every lane to the lone solve."""
-        L, m = self.basis.shape
-        lanes = np.arange(L)[:, None]
-        rows = np.arange(m)[:, None]
-        basis_matrices = self.original[lanes[:, :, None], rows, self.basis[:, None, :]]
+    def solutions(self) -> np.ndarray:
+        """:meth:`_Tableau.solution` of each lane; a singular basis in any
+        lane sends every lane to the lone solve."""
+        basis_matrices = np.take_along_axis(self.original, self.basis[:, None, :], axis=2)
+        y = np.zeros((len(self.A), self.A.shape[2] - 1))
         try:
             values = np.linalg.solve(basis_matrices, self.original[:, :, -1:])[:, :, 0]
         except np.linalg.LinAlgError:
-            return self.leave(np.ones(L, dtype=bool)), np.zeros((0, self.A.shape[2] - 1))
+            self.leave(np.ones(len(y), dtype=bool))
+            return y[:0]
         broken = ~np.isfinite(values).all(axis=1)
         values[broken] = self.A[broken, :, -1]
-        y = np.zeros((L, self.A.shape[2] - 1))
-        y[lanes, self.basis] = values
-        return self, y
+        np.put_along_axis(y, self.basis, values, axis=1)
+        return y
 
 
-def _phase_costs(sf: _StandardForm, total_cols: int, arts: int):
+def _phase_costs(c: np.ndarray, total_cols: int, arts: int):
     phase1 = np.zeros(total_cols)
     phase1[arts:] = 1.0
     phase2 = np.zeros(total_cols)
-    phase2[: sf.c.size] = sf.c
+    phase2[: c.size] = c
     return phase1, phase2
 
 
@@ -486,13 +452,13 @@ def solve(lp: LinearProgram, *, feas_tol: float = DEFAULT_FEAS_TOL) -> LpOutcome
     :class:`NumericalBreakdown` on pivot failure and
     :class:`MaxIterationsExceeded` past :func:`_max_iterations`.
     """
-    sf = lp._standard
-    r = sf.rhs(lp.b_in, lp.b_eq)
-    arts = sum(sf.T.shape)  # the first artificial column
+    T = lp._rows
+    r = _rhs(lp.b_in, lp.b_eq)
+    arts = sum(T.shape)  # the first artificial column
 
-    A, basis, n_art = _initial_tableaux(sf.T, r[None])
+    A, basis, n_art = _initial_tableaux(T, r[None])
     tab = _Tableau(A[0], basis[0], n_art)
-    phase1, phase2 = _phase_costs(sf, tab.total_cols, arts)
+    phase1, phase2 = _phase_costs(lp.c, tab.total_cols, arts)
     allowed = np.ones(tab.total_cols, dtype=bool)
     if n_art:
         try:
@@ -510,7 +476,8 @@ def solve(lp: LinearProgram, *, feas_tol: float = DEFAULT_FEAS_TOL) -> LpOutcome
     except _Unbounded:
         return LpOutcome(LpStatus.UNBOUNDED, iterations=tab.iterations)
 
-    z = sf.original(tab.solution())
+    # adding 0.0 turns a -0.0 of the basis solve into 0.0
+    z = tab.solution()[: lp.c.size] + 0.0
     resid, scale = _violations(lp, z[None], None if lp.b_eq is None else lp.b_eq[None])
     if (resid > feas_tol * scale)[0]:
         raise NumericalBreakdown(f"optimal point violates constraints by {resid[0]:.3e}")
@@ -536,31 +503,31 @@ def solve_batch(
         raise DimensionMismatch(f"b_eq must be a stack of shape (L, {k})")
     if not np.all(np.isfinite(b_eq)):
         raise ValueError("LP data must be finite")
-    sf = lp._standard
-    R = sf.rhs(lp.b_in, b_eq)
-    arts = sum(sf.T.shape)  # the first artificial column
+    T = lp._rows
+    R = _rhs(lp.b_in, b_eq)
+    arts = sum(T.shape)  # the first artificial column
     outcomes: list = [None] * len(b_eq)
     alone: list = []
 
     counts = (R < 0).sum(axis=1)
     for count in np.bincount(counts).nonzero()[0]:
         lanes = (counts == count).nonzero()[0]
-        A, basis, n_art = _initial_tableaux(sf.T, R[lanes])
+        A, basis, n_art = _initial_tableaux(T, R[lanes])
         stack = _TableauStack(A, basis, lanes, n_art, alone)
-        phase1, phase2 = _phase_costs(sf, A.shape[2] - 1, arts)
+        phase1, phase2 = _phase_costs(lp.c, A.shape[2] - 1, arts)
         allowed = np.ones(A.shape[2] - 1, dtype=bool)
         if n_art:
-            stack, Y = stack.run(phase1, allowed).solutions()
-            art_sums = Y[:, arts:].sum(axis=1)
+            stack.run(phase1, allowed)
+            art_sums = stack.solutions()[:, arts:].sum(axis=1)
             scale = np.abs(R[stack.lanes]).max(axis=1, initial=1.0)
-            stack = stack.leave(art_sums > feas_tol * scale)
+            stack.leave(art_sums > feas_tol * scale)
             stack.drive_out()
             allowed[arts:] = False
-        stack, Y = stack.run(phase2, allowed).solutions()
-        Z = sf.original(Y)
+        stack.run(phase2, allowed)
+        Z = stack.solutions()[:, : lp.c.size] + 0.0  # as in solve: no -0.0
         resid, scale = _violations(lp, Z, b_eq[stack.lanes])
         violated = resid > feas_tol * scale  # the lone solve raises on these
-        stack = stack.leave(violated)
+        stack.leave(violated)
         Z = Z[~violated]
         objective = (Z[:, None, :] @ lp.c[:, None])[:, 0, 0]
         for i, lane in enumerate(stack.lanes.tolist()):

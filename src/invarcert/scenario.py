@@ -199,6 +199,10 @@ class AffinePolicy:
         d = np.array(self.offsets, dtype=float)
         if g.ndim != 3 or d.ndim != 2 or g.shape[:2] != d.shape:
             raise DimensionMismatch("gains must be (N, m, ell) and offsets (N, m)")
+        finite = np.isfinite(g).all(axis=(1, 2)) & np.isfinite(d).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"policy gains and offsets of vertex {bad} must be finite")
         g.setflags(write=False)
         d.setflags(write=False)
         object.__setattr__(self, "gains", g)
@@ -480,12 +484,12 @@ def greedy_support_subsample(
 ) -> list[int]:
     """Single-pass greedy support subsample of the scenario program.
 
-    ``policy`` is the program's solution, synthesized by
-    :func:`solve_affine_policy` on these scenarios; a policy synthesized on
-    other scenarios raises :class:`MismatchedFingerprints`, and so does a
-    policy that violates a row of this program by more than
-    :data:`geometry.DEFAULT_TOL`, before any re-solve.  Scans samples
-    in ascending order; a sample is discarded when re-solving without it
+    ``policy`` must come from :func:`solve_affine_policy` called with these
+    very arguments, and is reduced on the program that call built.  Any
+    other policy (of other scenarios or of equal but distinct objects,
+    loaded from a file or built by hand) raises
+    :class:`MismatchedFingerprints` before any re-solve.  Scans samples in
+    ascending order; a sample is discarded when re-solving without it
     reproduces the policy within :data:`SOLUTION_TOL` (max-norm over all
     policy entries).  Returns the retained indices (increasing); re-solving
     on exactly that subsample reproduces the policy, which is verified
@@ -501,18 +505,12 @@ def greedy_support_subsample(
     :meth:`_BlockProgram.solve_vertex`).  The final verification starts
     cold.  If it fails, the literal pass re-solves every vertex for every
     removal, cold.
-
-    The program that :func:`solve_affine_policy` built for ``policy`` is
-    reused when it was built from these very arguments.
     """
-    if policy.scenario_fingerprint != scenarios.fingerprint:
-        raise MismatchedFingerprints(
-            f"policy scenario fingerprint {policy.scenario_fingerprint} "
-            f"does not match the scenario set ({scenarios.fingerprint})"
-        )
     prog = policy._program
     if prog is None or not prog.built_from(family, S, U, scenarios.samples):
-        prog = _BlockProgram(family, S, U, scenarios.samples)
+        raise MismatchedFingerprints(
+            "policy was not synthesized by solve_affine_policy from these arguments"
+        )
     full = np.hstack([policy.gains.reshape(prog.N, -1), policy.offsets])
 
     # per (vertex, sample) minimum slack at the full solution
@@ -520,12 +518,6 @@ def greedy_support_subsample(
     slack = np.empty((prog.N, prog.K))
     for i in range(prog.N):
         slack[i] = (prog.rhs[i] - (rows @ full[i]).reshape(prog.K, -1)).min(axis=1)
-    if slack.min() < -DEFAULT_TOL:
-        vertex, sample = np.unravel_index(np.argmin(slack), slack.shape)
-        raise MismatchedFingerprints(
-            f"policy is not the solution of this scenario program: it violates "
-            f"sample {sample} at vertex {vertex} by {-slack[vertex, sample]:.3e}"
-        )
     touches = slack < _ACTIVE_TOL  # (N, K)
 
     retained = _reduce(prog, full, touches, seeded=True)

@@ -242,38 +242,41 @@ class TableFamily:
 
     The scenario machinery treats the index as a parameter of dimension 1,
     so affine policies over a table reduce to per-snapshot interpolation.
+    The snapshots are kept as two read-only stacks, ``A`` (count, n, n)
+    and ``B`` (count, n, m).
     """
 
-    pairs: tuple
+    A: np.ndarray
+    B: np.ndarray
 
     def __init__(self, pairs):
-        stored = []
-        shape = None
+        As, Bs = [], []
         for A, B in pairs:
             A = np.array(A, dtype=float)
             B = np.array(B, dtype=float)
             if B.ndim == 1:
                 B = B[:, None]
-            if shape is None:
-                shape = (A.shape, B.shape)
-            elif (A.shape, B.shape) != shape:
+            if As and (A.shape, B.shape) != (As[0].shape, Bs[0].shape):
                 raise DimensionMismatch("all table entries must share shapes")
-            A.setflags(write=False)
-            B.setflags(write=False)
-            stored.append((A, B))
-        if not stored:
+            As.append(A)
+            Bs.append(B)
+        if not As:
             raise ValueError("table must contain at least one (A, B) pair")
-        if stored[0][0].shape[0] != stored[0][0].shape[1]:
+        A, B = np.stack(As), np.stack(Bs)
+        if A.shape[1] != A.shape[2]:
             raise DimensionMismatch("A must be square")
-        object.__setattr__(self, "pairs", tuple(stored))
+        A.setflags(write=False)
+        B.setflags(write=False)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
 
     @property
     def n(self) -> int:
-        return self.pairs[0][0].shape[0]
+        return self.A.shape[1]
 
     @property
     def m(self) -> int:
-        return self.pairs[0][1].shape[1]
+        return self.B.shape[2]
 
     @property
     def ell(self) -> int:
@@ -292,17 +295,13 @@ class TableFamily:
         d = np.asarray(deltas, dtype=float)
         if d.ndim != 2 or d.shape[1] != 1:
             raise DimensionMismatch("table families take a single index parameter")
+        count = len(self.A)
         k = np.rint(d[:, 0])
-        bad = np.flatnonzero(
-            ~(np.abs(d[:, 0] - k) <= 1e-9) | (k < 0) | (k >= len(self.pairs))
-        )
+        bad = np.flatnonzero(~(np.abs(d[:, 0] - k) <= 1e-9) | (k < 0) | (k >= count))
         if bad.size:
-            raise UnknownSample(int(bad[0]), float(d[bad[0], 0]), len(self.pairs))
+            raise UnknownSample(int(bad[0]), float(d[bad[0], 0]), count)
         k = k.astype(int)
-        return (
-            np.stack([A for A, _ in self.pairs])[k],
-            np.stack([B for _, B in self.pairs])[k],
-        )
+        return self.A[k], self.B[k]
 
 
 def spectral_radius_estimate(A) -> float:

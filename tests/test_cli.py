@@ -791,3 +791,66 @@ def test_non_finite_plant_fails_simulate_before_any_step(tmp_path, capsys, monke
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: system.affine.A0 must be finite\n"
+
+
+def _simulation_must_not_start(monkeypatch):
+    from invarcert import cli, closed_loop
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the simulation started")
+
+    monkeypatch.setattr(cli, "_initial_states", no_work)
+    monkeypatch.setattr(closed_loop, "simulate_closed_loop", no_work)
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--sample=", "--sample '' is not a comma-separated list of numbers"),
+        ("--sample=1,,2", "--sample '1,,2' is not a comma-separated list of numbers"),
+        ("--sample=nan", "--sample values must be finite, got [nan]"),
+        ("--sample=1e309", "--sample values must be finite, got [inf]"),
+        ("--sample=1e308", "--sample [1e+308] gives a non-finite plant"),
+        ("--sample=0.5,0.5", "--sample has 2 values, expected 1"),
+        ("--seed=-1", "--seed must be >= 0, got -1"),
+    ],
+)
+def test_bad_simulate_argument_refused_before_any_work(
+    flag, message, tmp_path, capsys, monkeypatch
+):
+    # A(delta) = A0 + delta * 2 I overflows at delta = 1e308
+    payload = affine_config()
+    payload["system"]["affine"]["Ak"] = [[[2.0, 0.0], [0.0, 2.0]]]
+    cfg = write(tmp_path, payload)
+    zero = {"gains": np.zeros((4, 1, 1)).tolist(), "offsets": np.zeros((4, 1)).tolist()}
+    policy = write(tmp_path, zero, "policy.json")
+    _simulation_must_not_start(monkeypatch)
+    argv = ["simulate", "--config", cfg, "--policy", policy, "--init", "random:3", flag]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_table_sample_that_is_not_an_index_refused(tmp_path, capsys, monkeypatch):
+    cfg = table_index_config(tmp_path, [0, 1])
+    zero = {"gains": np.zeros((2, 1, 1)).tolist(), "offsets": np.zeros((2, 1)).tolist()}
+    policy = write(tmp_path, zero, "policy.json")
+    _simulation_must_not_start(monkeypatch)
+    assert main(["simulate", "--config", cfg, "--policy", policy, "--sample=0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --sample 0.5 is not a table index in 0..1\n"
+
+
+def test_non_finite_policy_file_fails_at_load(tmp_path, capsys, monkeypatch):
+    cfg, report = _certified_policy(tmp_path, capsys)
+    with open(report) as fh:
+        policy = json.load(fh)["policy"]
+    policy["gains"][2][0][1] = float("nan")
+    bad = write(tmp_path, policy, "bad.json")
+    _simulation_must_not_start(monkeypatch)
+    assert main(["simulate", "--config", cfg, "--policy", bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: policy gains and offsets of vertex 2 must be finite\n"

@@ -291,13 +291,15 @@ def test_per_polytope_decomposition_lp_matches_a_fresh_build(name):
 
 
 def test_decomposition_lp_built_once_per_polytope(monkeypatch):
+    from functools import cached_property
+
     from invarcert import lp_core
 
     built = []
-    standard_form = lp_core._to_standard_form
-    monkeypatch.setattr(
-        lp_core, "_to_standard_form", lambda lp: built.append(lp) or standard_form(lp)
-    )
+    rows = lp_core.LinearProgram._rows
+    spy = cached_property(lambda lp: built.append(lp) or rows.func(lp))
+    spy.__set_name__(lp_core.LinearProgram, "_rows")
+    monkeypatch.setattr(lp_core.LinearProgram, "_rows", spy)
     P = ic.box([-1.0, -2.0, -0.5], [1.0, 0.5, 2.0])
     rng = np.random.default_rng(4)
     for _ in range(10):

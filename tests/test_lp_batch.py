@@ -155,6 +155,62 @@ def test_sub_threshold_pivots_only(alone):
     assert alone == B.tolist()
 
 
+def test_lanes_that_stop_are_not_pivoted_again(alone, monkeypatch):
+    # a seeded search found these three lanes of one stack: in the second
+    # step of phase 2 the second lane (b = 1) leaves for a second-choice
+    # column, the first (b = 0.5) pivots on, and the third (b = 1.5) has
+    # already reached its optimum; every pivot the stack makes on a lane
+    # must be the next pivot of its lone solve
+    lp = _program(
+        c=[-1.0, 1.0, -0.5, 1.0, 0.0],
+        A_in=[
+            [2.0, 5e-10, 1.5e-9, -1.0, 0.0],
+            [2.0, 5e-10, 0.0, 3e-10, 2.0],
+            [1.5e-9, 2.0, 1.5e-9, 3e-10, 2.0],
+        ],
+        b_in=[1e-9, 2.0, 1.0],
+        A_eq=[[1.0, 2.0, 0.0, 0.0, -1.0]],
+    )
+    B = np.array([[0.5], [1.0], [1.5]])
+    seen = []
+    pivot = lp_core._Tableau._pivot
+    monkeypatch.setattr(
+        lp_core._Tableau, "_pivot", lambda tab, *at: seen.append(at) or pivot(tab, *at)
+    )
+    lone = []
+    for b in B:
+        seen.clear()
+        _lone(lp, b)
+        lone.append(seen.copy())
+    stacked = [[] for _ in B]
+    events = []  # the lanes of each stacked pivot, and of each leave
+    stack_pivot = lp_core._TableauStack._pivot
+    leave = lp_core._TableauStack.leave
+
+    def pivot_spy(stack, lanes, rows, cols):
+        at = stack.lanes if lanes is None else stack.lanes[lanes]
+        for lane, row, col in zip(at.tolist(), rows.tolist(), cols.tolist()):
+            stacked[lane].append((row, col))
+        events.append(("pivot", at.tolist()))
+        return stack_pivot(stack, lanes, rows, cols)
+
+    def leave_spy(stack, mask):
+        events.append(("leave", stack.lanes[mask].tolist()))
+        return leave(stack, mask)
+
+    monkeypatch.setattr(lp_core._TableauStack, "_pivot", pivot_spy)
+    monkeypatch.setattr(lp_core._TableauStack, "leave", leave_spy)
+    outcomes = _assert_lanes_are_lone(lp, B)
+    assert [o[0] for o in outcomes] == [LpStatus.OPTIMAL] * 3
+    assert alone == B[[1]].tolist()
+    step = events.index(("leave", [1]))
+    assert events[step - 1] == ("pivot", [0])  # that step pivots the first lane only
+    assert ("pivot", [0]) in events[step + 1 :]
+    assert stacked[0] == lone[0] and stacked[2] == lone[2]
+    assert 0 < len(stacked[1]) < len(lone[1])
+    assert stacked[1] == lone[1][: len(stacked[1])]
+
+
 def test_iteration_cap(alone, monkeypatch):
     # with the cap lowered to 2 pivots, the stack stops after 2 steps and
     # the lanes still pivoting then reach the cap in their lone solve

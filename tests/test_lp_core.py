@@ -22,10 +22,17 @@ def test_bounds_are_refused():
         LinearProgram(c=[1.0], A_in=[[1.0]], b_in=[1.0], bounds=[(0.0, 1.0)])
 
 
-def test_solutions_carry_no_negative_zero():
-    lp = LinearProgram(c=[1.0, 1.0], A_in=[[1.0, 1.0]], b_in=[1.0])
-    z = lp._standard.original(np.array([-0.0, 0.5, -0.0]))
-    assert z.tobytes() == np.array([0.0, 0.5]).tobytes()
+def test_solutions_carry_no_negative_zero(monkeypatch):
+    # the basis solve of this program gives z1 = -0.0; solve reports 0.0
+    basic = []
+    solution = lp_core._Tableau.solution
+    monkeypatch.setattr(
+        lp_core._Tableau, "solution", lambda tab: basic.append(solution(tab)) or basic[-1]
+    )
+    lp = LinearProgram(c=[-1.0, 1.0], A_in=[[1.0, 1.0], [-2.0, 2.0]], b_in=[0.0, 2.0])
+    z = solve(lp).z
+    assert basic[-1][0] == 0.0 and np.signbit(basic[-1][0])
+    assert z.tobytes() == np.zeros(2).tobytes()
 
 
 def test_empty_feasible_set():

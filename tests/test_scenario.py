@@ -495,8 +495,8 @@ def test_greedy_falls_back_to_the_literal_pass(monkeypatch):
 
 
 def test_greedy_rejects_the_policy_of_another_program(monkeypatch):
-    # the scenarios match, but the policy solves the program of another S
-    # and violates its rows, which is seen before any re-solve
+    # the scenarios match, but the policy solves the program of another S,
+    # which is seen before any re-solve
     from invarcert.scenario import _BlockProgram
 
     fam, S, U, scen = path_instance(K=40, seed=8)
@@ -508,7 +508,7 @@ def test_greedy_rejects_the_policy_of_another_program(monkeypatch):
         "solve_vertex",
         lambda self, *args: calls.append(args) or solve_vertex(self, *args),
     )
-    message = "not the solution .* violates sample 0 at vertex 0 by 7.72"
+    message = "not synthesized by solve_affine_policy from these arguments"
     with pytest.raises(ic.MismatchedFingerprints, match=message):
         other_S = ic.box([-0.9, -0.9], [0.9, 0.9])
         ic.greedy_support_subsample(fam, other_S, U, scen, policy=policy)
@@ -608,10 +608,18 @@ def test_synthesis_and_greedy_share_one_program(monkeypatch):
     policy = ic.solve_affine_policy(fam, S, U, scen)
     assert ic.greedy_support_subsample(fam, S, U, scen, policy=policy) == [39]
     assert len(built) == 1
-    # other arguments, though equal, get their own program
+    # other arguments, though equal, are refused before any re-solve
+    solves = []
+    solve_vertex = _BlockProgram.solve_vertex
+    monkeypatch.setattr(
+        _BlockProgram,
+        "solve_vertex",
+        lambda self, *args: solves.append(args) or solve_vertex(self, *args),
+    )
     same_S = ic.box([-1, -1], [1, 1])
-    assert ic.greedy_support_subsample(fam, same_S, U, scen, policy=policy) == [39]
-    assert len(built) == 2
+    with pytest.raises(ic.MismatchedFingerprints):
+        ic.greedy_support_subsample(fam, same_S, U, scen, policy=policy)
+    assert solves == [] and len(built) == 1
     # the program lives as long as the policy
     program = weakref.ref(policy._program)
     del policy
@@ -866,3 +874,12 @@ def test_one_chunk_size_for_every_batched_pass(monkeypatch):
     sizes.clear()
     assert ic.multisample_necessary(fam, UNIT2, UNIT2, scen).passed
     assert sizes == [4, 4, 2]
+
+
+@pytest.mark.parametrize("entry", ["gains", "offsets"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_policy_with_non_finite_entries_names_the_vertex(entry, value):
+    arrays = {"gains": np.zeros((3, 2, 1)), "offsets": np.zeros((3, 2))}
+    arrays[entry][1, 1] = value
+    with pytest.raises(ValueError, match="^policy gains and offsets of vertex 1 must be finite$"):
+        ic.AffinePolicy(**arrays)
