@@ -27,7 +27,7 @@ class MissingPolicy(InvarcertError):
 
 
 def _dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_report(payload: dict, out_dir, name: str) -> None:
@@ -236,9 +236,14 @@ def run_simulate(
         raise InvalidArguments(f"--seed must be >= 0, got {seed}")
     delta = family.nominal_delta if sample is None else _sample_parameter(family, sample)
     starts = _initial_states(init, S, seed, horizon)
-    trajectories = closed_loop.simulate_closed_loop(
-        family, delta, S, policy, starts, T=horizon
-    )
+    try:
+        trajectories = closed_loop.simulate_closed_loop(
+            family, delta, S, policy, starts, T=horizon
+        )
+    except closed_loop.TrajectoryOverflow as exc:
+        if sample is None:
+            raise
+        raise InvalidArguments(f"--sample {delta.tolist()} overflows the run: {exc}") from None
     summary = []
     for idx, traj in enumerate(trajectories):
         if out_dir:

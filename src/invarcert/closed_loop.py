@@ -13,8 +13,8 @@ On a simplicial facet the law is explicit and piecewise linear
 once per polytope (:attr:`geometry.Polytope.facet_simplices`).  Only a
 state whose facet is not a simplex (a box in three or more dimensions,
 say) goes through the LP of :func:`geometry.vertex_decompose`; all such
-states of a step go in one call, which solves their LPs as one stack of
-tableaux (:func:`lp_core.solve_batch`).
+states of a step go in one call, which solves their LPs by walking the
+program's cache of pivot paths (:func:`lp_core.solve_batch`).
 
 :func:`simulate_closed_loop` steps a whole stack of starts together as
 arrays; one start is a stack of one.  Simulation keeps going when a
@@ -42,6 +42,10 @@ MAX_STATES = 10_000_000
 
 class DistributionUnavailable(InvarcertError):
     pass
+
+
+class TrajectoryOverflow(InvarcertError):
+    """A simulated state is not finite."""
 
 
 @dataclass(frozen=True)
@@ -163,6 +167,8 @@ def simulate_closed_loop(
     (vertices of ``S``, m, ell) raises :class:`DimensionMismatch` first,
     and a horizon ``T < 1`` or a run of more than :data:`MAX_STATES`
     states raises :class:`InvalidArguments` before anything is allocated.
+    A run that overflows raises :class:`TrajectoryOverflow`, naming the
+    first start with a non-finite state and its first such step.
     """
     _check_policy_shape(family, S, policy)
     delta = np.asarray(delta, dtype=float).ravel()
@@ -180,29 +186,37 @@ def simulate_closed_loop(
     if outside.size:
         raise DecompositionInfeasible(f"start {outside[0]} lies outside S")
 
-    vertex_inputs = policy.vertex_inputs(delta)
-    facet_inputs = vertex_inputs[S.facet_simplices.vertices]
-    N, n, m = X.shape[0], S.dim, vertex_inputs.shape[1]
+    N, n = X.shape[0], S.dim
     states = np.empty((N, T + 1, n))
-    inputs = np.zeros((N, T, m))
     gauges = np.empty((N, T + 1))
     states[:, 0] = X
     gauges[:, 0] = np.maximum(Fx.max(axis=1), 0.0)
     first_exit = np.full(N, -1)
     live = slice(None)  # the starts that have not exited: all, until one does
-    for t in range(T):
-        inputs[live, t], failed = _vertex_law(
-            S, facet_inputs, vertex_inputs, X[live], Fx[live]
+    # an overflow shows as a non-finite state, refused once after the loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        vertex_inputs = policy.vertex_inputs(delta)
+        facet_inputs = vertex_inputs[S.facet_simplices.vertices]
+        inputs = np.zeros((N, T, vertex_inputs.shape[1]))
+        for t in range(T):
+            inputs[live, t], failed = _vertex_law(
+                S, facet_inputs, vertex_inputs, X[live], Fx[live]
+            )
+            X = _apply(A, X) + _apply(B, inputs[:, t])
+            Fx = _apply(S.facets, X)
+            states[:, t + 1] = X
+            gauges[:, t + 1] = np.maximum(Fx.max(axis=1), 0.0)
+            inside = gauges[:, t + 1] <= 1.0 + DEFAULT_TOL  # a NaN state exits
+            if failed.size or not inside.all():
+                first_exit[np.arange(N)[live][failed]] = t
+                first_exit[(first_exit < 0) & ~inside] = t + 1
+                live = (first_exit < 0).nonzero()[0]
+    finite = np.isfinite(states).all(axis=2)
+    if not finite.all():
+        s = int((~finite).any(axis=1).argmax())
+        raise TrajectoryOverflow(
+            f"the state of start {s} at step {int((~finite[s]).argmax())} is not finite"
         )
-        X = _apply(A, X) + _apply(B, inputs[:, t])
-        Fx = _apply(S.facets, X)
-        states[:, t + 1] = X
-        gauges[:, t + 1] = np.maximum(Fx.max(axis=1), 0.0)
-        out = gauges[:, t + 1] > 1.0 + DEFAULT_TOL
-        if failed.size or out.any():
-            first_exit[np.arange(N)[live][failed]] = t
-            first_exit[(first_exit < 0) & out] = t + 1
-            live = (first_exit < 0).nonzero()[0]
     fingerprint = policy.fingerprint
     trajectories = [
         Trajectory(

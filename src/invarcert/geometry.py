@@ -89,7 +89,9 @@ class Polytope:
 
     Instances are produced by :func:`validate_polytope` or :func:`box` and
     are immutable afterwards; the arrays are marked read-only so values can
-    be shared freely across threads.
+    be shared freely across threads.  The pivot-path cache of
+    :attr:`decomposition_lp` only grows, and a node enters it only once
+    fully built, so a thread never reads a half-built node.
     """
 
     facets: np.ndarray  # (p, n)

@@ -18,28 +18,34 @@ Problem form::
 Every variable is nonnegative; a caller states a free variable as the
 difference of two columns and a finite bound as an inequality row.
 Intended for small dense problems (hundreds of rows); there is no sparse
-path and no factorization reuse between solves.  A program's tableau
-rows (:attr:`LinearProgram._rows`) are built on its first solve and kept;
-:func:`_rhs` builds the right-hand side of one program or of a stack.
+path.  A program's tableau rows (:attr:`LinearProgram._rows`) are built on
+its first solve and kept; :func:`_rhs` builds the right-hand side of one
+program or of a stack.
 
 :func:`solve_batch` solves a family of programs that differ only in
 their equality right-hand side (the vertex decomposition of
-:mod:`invarcert.geometry`) as one stack of tableaux: pricing is one
-stacked ``matmul``, a pivot one broadcast update, the basis solves one
-stacked ``np.linalg.solve``.  Every lane stays in the stack; one that
-reaches the optimum stops, and each step pivots the lanes still live.
-The stack runs Dantzig's rule only, for no more steps than a lone run
-takes before it could switch to Bland's rule or reach the iteration cap;
-every lane makes the choices of the lone tableau, and a stacked
-``matmul`` or ``solve`` computes each lane as the lone call does.  Any
-other lane (a second-choice entering column, an unbounded or infeasible
-program, a lane still pivoting at that step, a singular basis, a primal
-violation) leaves the stack and is solved again from the start by
-:func:`solve` with its own ``b_eq``, so each outcome is bit for bit that
-of :func:`solve` and the rare rules live in one place.  A single program
-is cheaper through :func:`solve`; the stack pays off from a few lanes on.
+:mod:`invarcert.geometry`).  A tableau's reduced costs, entering column,
+eligible pivot rows, pivot factors and basis matrix depend on the rows
+flipped for a negative right-hand side and on the pivots made so far, not
+on the right-hand side itself; only the ratio test and the basic values
+do (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, 1997,
+ch. 5).  So a program keeps a pivot-path cache
+(:attr:`LinearProgram._paths`): a tree of the tableaux that the lone solve
+reaches (:class:`_Node`), one root per flip pattern, each node built once
+from its parent.  A lane walks the tree on its own right-hand side, in
+Python floats: per pivot one ratio test and one update of the right-hand
+side with the operations of :meth:`_Tableau._pivot` (:func:`_walk`).  The
+phase-1 artificial checks and the final solutions are stacked
+``np.linalg.solve`` calls against each lane's own right-hand side.  Any
+other lane (Bland's rule, the iteration cap, a second-choice entering
+column, an unbounded or infeasible program, a singular or non-finite
+basis solve, a primal violation) is solved again from the start by
+:func:`solve` with its own ``b_eq``.  So each outcome is bit for bit that
+of :func:`solve`, whatever filled the cache before, and the rare rules
+live in one place.
 """
 
+import copy
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -103,6 +109,13 @@ class LinearProgram:
             rows += [self.A_eq, -self.A_eq]
         return np.vstack(rows)
 
+    @cached_property
+    def _paths(self) -> dict:
+        """The pivot-path cache of :func:`solve_batch`: the root
+        :class:`_Node` of each flip pattern (as bytes), grown as lanes
+        walk it; it only ever gains fully built nodes."""
+        return {}
+
 
 @dataclass(frozen=True)
 class LpOutcome:
@@ -126,31 +139,26 @@ def _rhs(b_in: np.ndarray, b_eq: np.ndarray | None) -> np.ndarray:
     return np.concatenate([b_in, b_eq, -b_eq], axis=-1)
 
 
-def _initial_tableaux(T: np.ndarray, R: np.ndarray):
-    """Phase-1 tableaux of ``T y <= r``, one for every row ``r`` of ``R``.
+def _initial_tableau(T: np.ndarray, r: np.ndarray) -> "_Tableau":
+    """Phase-1 tableau of ``T y <= r``.
 
     Rows with a negative right-hand side are flipped so the rhs column is
     >= 0; their slacks then enter with coefficient -1 and need artificials.
-    Every row of ``R`` must have the same number of negative entries, so
-    that the tableaux share one shape.  Returns the (L, m, cols) tableaux,
-    their (L, m) bases and the number of artificials.
     """
-    L, m = R.shape
-    n = T.shape[1]
-    flip = R < 0
+    m, n = T.shape
+    flip = r < 0
     sign = np.where(flip, -1.0, 1.0)
-    lanes, rows = flip.nonzero()
-    n_art = lanes.size // L if L else 0
+    n_art = int(flip.sum())
     # columns: structural body, slacks, artificials, right-hand side
-    A = np.zeros((L, m, n + m + n_art + 1))
-    np.multiply(T, sign[:, :, None], out=A[:, :, :n])
+    A = np.zeros((m, n + m + n_art + 1))
+    np.multiply(T, sign[:, None], out=A[:, :n])
     diagonal = np.arange(m)
-    A[:, diagonal, n + diagonal] = sign
-    # the k-th flipped row of a lane gets the k-th artificial
-    basis = np.where(flip, np.cumsum(flip, axis=1) + (n + m - 1), n + diagonal)
-    A[lanes, rows, basis[lanes, rows]] = 1.0
-    np.multiply(R, sign, out=A[:, :, -1])
-    return A, basis, n_art
+    A[diagonal, n + diagonal] = sign
+    # the k-th flipped row gets the k-th artificial
+    basis = np.where(flip, np.cumsum(flip) + (n + m - 1), n + diagonal)
+    A[flip, basis[flip]] = 1.0
+    np.multiply(r, sign, out=A[:, -1])
+    return _Tableau(A, basis, n_art)
 
 
 def _max_iterations(m: int, n: int) -> int:
@@ -183,7 +191,15 @@ class _Tableau:
     def total_cols(self) -> int:
         return self.n_struct + self.n_slack + self.n_art
 
-    def _pivot(self, row: int, col: int) -> None:
+    def copy(self) -> "_Tableau":
+        """A tableau to pivot on from this one; ``original`` is shared."""
+        tab = copy.copy(self)
+        tab.A, tab.basis = self.A.copy(), self.basis.copy()
+        return tab
+
+    def _pivot(self, row: int, col: int):
+        """Pivot on ``(row, col)``; returns the pivot and the factor column,
+        all that a right-hand side needs to follow the pivot."""
         A = self.A
         piv = A[row, col]
         if abs(piv) < DEFAULT_PIVOT_TOL:
@@ -195,6 +211,18 @@ class _Tableau:
         A[:, col] = 0.0
         A[row, col] = 1.0
         self.basis[row] = col
+        return piv, factors
+
+    def entering(self, cost: np.ndarray, cb: np.ndarray, allowed: np.ndarray, bland: bool):
+        """The improving columns under the current basis, whose costs are
+        ``cb``, in the order the pivot rule tries them: ascending index
+        under Bland's rule, else most negative reduced cost first (lowest
+        index on ties)."""
+        rc = cost[: self.total_cols] - cb @ self.A[:, :-1]
+        eligible = (allowed & (rc < -self.STABLE_PIVOT)).nonzero()[0]
+        if bland or not eligible.size:
+            return eligible.tolist()
+        return eligible[rc[eligible].argsort(kind="stable")].tolist()
 
     def run(self, cost: np.ndarray, allowed: np.ndarray) -> None:
         """Deterministic pivoting: most-negative reduced cost (lowest index
@@ -204,7 +232,6 @@ class _Tableau:
         largest pivot among ties and then the lowest basic-variable index.
         """
         A = self.A
-        priced = cost[: self.total_cols]
         cb = cost[self.basis]
         stall, last_objective = 0, np.inf
         while True:
@@ -212,15 +239,9 @@ class _Tableau:
                 raise MaxIterationsExceeded(
                     f"simplex exceeded {self.max_iterations} iterations"
                 )
-            # reduced costs of all columns under the current basis
-            rc = priced - cb @ A[:, :-1]
-            eligible = (allowed & (rc < -self.STABLE_PIVOT)).nonzero()[0]
-            if eligible.size == 0:
+            order = self.entering(cost, cb, allowed, bland=stall >= self.stall_limit)
+            if not order:
                 return
-            if stall >= self.stall_limit:
-                order = eligible.tolist()  # Bland: ascending variable index
-            else:
-                order = eligible[rc[eligible].argsort(kind="stable")].tolist()
             for col in order:
                 row = self._leaving_row(col)
                 if row is not None:
@@ -258,9 +279,10 @@ class _Tableau:
         tied = tied[pivots >= pivots.max() * (1.0 - 1e-9)]
         return int(tied[self.basis[tied].argmin()])
 
-    def drive_out_artificials(self) -> None:
+    def drive_out_artificials(self) -> list:
         """Pivot basic artificials (at value zero) onto structural or slack
-        columns, at the largest entry of their row.
+        columns, at the largest entry of their row; returns ``(row, col,
+        pivot, factors)`` of each pivot.
 
         The slack column of a flipped row starts as minus its artificial's
         column and every pivot keeps it so, so the row of a basic artificial
@@ -268,9 +290,12 @@ class _Tableau:
         at least 1 in size.
         """
         limit = self.n_struct + self.n_slack
+        pivots = []
         # a pivot changes only the basic variable of its own row
         for row in (self.basis >= limit).nonzero()[0].tolist():
-            self._pivot(row, int(np.abs(self.A[row, :limit]).argmax()))
+            col = int(np.abs(self.A[row, :limit]).argmax())
+            pivots.append((row, col, *self._pivot(row, col)))
+        return pivots
 
     def solution(self) -> np.ndarray:
         """Basic solution; re-solved against the pristine data so that pivot
@@ -294,146 +319,95 @@ class _Unbounded(Exception):
     pass
 
 
-def _leaving_rows(A: np.ndarray, lanes: np.ndarray, cols: np.ndarray, basis):
-    """:meth:`_Tableau._leaving_row` of column ``cols[l]`` in every tableau
-    ``A[l]``; ``found`` is False where that returns None."""
-    column = A[lanes, :, cols]
-    eligible = column > _Tableau.STABLE_PIVOT
-    ratios = np.divide(
-        A[:, :, -1], column, out=np.full(column.shape, np.inf), where=eligible
-    )
-    best = ratios.min(axis=1, keepdims=True)
-    tied = ratios <= best + DEFAULT_PIVOT_TOL * np.maximum(1.0, np.abs(best))
-    # prefer the largest pivot (stability), then the lowest basis index
-    top = np.where(tied, column, -np.inf).max(axis=1, keepdims=True)
-    tied &= column >= top * (1.0 - 1e-9)
-    rows = np.where(tied, basis, A.shape[2]).argmin(axis=1)  # above every basis index
-    return rows, eligible[lanes, rows]
+class _Node:
+    """A tableau that :func:`solve` reaches, in the pivot-path cache of a
+    program (:attr:`LinearProgram._paths`).
 
-
-class _TableauStack:
-    """Tableaux of one program under a stack of right-hand sides, pivoted
-    together with Dantzig's rule; every lane makes the choices of
-    :class:`_Tableau`.
-
-    The lanes share one shape (the same number of artificials), so a
-    stacked ``matmul`` or ``solve`` computes each lane bit for bit as the
-    lone tableau does.  A lane whose next step is not the lone tableau's
-    first choice under Dantzig's rule leaves the stack through
-    :meth:`leave`: its position in the batch goes to ``alone``, to be
-    solved from the start by :func:`solve`.
+    A node is fixed by the flip pattern of its root and the pivots made
+    since; nothing in it depends on a right-hand side.  ``pivots`` holds
+    ``(row, col, pivot, factors)`` of each pivot from its parent: one
+    simplex pivot, or the drive-out of the artificials that starts phase
+    2.  ``rows`` are the eligible rows of Dantzig's first entering column
+    ``col`` and ``column`` its entries there; ``rows`` is empty where no
+    column improves (the phase ends) and None where that column has no
+    eligible row (:func:`solve` takes over).  A node is built by copying
+    its parent's tableau and pivoting, and enters the parent's
+    ``children`` (keyed by leaving row, None for phase 2) only once built.
     """
 
-    def __init__(self, A, basis, lanes, n_art, alone):
-        self.A = A
-        self.original = A.copy()
-        self.basis = basis
-        self.iterations = np.zeros(lanes.size, dtype=int)
-        self.lanes = lanes  # positions in the batch
-        self.n_slack = A.shape[1]
-        self.n_struct = A.shape[2] - 1 - self.n_slack - n_art
-        self.max_iterations = _max_iterations(self.n_slack, self.n_struct)
-        self.alone = alone
+    def __init__(self, tab: _Tableau, c, phase: int, steps: int, pivots: list):
+        self.tab, self.c, self.phase = tab, c, phase
+        self.steps = steps  # pivots since the phase began
+        self.pivots = [(row, col, float(piv), f.tolist()) for row, col, piv, f in pivots]
+        self.iterations = tab.iterations
+        self.basis_matrix = tab.original[:, tab.basis]
+        self.children = {}
+        arts = tab.n_struct + tab.n_slack
+        cost = _phase_costs(c, tab.total_cols, arts)[phase - 1]
+        allowed = np.arange(tab.total_cols) < (tab.total_cols if phase == 1 else arts)
+        order = tab.entering(cost, cost[tab.basis], allowed, bland=False)
+        self.col = order[0] if order else None
+        self.rows = self.column = self.leaving = []
+        if order:
+            column = tab.A[:, self.col]
+            rows = (column > tab.STABLE_PIVOT).nonzero()[0]
+            self.rows = rows.tolist() if rows.size else None
+            self.column = column[rows].tolist()
+            self.leaving = tab.basis[rows].tolist()  # the basic variable of each row
 
-    def leave(self, mask: np.ndarray) -> None:
-        """Remove the lanes of ``mask`` from the stack, to be solved alone."""
-        if mask.any():
-            self.alone.extend(self.lanes[mask].tolist())
-            keep = ~mask
-            self.A, self.original = self.A[keep], self.original[keep]
-            self.basis, self.iterations = self.basis[keep], self.iterations[keep]
-            self.lanes = self.lanes[keep]
+    @staticmethod
+    def root(lp: "LinearProgram", flip: np.ndarray) -> "_Node":
+        """The first tableau of the lanes whose right-hand side is negative
+        at ``flip``, published in ``lp._paths``."""
+        tab = _initial_tableau(lp._rows, np.where(flip, -1.0, 1.0))
+        node = _Node(tab, lp.c, 1 if tab.n_art else 2, 0, [])
+        lp._paths[flip.tobytes()] = node
+        return node
 
-    def _pivot(self, lanes, rows, cols) -> None:
-        """:meth:`_Tableau._pivot` on ``(rows[j], cols[j])`` of every lane
-        ``lanes[j]``; ``lanes`` None means every lane, in order."""
-        A = self.A
-        every = lanes is None
-        if every:
-            lanes = np.arange(len(A))
-        at = np.arange(lanes.size)
-        pivot_rows = A[lanes, rows]
-        pivot_rows /= pivot_rows[at, cols][:, None]
-        A[lanes, rows] = pivot_rows
-        factors = A[lanes, :, cols]
-        factors[at, rows] = 0.0
-        update = factors[:, :, None] * pivot_rows[:, None, :]
-        if every:
-            A -= update
+    def grow(self, row: int | None) -> "_Node":
+        """The child of the pivot on ``row``, or for None (at the end of
+        phase 1) the start of phase 2; built, then published."""
+        tab = self.tab.copy()
+        if row is None:
+            child = _Node(tab, self.c, 2, 0, tab.drive_out_artificials())
         else:
-            A[lanes] -= update
-        A[lanes, :, cols] = 0.0
-        A[lanes, rows, cols] = 1.0
-        self.basis[lanes, rows] = cols
+            pivot = (row, self.col, *tab._pivot(row, self.col))
+            tab.iterations += 1
+            child = _Node(tab, self.c, self.phase, self.steps + 1, [pivot])
+        self.children[row] = child
+        return child
 
-    def run(self, cost: np.ndarray, allowed: np.ndarray) -> None:
-        """:meth:`_Tableau.run` on every lane, with Dantzig's rule; the
-        lanes that do not reach the optimum leave.
 
-        A lane that reaches the optimum stops: each step pivots only the
-        lanes still live, the whole stack at once while every lane is.  A
-        lone run switches to Bland's rule only after ``stall_limit`` pivots
-        and reaches the iteration cap only after ``max_iterations -
-        iterations`` of them, so the stack takes at most that many steps
-        and sends every lane still pivoting then to the lone solve.
-        """
-        blocked = (~allowed).nonzero()[0]
-        live = np.ones(self.lanes.size, dtype=bool)  # the lanes that pivoted last
-        steps = min(_Tableau.stall_limit, self.max_iterations - self.iterations.max(initial=0))
-        for _ in range(steps):
-            A, basis = self.A, self.basis
-            lanes = np.arange(live.size)
-            # reduced costs of all columns under every lane's basis; a lane
-            # at its optimum keeps its tableau, so it stays there
-            rc = cost - (cost[basis][:, None, :] @ A[:, :, :-1])[:, 0]
-            eligible = rc < -_Tableau.STABLE_PIVOT
-            eligible[:, blocked] = False
-            cols = np.where(eligible, rc, np.inf).argmin(axis=1)
-            improving = eligible[lanes, cols]
-            if not improving.any():
-                return
-            rows, found = _leaving_rows(A, lanes, cols, basis)
-            live = improving & found
-            if live.all():
-                self._pivot(None, rows, cols)
-                self.iterations += 1
-                continue
-            self._pivot(live.nonzero()[0], rows[live], cols[live])
-            self.iterations[live] += 1
-            # the lone tableau settles a first choice without a leaving
-            # row by a second choice or by an unbounded outcome
-            stuck = improving & ~found
-            if stuck.any():
-                live = live[~stuck]
-                self.leave(stuck)
-        self.leave(live)
-
-    def drive_out(self) -> None:
-        """:meth:`_Tableau.drive_out_artificials` on every lane."""
-        limit = self.n_struct + self.n_slack
-        # a pivot changes only the basic variable of its own row, so the
-        # rows to clear are known now; the k-th row of every lane goes at once
-        lanes, rows = (self.basis >= limit).nonzero()
-        rank = np.arange(lanes.size) - np.searchsorted(lanes, lanes)
-        for k in range(rank.max(initial=-1) + 1):
-            at = (rank == k).nonzero()[0]
-            lane, row = lanes[at], rows[at]
-            self._pivot(lane, row, np.abs(self.A[lane, row, :limit]).argmax(axis=1))
-
-    def solutions(self) -> np.ndarray:
-        """:meth:`_Tableau.solution` of each lane; a singular basis in any
-        lane sends every lane to the lone solve."""
-        basis_matrices = np.take_along_axis(self.original, self.basis[:, None, :], axis=2)
-        y = np.zeros((len(self.A), self.A.shape[2] - 1))
-        try:
-            values = np.linalg.solve(basis_matrices, self.original[:, :, -1:])[:, :, 0]
-        except np.linalg.LinAlgError:
-            self.leave(np.ones(len(y), dtype=bool))
-            return y[:0]
-        broken = ~np.isfinite(values).all(axis=1)
-        values[broken] = self.A[broken, :, -1]
-        np.put_along_axis(y, self.basis, values, axis=1)
-        return y
+def _walk(node: _Node, r: list, cap: int, stall_limit: int):
+    """Follow :func:`solve` from ``node`` down the tree on the right-hand
+    side ``r`` (floats, updated in place) to the end of the phase: replay
+    each node's pivots on ``r`` with the operations of :meth:`_Tableau._pivot`
+    and pick each child by the ratio test of :meth:`_Tableau._leaving_row`
+    on ``r``, building it if new.  Returns the last node and whether the
+    phase ended there; where not (the iteration cap, a possible switch to
+    Bland's rule, a second-choice or unbounded column), :func:`solve` takes
+    over."""
+    while True:
+        for row, _, piv, factors in node.pivots:
+            t = r[row] / piv
+            r[row] = t
+            r[:] = [x - f * t for x, f in zip(r, factors)]
+        rows = node.rows
+        if not rows or node.iterations >= cap or node.steps >= stall_limit:
+            return node, rows == [] and node.iterations < cap
+        row = rows[0]
+        if len(rows) > 1:
+            column = node.column
+            ratios = [r[i] / a for i, a in zip(rows, column)]
+            best = min(ratios)
+            cut = best + DEFAULT_PIVOT_TOL * max(1.0, abs(best))
+            tied = [j for j, q in enumerate(ratios) if q <= cut]
+            row = rows[tied[0]]
+            if len(tied) > 1:
+                # prefer the largest pivot (stability), then the lowest basis index
+                top = max([column[j] for j in tied]) * (1.0 - 1e-9)
+                row = min([(node.leaving[j], rows[j]) for j in tied if column[j] >= top])[1]
+        node = node.children.get(row) or node.grow(row)
 
 
 def _phase_costs(c: np.ndarray, total_cols: int, arts: int):
@@ -456,11 +430,10 @@ def solve(lp: LinearProgram, *, feas_tol: float = DEFAULT_FEAS_TOL) -> LpOutcome
     r = _rhs(lp.b_in, lp.b_eq)
     arts = sum(T.shape)  # the first artificial column
 
-    A, basis, n_art = _initial_tableaux(T, r[None])
-    tab = _Tableau(A[0], basis[0], n_art)
+    tab = _initial_tableau(T, r)
     phase1, phase2 = _phase_costs(lp.c, tab.total_cols, arts)
     allowed = np.ones(tab.total_cols, dtype=bool)
-    if n_art:
+    if tab.n_art:
         try:
             tab.run(phase1, allowed)
         except _Unbounded:  # pragma: no cover - phase 1 objective is bounded
@@ -490,12 +463,11 @@ def solve_batch(
 ) -> list[LpOutcome]:
     """:func:`solve` of ``lp`` with ``b_eq`` replaced by each row of ``b_eq``.
 
-    The (L, k) stack of right-hand sides is solved as one stack of
-    tableaux, pivoted together with Dantzig's rule.  Each outcome, with its
-    iteration count and ``z``, is bit for bit that of the lone solve: every
-    lane in the stack makes the same choices, and any other lane is solved
-    alone from the start, after the stacks and in lane order.  Raises what
-    the lone solve of the first lane that raises would raise.
+    Each lane of the (L, k) stack walks the program's pivot-path cache;
+    each outcome, with its iteration count and ``z``, is bit for bit that
+    of the lone solve.  The lanes the walk cannot finish are solved alone,
+    after the walks and in lane order.  Raises what the lone solve of the
+    first lane that raises would raise.
     """
     b_eq = np.asarray(b_eq, dtype=float)
     k = 0 if lp.A_eq is None else lp.A_eq.shape[0]
@@ -505,41 +477,69 @@ def solve_batch(
         raise ValueError("LP data must be finite")
     T = lp._rows
     R = _rhs(lp.b_in, b_eq)
+    flips = R < 0
+    rhs = R * np.where(flips, -1.0, 1.0)  # each lane's first rhs column
     arts = sum(T.shape)  # the first artificial column
+    cap, stall_limit = _max_iterations(*T.shape), _Tableau.stall_limit
+    paths = lp._paths
     outcomes: list = [None] * len(b_eq)
-    alone: list = []
+    alone, ends, finals = [], {}, []
+    for lane, (flip, r) in enumerate(zip(flips, rhs.tolist())):
+        root = paths.get(flip.tobytes()) or _Node.root(lp, flip)
+        node, done = _walk(root, r, cap, stall_limit)
+        if not done:
+            alone.append(lane)
+        elif node.phase == 1:
+            ends.setdefault(node.tab.n_art, []).append((lane, node, r))
+        else:
+            finals.append((lane, node))
 
-    counts = (R < 0).sum(axis=1)
-    for count in np.bincount(counts).nonzero()[0]:
-        lanes = (counts == count).nonzero()[0]
-        A, basis, n_art = _initial_tableaux(T, R[lanes])
-        stack = _TableauStack(A, basis, lanes, n_art, alone)
-        phase1, phase2 = _phase_costs(lp.c, A.shape[2] - 1, arts)
-        allowed = np.ones(A.shape[2] - 1, dtype=bool)
-        if n_art:
-            stack.run(phase1, allowed)
-            art_sums = stack.solutions()[:, arts:].sum(axis=1)
-            scale = np.abs(R[stack.lanes]).max(axis=1, initial=1.0)
-            stack.leave(art_sums > feas_tol * scale)
-            stack.drive_out()
-            allowed[arts:] = False
-        stack.run(phase2, allowed)
-        Z = stack.solutions()[:, : lp.c.size] + 0.0  # as in solve: no -0.0
-        resid, scale = _violations(lp, Z, b_eq[stack.lanes])
-        violated = resid > feas_tol * scale  # the lone solve raises on these
-        stack.leave(violated)
-        Z = Z[~violated]
+    for n_art, group in ends.items():
+        lanes = [lane for lane, _, _ in group]
+        y, bad = _solutions([node for _, node, _ in group], rhs[lanes], arts + n_art)
+        scale = np.abs(R[lanes]).max(axis=1, initial=1.0)
+        bad |= y[:, arts:].sum(axis=1) > feas_tol * scale  # infeasible
+        for (lane, node, r), stop in zip(group, bad.tolist()):
+            if not stop:
+                node, done = _walk(node.children.get(None) or node.grow(None), r, cap, stall_limit)
+                if done:
+                    finals.append((lane, node))
+                    continue
+            alone.append(lane)
+
+    if finals:
+        lanes = [lane for lane, _ in finals]
+        y, bad = _solutions([node for _, node in finals], rhs[lanes], arts)
+        Z = y[:, : lp.c.size] + 0.0  # as in solve: no -0.0
+        resid, scale = _violations(lp, Z, b_eq[lanes])
+        bad |= resid > feas_tol * scale  # the lone solve raises on a violation
         objective = (Z[:, None, :] @ lp.c[:, None])[:, 0, 0]
-        for i, lane in enumerate(stack.lanes.tolist()):
-            outcomes[lane] = LpOutcome(
-                LpStatus.OPTIMAL,
-                z=Z[i],
-                objective=float(objective[i]),
-                iterations=int(stack.iterations[i]),
-            )
+        for i, (lane, node) in enumerate(finals):
+            if bad[i]:
+                alone.append(lane)
+            else:
+                outcomes[lane] = LpOutcome(
+                    LpStatus.OPTIMAL, Z[i], float(objective[i]), node.iterations
+                )
     for lane in sorted(alone):
         outcomes[lane] = solve(replace(lp, b_eq=b_eq[lane]), feas_tol=feas_tol)
     return outcomes
+
+
+def _solutions(nodes: list, rhs: np.ndarray, width: int):
+    """The first ``width`` columns of :meth:`_Tableau.solution` at each
+    node against the first rhs column of its lane, in one stacked solve,
+    and the lanes to hand to :func:`solve` instead: all of them if a basis
+    is singular, else those whose values are not finite (left at zero)."""
+    y = np.zeros((len(nodes), width))
+    try:
+        values = np.linalg.solve(np.array([node.basis_matrix for node in nodes]), rhs[:, :, None])
+    except np.linalg.LinAlgError:
+        return y, np.ones(len(nodes), dtype=bool)
+    broken = ~np.isfinite(values[:, :, 0]).all(axis=1)
+    y[np.arange(len(nodes))[:, None], [node.tab.basis for node in nodes]] = values[:, :, 0]
+    y[broken] = 0.0
+    return y, broken
 
 
 def _violations(lp: LinearProgram, Z: np.ndarray, B_eq):

@@ -832,6 +832,25 @@ def test_bad_simulate_argument_refused_before_any_work(
     assert captured.err == f"error: {message}\n"
 
 
+def test_sample_that_overflows_the_run_refused(tmp_path, capsys):
+    # A(delta) = A0 + delta * 2 I is finite at delta = 1e150, but the
+    # states pass 1e308 by step 3: one error line, no summary with NaN
+    payload = affine_config()
+    payload["system"]["affine"]["Ak"] = [[[2.0, 0.0], [0.0, 2.0]]]
+    cfg = write(tmp_path, payload)
+    zero = {"gains": np.zeros((4, 1, 1)).tolist(), "offsets": np.zeros((4, 1)).tolist()}
+    policy = write(tmp_path, zero, "policy.json")
+    argv = ["simulate", "--config", cfg, "--policy", policy, "--sample=1e150"]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --sample [1e+150] overflows the run: "
+        "the state of start 0 at step 3 is not finite\n"
+    )
+    assert not (tmp_path / "run").exists()
+
+
 def test_table_sample_that_is_not_an_index_refused(tmp_path, capsys, monkeypatch):
     cfg = table_index_config(tmp_path, [0, 1])
     zero = {"gains": np.zeros((2, 1, 1)).tolist(), "offsets": np.zeros((2, 1)).tolist()}

@@ -3,7 +3,11 @@ import pytest
 
 import invarcert as ic
 from invarcert import geometry
-from invarcert.closed_loop import DistributionUnavailable, write_trajectory_csv
+from invarcert.closed_loop import (
+    DistributionUnavailable,
+    TrajectoryOverflow,
+    write_trajectory_csv,
+)
 from invarcert.geometry import DecompositionInfeasible
 
 from instances import (
@@ -349,6 +353,30 @@ def test_lp_steps_with_exits_match_single_starts():
     exits = [traj.first_exit for traj in trajectories]
     assert None in exits and len(set(exits) - {None}) > 2
     _assert_same(trajectories, _one_by_one(fam, [0.0], S, policy, starts, 15))
+
+
+def test_overflowing_run_names_its_first_non_finite_state():
+    # A(delta) = delta I: at delta = 1e200 start 1 leaves S at step 1 and
+    # overflows at step 2, start 0 stays at the origin, start 2 leaves later
+    fam = ic.AffineFamily(
+        A0=np.zeros((2, 2)), B0=np.zeros((2, 2)), A_terms=[np.eye(2)],
+        B_terms=[np.zeros((2, 2))],
+    )
+    starts = np.array([[0.0, 0.0], [0.5, -0.25], [1e-150, 0.0]])
+    with pytest.raises(TrajectoryOverflow, match="start 1 at step 2 is not finite"):
+        ic.simulate_closed_loop(fam, [1e200], UNIT2, zero_policy(4, 2), starts, T=4)
+
+
+def test_non_finite_input_ends_the_run_with_an_overflow():
+    # vertex inputs of +inf and -inf at the two vertices of the x1 = -1
+    # facet make the input at (-0.5, 0) NaN: that state leaves S at once
+    # instead of reaching the decomposition, and the run is refused
+    gains = np.zeros((4, 2, 1))
+    gains[0, 0, 0], gains[1, 0, 0] = 1e308, -1e308
+    policy = ic.AffinePolicy(gains=gains, offsets=np.zeros((4, 2)))
+    starts = np.array([[0.5, 0.5], [-0.5, 0.0]])
+    with pytest.raises(TrajectoryOverflow, match="start 1 at step 1 is not finite"):
+        ic.simulate_closed_loop(zero_dynamics_family(), [10.0], UNIT2, policy, starts, T=3)
 
 
 def test_oversized_simulation_rejected_before_allocation():

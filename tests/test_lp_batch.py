@@ -1,21 +1,25 @@
-"""The stacked simplex: every lane of ``solve_batch`` is its lone ``solve``.
+"""The batch solve: every lane of ``solve_batch`` is its lone ``solve``.
 
 Equal means the same status, the same iteration count and the same bytes
 of ``z``, or the same exception with the same message.  The decomposition
 programs of the simulation are checked at the points of the decomposition
 test, in stacks of 1, 4 and 1000; small crafted programs send lanes down
-every rule that the stack leaves to the lone solve.  The invariant that
-lets every drive-out pivot without a redundant-row case is checked over
-the differential corpus and the decomposition programs.
-"""
+every rule that the walk leaves to the lone solve.  Every pivot a walk
+applies is the next pivot of the lane's lone solve, the outcomes do not
+depend on what filled the pivot-path cache, and the cache stays small.
+The invariant that lets every drive-out pivot without a redundant-row
+case is checked over the differential corpus and the decomposition
+programs."""
 
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from invarcert import lp_core
+from invarcert.geometry import box, vertex_decompose
 from invarcert.errors import NumericalBreakdown
 from invarcert.lp_core import LinearProgram, LpStatus, solve, solve_batch
 
@@ -83,13 +87,13 @@ def test_decomposition_lanes_are_lone_solves(name, alone):
     wide = np.vstack([states, (weights @ P.vertices) * rng.uniform(0, 1, (len(weights), 1))])
     lone = _assert_lanes_are_lone(lp, wide, feas_tol=1e-8)
     assert {o[0] for o in lone} == {LpStatus.OPTIMAL}
-    assert alone == []  # every decomposition lane finishes in the stack
+    assert alone == []  # every decomposition lane finishes in its walk
 
 
 @pytest.mark.parametrize("limit", [0, 1, 2])
 def test_bland_switch_after_a_stall(limit, monkeypatch, alone):
     # with the stall limit lowered, degenerate decomposition pivots switch
-    # lanes to Bland's rule; the stack stops before any lane could switch,
+    # lanes to Bland's rule; a walk stops before any lane could switch,
     # and each lane solved alone switches exactly where it would
     rng = np.random.default_rng(2)
     P = random_box(rng, 4)
@@ -155,12 +159,45 @@ def test_sub_threshold_pivots_only(alone):
     assert alone == B.tolist()
 
 
-def test_lanes_that_stop_are_not_pivoted_again(alone, monkeypatch):
-    # a seeded search found these three lanes of one stack: in the second
-    # step of phase 2 the second lane (b = 1) leaves for a second-choice
-    # column, the first (b = 0.5) pivots on, and the third (b = 1.5) has
-    # already reached its optimum; every pivot the stack makes on a lane
-    # must be the next pivot of its lone solve
+def _route(start, end):
+    """The ``(row, col)`` of every pivot a walk from node ``start`` to node
+    ``end`` replays: those into ``start`` and into each node after it."""
+    here = [pivot[:2] for pivot in start.pivots]
+    if start is end:
+        return here
+    for child in start.children.values():
+        rest = _route(child, end)
+        if rest is not None:
+            return here + rest
+    return None
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The pivots that the walks of ``solve_batch`` apply to each lane, by
+    lane, counted on over the calls.  A lane is known by its right-hand
+    side list, which its walks share (kept here, so no id is reused), and
+    each call starts the lanes' walks in lane order."""
+    lanes, pivots = {}, {}
+    walk = lp_core._walk
+
+    def spy(node, r, *limits):
+        end, done = walk(node, r, *limits)
+        lane, _ = lanes.setdefault(id(r), (len(lanes), r))
+        pivots.setdefault(lane, []).extend(_route(node, end))
+        return end, done
+
+    monkeypatch.setattr(lp_core, "_walk", spy)
+    return pivots
+
+
+def test_lanes_that_stop_are_not_pivoted_again(alone, walked, monkeypatch):
+    # a seeded search found these three lanes of one program: in phase 2
+    # the second lane (b = 1) meets a second-choice column after a pivot
+    # and goes to the lone solve, while the first (b = 0.5) and the third
+    # (b = 1.5) reach their optimum; every pivot the walk applies to a
+    # lane must be the next pivot of its lone solve, and a lane that stops
+    # gets no more
     lp = _program(
         c=[-1.0, 1.0, -0.5, 1.0, 0.0],
         A_in=[
@@ -182,37 +219,16 @@ def test_lanes_that_stop_are_not_pivoted_again(alone, monkeypatch):
         seen.clear()
         _lone(lp, b)
         lone.append(seen.copy())
-    stacked = [[] for _ in B]
-    events = []  # the lanes of each stacked pivot, and of each leave
-    stack_pivot = lp_core._TableauStack._pivot
-    leave = lp_core._TableauStack.leave
-
-    def pivot_spy(stack, lanes, rows, cols):
-        at = stack.lanes if lanes is None else stack.lanes[lanes]
-        for lane, row, col in zip(at.tolist(), rows.tolist(), cols.tolist()):
-            stacked[lane].append((row, col))
-        events.append(("pivot", at.tolist()))
-        return stack_pivot(stack, lanes, rows, cols)
-
-    def leave_spy(stack, mask):
-        events.append(("leave", stack.lanes[mask].tolist()))
-        return leave(stack, mask)
-
-    monkeypatch.setattr(lp_core._TableauStack, "_pivot", pivot_spy)
-    monkeypatch.setattr(lp_core._TableauStack, "leave", leave_spy)
     outcomes = _assert_lanes_are_lone(lp, B)
     assert [o[0] for o in outcomes] == [LpStatus.OPTIMAL] * 3
     assert alone == B[[1]].tolist()
-    step = events.index(("leave", [1]))
-    assert events[step - 1] == ("pivot", [0])  # that step pivots the first lane only
-    assert ("pivot", [0]) in events[step + 1 :]
-    assert stacked[0] == lone[0] and stacked[2] == lone[2]
-    assert 0 < len(stacked[1]) < len(lone[1])
-    assert stacked[1] == lone[1][: len(stacked[1])]
+    assert walked[0] == lone[0] and walked[2] == lone[2]
+    assert 0 < len(walked[1]) < len(lone[1])
+    assert walked[1] == lone[1][: len(walked[1])]
 
 
 def test_iteration_cap(alone, monkeypatch):
-    # with the cap lowered to 2 pivots, the stack stops after 2 steps and
+    # with the cap lowered to 2 pivots, a walk stops after 2 pivots and
     # the lanes still pivoting then reach the cap in their lone solve
     P = random_box(np.random.default_rng(1), 3)
     states = np.array([np.zeros(3), 0.1 * P.vertices[0], 0.4 * P.vertices[5]])
@@ -225,33 +241,43 @@ def test_iteration_cap(alone, monkeypatch):
 
 @pytest.fixture
 def drive_outs(monkeypatch):
-    """Check, at every drive-out of the lone and the stacked tableau, that
-    the slack column of each flipped row is minus its artificial's column
-    (by value: the signs of zeros differ); collects the number of basic
-    artificials met in each tableau."""
+    """Check, at every drive-out of a tableau (the lone solve's, or the
+    one that builds a node of the walk), that the slack column of each
+    flipped row is minus its artificial's column (by value: the signs of
+    zeros differ); collects the number of basic artificials met in each."""
     met = []
+    drive_out = lp_core._Tableau.drive_out_artificials
 
-    def check(tab, lanes):
+    def spy(tab):
         arts = tab.n_struct + tab.n_slack
-        for A, original, basis in lanes:
-            flipped = original[:, arts:-1].argmax(axis=0)  # each artificial's row
-            assert np.array_equal(A[:, tab.n_struct + flipped], -A[:, arts:-1])
-            met.append(int((basis >= arts).sum()))
+        flipped = tab.original[:, arts:-1].argmax(axis=0)  # each artificial's row
+        assert np.array_equal(tab.A[:, tab.n_struct + flipped], -tab.A[:, arts:-1])
+        met.append(int((tab.basis >= arts).sum()))
+        return drive_out(tab)
 
-    lone = lp_core._Tableau.drive_out_artificials
-    stacked = lp_core._TableauStack.drive_out
-
-    def lone_spy(tab):
-        check(tab, [(tab.A, tab.original, tab.basis)])
-        return lone(tab)
-
-    def stacked_spy(stack):
-        check(stack, zip(stack.A, stack.original, stack.basis))
-        return stacked(stack)
-
-    monkeypatch.setattr(lp_core._Tableau, "drive_out_artificials", lone_spy)
-    monkeypatch.setattr(lp_core._TableauStack, "drive_out", stacked_spy)
+    monkeypatch.setattr(lp_core._Tableau, "drive_out_artificials", spy)
     return met
+
+
+def test_walks_apply_the_lone_pivots(walked, monkeypatch):
+    # every pivot a walk applies to a decomposition lane, the drive-out
+    # included, is the next pivot of its lone solve, and it gets no more
+    seen = []
+    pivot = lp_core._Tableau._pivot
+    monkeypatch.setattr(
+        lp_core._Tableau, "_pivot", lambda tab, *at: seen.append(at) or pivot(tab, *at)
+    )
+    lone = []
+    for seed, build in POLYTOPES.values():
+        rng = np.random.default_rng(seed)
+        P = build(rng)
+        states = np.array(decomposition_states(P, rng))
+        for x in states:
+            seen.clear()
+            solve(replace(P.decomposition_lp, b_eq=x), feas_tol=1e-8)
+            lone.append(seen.copy())
+        solve_batch(P.decomposition_lp, b_eq=states, feas_tol=1e-8)
+    assert walked == dict(enumerate(lone))
 
 
 def test_basic_artificials_keep_their_slack_twin(drive_outs):
@@ -267,8 +293,97 @@ def test_basic_artificials_keep_their_slack_twin(drive_outs):
         states = np.array(decomposition_states(P, rng))
         for x in states:
             solve(replace(P.decomposition_lp, b_eq=x), feas_tol=1e-8)
+        lone = len(drive_outs)
         solve_batch(P.decomposition_lp, b_eq=states, feas_tol=1e-8)
+        assert len(drive_outs) > lone  # the walk's nodes drive out too
     assert len(drive_outs) > 500 and sum(drive_outs) > 1000
+
+
+def _nodes(lp):
+    """Every node of the pivot-path cache of ``lp``."""
+    stack, found = list(lp._paths.values()), []
+    while stack:
+        node = stack.pop()
+        found.append(node)
+        stack += node.children.values()
+    return found
+
+
+def _bytes(outcomes):
+    return [(o.status, o.iterations, o.z.tobytes(), o.objective) for o in outcomes]
+
+
+@pytest.mark.parametrize("name", list(POLYTOPES))
+def test_outcomes_do_not_depend_on_the_cache(name):
+    # a stack solved on a fresh program, and on one whose cache other
+    # states filled first (other flip patterns among them: points on the
+    # axes and the origin flip fewer rows), gives the same bytes
+    seed, build = POLYTOPES[name]
+    rng = np.random.default_rng(seed)
+    P = build(rng)
+    states = np.array(decomposition_states(P, rng))
+    data = {f: getattr(P.decomposition_lp, f) for f in ("c", "A_in", "b_in", "A_eq", "b_eq")}
+    lp, used = LinearProgram(**data), LinearProgram(**data)
+    fresh = solve_batch(lp, b_eq=states, feas_tol=1e-8)
+    axes = np.vstack([np.eye(P.dim), -np.eye(P.dim)]) * 0.25
+    solve_batch(used, b_eq=np.vstack([axes, 0.5 * states[::-1], states[::-1]]), feas_tol=1e-8)
+    roots = len(used._paths)
+    assert roots > len(lp._paths)
+    assert _bytes(solve_batch(used, b_eq=states, feas_tol=1e-8)) == _bytes(fresh)
+    assert len(used._paths) == roots  # every flip pattern was met before
+
+
+def test_repeated_decomposition_reuses_the_cache(alone, monkeypatch):
+    # the second decomposition of the same states builds no node and hands
+    # no lane to the lone solve
+    rng = np.random.default_rng(4)
+    P = random_box(rng, 3)
+    states = np.array(decomposition_states(P, rng))
+    first = vertex_decompose(P, states)
+    built = []
+    init = lp_core._Node.__init__
+    monkeypatch.setattr(lp_core._Node, "__init__", lambda *a: built.append(1) or init(*a))
+    assert np.array_equal(vertex_decompose(P, states), first)
+    assert built == [] and alone == []
+
+
+def test_threads_share_one_cache():
+    # more threads than cores grow one program's cache at once, switching
+    # often; each reads only fully built nodes, so every outcome is still
+    # the outcome on a program of its own
+    rng = np.random.default_rng(5)
+    P = random_box(rng, 3)
+    weights = rng.dirichlet(np.ones(P.vertex_count), size=(6, 40))
+    stacks = list((weights @ P.vertices) * rng.uniform(0.0, 1.0, (6, 40, 1)))
+    data = {f: getattr(P.decomposition_lp, f) for f in ("c", "A_in", "b_in", "A_eq", "b_eq")}
+    want = [_bytes(solve_batch(LinearProgram(**data), b_eq=B, feas_tol=1e-8)) for B in stacks]
+    shared = LinearProgram(**data)
+    got = [None] * len(stacks)
+
+    def work(i):
+        got[i] = _bytes(solve_batch(shared, b_eq=stacks[i], feas_tol=1e-8))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(stacks))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
+
+
+def test_the_tree_stays_small():
+    # 2000 random interior states of the 3-d unit box walk a tree of at
+    # most 250 nodes (200 when this was written)
+    P = box(-np.ones(3), np.ones(3))
+    states = np.random.default_rng(0).uniform(-1.0, 1.0, (2000, 3))
+    vertex_decompose(P, states)
+    assert len(_nodes(P.decomposition_lp)) <= 250
 
 
 def test_batch_checks_its_right_hand_sides():
