@@ -368,6 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse would read a --sample value with a leading '-' as an option
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--sample":
+            argv[i : i + 2] = [f"--sample={argv[i + 1]}"]
     args = parser.parse_args(argv)
     try:
         if args.command == "certify":

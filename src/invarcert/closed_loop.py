@@ -20,7 +20,8 @@ program's cache of pivot paths (:func:`lp_core.solve_batch`).
 arrays; one start is a stack of one.  Simulation keeps going when a
 trajectory leaves the set (an exit is data, not an error): from a start's
 first exit step onwards its input is frozen at zero and the step is
-flagged.
+flagged.  A failed decomposition is no exit but a numerical fault (its LP
+is feasible and bounded), and raises :class:`DecompositionInfeasible`.
 """
 
 import csv
@@ -83,8 +84,8 @@ def _vertex_law(S, facet_inputs, vertex_inputs, X, Fx):
     facet ``k = argmax F x`` (lowest index on ties) the decomposition is
     ``V_k^{-1} x``; it is accepted when no weight is below -1e-11 and
     clipped at zero.  Every other state goes into one stacked
-    :func:`geometry.vertex_decompose`.  Returns the inputs and the rows no
-    decomposition reaches, whose input is zero.
+    :func:`geometry.vertex_decompose`, which raises
+    :class:`DecompositionInfeasible` on a numerical fault.
     """
     facets = S.facet_simplices
     k = Fx.argmax(axis=1)
@@ -92,36 +93,31 @@ def _vertex_law(S, facet_inputs, vertex_inputs, X, Fx):
     explicit = facets.simplex[k] & (gamma.min(axis=1) >= -1e-11)
     u = (np.maximum(gamma, 0.0)[:, None, :] @ facet_inputs[k])[:, 0]
     rows = (~explicit).nonzero()[0]
-    if not rows.size:
-        return u, rows
-    weights = geometry.vertex_decompose(S, X[rows])
-    u[rows] = (weights[:, None, :] @ vertex_inputs)[:, 0]
-    failed = rows[np.isnan(weights[:, 0])]
-    u[failed] = 0.0
-    return u, failed
+    if rows.size:
+        weights = geometry.vertex_decompose(S, X[rows])
+        u[rows] = (weights[:, None, :] @ vertex_inputs)[:, 0]
+    return u
 
 
 def vertex_control_input(S: Polytope, vertex_inputs, x) -> np.ndarray:
     """Input prescribed by the vertex control law at state ``x``.
 
     ``vertex_inputs`` holds one input per vertex of ``S`` (shape (N, m)).
+    A state outside ``S``, or one whose decomposition fails numerically,
+    raises :class:`DecompositionInfeasible`.
     """
     VU = np.asarray(vertex_inputs, dtype=float)
     if VU.ndim == 1:
         VU = VU[:, None]
     if VU.shape[0] != S.vertex_count:
-        raise DimensionMismatch(
-            f"expected {S.vertex_count} vertex inputs, got {VU.shape[0]}"
-        )
-    x = np.asarray(x, dtype=float).ravel()
-    if geometry.minkowski_gauge(S, x) > 1.0 + DEFAULT_TOL:
+        raise DimensionMismatch(f"expected {S.vertex_count} vertex inputs, got {VU.shape[0]}")
+    X = np.asarray(x, dtype=float).reshape(1, -1)
+    if X.shape[1] != S.dim:
+        raise DimensionMismatch(f"point has dimension {X.shape[1]}, expected {S.dim}")
+    Fx = _apply(S.facets, X)
+    if Fx.max() > 1.0 + DEFAULT_TOL:
         raise DecompositionInfeasible(f"point outside polytope beyond tol={DEFAULT_TOL}")
-    X = x[None]
-    facet_inputs = VU[S.facet_simplices.vertices]
-    u, failed = _vertex_law(S, facet_inputs, VU, X, _apply(S.facets, X))
-    if failed.size:
-        raise DecompositionInfeasible("no nonnegative vertex combination reaches x")
-    return u[0]
+    return _vertex_law(S, VU[S.facet_simplices.vertices], VU, X, Fx)[0]
 
 
 def check_size(N: int, T: int, n: int) -> None:
@@ -161,14 +157,17 @@ def simulate_closed_loop(
     stack of starts (N, n), which gives a list of N trajectories; the
     stack is stepped as arrays.  The per-vertex inputs are fixed once from
     the runtime parameter (``u_i = C_i delta + d_i``); at every step the
-    law recombines them via the decomposition of the current state.  From
-    a start's first exit from ``S`` on, its input is zero and
-    ``first_exit`` records the step.  A policy whose gains are not
-    (vertices of ``S``, m, ell) raises :class:`DimensionMismatch` first,
-    and a horizon ``T < 1`` or a run of more than :data:`MAX_STATES`
-    states raises :class:`InvalidArguments` before anything is allocated.
-    A run that overflows raises :class:`TrajectoryOverflow`, naming the
-    first start with a non-finite state and its first such step.
+    law recombines them via the decomposition of the current state.  A
+    start exits at the first step where its gauge exceeds ``1 +
+    DEFAULT_TOL`` or its state is not finite; from then on its input is
+    zero and ``first_exit`` records the step.  A failed decomposition is
+    no exit: it raises :class:`DecompositionInfeasible`.  A policy whose
+    gains are not (vertices of ``S``, m, ell) raises
+    :class:`DimensionMismatch` first, and a horizon ``T < 1`` or a run of
+    more than :data:`MAX_STATES` states raises :class:`InvalidArguments`
+    before anything is allocated.  A run that overflows raises
+    :class:`TrajectoryOverflow`, naming the first start with a non-finite
+    state and its first such step.
     """
     _check_policy_shape(family, S, policy)
     delta = np.asarray(delta, dtype=float).ravel()
@@ -199,16 +198,13 @@ def simulate_closed_loop(
         facet_inputs = vertex_inputs[S.facet_simplices.vertices]
         inputs = np.zeros((N, T, vertex_inputs.shape[1]))
         for t in range(T):
-            inputs[live, t], failed = _vertex_law(
-                S, facet_inputs, vertex_inputs, X[live], Fx[live]
-            )
+            inputs[live, t] = _vertex_law(S, facet_inputs, vertex_inputs, X[live], Fx[live])
             X = _apply(A, X) + _apply(B, inputs[:, t])
             Fx = _apply(S.facets, X)
             states[:, t + 1] = X
             gauges[:, t + 1] = np.maximum(Fx.max(axis=1), 0.0)
             inside = gauges[:, t + 1] <= 1.0 + DEFAULT_TOL  # a NaN state exits
-            if failed.size or not inside.all():
-                first_exit[np.arange(N)[live][failed]] = t
+            if not inside.all():
                 first_exit[(first_exit < 0) & ~inside] = t + 1
                 live = (first_exit < 0).nonzero()[0]
     finite = np.isfinite(states).all(axis=2)

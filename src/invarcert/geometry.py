@@ -263,9 +263,10 @@ def vertex_decompose(P: Polytope, x) -> np.ndarray:
     ``gamma_i <= 1`` is implied by the gauge being <= 1 and is not imposed
     explicitly.  All the points are decomposed by one
     :func:`lp_core.solve_batch`.  A point outside ``P`` raises
-    :class:`DecompositionInfeasible`; so does a single point that no
-    nonnegative vertex combination reaches, which in a stack gives a row
-    of NaN instead.
+    :class:`DecompositionInfeasible`, and so does a point whose LP is not
+    solved to its optimum: that LP is always feasible and bounded (the
+    origin is interior, so the vertices' cone is all of R^n, and
+    ``sum(gamma) >= 0``), so any other outcome is a numerical fault.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim < 2
@@ -279,11 +280,9 @@ def vertex_decompose(P: Polytope, x) -> np.ndarray:
         which = "point" if single else f"point {outside.argmax()}"
         raise DecompositionInfeasible(f"{which} outside polytope beyond tol={DEFAULT_TOL}")
     outcomes = lp_core.solve_batch(P.decomposition_lp, b_eq=X, feas_tol=DEFAULT_TOL)
-    gamma = np.full((len(X), P.vertex_count), np.nan)
     for row, outcome in enumerate(outcomes):
-        if outcome.is_optimal:
-            gamma[row] = outcome.z
-    if single and not outcomes[0].is_optimal:
-        raise DecompositionInfeasible("no nonnegative vertex combination reaches x")
-    gamma = np.maximum(gamma, 0.0)
+        if not outcome.is_optimal:
+            which = "the point" if single else f"point {row}"
+            raise DecompositionInfeasible(f"decomposition LP of {which} is {outcome.status.value}")
+    gamma = np.maximum([outcome.z for outcome in outcomes], 0.0)
     return gamma[0] if single else gamma

@@ -18,9 +18,7 @@ Problem form::
 Every variable is nonnegative; a caller states a free variable as the
 difference of two columns and a finite bound as an inequality row.
 Intended for small dense problems (hundreds of rows); there is no sparse
-path.  A program's tableau rows (:attr:`LinearProgram._rows`) are built on
-its first solve and kept; :func:`_rhs` builds the right-hand side of one
-program or of a stack.
+path.
 
 :func:`solve_batch` solves a family of programs that differ only in
 their equality right-hand side (the vertex decomposition of
@@ -35,14 +33,14 @@ reaches (:class:`_Node`), one root per flip pattern, each node built once
 from its parent.  A lane walks the tree on its own right-hand side, in
 Python floats: per pivot one ratio test and one update of the right-hand
 side with the operations of :meth:`_Tableau._pivot` (:func:`_walk`).  The
-phase-1 artificial checks and the final solutions are stacked
-``np.linalg.solve`` calls against each lane's own right-hand side.  Any
-other lane (Bland's rule, the iteration cap, a second-choice entering
-column, an unbounded or infeasible program, a singular or non-finite
-basis solve, a primal violation) is solved again from the start by
-:func:`solve` with its own ``b_eq``.  So each outcome is bit for bit that
-of :func:`solve`, whatever filled the cache before, and the rare rules
-live in one place.
+rest is shared with the lone solve, a stack of one: the basic solutions
+(:func:`_solutions`), the phase-1 test (:func:`_infeasible`) and the
+optimal finish (:func:`_finish`).  Any other lane (Bland's rule, the
+iteration cap, a second-choice entering column, an unbounded or
+infeasible program, a singular or non-finite basis solve, a primal
+violation) is solved again from the start by :func:`solve` with its own
+``b_eq``.  So each outcome is bit for bit that of :func:`solve`, whatever
+filled the cache before, and the rare rules live in one place.
 """
 
 import copy
@@ -191,6 +189,10 @@ class _Tableau:
     def total_cols(self) -> int:
         return self.n_struct + self.n_slack + self.n_art
 
+    @property
+    def basis_matrix(self) -> np.ndarray:
+        return self.original[:, self.basis]
+
     def copy(self) -> "_Tableau":
         """A tableau to pivot on from this one; ``original`` is shared."""
         tab = copy.copy(self)
@@ -297,21 +299,12 @@ class _Tableau:
             pivots.append((row, col, *self._pivot(row, col)))
         return pivots
 
-    def solution(self) -> np.ndarray:
-        """Basic solution; re-solved against the pristine data so that pivot
-        round-off accumulated over many iterations does not leak into the
-        answer.  Falls back to the tableau values if the basis matrix turns
-        out numerically singular."""
-        y = np.zeros(self.total_cols)
-        basis_matrix = self.original[:, self.basis]
-        try:
-            values = np.linalg.solve(basis_matrix, self.original[:, -1])
-        except np.linalg.LinAlgError:
-            values = self.A[:, -1]
-        else:
-            if not np.isfinite(values).all():
-                values = self.A[:, -1]
-        y[self.basis] = values
+    def solution(self, width: int) -> np.ndarray:
+        """The first ``width`` entries of the basic solution as a stack of
+        one (:func:`_solutions`); the tableau values if that solve fails."""
+        y, broken = _solutions([self], self.original[None, :, -1], width)
+        if broken[0]:
+            y[0, self.basis] = self.A[:, -1]
         return y
 
 
@@ -340,7 +333,7 @@ class _Node:
         self.steps = steps  # pivots since the phase began
         self.pivots = [(row, col, float(piv), f.tolist()) for row, col, piv, f in pivots]
         self.iterations = tab.iterations
-        self.basis_matrix = tab.original[:, tab.basis]
+        self.basis, self.basis_matrix = tab.basis, tab.basis_matrix
         self.children = {}
         arts = tab.n_struct + tab.n_slack
         cost = _phase_costs(c, tab.total_cols, arts)[phase - 1]
@@ -438,8 +431,7 @@ def solve(lp: LinearProgram, *, feas_tol: float = DEFAULT_FEAS_TOL) -> LpOutcome
             tab.run(phase1, allowed)
         except _Unbounded:  # pragma: no cover - phase 1 objective is bounded
             raise NumericalBreakdown("phase 1 reported unbounded")
-        art_values = tab.solution()[arts:]
-        if art_values.sum() > feas_tol * max(1.0, np.abs(r).max(initial=1.0)):
+        if _infeasible(tab.solution(tab.total_cols), arts, r[None], feas_tol)[0]:
             return LpOutcome(LpStatus.INFEASIBLE, iterations=tab.iterations)
         tab.drive_out_artificials()
         allowed[arts:] = False
@@ -449,13 +441,10 @@ def solve(lp: LinearProgram, *, feas_tol: float = DEFAULT_FEAS_TOL) -> LpOutcome
     except _Unbounded:
         return LpOutcome(LpStatus.UNBOUNDED, iterations=tab.iterations)
 
-    # adding 0.0 turns a -0.0 of the basis solve into 0.0
-    z = tab.solution()[: lp.c.size] + 0.0
-    resid, scale = _violations(lp, z[None], None if lp.b_eq is None else lp.b_eq[None])
-    if (resid > feas_tol * scale)[0]:
+    Z, objective, resid, bad = _finish(lp, tab.solution(arts), lp.b_eq, feas_tol)
+    if bad[0]:
         raise NumericalBreakdown(f"optimal point violates constraints by {resid[0]:.3e}")
-    objective = float(lp.c @ z)
-    return LpOutcome(LpStatus.OPTIMAL, z=z, objective=objective, iterations=tab.iterations)
+    return LpOutcome(LpStatus.OPTIMAL, Z[0], float(objective[0]), tab.iterations)
 
 
 def solve_batch(
@@ -497,8 +486,7 @@ def solve_batch(
     for n_art, group in ends.items():
         lanes = [lane for lane, _, _ in group]
         y, bad = _solutions([node for _, node, _ in group], rhs[lanes], arts + n_art)
-        scale = np.abs(R[lanes]).max(axis=1, initial=1.0)
-        bad |= y[:, arts:].sum(axis=1) > feas_tol * scale  # infeasible
+        bad |= _infeasible(y, arts, R[lanes], feas_tol)
         for (lane, node, r), stop in zip(group, bad.tolist()):
             if not stop:
                 node, done = _walk(node.children.get(None) or node.grow(None), r, cap, stall_limit)
@@ -509,11 +497,9 @@ def solve_batch(
 
     if finals:
         lanes = [lane for lane, _ in finals]
-        y, bad = _solutions([node for _, node in finals], rhs[lanes], arts)
-        Z = y[:, : lp.c.size] + 0.0  # as in solve: no -0.0
-        resid, scale = _violations(lp, Z, b_eq[lanes])
-        bad |= resid > feas_tol * scale  # the lone solve raises on a violation
-        objective = (Z[:, None, :] @ lp.c[:, None])[:, 0, 0]
+        y, broken = _solutions([node for _, node in finals], rhs[lanes], arts)
+        Z, objective, _, bad = _finish(lp, y, b_eq[lanes], feas_tol)
+        bad |= broken  # the lone solve falls back to the tableau values
         for i, (lane, node) in enumerate(finals):
             if bad[i]:
                 alone.append(lane)
@@ -526,25 +512,37 @@ def solve_batch(
     return outcomes
 
 
-def _solutions(nodes: list, rhs: np.ndarray, width: int):
-    """The first ``width`` columns of :meth:`_Tableau.solution` at each
-    node against the first rhs column of its lane, in one stacked solve,
-    and the lanes to hand to :func:`solve` instead: all of them if a basis
-    is singular, else those whose values are not finite (left at zero)."""
-    y = np.zeros((len(nodes), width))
-    try:
-        values = np.linalg.solve(np.array([node.basis_matrix for node in nodes]), rhs[:, :, None])
+def _solutions(tableaux: list, rhs: np.ndarray, width: int):
+    """The first ``width`` entries of the basic solution of each tableau or
+    node, from one stacked solve of the pristine basis matrices (so pivot
+    round-off does not leak in) against each lane's first rhs column; and
+    the lanes whose solve failed: all if a basis is singular, else those
+    with non-finite values (left at zero)."""
+    y = np.zeros((len(tableaux), width))
+    matrices = [t.basis_matrix for t in tableaux]
+    try:  # a stack of one is a view, not a copy of a possibly large matrix
+        values = np.linalg.solve(
+            matrices[0][None] if len(matrices) == 1 else matrices, rhs[:, :, None]
+        )[:, :, 0]
     except np.linalg.LinAlgError:
-        return y, np.ones(len(nodes), dtype=bool)
-    broken = ~np.isfinite(values[:, :, 0]).all(axis=1)
-    y[np.arange(len(nodes))[:, None], [node.tab.basis for node in nodes]] = values[:, :, 0]
+        return y, np.ones(len(tableaux), dtype=bool)
+    broken = ~np.isfinite(values).all(axis=1)
+    y[np.arange(len(tableaux))[:, None], [t.basis for t in tableaux]] = values
     y[broken] = 0.0
     return y, broken
 
 
-def _violations(lp: LinearProgram, Z: np.ndarray, B_eq):
-    """How far each row of ``Z`` violates the constraints of ``lp``, with
-    the same row of ``B_eq`` as ``b_eq``, and the scale it is judged by."""
+def _infeasible(y: np.ndarray, arts: int, R: np.ndarray, feas_tol: float) -> np.ndarray:
+    """The infeasible lanes: their phase-1 solutions ``y`` leave the
+    artificials (from column ``arts``) above ``feas_tol``, relative to ``R``."""
+    return y[:, arts:].sum(axis=1) > feas_tol * np.abs(R).max(axis=1, initial=1.0)
+
+
+def _finish(lp: LinearProgram, y: np.ndarray, B_eq, feas_tol: float):
+    """``z`` and objective at each row of the optimal basic solutions ``y``;
+    how far each ``z`` violates the constraints of ``lp`` with ``b_eq`` the
+    same row of ``B_eq`` (or ``B_eq`` for all), and where beyond ``feas_tol``."""
+    Z = y[:, : lp.c.size] + 0.0  # adding 0.0 turns a -0.0 of the basis solve into 0.0
     scale = max(1.0, np.abs(lp.b_in).max(initial=0.0))
     resid = (-Z).max(axis=1, initial=0.0)  # z >= 0
     if len(lp.A_in):
@@ -553,5 +551,6 @@ def _violations(lp: LinearProgram, Z: np.ndarray, B_eq):
     if lp.A_eq is not None and lp.A_eq.size:
         rows = np.abs((lp.A_eq @ Z[:, :, None])[:, :, 0] - B_eq)
         resid = np.maximum(resid, rows.max(axis=1))
-        scale = np.maximum(scale, np.abs(B_eq).max(axis=1, initial=0.0))
-    return resid, scale
+        scale = np.maximum(scale, np.abs(B_eq).max(axis=-1, initial=0.0))
+    objective = (Z[:, None, :] @ lp.c[:, None])[:, 0, 0]
+    return Z, objective, resid, resid > feas_tol * scale

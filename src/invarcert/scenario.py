@@ -217,17 +217,16 @@ class AffinePolicy:
         return _digest(self.gains, self.offsets)
 
     def vertex_inputs(self, delta) -> np.ndarray:
-        """Inputs at every vertex: (N, m) for one parameter draw, (M, N, m)
-        for a (M, ell) stack of draws."""
+        """Inputs at every vertex: (M, N, m) for a (M, ell) stack of draws,
+        (N, m) for one draw, which is a stack of one."""
         d = np.asarray(delta, dtype=float)
-        if d.ndim == 2 and d.shape[1] == self.gains.shape[2]:
-            return (d @ self.gains.transpose(0, 2, 1)).transpose(1, 0, 2) + self.offsets
-        d = d.ravel()
-        if d.size != self.gains.shape[2]:
-            raise DimensionMismatch(
-                f"expected parameter of dimension {self.gains.shape[2]}, got {d.size}"
-            )
-        return self.gains @ d + self.offsets
+        ell = self.gains.shape[2]
+        stack = d.ndim == 2 and d.shape[1] == ell
+        D = d if stack else d.reshape(1, -1)
+        if D.shape[1] != ell:
+            raise DimensionMismatch(f"expected parameter of dimension {ell}, got {d.size}")
+        U = (D @ self.gains.transpose(0, 2, 1)).transpose(1, 0, 2) + self.offsets
+        return U if stack else U[0]
 
 
 def vertex_constraints(family, S: Polytope, U: Polytope, deltas, first: int = 0):

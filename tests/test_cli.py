@@ -423,6 +423,21 @@ def test_simulate_outputs_reproducible(tmp_path, capsys):
     assert runs[0] == runs[1]
 
 
+def test_negative_sample_read_in_either_spelling(tmp_path, capsys):
+    # '--sample -0.2,...' must not be taken for an option
+    cfg, policy = _certified_policy(tmp_path, capsys)
+    runs = []
+    for name, spelling in (("a", ["--sample", "-0.2,0.5"]), ("b", ["--sample=-0.2,0.5"])):
+        out = tmp_path / name
+        argv = ["simulate", "--config", cfg, "--policy", policy, *spelling]
+        assert main(argv + ["--init", "random:3", "--horizon", "4", "--out", str(out)]) == 0
+        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(runs[0]["summary.json"])["delta"] == [-0.2, 0.5]
+    assert len(runs[0]) == 4 and runs[0] == runs[1]
+
+
 def test_infeasible_analysis_report_past_the_first_chunk(tmp_path, capsys):
     # 600 file-based samples of A(delta) = (1 + delta) I, B = 0: only
     # samples 530 and 560 have delta > 0, so both the joint program and

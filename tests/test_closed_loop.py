@@ -276,6 +276,36 @@ def test_box_steps_all_use_the_lp(monkeypatch):
     assert calls == [(5, 3)] * 7
 
 
+def test_failed_decomposition_raises_instead_of_an_exit(monkeypatch):
+    # a non-optimal decomposition lane of a state inside S is a numerical
+    # fault, not an exit: the law and the simulation raise
+    from invarcert import lp_core
+
+    real = lp_core.solve_batch
+    steps = []
+
+    def fails_at_step_three(lp, **kwargs):
+        outcomes = real(lp, **kwargs)
+        steps.append(len(outcomes))
+        if len(steps) == 3:
+            outcomes[-1] = lp_core.LpOutcome(lp_core.LpStatus.INFEASIBLE)
+        return outcomes
+
+    monkeypatch.setattr(lp_core, "solve_batch", fails_at_step_three)
+    S = ic.box([-1, -1, -1], [1, 1, 1])
+    fam = ic.AffineFamily(
+        A0=0.5 * np.eye(3), B0=np.eye(3), A_terms=[np.zeros((3, 3))], B_terms=[np.zeros((3, 3))]
+    )
+    policy = ic.AffinePolicy(gains=np.zeros((8, 3, 1)), offsets=-0.1 * S.vertices)
+    starts = np.random.default_rng(1).uniform(-0.9, 0.9, size=(4, 3))
+    with pytest.raises(DecompositionInfeasible, match="^decomposition LP of point 3 is inf"):
+        ic.simulate_closed_loop(fam, [0.0], S, policy, starts, T=5)
+    assert steps == [4, 4, 4]
+    steps[:] = [0, 0]
+    with pytest.raises(DecompositionInfeasible, match="^decomposition LP of point 0 is inf"):
+        ic.vertex_control_input(S, policy.offsets, starts[0])
+
+
 def _one_by_one(fam, delta, S, policy, starts, T):
     return [ic.simulate_closed_loop(fam, delta, S, policy, x0, T=T) for x0 in starts]
 

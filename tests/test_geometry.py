@@ -163,6 +163,26 @@ def test_decompose_outside_raises():
         ic.vertex_decompose(P, [[0.5, 0.0], [1.5, 0.0]])
 
 
+def test_non_optimal_decomposition_raises(monkeypatch):
+    # the LP of a point of P is feasible and bounded, so a lane that comes
+    # back otherwise is a numerical fault: it raises, and no row is made
+    from invarcert import lp_core
+
+    real = lp_core.solve_batch
+
+    def second_lane_fails(lp, **kwargs):
+        outcomes = real(lp, **kwargs)
+        outcomes[min(1, len(outcomes) - 1)] = lp_core.LpOutcome(lp_core.LpStatus.INFEASIBLE)
+        return outcomes
+
+    monkeypatch.setattr(lp_core, "solve_batch", second_lane_fails)
+    P = ic.box([-1, -1, -1], [1, 1, 1])
+    with pytest.raises(DecompositionInfeasible, match="^decomposition LP of the point is inf"):
+        ic.vertex_decompose(P, [0.5, 0.2, -0.1])
+    with pytest.raises(DecompositionInfeasible, match="^decomposition LP of point 1 is inf"):
+        ic.vertex_decompose(P, [[0.5, 0.2, -0.1], [0.1, -0.3, 0.4], [0.0, 0.0, 0.0]])
+
+
 @pytest.mark.parametrize("name", ["box3", "prism"])
 def test_stacked_decomposition_rows_equal_single_points(name):
     rng = np.random.default_rng(11)

@@ -159,6 +159,62 @@ def test_sub_threshold_pivots_only(alone):
     assert alone == B.tolist()
 
 
+def test_primal_violation_raises_alone_and_in_the_batch(alone, monkeypatch):
+    # the one optimal finish flags every lane: the lone solve raises, and
+    # the batch hands each lane to it and raises the same
+    finish = lp_core._finish
+
+    def violated(lp, y, B_eq, feas_tol):
+        Z, objective, resid, bad = finish(lp, y, B_eq, feas_tol)
+        return Z, objective, resid + 1.0, np.ones_like(bad)
+
+    monkeypatch.setattr(lp_core, "_finish", violated)
+    B = np.array([[0.5, 0.2, -0.1], [0.1, -0.3, 0.4]])
+    lone = _assert_lanes_are_lone(box([-1, -1, -1], [1, 1, 1]).decomposition_lp, B)
+    assert lone[0] == (NumericalBreakdown, "optimal point violates constraints by 1.000e+00")
+    assert alone == B[:1].tolist()  # the first lane raises
+
+
+def test_flagged_final_lane_is_solved_alone(alone, monkeypatch):
+    # a lane that the batch's finish flags is solved again by the lone
+    # solve, whose own finish passes it
+    finish = lp_core._finish
+
+    def flag_second(lp, y, B_eq, feas_tol):
+        Z, objective, resid, bad = finish(lp, y, B_eq, feas_tol)
+        if len(y) > 1:
+            bad[1] = True
+        return Z, objective, resid, bad
+
+    monkeypatch.setattr(lp_core, "_finish", flag_second)
+    B = np.array([[0.5, 0.2, -0.1], [0.1, -0.3, 0.4], [-0.2, 0.2, 0.2]])
+    lone = _assert_lanes_are_lone(box([-1, -1, -1], [1, 1, 1]).decomposition_lp, B)
+    assert {o[0] for o in lone} == {LpStatus.OPTIMAL}
+    assert alone == B[[1]].tolist()
+
+
+@pytest.mark.parametrize("fault", ["singular", "non-finite"])
+def test_failed_stacked_basis_solve_sends_lanes_alone(fault, alone, monkeypatch):
+    # a singular stacked basis solve sends every lane of its stack to the
+    # lone solve; a non-finite lane goes alone by itself
+    real = np.linalg.solve
+
+    def stacked(a, b):
+        if len(a) == 1:  # a lone solve
+            return real(a, b)
+        if fault == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        values = real(a, b)
+        values[b[:, 0, 0] == 0.1] = np.nan  # in lane 1's row, at any stage
+        return values
+
+    monkeypatch.setattr(np.linalg, "solve", stacked)
+    B = np.array([[0.5, 0.2, -0.1], [0.1, -0.3, 0.4], [-0.2, 0.2, 0.2]])
+    lone = _assert_lanes_are_lone(box([-1, -1, -1], [1, 1, 1]).decomposition_lp, B)
+    assert {o[0] for o in lone} == {LpStatus.OPTIMAL}
+    assert alone == (B.tolist() if fault == "singular" else B[[1]].tolist())
+
+
 def _route(start, end):
     """The ``(row, col)`` of every pivot a walk from node ``start`` to node
     ``end`` replays: those into ``start`` and into each node after it."""

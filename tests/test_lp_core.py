@@ -25,14 +25,39 @@ def test_bounds_are_refused():
 def test_solutions_carry_no_negative_zero(monkeypatch):
     # the basis solve of this program gives z1 = -0.0; solve reports 0.0
     basic = []
-    solution = lp_core._Tableau.solution
+    solutions = lp_core._solutions
     monkeypatch.setattr(
-        lp_core._Tableau, "solution", lambda tab: basic.append(solution(tab)) or basic[-1]
+        lp_core, "_solutions", lambda *args: basic.append(solutions(*args)) or basic[-1]
     )
     lp = LinearProgram(c=[-1.0, 1.0], A_in=[[1.0, 1.0], [-2.0, 2.0]], b_in=[0.0, 2.0])
     z = solve(lp).z
-    assert basic[-1][0] == 0.0 and np.signbit(basic[-1][0])
+    y, broken = basic[-1]
+    assert y.shape == (1, 4) and not broken[0]
+    assert y[0, 0] == 0.0 and np.signbit(y[0, 0])
     assert z.tobytes() == np.zeros(2).tobytes()
+
+
+def test_failed_basis_solve_falls_back_to_the_tableau_values(monkeypatch):
+    # z1 - z2 = -1 needs an artificial, so both the phase-1 test and the
+    # optimum read the basic solution; with every basis solve reported
+    # failed, both read the tableau values and reach the same optimum
+    lp = LinearProgram(
+        c=[1.0, 2.0, 0.0], A_in=[[1.0, 1.0, 1.0]], b_in=[10.0], A_eq=[[1.0, -1.0, 0.0]],
+        b_eq=[-1.0],
+    )
+    exact = solve(lp)
+    failed = []
+
+    def failing(tableaux, rhs, width):
+        failed.append(width)
+        return np.zeros((len(tableaux), width)), np.ones(len(tableaux), dtype=bool)
+
+    monkeypatch.setattr(lp_core, "_solutions", failing)
+    out = solve(lp)
+    assert len(failed) == 2  # the end of phase 1, then the optimum
+    assert out.status is LpStatus.OPTIMAL and out.iterations == exact.iterations
+    assert np.allclose(out.z, exact.z, rtol=0.0, atol=1e-12)
+    assert exact.z.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_empty_feasible_set():

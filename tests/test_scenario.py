@@ -667,6 +667,46 @@ def test_batched_admissibility_matches_single_draws(kind, monkeypatch):
     assert failures == np.flatnonzero(~mask).tolist()
 
 
+@pytest.mark.parametrize("N, m, ell", [(8, 2, 4), (4, 2, 12), (2, 1, 1)])
+def test_vertex_inputs_of_one_draw_are_a_stack_of_one(N, m, ell):
+    rng = np.random.default_rng(ell)
+    policy = ic.AffinePolicy(gains=rng.normal(size=(N, m, ell)), offsets=rng.normal(size=(N, m)))
+    draws = rng.uniform(-1.0, 1.0, size=(200, ell))
+    stacked = policy.vertex_inputs(draws)
+    assert stacked.shape == (200, N, m)
+    for d, row in zip(draws, stacked):
+        single = policy.vertex_inputs(d)
+        assert single.tobytes() == policy.vertex_inputs(d[None])[0].tobytes()
+        # BLAS may round the rows of a wide stack with another kernel
+        assert np.allclose(single, row, rtol=1e-15, atol=1e-15)
+    with pytest.raises(ic.DimensionMismatch, match=f"dimension {ell}, got {ell + 1}"):
+        policy.vertex_inputs(np.zeros(ell + 1))
+
+
+def test_greedy_raises_when_no_pass_reproduces_the_policy(monkeypatch):
+    # with a negative tolerance no re-solve matches the policy: both the
+    # shortcut and the literal pass fail their final check
+    from invarcert import scenario
+
+    fam, S, U, scen = path_instance(K=12, seed=8)
+    policy = ic.solve_affine_policy(fam, S, U, scen)
+    monkeypatch.setattr(scenario, "SOLUTION_TOL", -1.0)
+    with pytest.raises(ic.MismatchedFingerprints, match="^policy is not the solution"):
+        ic.greedy_support_subsample(fam, S, U, scen, policy=policy)
+
+
+def test_infeasible_re_solve_during_the_reduction_raises(monkeypatch):
+    # a subsample of a feasible program is feasible: a vertex that fails
+    # on one is a determinism fault
+    from invarcert.scenario import InfeasibleOnSubsample, _BlockProgram
+
+    fam, S, U, scen = path_instance(K=12, seed=8)
+    policy = ic.solve_affine_policy(fam, S, U, scen)
+    monkeypatch.setattr(_BlockProgram, "solve_vertex", lambda self, *args: None)
+    with pytest.raises(InfeasibleOnSubsample, match="^vertex 0 infeasible on a subsample"):
+        ic.greedy_support_subsample(fam, S, U, scen, policy=policy)
+
+
 def test_admissibility_at_the_tolerance():
     # u = delta at both vertices of [-1, 1] with zero dynamics: the input
     # row reads delta <= 1 + tol, met with equality by the first draw
