@@ -3,8 +3,9 @@
 Two-phase simplex with deterministic pivoting: identical inputs produce
 bit-identical solutions, which is what makes policy synthesis a
 single-valued map and the support-subsample machinery meaningful.
-Every variable is nonnegative: a free variable is written as the
-difference of two columns, and a bound as an inequality row.
+The one program form is ``A_in z <= b_in`` over ``z >= 0``: a free
+variable is written as the difference of two columns, a bound as an
+inequality row and an equality as two opposite rows.
 """
 
 import numpy as np
@@ -17,13 +18,12 @@ out = solve(lp)
 print("status:", out.status.value, " z =", out.z, " objective =", out.objective)
 
 # equalities and free variables: minimize x1 subject to x1 + x2 = 1 and
-# x1 >= -2, with x1 = z1 - z2 and x2 = z3 - z4
+# x1 >= -2, with x1 = z1 - z2 and x2 = z3 - z4; the equality is the two
+# rows x1 + x2 <= 1 and -x1 - x2 <= -1
 lp = LinearProgram(
     c=[1.0, -1.0, 0.0, 0.0],
-    A_in=[[-1.0, 1.0, 0.0, 0.0]],
-    b_in=[2.0],
-    A_eq=[[1.0, -1.0, 1.0, -1.0]],
-    b_eq=[1.0],
+    A_in=[[-1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 1.0, -1.0], [-1.0, 1.0, -1.0, 1.0]],
+    b_in=[2.0, 1.0, -1.0],
 )
 z = solve(lp).z
 print("with equality: x =", z[0::2] - z[1::2])

@@ -14,10 +14,14 @@ Top-level keys::
       "options": {"estimate_seed": 0}
     }
 
-``options.estimate_seed`` seeds the Monte Carlo draws of ``certify
---estimate``; it is the only option, and any other key is an error, as is
-any key of a polytope besides ``box`` or ``facets`` and ``vertices``.
-Facets have the unit right-hand side, ``F x <= 1``.
+Every key is checked: a key that the schema does not name is an error,
+at the top level and in every section (a ``system`` body and each table
+pair, ``scenarios`` and ``scenarios.uniform``, a polytope, ``options``).
+``schema`` may be left out; given, it must be 1.  ``scenarios`` holds
+either ``file`` alone or ``uniform``, ``count`` and ``seed``; a polytope
+either ``box`` or ``facets`` and ``vertices``.  ``options.estimate_seed``
+seeds the Monte Carlo draws of ``certify --estimate``; it is the only
+option.  Facets have the unit right-hand side, ``F x <= 1``.
 
 Every value is checked where it is read: a matrix or vector must hold
 finite numbers (JSON ``NaN`` and ``Infinity`` are refused), a count or
@@ -42,6 +46,12 @@ class ConfigError(InvarcertError, ValueError):
     pass
 
 
+TOP_LEVEL = ("schema", "system", "state_set", "input_set", "scenarios", "beta", "options")
+SYSTEMS = {
+    "network": ("edges", "floating", "inputs", "nominal_weights"),
+    "affine": ("A0", "B0", "Ak", "Bk"),
+    "table": ("pairs",),
+}
 OPTIONS = ("estimate_seed",)
 
 
@@ -56,14 +66,16 @@ class ProblemConfig:
 
 
 def _require(mapping, key, context):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{context} must be an object")
+    """``mapping[key]`` of an object that :func:`_only` has checked."""
     if key not in mapping:
         raise ConfigError(f"missing key '{key}' in {context}")
     return mapping[key]
 
 
 def _only(mapping, known, context) -> None:
+    """Refuse ``mapping`` unless it is an object whose keys are all ``known``."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{context} must be an object")
     unknown = sorted(set(mapping) - set(known))
     if unknown:
         raise ConfigError(
@@ -107,10 +119,9 @@ def _integer(mapping, key, context, low) -> int:
 
 
 def parse_polytope(spec, context) -> Polytope:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{context} must be an object")
-    if "box" in spec:
+    if isinstance(spec, dict) and "box" in spec:
         _only(spec, ("box",), context)
+        _only(spec["box"], ("lower", "upper"), f"{context}.box")
         return box(*(_field(spec["box"], k, f"{context}.box", 1) for k in ("lower", "upper")))
     _only(spec, ("facets", "vertices"), context)
     return validate_polytope(*(_field(spec, k, context, 2) for k in ("facets", "vertices")))
@@ -120,7 +131,10 @@ def parse_family(spec):
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ConfigError("'system' must hold exactly one of network/affine/table")
     kind, body = next(iter(spec.items()))
+    if kind not in SYSTEMS:
+        raise ConfigError(f"unknown system kind '{kind}'")
     at = f"system.{kind}"
+    _only(body, SYSTEMS[kind], at)
     if kind == "network":
         shapes = (("edges", 2), ("floating", 1), ("inputs", 1))
         nodes = {key: _field(body, key, at, ndim) for key, ndim in shapes}
@@ -143,31 +157,32 @@ def parse_family(spec):
             A_terms=terms("Ak"),
             B_terms=terms("Bk"),
         )
-    if kind == "table":
-        entries = [(e, f"{at}.pairs[{i}]") for i, e in enumerate(_list(body, "pairs", at))]
-        return TableFamily(pairs=[(_field(e, "A", c), _field(e, "B", c)) for e, c in entries])
-    raise ConfigError(f"unknown system kind '{kind}'")
+    entries = [(e, f"{at}.pairs[{i}]") for i, e in enumerate(_list(body, "pairs", at))]
+    for entry, context in entries:
+        _only(entry, ("A", "B"), context)
+    return TableFamily(pairs=[(_field(e, "A", c), _field(e, "B", c)) for e, c in entries])
 
 
 def parse_scenarios(spec, base_dir=None) -> ScenarioSet:
-    if not isinstance(spec, dict):
-        raise ConfigError("'scenarios' must be an object")
-    if "file" in spec:
+    if isinstance(spec, dict) and "file" in spec:
+        _only(spec, ("file",), "scenarios")
         path = spec["file"]
         if not isinstance(path, str):
             raise ConfigError("scenarios.file must be a path")
         if base_dir is not None:
             path = os.path.join(base_dir, path) if not os.path.isabs(path) else path
         return ScenarioSet.from_csv(path)
-    if "uniform" in spec:
-        u = spec["uniform"]
-        return ScenarioSet.from_uniform_box(
-            _field(u, "lower", "scenarios.uniform", 1),
-            _field(u, "upper", "scenarios.uniform", 1),
-            count=_integer(spec, "count", "scenarios", 1),
-            seed=_integer(spec, "seed", "scenarios", 0),
-        )
-    raise ConfigError("'scenarios' needs either 'file' or 'uniform'")
+    _only(spec, ("uniform", "count", "seed"), "scenarios")
+    if "uniform" not in spec:
+        raise ConfigError("'scenarios' needs either 'file' or 'uniform'")
+    u = spec["uniform"]
+    _only(u, ("lower", "upper"), "scenarios.uniform")
+    return ScenarioSet.from_uniform_box(
+        _field(u, "lower", "scenarios.uniform", 1),
+        _field(u, "upper", "scenarios.uniform", 1),
+        count=_integer(spec, "count", "scenarios", 1),
+        seed=_integer(spec, "seed", "scenarios", 0),
+    )
 
 
 def load_config(path) -> ProblemConfig:
@@ -177,6 +192,10 @@ def load_config(path) -> ProblemConfig:
 
 
 def parse_config(raw: dict, base_dir=None) -> ProblemConfig:
+    _only(raw, TOP_LEVEL, "config")
+    schema = raw.get("schema", 1)
+    if isinstance(schema, bool) or schema != 1:
+        raise ConfigError(f"schema must be 1, got {schema!r}")
     family = parse_family(_require(raw, "system", "config"))
     state_set = parse_polytope(_require(raw, "state_set", "config"), "state_set")
     input_set = parse_polytope(_require(raw, "input_set", "config"), "input_set")
@@ -199,8 +218,6 @@ def parse_config(raw: dict, base_dir=None) -> ProblemConfig:
         )
 
     options = raw.get("options", {})
-    if not isinstance(options, dict):
-        raise ConfigError("'options' must be an object")
     _only(options, OPTIONS, "options")
     return ProblemConfig(
         family=family,

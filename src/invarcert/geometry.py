@@ -113,14 +113,11 @@ class Polytope:
     def decomposition_lp(self) -> lp_core.LinearProgram:
         """The LP of :func:`vertex_decompose`, built once: minimize
         ``sum(gamma)`` subject to ``vertices.T @ gamma = x``, ``gamma >= 0``,
-        here at ``x = 0``; a state only replaces the right-hand side."""
-        N = self.vertex_count
+        as the rows ``V.T`` then ``-V.T`` with right-hand side ``x`` then
+        ``-x``, here at ``x = 0``; a state only replaces the right-hand side."""
+        V = self.vertices
         return lp_core.LinearProgram(
-            c=np.ones(N),
-            A_in=np.zeros((0, N)),
-            b_in=np.zeros(0),
-            A_eq=self.vertices.T,
-            b_eq=np.zeros(self.dim),
+            c=np.ones(len(V)), A_in=np.vstack([V.T, -V.T]), b_in=np.zeros(2 * self.dim)
         )
 
     @cached_property
@@ -204,16 +201,12 @@ def validate_polytope(facets, vertices) -> Polytope:
 
 
 def _origin_in_hull(X: np.ndarray) -> bool:
-    # 0 = sum lam_i x_i with lam >= 0, sum lam = 1, checked by LP phase 1
-    N = X.shape[0]
-    A_eq = np.vstack([X.T, np.ones((1, N))])
-    b_eq = np.concatenate([np.zeros(X.shape[1]), [1.0]])
+    # 0 = sum lam_i x_i with lam >= 0, sum lam = 1, checked by LP phase 1;
+    # each equality is two opposite rows
+    A = np.vstack([X.T, np.ones((1, len(X)))])
+    b = np.concatenate([np.zeros(X.shape[1]), [1.0]])
     lp = lp_core.LinearProgram(
-        c=np.zeros(N),
-        A_in=np.zeros((0, N)),
-        b_in=np.zeros(0),
-        A_eq=A_eq,
-        b_eq=b_eq,
+        c=np.zeros(len(X)), A_in=np.vstack([A, -A]), b_in=np.hstack([b, -b])
     )
     return lp_core.solve(lp, feas_tol=DEFAULT_TOL).is_optimal
 
@@ -279,7 +272,9 @@ def vertex_decompose(P: Polytope, x) -> np.ndarray:
     if outside.any():
         which = "point" if single else f"point {outside.argmax()}"
         raise DecompositionInfeasible(f"{which} outside polytope beyond tol={DEFAULT_TOL}")
-    outcomes = lp_core.solve_batch(P.decomposition_lp, b_eq=X, feas_tol=DEFAULT_TOL)
+    outcomes = lp_core.solve_batch(
+        P.decomposition_lp, b_in=np.hstack([X, -X]), feas_tol=DEFAULT_TOL
+    )
     for row, outcome in enumerate(outcomes):
         if not outcome.is_optimal:
             which = "the point" if single else f"point {row}"

@@ -12,22 +12,21 @@ Problem form::
 
     minimize    c @ z
     subject to  A_in @ z <= b_in
-                A_eq @ z == b_eq        (optional)
                 z >= 0
 
-Every variable is nonnegative; a caller states a free variable as the
-difference of two columns and a finite bound as an inequality row.
-Intended for small dense problems (hundreds of rows); there is no sparse
-path.
+This is the only form.  A caller states a free variable as the difference
+of two columns, a finite bound as an inequality row and an equality as
+two opposite rows (Bertsimas & Tsitsiklis, *Introduction to Linear
+Optimization*, 1997, ch. 1).  Intended for small dense problems (hundreds
+of rows); there is no sparse path.
 
 :func:`solve_batch` solves a family of programs that differ only in
-their equality right-hand side (the vertex decomposition of
+their right-hand side ``b_in`` (the vertex decomposition of
 :mod:`invarcert.geometry`).  A tableau's reduced costs, entering column,
 eligible pivot rows, pivot factors and basis matrix depend on the rows
 flipped for a negative right-hand side and on the pivots made so far, not
 on the right-hand side itself; only the ratio test and the basic values
-do (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, 1997,
-ch. 5).  So a program keeps a pivot-path cache
+do (ch. 5).  So a program keeps a pivot-path cache
 (:attr:`LinearProgram._paths`): a tree of the tableaux that the lone solve
 reaches (:class:`_Node`), one root per flip pattern, each node built once
 from its parent.  A lane walks the tree on its own right-hand side, in
@@ -39,7 +38,7 @@ optimal finish (:func:`_finish`).  Any other lane (Bland's rule, the
 iteration cap, a second-choice entering column, an unbounded or
 infeasible program, a singular or non-finite basis solve, a primal
 violation) is solved again from the start by :func:`solve` with its own
-``b_eq``.  So each outcome is bit for bit that of :func:`solve`, whatever
+``b_in``.  So each outcome is bit for bit that of :func:`solve`, whatever
 filled the cache before, and the rare rules live in one place.
 """
 
@@ -67,15 +66,13 @@ class LpStatus(Enum):
 class LinearProgram:
     """Dense LP data over nonnegative variables ``z >= 0``.
 
-    The data must not be modified after construction: the tableau rows
-    are built from it on the first solve and kept.
+    The data must not be modified after construction: the pivot-path
+    cache of :func:`solve_batch` is built from ``c`` and ``A_in`` and kept.
     """
 
     c: np.ndarray
     A_in: np.ndarray
     b_in: np.ndarray
-    A_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -86,26 +83,9 @@ class LinearProgram:
         object.__setattr__(self, "b_in", b_in)
         if A_in.shape[0] != b_in.size:
             raise DimensionMismatch("A_in and b_in row counts differ")
-        if self.A_eq is not None:
-            A_eq = np.asarray(self.A_eq, dtype=float).reshape(-1, c.size)
-            b_eq = np.asarray(self.b_eq, dtype=float).ravel()
-            if A_eq.shape[0] != b_eq.size:
-                raise DimensionMismatch("A_eq and b_eq row counts differ")
-            object.__setattr__(self, "A_eq", A_eq)
-            object.__setattr__(self, "b_eq", b_eq)
-        for block in (self.c, self.A_in, self.b_in, self.A_eq, self.b_eq):
-            if block is not None and not np.all(np.isfinite(block)):
+        for block in (c, A_in, b_in):
+            if not np.all(np.isfinite(block)):
                 raise ValueError("LP data must be finite")
-
-    @cached_property
-    def _rows(self) -> np.ndarray:
-        """``T`` of ``T y <= r``, ``y >= 0``: the rows of ``A_in``, then
-        each equality row as a pair of inequalities, which keeps every row
-        the same shape; one ``T`` serves every lane of :func:`solve_batch`."""
-        rows = [self.A_in]
-        if self.A_eq is not None:
-            rows += [self.A_eq, -self.A_eq]
-        return np.vstack(rows)
 
     @cached_property
     def _paths(self) -> dict:
@@ -125,16 +105,6 @@ class LpOutcome:
     @property
     def is_optimal(self) -> bool:
         return self.status is LpStatus.OPTIMAL
-
-
-def _rhs(b_in: np.ndarray, b_eq: np.ndarray | None) -> np.ndarray:
-    """``r`` of :attr:`LinearProgram._rows` for one right-hand side, or
-    (L, m) for a (L, k) stack of ``b_eq``."""
-    if b_eq is None:
-        return b_in
-    if b_eq.ndim > 1:
-        b_in = np.broadcast_to(b_in, (len(b_eq), b_in.size))
-    return np.concatenate([b_in, b_eq, -b_eq], axis=-1)
 
 
 def _initial_tableau(T: np.ndarray, r: np.ndarray) -> "_Tableau":
@@ -352,7 +322,7 @@ class _Node:
     def root(lp: "LinearProgram", flip: np.ndarray) -> "_Node":
         """The first tableau of the lanes whose right-hand side is negative
         at ``flip``, published in ``lp._paths``."""
-        tab = _initial_tableau(lp._rows, np.where(flip, -1.0, 1.0))
+        tab = _initial_tableau(lp.A_in, np.where(flip, -1.0, 1.0))
         node = _Node(tab, lp.c, 1 if tab.n_art else 2, 0, [])
         lp._paths[flip.tobytes()] = node
         return node
@@ -419,8 +389,7 @@ def solve(lp: LinearProgram, *, feas_tol: float = DEFAULT_FEAS_TOL) -> LpOutcome
     :class:`NumericalBreakdown` on pivot failure and
     :class:`MaxIterationsExceeded` past :func:`_max_iterations`.
     """
-    T = lp._rows
-    r = _rhs(lp.b_in, lp.b_eq)
+    T, r = lp.A_in, lp.b_in
     arts = sum(T.shape)  # the first artificial column
 
     tab = _initial_tableau(T, r)
@@ -441,37 +410,35 @@ def solve(lp: LinearProgram, *, feas_tol: float = DEFAULT_FEAS_TOL) -> LpOutcome
     except _Unbounded:
         return LpOutcome(LpStatus.UNBOUNDED, iterations=tab.iterations)
 
-    Z, objective, resid, bad = _finish(lp, tab.solution(arts), lp.b_eq, feas_tol)
+    Z, objective, resid, bad = _finish(lp, tab.solution(arts), r, feas_tol)
     if bad[0]:
         raise NumericalBreakdown(f"optimal point violates constraints by {resid[0]:.3e}")
     return LpOutcome(LpStatus.OPTIMAL, Z[0], float(objective[0]), tab.iterations)
 
 
 def solve_batch(
-    lp: LinearProgram, *, b_eq, feas_tol: float = DEFAULT_FEAS_TOL
+    lp: LinearProgram, *, b_in, feas_tol: float = DEFAULT_FEAS_TOL
 ) -> list[LpOutcome]:
-    """:func:`solve` of ``lp`` with ``b_eq`` replaced by each row of ``b_eq``.
+    """:func:`solve` of ``lp`` with ``b_in`` replaced by each row of ``b_in``.
 
-    Each lane of the (L, k) stack walks the program's pivot-path cache;
+    Each lane of the (L, m) stack walks the program's pivot-path cache;
     each outcome, with its iteration count and ``z``, is bit for bit that
     of the lone solve.  The lanes the walk cannot finish are solved alone,
     after the walks and in lane order.  Raises what the lone solve of the
     first lane that raises would raise.
     """
-    b_eq = np.asarray(b_eq, dtype=float)
-    k = 0 if lp.A_eq is None else lp.A_eq.shape[0]
-    if lp.A_eq is None or b_eq.ndim != 2 or b_eq.shape[1] != k:
-        raise DimensionMismatch(f"b_eq must be a stack of shape (L, {k})")
-    if not np.all(np.isfinite(b_eq)):
+    R = np.asarray(b_in, dtype=float)
+    T = lp.A_in
+    if R.ndim != 2 or R.shape[1] != len(T):
+        raise DimensionMismatch(f"b_in must be a stack of shape (L, {len(T)})")
+    if not np.all(np.isfinite(R)):
         raise ValueError("LP data must be finite")
-    T = lp._rows
-    R = _rhs(lp.b_in, b_eq)
     flips = R < 0
     rhs = R * np.where(flips, -1.0, 1.0)  # each lane's first rhs column
     arts = sum(T.shape)  # the first artificial column
     cap, stall_limit = _max_iterations(*T.shape), _Tableau.stall_limit
     paths = lp._paths
-    outcomes: list = [None] * len(b_eq)
+    outcomes: list = [None] * len(R)
     alone, ends, finals = [], {}, []
     for lane, (flip, r) in enumerate(zip(flips, rhs.tolist())):
         root = paths.get(flip.tobytes()) or _Node.root(lp, flip)
@@ -498,7 +465,7 @@ def solve_batch(
     if finals:
         lanes = [lane for lane, _ in finals]
         y, broken = _solutions([node for _, node in finals], rhs[lanes], arts)
-        Z, objective, _, bad = _finish(lp, y, b_eq[lanes], feas_tol)
+        Z, objective, _, bad = _finish(lp, y, R[lanes], feas_tol)
         bad |= broken  # the lone solve falls back to the tableau values
         for i, (lane, node) in enumerate(finals):
             if bad[i]:
@@ -508,7 +475,7 @@ def solve_batch(
                     LpStatus.OPTIMAL, Z[i], float(objective[i]), node.iterations
                 )
     for lane in sorted(alone):
-        outcomes[lane] = solve(replace(lp, b_eq=b_eq[lane]), feas_tol=feas_tol)
+        outcomes[lane] = solve(replace(lp, b_in=R[lane]), feas_tol=feas_tol)
     return outcomes
 
 
@@ -538,19 +505,16 @@ def _infeasible(y: np.ndarray, arts: int, R: np.ndarray, feas_tol: float) -> np.
     return y[:, arts:].sum(axis=1) > feas_tol * np.abs(R).max(axis=1, initial=1.0)
 
 
-def _finish(lp: LinearProgram, y: np.ndarray, B_eq, feas_tol: float):
+def _finish(lp: LinearProgram, y: np.ndarray, B_in: np.ndarray, feas_tol: float):
     """``z`` and objective at each row of the optimal basic solutions ``y``;
-    how far each ``z`` violates the constraints of ``lp`` with ``b_eq`` the
-    same row of ``B_eq`` (or ``B_eq`` for all), and where beyond ``feas_tol``."""
+    how far each ``z`` violates the constraints of ``lp`` with ``b_in`` the
+    same row of ``B_in`` (or ``B_in`` for all), and where beyond ``feas_tol``
+    relative to ``max(1, |b_in|)``."""
     Z = y[:, : lp.c.size] + 0.0  # adding 0.0 turns a -0.0 of the basis solve into 0.0
-    scale = max(1.0, np.abs(lp.b_in).max(initial=0.0))
+    scale = np.maximum(1.0, np.abs(B_in).max(axis=-1, initial=0.0))
     resid = (-Z).max(axis=1, initial=0.0)  # z >= 0
     if len(lp.A_in):
-        rows = (lp.A_in @ Z[:, :, None])[:, :, 0] - lp.b_in
+        rows = (lp.A_in @ Z[:, :, None])[:, :, 0] - B_in
         resid = np.maximum(resid, rows.max(axis=1))
-    if lp.A_eq is not None and lp.A_eq.size:
-        rows = np.abs((lp.A_eq @ Z[:, :, None])[:, :, 0] - B_eq)
-        resid = np.maximum(resid, rows.max(axis=1))
-        scale = np.maximum(scale, np.abs(B_eq).max(axis=-1, initial=0.0))
     objective = (Z[:, None, :] @ lp.c[:, None])[:, 0, 0]
     return Z, objective, resid, resid > feas_tol * scale

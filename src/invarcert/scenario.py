@@ -209,10 +209,6 @@ class AffinePolicy:
         object.__setattr__(self, "offsets", d)
 
     @property
-    def vertex_count(self) -> int:
-        return self.gains.shape[0]
-
-    @property
     def fingerprint(self) -> str:
         return _digest(self.gains, self.offsets)
 
@@ -288,8 +284,6 @@ class _BlockProgram:
     def __init__(self, family, S, U, samples, affine=True):
         self.inputs = (family, S, U, samples)
         samples = np.asarray(samples, dtype=float)
-        if samples.ndim == 1:
-            samples = samples[:, None]
         self.K, ell = samples.shape
         self.N = S.vertex_count
         self.m = U.dim

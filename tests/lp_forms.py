@@ -33,7 +33,9 @@ def nonnegative(c, A_in, b_in, A_eq=None, b_eq=None, bounds=None):
         if lo is not None and lo != 0.0:
             rows.append(-P[k][None])
             rhs.append([-lo])
-    data = dict(c=c @ P, A_in=np.vstack(rows), b_in=np.concatenate(rhs))
     if A_eq is not None:
-        data.update(A_eq=np.asarray(A_eq, dtype=float).reshape(-1, n) @ P, b_eq=b_eq)
-    return data, P
+        A_eq = np.asarray(A_eq, dtype=float).reshape(-1, n) @ P
+        b_eq = np.asarray(b_eq, dtype=float).ravel()
+        rows += [A_eq, -A_eq]
+        rhs += [b_eq, -b_eq]
+    return dict(c=c @ P, A_in=np.vstack(rows), b_in=np.concatenate(rhs)), P

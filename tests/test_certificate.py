@@ -122,3 +122,24 @@ def test_arguments_must_be_integers():
         epsilon_even_split(1.5, 10, 0.1)
     with pytest.raises(InvalidArguments):
         epsilon_even_split(1, 10.0, 0.1)
+
+
+def _certificate(**changes):
+    fields = dict(
+        K=10, s_K=2, beta=1e-3, epsilon=0.5, policy_fingerprint="p", scenario_fingerprint="s"
+    )
+    return ic.Certificate(**{**fields, **changes})
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"s_K": -1}, "need 0 <= s_K <= K"),
+        ({"s_K": 11}, "need 0 <= s_K <= K"),
+        ({"epsilon": -0.1}, r"epsilon must lie in \[0, 1\]"),
+        ({"epsilon": 1.5}, r"epsilon must lie in \[0, 1\]"),
+    ],
+)
+def test_certificate_out_of_range_refused(changes, message):
+    with pytest.raises(InvalidArguments, match=message):
+        _certificate(**changes)

@@ -410,6 +410,21 @@ def test_bad_random_init_rejected_before_simulation(count, tmp_path, capsys, mon
     )
 
 
+def test_unknown_init_spec_rejected_before_simulation(tmp_path, capsys, monkeypatch):
+    from invarcert import closed_loop
+
+    cfg, policy = _certified_policy(tmp_path, capsys)
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulation ran before the --init spec was rejected")
+
+    monkeypatch.setattr(closed_loop, "simulate_closed_loop", no_simulation)
+    assert main(["simulate", "--config", cfg, "--policy", policy, "--init", "spiral"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown --init spec 'spiral' (use vertices or random:N)\n"
+
+
 def test_simulate_outputs_reproducible(tmp_path, capsys):
     cfg, policy = _certified_policy(tmp_path, capsys)
     runs = []
@@ -689,6 +704,17 @@ def _edit(path, value):
     return edit
 
 
+def _rename(path, old, new):
+    """An edit of ``affine_config`` that renames the key ``old`` at ``path``."""
+
+    def edit(payload):
+        for key in path:
+            payload = payload[key]
+        payload[new] = payload.pop(old)
+
+    return edit
+
+
 def _network_edges(edges):
     """An edit that turns the config into ``feasible_config`` with ``edges``."""
 
@@ -761,11 +787,96 @@ BAD_VALUES = {
         _edit(["options"], {"estimate_seed": -1}),
         "options.estimate_seed must be an integer >= 0, got -1",
     ),
+    # every key is checked: a misspelt or foreign key is refused
+    "beta-misspelt": (
+        _rename([], "beta", "Beta"),
+        "unknown key 'Beta' in config (known: schema, system, state_set, input_set, "
+        "scenarios, beta, options)",
+    ),
+    "affine-Bk-misspelt": (
+        _rename(["system", "affine"], "Bk", "BK"),
+        "unknown key 'BK' in system.affine (known: A0, B0, Ak, Bk)",
+    ),
+    "network-extra-key": (
+        lambda p: p.update(feasible_config()) or p["system"]["network"].update(weights=[1]),
+        "unknown key 'weights' in system.network (known: edges, floating, inputs, "
+        "nominal_weights)",
+    ),
+    "table-extra-key": (
+        _edit(["system"], {"table": {"pairs": [{"A": [[0.5]], "B": [[1.0]]}], "index": 0}}),
+        "unknown key 'index' in system.table (known: pairs)",
+    ),
+    "table-pair-extra-key": (
+        _edit(["system"], {"table": {"pairs": [{"A": [[0.5]], "B": [[1.0]], "C": 0}]}}),
+        "unknown key 'C' in system.table.pairs[0] (known: A, B)",
+    ),
+    "schema-2": (_edit(["schema"], 2), "schema must be 1, got 2"),
+    "schema-string": (_edit(["schema"], "x"), "schema must be 1, got 'x'"),
+    "schema-true": (_edit(["schema"], True), "schema must be 1, got True"),
+    "scenarios-extra-key": (
+        _edit(["scenarios", "K"], 5),
+        "unknown key 'K' in scenarios (known: uniform, count, seed)",
+    ),
+    "uniform-extra-key": (
+        _edit(["scenarios", "uniform", "shape"], "normal"),
+        "unknown key 'shape' in scenarios.uniform (known: lower, upper)",
+    ),
+    "scenario-file-with-count": (
+        _edit(["scenarios"], {"file": "w.csv", "count": 3}),
+        "unknown key 'count' in scenarios (known: file)",
+    ),
+    "box-extra-key": (
+        _edit(["input_set", "box", "center"], [0.0]),
+        "unknown key 'center' in input_set.box (known: lower, upper)",
+    ),
+    # sections that are not objects, two system kinds, no scenario source
+    "scenarios-not-an-object": (_edit(["scenarios"], [1]), "scenarios must be an object"),
+    "state-set-not-an-object": (_edit(["state_set"], 3), "state_set must be an object"),
+    "options-not-an-object": (_edit(["options"], [0]), "options must be an object"),
+    "table-pair-not-an-object": (
+        _edit(["system"], {"table": {"pairs": [[[0.5]]]}}),
+        "system.table.pairs[0] must be an object",
+    ),
+    "two-system-kinds": (
+        lambda p: p["system"].update(table={"pairs": []}),
+        "'system' must hold exactly one of network/affine/table",
+    ),
+    "scenarios-without-a-source": (
+        _edit(["scenarios"], {"count": 3, "seed": 0}),
+        "'scenarios' needs either 'file' or 'uniform'",
+    ),
+    # dimensions that do not match the family, ragged arrays
+    "state-set-dimension": (
+        _edit(["state_set"], {"box": {"lower": [-1, -1, -1], "upper": [1, 1, 1]}}),
+        "state_set dimension 3 != family state dimension 2",
+    ),
+    "input-set-dimension": (
+        _edit(["input_set", "box"], {"lower": [-1, -1], "upper": [1, 1]}),
+        "input_set dimension 2 != family input dimension 1",
+    ),
+    "scenario-dimension": (
+        _edit(["scenarios", "uniform"], {"lower": [-1, -1], "upper": [1, 1]}),
+        "scenario dimension 2 != family parameter dimension 1",
+    ),
+    "affine-A0-ragged": (
+        _edit(["system", "affine", "A0"], [[1.1, 0.1], [0.0]]),
+        "system.affine.A0 must be an array of numbers",
+    ),
+    "facets-ragged": (
+        _edit(["state_set", "facets"], [[1.0, 0.0], [0.0]]),
+        "state_set.facets must be a 2-d array of numbers",
+    ),
 }
 
 
 def test_affine_config_certifies(tmp_path, capsys):
     assert main(["certify", "--config", write(tmp_path, affine_config())]) == 0
+
+
+def test_schema_may_be_left_out(tmp_path):
+    payload = affine_config()
+    del payload["schema"]
+    assert load_config(write(tmp_path, payload)).scenarios.K == 5
 
 
 @pytest.mark.parametrize("case", list(BAD_VALUES))
@@ -875,6 +986,20 @@ def test_table_sample_that_is_not_an_index_refused(tmp_path, capsys, monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --sample 0.5 is not a table index in 0..1\n"
+
+
+@pytest.mark.parametrize("key", ["gains", "offsets"])
+def test_policy_file_without_gains_or_offsets(key, tmp_path, capsys, monkeypatch):
+    cfg, report = _certified_policy(tmp_path, capsys)
+    with open(report) as fh:
+        policy = json.load(fh)["policy"]
+    del policy[key]
+    bad = write(tmp_path, policy, "bad.json")
+    _simulation_must_not_start(monkeypatch)
+    assert main(["simulate", "--config", cfg, "--policy", bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: policy file needs 'gains' and 'offsets'\n"
 
 
 def test_non_finite_policy_file_fails_at_load(tmp_path, capsys, monkeypatch):

@@ -451,3 +451,45 @@ def test_short_horizon_rejected_before_allocation(T):
     fam = zero_dynamics_family()
     with pytest.raises(InvalidArguments, match="^horizon must be >= 1$"):
         ic.simulate_closed_loop(fam, [0.0], UNIT2, zero_policy(4, 2), [0.1, 0.2], T=T)
+
+
+# each input check of the closed loop, with the error it raises; the
+# family is the zero plant on UNIT2 with one parameter
+BAD_INPUTS = {
+    "vertex-input-count": (
+        lambda: ic.vertex_control_input(UNIT2, np.zeros((3, 2)), [0.0, 0.0]),
+        ic.DimensionMismatch,
+        "expected 4 vertex inputs, got 3",
+    ),
+    "point-dimension": (
+        lambda: ic.vertex_control_input(UNIT2, np.zeros((4, 2)), [0.0, 0.0, 0.0]),
+        ic.DimensionMismatch,
+        "point has dimension 3, expected 2",
+    ),
+    "point-outside-S": (
+        lambda: ic.vertex_control_input(UNIT2, np.zeros((4, 2)), [1.5, 0.0]),
+        DecompositionInfeasible,
+        "point outside polytope",
+    ),
+    "x0-shape": (
+        lambda: ic.simulate_closed_loop(
+            zero_dynamics_family(), [0.0], UNIT2, zero_policy(4, 2), np.zeros((2, 3)), T=3
+        ),
+        ic.DimensionMismatch,
+        r"x0 has shape \(2, 3\), expected \(2,\) or \(N, 2\)",
+    ),
+    "estimate-M-below-one": (
+        lambda: ic.estimate_violation(
+            zero_dynamics_family(), UNIT2, UNIT2, zero_policy(4, 2), ic.UniformBox([0], [1]), M=0
+        ),
+        ValueError,
+        "M must be >= 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_refused(case):
+    call, error, message = BAD_INPUTS[case]
+    with pytest.raises(error, match=message):
+        call()

@@ -280,14 +280,8 @@ def test_facet_with_dependent_tight_vertices_is_not_a_simplex():
 def _fresh_decomposition(P, x, tol=1e-8):
     """The decomposition LP of ``x`` built from scratch, as one state alone
     would build it."""
-    N = P.vertex_count
-    lp = LinearProgram(
-        c=np.ones(N),
-        A_in=np.zeros((0, N)),
-        b_in=np.zeros(0),
-        A_eq=P.vertices.T,
-        b_eq=x,
-    )
+    V = P.vertices
+    lp = LinearProgram(c=np.ones(len(V)), A_in=np.vstack([V.T, -V.T]), b_in=np.hstack([x, -x]))
     return solve(lp, feas_tol=max(tol, 1e-9))
 
 
@@ -301,7 +295,7 @@ def test_per_polytope_decomposition_lp_matches_a_fresh_build(name):
     }[name]()
     assert not P.facet_simplices.simplex.any()
     for x in decomposition_states(P, rng):
-        shared = solve_batch(P.decomposition_lp, b_eq=x[None], feas_tol=1e-9)[0]
+        shared = solve_batch(P.decomposition_lp, b_in=np.hstack([x, -x])[None], feas_tol=1e-9)[0]
         fresh = _fresh_decomposition(P, x)
         assert shared.status is fresh.status
         assert shared.iterations == fresh.iterations
@@ -311,19 +305,37 @@ def test_per_polytope_decomposition_lp_matches_a_fresh_build(name):
 
 
 def test_decomposition_lp_built_once_per_polytope(monkeypatch):
-    from functools import cached_property
-
     from invarcert import lp_core
 
     built = []
-    rows = lp_core.LinearProgram._rows
-    spy = cached_property(lambda lp: built.append(lp) or rows.func(lp))
-    spy.__set_name__(lp_core.LinearProgram, "_rows")
-    monkeypatch.setattr(lp_core.LinearProgram, "_rows", spy)
+    init = lp_core.LinearProgram.__post_init__
+    monkeypatch.setattr(
+        lp_core.LinearProgram, "__post_init__", lambda lp: built.append(lp) or init(lp)
+    )
     P = ic.box([-1.0, -2.0, -0.5], [1.0, 0.5, 2.0])
     rng = np.random.default_rng(4)
     for _ in range(10):
         ic.vertex_decompose(P, rng.uniform(-0.5, 0.5, 3))
     assert len(built) == 1
     assert P.decomposition_lp is P.decomposition_lp
-    assert np.array_equal(P.decomposition_lp.b_eq, np.zeros(3))  # not overwritten
+    assert np.array_equal(P.decomposition_lp.b_in, np.zeros(6))  # not overwritten
+
+
+BAD_INPUTS = {
+    "box-lengths-differ": (lambda: ic.box([-1.0, -1.0], [1.0]), "lower and upper lengths differ"),
+    "decompose-wrong-shape": (
+        lambda: ic.vertex_decompose(ic.box([-1.0, -1.0], [1.0, 1.0]), np.zeros((2, 2, 2))),
+        r"points have shape \(2, 2, 2\), expected \(2,\) or \(N, 2\)",
+    ),
+    "decompose-wrong-dimension": (
+        lambda: ic.vertex_decompose(ic.box([-1.0, -1.0], [1.0, 1.0]), np.zeros((4, 3))),
+        r"points have shape \(4, 3\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_refused(case):
+    call, message = BAD_INPUTS[case]
+    with pytest.raises(ic.DimensionMismatch, match=message):
+        call()

@@ -3,8 +3,9 @@
 Equal means the same status, the same iteration count and the same bytes
 of ``z``, or the same exception with the same message.  The decomposition
 programs of the simulation are checked at the points of the decomposition
-test, in stacks of 1, 4 and 1000; small crafted programs send lanes down
-every rule that the walk leaves to the lone solve.  Every pivot a walk
+test, in stacks of 1, 4 and 1000; the programs of the differential corpus
+with every row's right-hand side varied; and small crafted programs send
+lanes down every rule that the walk leaves to the lone solve.  Every pivot a walk
 applies is the next pivot of the lane's lone solve, the outcomes do not
 depend on what filled the pivot-path cache, and the cache stays small.
 The invariant that lets every drive-out pivot without a redundant-row
@@ -34,9 +35,15 @@ POLYTOPES = {
 }
 
 
-def _lone(lp, b_eq, **kwargs):
+def _at(x):
+    """The right-hand side of a decomposition LP at a point, or a stack of
+    them at a stack of points: ``x`` then ``-x``."""
+    return np.hstack([x, -x])
+
+
+def _lone(lp, b_in, **kwargs):
     try:
-        out = solve(replace(lp, b_eq=b_eq), **kwargs)
+        out = solve(replace(lp, b_in=b_in), **kwargs)
     except NumericalBreakdown as exc:
         return type(exc), str(exc)
     return out.status, out.iterations, None if out.z is None else out.z.tobytes()
@@ -47,12 +54,12 @@ def _assert_lanes_are_lone(lp, B, **kwargs):
     errors = [o for o in lone if not isinstance(o[0], LpStatus)]
     if errors:  # the batch raises what the first raising lane raises
         with pytest.raises(errors[0][0]) as info:
-            solve_batch(lp, b_eq=B, **kwargs)
+            solve_batch(lp, b_in=B, **kwargs)
         assert str(info.value) == errors[0][1]
         return lone
     batch = [
         (o.status, o.iterations, None if o.z is None else o.z.tobytes())
-        for o in solve_batch(lp, b_eq=B, **kwargs)
+        for o in solve_batch(lp, b_in=B, **kwargs)
     ]
     assert batch == lone
     return lone
@@ -60,13 +67,13 @@ def _assert_lanes_are_lone(lp, B, **kwargs):
 
 @pytest.fixture
 def alone(monkeypatch):
-    """The ``b_eq`` of every lane that ``solve_batch`` solves alone, in
+    """The ``b_in`` of every lane that ``solve_batch`` solves alone, in
     the order it solves them."""
     seen = []
 
     def spy(lp, **kwargs):
         if sys._getframe(1).f_code is solve_batch.__code__:
-            seen.append(lp.b_eq.tolist())
+            seen.append(lp.b_in.tolist())
         return solve(lp, **kwargs)
 
     monkeypatch.setattr(lp_core, "solve", spy)
@@ -82,12 +89,27 @@ def test_decomposition_lanes_are_lone_solves(name, alone):
     states = np.array(decomposition_states(P, rng))
     for size in (1, 4):
         for lo in range(0, len(states), size):
-            _assert_lanes_are_lone(lp, states[lo : lo + size], feas_tol=1e-8)
+            _assert_lanes_are_lone(lp, _at(states[lo : lo + size]), feas_tol=1e-8)
     weights = rng.dirichlet(np.ones(P.vertex_count), size=1000 - len(states))
     wide = np.vstack([states, (weights @ P.vertices) * rng.uniform(0, 1, (len(weights), 1))])
-    lone = _assert_lanes_are_lone(lp, wide, feas_tol=1e-8)
+    lone = _assert_lanes_are_lone(lp, _at(wide), feas_tol=1e-8)
     assert {o[0] for o in lone} == {LpStatus.OPTIMAL}
     assert alone == []  # every decomposition lane finishes in its walk
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_lanes_that_vary_every_row_are_lone_solves(case):
+    # a stack may vary any row, not only the former equality rows: each
+    # program of the corpus is solved at its own right-hand side and at
+    # five others, shifted row by row, mixing every status and flip pattern
+    rng = np.random.default_rng(100 + sorted(CASES).index(case))
+    statuses = set()
+    for _ in range(PER_CASE // 4):
+        lp = LinearProgram(**nonnegative(**CASES[case](rng))[0])
+        shifts = rng.normal(size=(5, len(lp.b_in))) * np.maximum(1.0, np.abs(lp.b_in))
+        B = np.vstack([lp.b_in, lp.b_in + 0.3 * shifts])
+        statuses.update(o[0] for o in _assert_lanes_are_lone(lp, B))
+    assert LpStatus.OPTIMAL in statuses
 
 
 @pytest.mark.parametrize("limit", [0, 1, 2])
@@ -98,37 +120,45 @@ def test_bland_switch_after_a_stall(limit, monkeypatch, alone):
     rng = np.random.default_rng(2)
     P = random_box(rng, 4)
     states = np.array(decomposition_states(P, rng))
-    dantzig = [_lone(P.decomposition_lp, x, feas_tol=1e-8) for x in states]
+    dantzig = [_lone(P.decomposition_lp, _at(x), feas_tol=1e-8) for x in states]
     monkeypatch.setattr(lp_core._Tableau, "stall_limit", limit)
-    lone = _assert_lanes_are_lone(P.decomposition_lp, states, feas_tol=1e-8)
+    lone = _assert_lanes_are_lone(P.decomposition_lp, _at(states), feas_tol=1e-8)
     assert lone != dantzig
     assert alone
 
 
-def _program(c, A_eq, A_in=None, b_in=()):
+def _program(c, A_eq, B, A_in=None, b_in=()):
+    """The program of rows ``A_in`` and of ``A_eq z = b`` as two opposite
+    rows, and the stack of its right-hand sides with ``b`` each row of ``B``."""
     c = np.asarray(c, dtype=float)
-    A_in = np.zeros((0, c.size)) if A_in is None else A_in
-    return LinearProgram(c=c, A_in=A_in, b_in=b_in, A_eq=A_eq, b_eq=np.zeros(len(A_eq)))
+    A_in = np.zeros((0, c.size)) if A_in is None else np.asarray(A_in, dtype=float)
+    A_eq, B = np.asarray(A_eq, dtype=float), np.asarray(B, dtype=float)
+    b_in = np.asarray(b_in, dtype=float)
+    lp = LinearProgram(
+        c=c,
+        A_in=np.vstack([A_in, A_eq, -A_eq]),
+        b_in=np.concatenate([b_in, np.zeros(2 * len(A_eq))]),
+    )
+    return lp, np.hstack([np.broadcast_to(b_in, (len(B), len(b_in))), B, -B])
 
 
 def test_second_choice_entering_column(alone):
     # x1 prices best, but its only positive entry (5e-10) is below the
     # stability floor, so x2 enters first; its pivot gives x1 a real row
-    lp = _program(
+    lp, B = _program(
         c=[-2.0, -1.0, 0.0],
         A_in=[[5e-10, 2e-9, 0.0], [0.0, -4.0, 0.0]],
         b_in=[1e-9, 0.0],
         A_eq=[[0.0, 0.0, 1.0]],
+        B=[[0.0], [0.5], [1.0]],
     )
-    B = np.array([[0.0], [0.5], [1.0]])
     lone = _assert_lanes_are_lone(lp, B)
     assert [o[0] for o in lone] == [LpStatus.OPTIMAL] * 3
     assert alone == B.tolist()
 
 
 def test_unbounded_program(alone):
-    lp = _program(c=[-1.0, 0.0], A_eq=[[1.0, -1.0]])
-    B = np.array([[-1.0], [0.0], [1.0]])
+    lp, B = _program(c=[-1.0, 0.0], A_eq=[[1.0, -1.0]], B=[[-1.0], [0.0], [1.0]])
     lone = _assert_lanes_are_lone(lp, B)
     assert [o[0] for o in lone] == [LpStatus.UNBOUNDED] * 3
     assert alone == B.tolist()
@@ -136,8 +166,13 @@ def test_unbounded_program(alone):
 
 def test_infeasible_lanes_next_to_feasible_ones(alone):
     # z <= 1 as rows: a lane asking z1 + z2 outside [0, 2] is infeasible
-    lp = _program(c=[1.0, 1.0], A_eq=[[1.0, 1.0]], A_in=np.eye(2), b_in=[1.0, 1.0])
-    B = np.array([[0.5], [5.0], [1.5], [-1.0]])
+    lp, B = _program(
+        c=[1.0, 1.0],
+        A_eq=[[1.0, 1.0]],
+        B=[[0.5], [5.0], [1.5], [-1.0]],
+        A_in=np.eye(2),
+        b_in=[1.0, 1.0],
+    )
     lone = _assert_lanes_are_lone(lp, B)
     assert [o[0] for o in lone] == [
         LpStatus.OPTIMAL,
@@ -151,8 +186,7 @@ def test_infeasible_lanes_next_to_feasible_ones(alone):
 def test_sub_threshold_pivots_only(alone):
     # x prices best, but 5e-10 is below the stability floor and no other
     # column improves: the lone code raises, and so does the batch
-    lp = _program(c=[-1.0, 0.0], A_eq=[[5e-10, -1.0]])
-    B = np.array([[1.0], [0.0]])
+    lp, B = _program(c=[-1.0, 0.0], A_eq=[[5e-10, -1.0]], B=[[1.0], [0.0]])
     lone = _assert_lanes_are_lone(lp, B)
     assert lone[0][0] is LpStatus.INFEASIBLE
     assert lone[1][0] is NumericalBreakdown
@@ -164,12 +198,12 @@ def test_primal_violation_raises_alone_and_in_the_batch(alone, monkeypatch):
     # the batch hands each lane to it and raises the same
     finish = lp_core._finish
 
-    def violated(lp, y, B_eq, feas_tol):
-        Z, objective, resid, bad = finish(lp, y, B_eq, feas_tol)
+    def violated(lp, y, B_in, feas_tol):
+        Z, objective, resid, bad = finish(lp, y, B_in, feas_tol)
         return Z, objective, resid + 1.0, np.ones_like(bad)
 
     monkeypatch.setattr(lp_core, "_finish", violated)
-    B = np.array([[0.5, 0.2, -0.1], [0.1, -0.3, 0.4]])
+    B = _at(np.array([[0.5, 0.2, -0.1], [0.1, -0.3, 0.4]]))
     lone = _assert_lanes_are_lone(box([-1, -1, -1], [1, 1, 1]).decomposition_lp, B)
     assert lone[0] == (NumericalBreakdown, "optimal point violates constraints by 1.000e+00")
     assert alone == B[:1].tolist()  # the first lane raises
@@ -180,14 +214,14 @@ def test_flagged_final_lane_is_solved_alone(alone, monkeypatch):
     # solve, whose own finish passes it
     finish = lp_core._finish
 
-    def flag_second(lp, y, B_eq, feas_tol):
-        Z, objective, resid, bad = finish(lp, y, B_eq, feas_tol)
+    def flag_second(lp, y, B_in, feas_tol):
+        Z, objective, resid, bad = finish(lp, y, B_in, feas_tol)
         if len(y) > 1:
             bad[1] = True
         return Z, objective, resid, bad
 
     monkeypatch.setattr(lp_core, "_finish", flag_second)
-    B = np.array([[0.5, 0.2, -0.1], [0.1, -0.3, 0.4], [-0.2, 0.2, 0.2]])
+    B = _at(np.array([[0.5, 0.2, -0.1], [0.1, -0.3, 0.4], [-0.2, 0.2, 0.2]]))
     lone = _assert_lanes_are_lone(box([-1, -1, -1], [1, 1, 1]).decomposition_lp, B)
     assert {o[0] for o in lone} == {LpStatus.OPTIMAL}
     assert alone == B[[1]].tolist()
@@ -209,7 +243,7 @@ def test_failed_stacked_basis_solve_sends_lanes_alone(fault, alone, monkeypatch)
         return values
 
     monkeypatch.setattr(np.linalg, "solve", stacked)
-    B = np.array([[0.5, 0.2, -0.1], [0.1, -0.3, 0.4], [-0.2, 0.2, 0.2]])
+    B = _at(np.array([[0.5, 0.2, -0.1], [0.1, -0.3, 0.4], [-0.2, 0.2, 0.2]]))
     lone = _assert_lanes_are_lone(box([-1, -1, -1], [1, 1, 1]).decomposition_lp, B)
     assert {o[0] for o in lone} == {LpStatus.OPTIMAL}
     assert alone == (B.tolist() if fault == "singular" else B[[1]].tolist())
@@ -254,7 +288,7 @@ def test_lanes_that_stop_are_not_pivoted_again(alone, walked, monkeypatch):
     # (b = 1.5) reach their optimum; every pivot the walk applies to a
     # lane must be the next pivot of its lone solve, and a lane that stops
     # gets no more
-    lp = _program(
+    lp, B = _program(
         c=[-1.0, 1.0, -0.5, 1.0, 0.0],
         A_in=[
             [2.0, 5e-10, 1.5e-9, -1.0, 0.0],
@@ -263,8 +297,8 @@ def test_lanes_that_stop_are_not_pivoted_again(alone, walked, monkeypatch):
         ],
         b_in=[1e-9, 2.0, 1.0],
         A_eq=[[1.0, 2.0, 0.0, 0.0, -1.0]],
+        B=[[0.5], [1.0], [1.5]],
     )
-    B = np.array([[0.5], [1.0], [1.5]])
     seen = []
     pivot = lp_core._Tableau._pivot
     monkeypatch.setattr(
@@ -289,10 +323,10 @@ def test_iteration_cap(alone, monkeypatch):
     P = random_box(np.random.default_rng(1), 3)
     states = np.array([np.zeros(3), 0.1 * P.vertices[0], 0.4 * P.vertices[5]])
     monkeypatch.setattr(lp_core, "_max_iterations", lambda m, n: 2)
-    lone = _assert_lanes_are_lone(P.decomposition_lp, states)
+    lone = _assert_lanes_are_lone(P.decomposition_lp, _at(states))
     assert lone[0][0] is LpStatus.OPTIMAL
     assert lone[1][0] is lone[2][0] is lp_core.MaxIterationsExceeded
-    assert alone == states[[1]].tolist()  # the batch raises at the first
+    assert alone == _at(states)[[1]].tolist()  # the batch raises at the first
 
 
 @pytest.fixture
@@ -330,9 +364,9 @@ def test_walks_apply_the_lone_pivots(walked, monkeypatch):
         states = np.array(decomposition_states(P, rng))
         for x in states:
             seen.clear()
-            solve(replace(P.decomposition_lp, b_eq=x), feas_tol=1e-8)
+            solve(replace(P.decomposition_lp, b_in=_at(x)), feas_tol=1e-8)
             lone.append(seen.copy())
-        solve_batch(P.decomposition_lp, b_eq=states, feas_tol=1e-8)
+        solve_batch(P.decomposition_lp, b_in=_at(states), feas_tol=1e-8)
     assert walked == dict(enumerate(lone))
 
 
@@ -348,9 +382,9 @@ def test_basic_artificials_keep_their_slack_twin(drive_outs):
         P = build(rng)
         states = np.array(decomposition_states(P, rng))
         for x in states:
-            solve(replace(P.decomposition_lp, b_eq=x), feas_tol=1e-8)
+            solve(replace(P.decomposition_lp, b_in=_at(x)), feas_tol=1e-8)
         lone = len(drive_outs)
-        solve_batch(P.decomposition_lp, b_eq=states, feas_tol=1e-8)
+        solve_batch(P.decomposition_lp, b_in=_at(states), feas_tol=1e-8)
         assert len(drive_outs) > lone  # the walk's nodes drive out too
     assert len(drive_outs) > 500 and sum(drive_outs) > 1000
 
@@ -378,14 +412,15 @@ def test_outcomes_do_not_depend_on_the_cache(name):
     rng = np.random.default_rng(seed)
     P = build(rng)
     states = np.array(decomposition_states(P, rng))
-    data = {f: getattr(P.decomposition_lp, f) for f in ("c", "A_in", "b_in", "A_eq", "b_eq")}
+    data = {f: getattr(P.decomposition_lp, f) for f in ("c", "A_in", "b_in")}
     lp, used = LinearProgram(**data), LinearProgram(**data)
-    fresh = solve_batch(lp, b_eq=states, feas_tol=1e-8)
+    fresh = solve_batch(lp, b_in=_at(states), feas_tol=1e-8)
     axes = np.vstack([np.eye(P.dim), -np.eye(P.dim)]) * 0.25
-    solve_batch(used, b_eq=np.vstack([axes, 0.5 * states[::-1], states[::-1]]), feas_tol=1e-8)
+    others = np.vstack([axes, 0.5 * states[::-1], states[::-1]])
+    solve_batch(used, b_in=_at(others), feas_tol=1e-8)
     roots = len(used._paths)
     assert roots > len(lp._paths)
-    assert _bytes(solve_batch(used, b_eq=states, feas_tol=1e-8)) == _bytes(fresh)
+    assert _bytes(solve_batch(used, b_in=_at(states), feas_tol=1e-8)) == _bytes(fresh)
     assert len(used._paths) == roots  # every flip pattern was met before
 
 
@@ -411,13 +446,14 @@ def test_threads_share_one_cache():
     P = random_box(rng, 3)
     weights = rng.dirichlet(np.ones(P.vertex_count), size=(6, 40))
     stacks = list((weights @ P.vertices) * rng.uniform(0.0, 1.0, (6, 40, 1)))
-    data = {f: getattr(P.decomposition_lp, f) for f in ("c", "A_in", "b_in", "A_eq", "b_eq")}
-    want = [_bytes(solve_batch(LinearProgram(**data), b_eq=B, feas_tol=1e-8)) for B in stacks]
+    data = {f: getattr(P.decomposition_lp, f) for f in ("c", "A_in", "b_in")}
+    stacks = [_at(X) for X in stacks]
+    want = [_bytes(solve_batch(LinearProgram(**data), b_in=B, feas_tol=1e-8)) for B in stacks]
     shared = LinearProgram(**data)
     got = [None] * len(stacks)
 
     def work(i):
-        got[i] = _bytes(solve_batch(shared, b_eq=stacks[i], feas_tol=1e-8))
+        got[i] = _bytes(solve_batch(shared, b_in=stacks[i], feas_tol=1e-8))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -443,12 +479,13 @@ def test_the_tree_stays_small():
 
 
 def test_batch_checks_its_right_hand_sides():
-    lp = _program(c=[1.0, 1.0], A_eq=[[1.0, 1.0]])
-    with pytest.raises(lp_core.DimensionMismatch):
-        solve_batch(lp, b_eq=[0.5])
+    lp = LinearProgram(c=[1.0, 1.0], A_in=[[1.0, 1.0], [-1.0, -1.0]], b_in=[0.0, 0.0])
+    for B in ([0.5, -0.5], [[0.5]], [[0.5, -0.5, 1.0]]):
+        with pytest.raises(lp_core.DimensionMismatch, match=r"shape \(L, 2\)"):
+            solve_batch(lp, b_in=B)
     with pytest.raises(ValueError, match="finite"):
-        solve_batch(lp, b_eq=[[np.nan]])
-    assert solve_batch(lp, b_eq=np.zeros((0, 1))) == []
-    no_equalities = LinearProgram(c=[1.0], A_in=[[1.0]], b_in=[1.0])
-    with pytest.raises(lp_core.DimensionMismatch):
-        solve_batch(no_equalities, b_eq=[[1.0]])
+        solve_batch(lp, b_in=[[0.5, np.nan]])
+    assert solve_batch(lp, b_in=np.zeros((0, 2))) == []
+    # any program takes a stack: a single row, here an upper bound
+    bound = LinearProgram(c=[-1.0], A_in=[[1.0]], b_in=[1.0])
+    assert [o.z.tolist() for o in solve_batch(bound, b_in=[[1.0], [2.0]])] == [[1.0], [2.0]]

@@ -38,12 +38,14 @@ def test_solutions_carry_no_negative_zero(monkeypatch):
 
 
 def test_failed_basis_solve_falls_back_to_the_tableau_values(monkeypatch):
-    # z1 - z2 = -1 needs an artificial, so both the phase-1 test and the
-    # optimum read the basic solution; with every basis solve reported
-    # failed, both read the tableau values and reach the same optimum
+    # z1 - z2 = -1, as two opposite rows, needs an artificial, so both the
+    # phase-1 test and the optimum read the basic solution; with every basis
+    # solve reported failed, both read the tableau values and reach the same
+    # optimum
     lp = LinearProgram(
-        c=[1.0, 2.0, 0.0], A_in=[[1.0, 1.0, 1.0]], b_in=[10.0], A_eq=[[1.0, -1.0, 0.0]],
-        b_eq=[-1.0],
+        c=[1.0, 2.0, 0.0],
+        A_in=[[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]],
+        b_in=[10.0, -1.0, 1.0],
     )
     exact = solve(lp)
     failed = []
@@ -80,12 +82,13 @@ def test_unbounded():
 
 
 def test_equalities_and_free_variables():
-    # x1 + x2 = 1 with free x, each split into two columns; minimize x1
-    # -> pushed to its inequality cap
+    # x1 + x2 = 1 (two opposite rows) with free x, each split into two
+    # columns; minimize x1 -> pushed to its inequality cap
     data, P = nonnegative(
         c=[1.0, 0.0], A_in=[[-1.0, 0.0]], b_in=[2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0]
     )
-    assert data["A_in"].shape == (1, 4)
+    assert data["A_in"].shape == (3, 4)
+    assert data["b_in"].tolist() == [2.0, 1.0, -1.0]
     out = solve(LinearProgram(**data))
     assert out.status is LpStatus.OPTIMAL
     x = P @ out.z
@@ -232,7 +235,8 @@ def _outcome_bytes(out):
 
 def test_rhs_replacement_matches_a_fresh_build(monkeypatch):
     # free variables (split), one-sided and two-sided bounds (rows),
-    # equalities and inequalities; every lane of solve_batch must pivot
+    # equalities (two opposite rows, whose right-hand sides the lanes
+    # replace) and inequalities; every lane of solve_batch must pivot
     # exactly like a fresh program, with Dantzig's rule and with Bland's
     # from the start
     rng = np.random.default_rng(17)
@@ -251,14 +255,15 @@ def test_rhs_replacement_matches_a_fresh_build(monkeypatch):
             bounds=[kinds[int(k)] for k in rng.integers(0, len(kinds), n)],
         )
         template = LinearProgram(**data)
-        B = rng.normal(size=(8, len(A_eq)))
+        eq = rng.normal(size=(8, len(A_eq)))
+        rows = data["b_in"][: -2 * len(A_eq)]
+        B = np.hstack([np.broadcast_to(rows, (8, len(rows))), eq, -eq])
         for stall_limit in (lp_core._Tableau.stall_limit, 0):
             with monkeypatch.context() as patch:
                 patch.setattr(lp_core._Tableau, "stall_limit", stall_limit)
-                got = solve_batch(template, b_eq=B)
-                want = [solve(LinearProgram(**{**data, "b_eq": row})) for row in B]
+                got = solve_batch(template, b_in=B)
+                want = [solve(LinearProgram(**{**data, "b_in": row})) for row in B]
             assert list(map(_outcome_bytes, got)) == list(map(_outcome_bytes, want))
             statuses.update(out.status for out in got)
         assert np.array_equal(template.b_in, data["b_in"])
-        assert np.array_equal(template.b_eq, np.zeros(len(A_eq)))
     assert statuses == set(LpStatus)

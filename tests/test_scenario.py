@@ -923,3 +923,58 @@ def test_policy_with_non_finite_entries_names_the_vertex(entry, value):
     arrays[entry][1, 1] = value
     with pytest.raises(ValueError, match="^policy gains and offsets of vertex 1 must be finite$"):
         ic.AffinePolicy(**arrays)
+
+
+BAD_INPUTS = {
+    "uniform-box-lengths-differ": (
+        lambda: ic.UniformBox([0.0, 0.0], [1.0]),
+        ic.DimensionMismatch,
+        "lower and upper lengths differ",
+    ),
+    "uniform-box-lower-above-upper": (
+        lambda: ic.UniformBox([0.0, 2.0], [1.0, 1.0]),
+        ValueError,
+        "lower must be <= upper componentwise",
+    ),
+    "no-samples": (
+        lambda: ic.ScenarioSet(samples=np.zeros((0, 2))),
+        ValueError,
+        r"samples must be a nonempty \(K, ell\) array",
+    ),
+    "distribution-dimension": (
+        lambda: ic.ScenarioSet(samples=np.zeros((3, 2)), distribution=ic.UniformBox([0], [1])),
+        ic.DimensionMismatch,
+        "distribution dimension != sample dimension",
+    ),
+    "policy-gains-not-3-d": (
+        lambda: ic.AffinePolicy(gains=np.zeros((4, 1)), offsets=np.zeros((4, 1))),
+        ic.DimensionMismatch,
+        r"gains must be \(N, m, ell\) and offsets \(N, m\)",
+    ),
+    "policy-offsets-for-other-vertices": (
+        lambda: ic.AffinePolicy(gains=np.zeros((4, 1, 2)), offsets=np.zeros((3, 1))),
+        ic.DimensionMismatch,
+        r"gains must be \(N, m, ell\) and offsets \(N, m\)",
+    ),
+    "family-state-dimension-not-S": (
+        lambda: ic.vertex_constraints(
+            zero_dynamics_family(), ic.box([-1.0] * 3, [1.0] * 3), UNIT2, np.zeros((1, 1))
+        ),
+        ic.DimensionMismatch,
+        "family output does not match S and U",
+    ),
+    "family-input-dimension-not-U": (
+        lambda: ic.vertex_constraints(
+            zero_dynamics_family(), UNIT2, ic.box([-1.0], [1.0]), np.zeros((1, 1))
+        ),
+        ic.DimensionMismatch,
+        "family output does not match S and U",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_refused(case):
+    call, error, message = BAD_INPUTS[case]
+    with pytest.raises(error, match=message):
+        call()

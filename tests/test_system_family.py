@@ -223,3 +223,69 @@ def test_spectral_radius_lapack_failure_is_numerical_breakdown(monkeypatch):
 def test_spectral_radius_requires_square():
     with pytest.raises(ic.DimensionMismatch):
         ic.spectral_radius_estimate(np.ones((2, 3)))
+
+
+BAD_INPUTS = {
+    "graph-node-sets-overlap": (
+        lambda: ic.Graph(edges=[(0, 1)], floating=[0, 1], inputs=[1], nominal_weights=[0.5]),
+        GraphError,
+        "floating and input node sets overlap",
+    ),
+    "graph-nodes-not-contiguous": (
+        lambda: ic.Graph(edges=[(0, 2)], floating=[0], inputs=[2], nominal_weights=[0.5]),
+        GraphError,
+        r"nodes must be exactly 0..n-1 across the two sets",
+    ),
+    "graph-edge-to-unknown-node": (
+        lambda: ic.Graph(edges=[(0, 2)], floating=[0], inputs=[1], nominal_weights=[0.5]),
+        GraphError,
+        r"edge \(0,2\) references unknown node",
+    ),
+    "affine-A0-not-square": (
+        lambda: ic.AffineFamily(A0=np.zeros((2, 3)), B0=np.zeros((2, 1))),
+        ic.DimensionMismatch,
+        "A0 must be square",
+    ),
+    "affine-B0-rows": (
+        lambda: ic.AffineFamily(A0=np.zeros((2, 2)), B0=np.zeros((3, 1))),
+        ic.DimensionMismatch,
+        "B0 row count must match A0",
+    ),
+    "affine-term-counts-differ": (
+        lambda: ic.AffineFamily(
+            A0=np.zeros((2, 2)),
+            B0=np.zeros((2, 1)),
+            A_terms=[np.zeros((2, 2))] * 2,
+            B_terms=[np.zeros((2, 1))],
+        ),
+        ic.DimensionMismatch,
+        "A and B term counts differ",
+    ),
+    "table-shapes-differ": (
+        lambda: ic.TableFamily([(np.eye(2), np.ones((2, 1))), (np.eye(3), np.ones((3, 1)))]),
+        ic.DimensionMismatch,
+        "all table entries must share shapes",
+    ),
+    "table-empty": (
+        lambda: ic.TableFamily([]),
+        ValueError,
+        r"table must contain at least one \(A, B\) pair",
+    ),
+    "table-A-not-square": (
+        lambda: ic.TableFamily([(np.zeros((2, 3)), np.ones((2, 1)))]),
+        ic.DimensionMismatch,
+        "A must be square",
+    ),
+    "table-two-parameters": (
+        lambda: ic.TableFamily([(np.eye(2), np.ones((2, 1)))]).instantiate_batch(np.zeros((3, 2))),
+        ic.DimensionMismatch,
+        "table families take a single index parameter",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_refused(case):
+    call, error, message = BAD_INPUTS[case]
+    with pytest.raises(error, match=message):
+        call()
