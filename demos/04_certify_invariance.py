@@ -9,6 +9,7 @@ inputs can always pull the vertices back in.
 """
 
 import itertools
+import json
 
 import numpy as np
 
@@ -66,4 +67,4 @@ print(f"\nMonte Carlo check: V_hat = {estimate.v_hat:.4f} "
       f"(std err {estimate.std_error:.4f}) <= epsilon: "
       f"{estimate.v_hat <= certificate.epsilon}")
 
-print("\ncertificate JSON:\n" + certificate.to_json(indent=2, sort_keys=True))
+print("\ncertificate JSON:\n" + json.dumps(certificate.to_dict(), indent=2, sort_keys=True))

@@ -12,7 +12,6 @@ the log-gamma function, so K in the hundreds or thousands is fine.
 with ``K`` the size of the scenario set the policy was synthesized on.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -97,9 +96,6 @@ class Certificate:
             "policy_fingerprint": self.policy_fingerprint,
             "scenario_fingerprint": self.scenario_fingerprint,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def build_certificate(s_K, beta, policy, scenarios) -> Certificate:

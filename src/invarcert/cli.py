@@ -22,10 +22,6 @@ from .system_family import UnknownSample, spectral_radius_estimate
 SCHEMA_VERSION = 1
 
 
-class MissingPolicy(InvarcertError):
-    pass
-
-
 def _dump(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
@@ -57,6 +53,16 @@ def _policy_payload(policy: scenario.AffinePolicy) -> dict:
         "offsets": policy.offsets.tolist(),
         "fingerprint": policy.fingerprint,
         "scenario_fingerprint": policy.scenario_fingerprint,
+    }
+
+
+def _multisample_payload(result: feasibility.MultisampleResult) -> dict:
+    failure = result.first_failure
+    return {
+        "passed": result.passed,
+        "first_failure": (
+            None if failure is None else {"vertex": failure[0], "sample": failure[1]}
+        ),
     }
 
 
@@ -116,17 +122,7 @@ def run_certify(
         }
         if analyze:
             check = feasibility.multisample_necessary(family, S, U, scen)
-            report["feasibility_analysis"] = {
-                "passed": check.passed,
-                "first_failure": (
-                    None
-                    if check.first_failure is None
-                    else {
-                        "vertex": check.first_failure[0],
-                        "sample": check.first_failure[1],
-                    }
-                ),
-            }
+            report["feasibility_analysis"] = _multisample_payload(check)
         return 2, report
 
     support = scenario.greedy_support_subsample(family, S, U, scen, policy=policy)
@@ -156,7 +152,7 @@ def run_certify(
     if analyze:
         # a feasible joint program makes every single-sample block feasible,
         # so the minor enumeration could only pass
-        report["feasibility_analysis"] = {"passed": True, "first_failure": None}
+        report["feasibility_analysis"] = _multisample_payload(feasibility.MultisampleResult())
     return 0, report
 
 
@@ -165,13 +161,13 @@ def _load_policy(path) -> scenario.AffinePolicy:
         with open(path) as fh:
             payload = json.load(fh)
     except OSError as exc:
-        raise MissingPolicy(f"cannot read policy file: {exc}") from exc
+        raise InvalidArguments(f"cannot read policy file: {exc}") from exc
     if isinstance(payload, dict) and "policy" in payload:
         payload = payload["policy"]
     if not isinstance(payload, dict):
-        raise MissingPolicy("policy file must hold a JSON object")
+        raise InvalidArguments("policy file must hold a JSON object")
     if "gains" not in payload or "offsets" not in payload:
-        raise MissingPolicy("policy file needs 'gains' and 'offsets'")
+        raise InvalidArguments("policy file needs 'gains' and 'offsets'")
     return scenario.AffinePolicy(
         gains=np.asarray(payload["gains"], dtype=float),
         offsets=np.asarray(payload["offsets"], dtype=float),
@@ -279,6 +275,8 @@ def run_feasibility(
     K = config.scenarios.K
     if sample is not None and not 0 <= sample < K:
         raise InvalidArguments(f"--sample {sample} is not a sample index in 0..{K - 1}")
+    if sample is None and witnesses:
+        raise InvalidArguments("--witnesses needs --sample j: witnesses are per sample")
     if sample is not None:
         result = feasibility.single_sample_iff(
             family, S, U, config.scenarios.samples[sample], sample_index=sample
@@ -292,12 +290,7 @@ def run_feasibility(
             }
         return (0 if result.feasible else 2), report
     result = feasibility.multisample_necessary(family, S, U, config.scenarios)
-    report["passed"] = result.passed
-    report["first_failure"] = (
-        None
-        if result.first_failure is None
-        else {"vertex": result.first_failure[0], "sample": result.first_failure[1]}
-    )
+    report.update(_multisample_payload(result))
     return (0 if result.passed else 2), report
 
 
@@ -360,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     feas.add_argument("--config", required=True)
     feas.add_argument("--sample", type=int, help="check a single sample index")
     feas.add_argument(
-        "--witnesses", action="store_true", help="include minor witnesses in the report"
+        "--witnesses", action="store_true", help="include minor witnesses (needs --sample)"
     )
     feas.add_argument("--out", help="directory for report.json")
     return parser
@@ -375,38 +368,6 @@ def main(argv=None) -> int:
             argv[i : i + 2] = [f"--sample={argv[i + 1]}"]
     args = parser.parse_args(argv)
     try:
-        if args.command == "certify":
-            config = load_config(args.config)
-            code, report = run_certify(
-                config,
-                analyze=args.analyze,
-                estimate=args.estimate,
-                beta=args.beta,
-            )
-            _write_report(report, args.out, "report.json")
-            return code
-        if args.command == "simulate":
-            sample = None
-            if args.sample is not None:
-                try:
-                    sample = [float(tok) for tok in args.sample.split(",")]
-                except ValueError:
-                    raise InvalidArguments(
-                        f"--sample '{args.sample}' is not a comma-separated list of numbers"
-                    ) from None
-            config = load_config(args.config)
-            policy = _load_policy(args.policy)
-            code, report = run_simulate(
-                config,
-                policy,
-                sample=sample,
-                init=args.init,
-                horizon=args.horizon,
-                seed=args.seed,
-                out_dir=args.out,
-            )
-            _write_report(report, args.out, "summary.json")
-            return code
         if args.command == "epsilon":
             if args.table:
                 table = epsilon_table(args.K, args.beta)  # fails before any output
@@ -415,30 +376,53 @@ def main(argv=None) -> int:
                     sys.stdout.write(f"{h},{eps!r}\n")
             else:
                 eps = epsilon_even_split(args.h, args.K, args.beta)
-                _write_report(
-                    {
-                        "K": args.K,
-                        "beta": args.beta,
-                        "h": args.h,
-                        "epsilon": eps,
-                        "invariance_probability": 1.0 - eps,
-                    },
-                    None,
-                    "epsilon.json",
+                sys.stdout.write(
+                    _dump(
+                        {
+                            "K": args.K,
+                            "beta": args.beta,
+                            "h": args.h,
+                            "epsilon": eps,
+                            "invariance_probability": 1.0 - eps,
+                        }
+                    )
                 )
             return 0
-        if args.command == "feasibility":
-            config = load_config(args.config)
+        if args.command == "simulate" and args.sample is not None:
+            try:
+                args.sample = [float(tok) for tok in args.sample.split(",")]
+            except ValueError:
+                raise InvalidArguments(
+                    f"--sample '{args.sample}' is not a comma-separated list of numbers"
+                ) from None
+        config = load_config(args.config)
+        if args.command == "certify":
+            code, report = run_certify(
+                config,
+                analyze=args.analyze,
+                estimate=args.estimate,
+                beta=args.beta,
+            )
+        elif args.command == "simulate":
+            code, report = run_simulate(
+                config,
+                _load_policy(args.policy),
+                sample=args.sample,
+                init=args.init,
+                horizon=args.horizon,
+                seed=args.seed,
+                out_dir=args.out,
+            )
+        else:
             code, report = run_feasibility(
                 config, sample=args.sample, witnesses=args.witnesses
             )
-            _write_report(report, args.out, "report.json")
-            return code
-        parser.error(f"unknown command {args.command}")  # pragma: no cover
+        name = "summary.json" if args.command == "simulate" else "report.json"
+        _write_report(report, args.out, name)
+        return code
     except (InvarcertError, OSError, json.JSONDecodeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    return 0  # pragma: no cover
 
 
 if __name__ == "__main__":

@@ -47,15 +47,21 @@ class MinorWitness:
 
 @dataclass(frozen=True)
 class SingleSampleResult:
-    feasible: bool
     witnesses: tuple  # one MinorWitness per vertex when feasible
     failed_vertex: int | None = None
+
+    @property
+    def feasible(self) -> bool:
+        return self.failed_vertex is None
 
 
 @dataclass(frozen=True)
 class MultisampleResult:
-    passed: bool
     first_failure: tuple | None = None  # (vertex, sample)
+
+    @property
+    def passed(self) -> bool:
+        return self.first_failure is None
 
 
 def _check_vertex(G, l, q, vertex, sample) -> MinorWitness | None:
@@ -121,9 +127,7 @@ def single_sample_iff(
     q = _enumerable(family, S, U)
     G, l = vertex_constraints(family, S, U, np.reshape(delta, (1, -1)))
     witnesses, failed = _check_sample(G[0], l[0], q, sample_index)
-    return SingleSampleResult(
-        feasible=failed is None, witnesses=witnesses, failed_vertex=failed
-    )
+    return SingleSampleResult(witnesses=witnesses, failed_vertex=failed)
 
 
 def multisample_necessary(family, S: Polytope, U: Polytope, scenarios) -> MultisampleResult:
@@ -141,5 +145,5 @@ def multisample_necessary(family, S: Polytope, U: Polytope, scenarios) -> Multis
         for k in range(G.shape[0]):
             _, failed = _check_sample(G[k], l[k], q, lo + k)
             if failed is not None:
-                return MultisampleResult(passed=False, first_failure=(failed, lo + k))
-    return MultisampleResult(passed=True)
+                return MultisampleResult(first_failure=(failed, lo + k))
+    return MultisampleResult()

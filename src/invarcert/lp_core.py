@@ -398,7 +398,7 @@ def solve(lp: LinearProgram, *, feas_tol: float = DEFAULT_FEAS_TOL) -> LpOutcome
     if tab.n_art:
         try:
             tab.run(phase1, allowed)
-        except _Unbounded:  # pragma: no cover - phase 1 objective is bounded
+        except _Unbounded:  # a numerical fault: the phase-1 objective is bounded
             raise NumericalBreakdown("phase 1 reported unbounded")
         if _infeasible(tab.solution(tab.total_cols), arts, r[None], feas_tol)[0]:
             return LpOutcome(LpStatus.INFEASIBLE, iterations=tab.iterations)

@@ -158,12 +158,14 @@ class ScenarioSet:
     @classmethod
     def from_csv(cls, path) -> "ScenarioSet":
         with open(path) as fh:
-            first = fh.readline()
+            lines = fh.read().splitlines() or [""]
         skip = 0
         try:
-            [float(tok) for tok in first.replace(",", " ").split()]
+            [float(tok) for tok in lines[0].replace(",", " ").split()]
         except ValueError:
             skip = 1  # header line
+        if not any(line.split("#")[0].strip() for line in lines[skip:]):
+            raise ValueError(f"{path}: no sample rows (the file is empty or only a header)")
         try:
             samples = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
         except ValueError as exc:
@@ -372,7 +374,7 @@ class _BlockProgram:
         outcome = lp_core.solve(lp)
         if outcome.status is lp_core.LpStatus.INFEASIBLE:
             return None
-        if not outcome.is_optimal:  # pragma: no cover - objective bounded below
+        if not outcome.is_optimal:  # a numerical fault: the objective is bounded below
             raise NumericalBreakdown(f"unexpected LP status {outcome.status}")
         return outcome.z[:d] - outcome.z[d:]
 
@@ -406,7 +408,7 @@ class _BlockProgram:
             i for i in range(self.N) if self.solve_vertex(i, range(hi)) is None
         )
         z = self.solve_vertex(vertex, range(culprit))
-        if z is None:  # pragma: no cover - prefix was verified feasible
+        if z is None:  # a numerical fault: the prefix was verified feasible
             raise NumericalBreakdown("diagnosis lost feasibility")
         block = self.rows[culprit] @ z - self.rhs[vertex, culprit]
         return culprit, vertex, int(np.argmax(block))

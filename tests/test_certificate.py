@@ -96,7 +96,7 @@ def test_build_certificate_and_serialization():
     assert cert.epsilon == pytest.approx(epsilon_even_split(2, scen.K, 1e-3))
     assert cert.invariance_probability == pytest.approx(1 - cert.epsilon)
     assert not cert.vacuous
-    payload = json.loads(cert.to_json())
+    payload = json.loads(json.dumps(cert.to_dict()))
     for key in ("K", "s_K", "beta", "epsilon", "invariance_probability", "statement"):
         assert key in payload
 

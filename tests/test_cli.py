@@ -1013,3 +1013,43 @@ def test_non_finite_policy_file_fails_at_load(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: policy gains and offsets of vertex 2 must be finite\n"
+
+
+@pytest.mark.parametrize("text", ["", "w1,w2\n"], ids=["empty", "header-only"])
+@pytest.mark.parametrize("command", ["certify", "feasibility"])
+def test_scenario_file_without_rows_named_at_load(command, text, tmp_path, capsys):
+    (tmp_path / "w.csv").write_text(text)
+    payload = feasible_config()
+    payload["scenarios"] = {"file": "w.csv"}
+    assert main([command, "--config", write(tmp_path, payload)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {tmp_path / 'w.csv'}: no sample rows (the file is empty or only a header)\n"
+    )
+
+
+def test_witnesses_without_sample_refused_before_enumeration(tmp_path, capsys, monkeypatch):
+    from invarcert import feasibility
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the samples were enumerated before --witnesses was refused")
+
+    monkeypatch.setattr(feasibility, "multisample_necessary", no_enumeration)
+    cfg = write(tmp_path, feasible_config(count=5))
+    assert main(["feasibility", "--config", cfg, "--witnesses", "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --witnesses needs --sample j: witnesses are per sample\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_missing_policy_file_is_an_argument_error(tmp_path, capsys, monkeypatch):
+    cfg = write(tmp_path, feasible_config())
+    _simulation_must_not_start(monkeypatch)
+    missing = tmp_path / "none.json"
+    assert main(["simulate", "--config", cfg, "--policy", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read policy file: [Errno 2]")
+    assert str(missing) in captured.err and captured.err.count("\n") == 1

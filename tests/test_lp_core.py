@@ -267,3 +267,27 @@ def test_rhs_replacement_matches_a_fresh_build(monkeypatch):
             statuses.update(out.status for out in got)
         assert np.array_equal(template.b_in, data["b_in"])
     assert statuses == set(LpStatus)
+
+
+def test_pivot_below_the_threshold_raises(monkeypatch):
+    # the ratio test takes only entries above STABLE_PIVOT, which exceeds
+    # DEFAULT_PIVOT_TOL; without that floor a 1e-12 entry is the pivot
+    from invarcert.errors import NumericalBreakdown
+
+    monkeypatch.setattr(lp_core._Tableau, "STABLE_PIVOT", 0.0)
+    lp = LinearProgram(c=[-1.0], A_in=[[1e-12]], b_in=[1.0])
+    with pytest.raises(NumericalBreakdown, match=r"^pivot 1\.000e-12 below threshold$"):
+        solve(lp)
+
+
+def test_unbounded_phase_1_raises(monkeypatch):
+    # the phase-1 cost, the sum of the artificials, is bounded below by 0
+    from invarcert.errors import NumericalBreakdown
+
+    def unbounded(self, cost, allowed):
+        raise lp_core._Unbounded
+
+    monkeypatch.setattr(lp_core._Tableau, "run", unbounded)
+    lp = LinearProgram(c=[1.0], A_in=[[-1.0]], b_in=[-1.0])  # z >= 1: one artificial
+    with pytest.raises(NumericalBreakdown, match="^phase 1 reported unbounded$"):
+        solve(lp)

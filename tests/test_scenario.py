@@ -978,3 +978,92 @@ def test_bad_input_refused(case):
     call, error, message = BAD_INPUTS[case]
     with pytest.raises(error, match=message):
         call()
+
+
+def _doubling_family():
+    """x+ = 2 x with no input: every sample's block is infeasible, and the
+    zero start violates its image rows."""
+    zero = np.zeros((2, 2))
+    return ic.AffineFamily(A0=2.0 * np.eye(2), B0=zero, A_terms=[zero], B_terms=[zero])
+
+
+def test_constraint_generation_that_never_settles_raises(monkeypatch):
+    # each round adds a row not yet in the working set, so the rounds end
+    # within as many rounds as rows; only a selection that re-adds a
+    # working row runs past that bound
+    from invarcert import scenario
+
+    fam, S, U, scen = path_instance(K=3, seed=8)
+    monkeypatch.setattr(scenario, "_most_violated", lambda viol, feas_tol: np.array([0]))
+    with pytest.raises(ic.NumericalBreakdown, match="^constraint generation failed to converge$"):
+        ic.solve_affine_policy(fam, S, U, scen)
+
+
+def test_working_lp_without_an_optimum_raises(monkeypatch):
+    # a working LP is feasible or not, and its 1-norm cost is bounded below:
+    # any other outcome of the simplex core is a numerical fault
+    unbounded = lp_core.LpOutcome(lp_core.LpStatus.UNBOUNDED)
+    monkeypatch.setattr(lp_core, "solve", lambda lp: unbounded)
+    scen = ic.ScenarioSet(samples=np.array([[0.0], [1.0]]))
+    with pytest.raises(ic.NumericalBreakdown, match=r"^unexpected LP status LpStatus\.UNBOUNDED$"):
+        ic.solve_affine_policy(_doubling_family(), UNIT2, UNIT2, scen)
+
+
+def test_diagnosis_that_loses_a_verified_prefix_raises(monkeypatch):
+    # the bisection takes the prefix without the culprit as feasible; a
+    # re-solve of that prefix that fails contradicts it
+    from invarcert import scenario
+
+    def solve_all(self, sample_indices):  # every proper prefix "feasible"
+        return None if len(sample_indices) == self.K else np.zeros((self.N, self.dvar))
+
+    monkeypatch.setattr(scenario._BlockProgram, "solve_all", solve_all)
+    scen = ic.ScenarioSet(samples=np.array([[0.0], [1.0]]))
+    with pytest.raises(ic.NumericalBreakdown, match="^diagnosis lost feasibility$"):
+        ic.solve_affine_policy(_doubling_family(), UNIT2, UNIT2, scen)
+
+
+def _min_slack(fam, S, U, policy, draws):
+    """Smallest slack of each draw's rows over every vertex block."""
+    G, l = ic.vertex_constraints(fam, S, U, draws)
+    slack = l - np.einsum("krm,knm->knr", G, policy.vertex_inputs(draws))
+    return slack.reshape(len(draws), -1).min(axis=1)
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [lambda: six_node_instance(K=200, seed=3), lambda: affine3_instance(K=300, seed=4)],
+    ids=["six_node", "affine3"],
+)
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_an_all_slack_sample_is_compressed_away(instance, where):
+    # a row that is slack at the optimum carries no multiplier, so adding a
+    # sample whose rows are all slack keeps the policy optimal, and the
+    # support keeps the same samples (Campi & Garatti, JMLR 24, 2023)
+    from invarcert import scenario
+
+    fam, S, U, scen = instance()
+    policy = ic.solve_affine_policy(fam, S, U, scen)
+    support = ic.greedy_support_subsample(fam, S, U, scen, policy=policy)
+    slack = _min_slack(fam, S, U, policy, scen.samples)
+    draw = scen.samples[np.flatnonzero(slack > 10 * scenario._ACTIVE_TOL)[0]]
+    at = {"first": 0, "middle": scen.K // 2, "last": scen.K}[where]
+    grown = ic.ScenarioSet(samples=np.insert(scen.samples, at, draw, axis=0))
+    moved = ic.solve_affine_policy(fam, S, U, grown)
+    for new, old in [(moved.gains, policy.gains), (moved.offsets, policy.offsets)]:
+        assert np.abs(new - old).max() <= scenario.SOLUTION_TOL
+    shifted = [i + (i >= at) for i in support]
+    assert ic.greedy_support_subsample(fam, S, U, grown, policy=moved) == shifted
+
+
+def test_path_policy_leaves_no_sample_all_slack():
+    # on the path network every vertex input sits on a bound of U = [-1, 1]
+    # and does not depend on the draw, so an input row is active for every
+    # draw: no sample, drawn or built, is all slack at this policy
+    from invarcert import scenario
+
+    fam, S, U, scen = path_instance(K=150)
+    policy = ic.solve_affine_policy(fam, S, U, scen)
+    assert np.all(policy.gains == 0.0)
+    assert np.all(1.0 - np.abs(policy.offsets) < scenario._ACTIVE_TOL)
+    assert np.all(_min_slack(fam, S, U, policy, scen.samples) < scenario._ACTIVE_TOL)
