@@ -52,7 +52,7 @@ print("\npolicy synthesized: max |gain| =", np.abs(policy.gains).max().round(4),
 
 # greedy starts from the synthesized policy and drops every sample whose
 # removal leaves it unchanged; the certificate reads K off the scenarios
-support = ic.greedy_support_subsample(family, S, U, scenarios, policy=policy)
+support = ic.greedy_support_subsample(policy)
 print("support subsample:", support)
 
 certificate = ic.build_certificate(len(support), 1e-6, policy, scenarios)

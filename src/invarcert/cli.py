@@ -125,7 +125,7 @@ def run_certify(
             report["feasibility_analysis"] = _multisample_payload(check)
         return 2, report
 
-    support = scenario.greedy_support_subsample(family, S, U, scen, policy=policy)
+    support = scenario.greedy_support_subsample(policy)
     cert = build_certificate(len(support), beta, policy, scen)
     report["status"] = "certified"
     report["policy"] = _policy_payload(policy)
@@ -158,10 +158,12 @@ def run_certify(
 
 def _load_policy(path) -> scenario.AffinePolicy:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except OSError as exc:
         raise InvalidArguments(f"cannot read policy file: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise InvalidArguments(f"policy file {path} is not UTF-8 JSON: {exc}") from None
     if isinstance(payload, dict) and "policy" in payload:
         payload = payload["policy"]
     if not isinstance(payload, dict):
@@ -420,7 +422,7 @@ def main(argv=None) -> int:
         name = "summary.json" if args.command == "simulate" else "report.json"
         _write_report(report, args.out, name)
         return code
-    except (InvarcertError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (InvarcertError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

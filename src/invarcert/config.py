@@ -186,8 +186,11 @@ def parse_scenarios(spec, base_dir=None) -> ScenarioSet:
 
 
 def load_config(path) -> ProblemConfig:
-    with open(path) as fh:
-        raw = json.load(fh)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ConfigError(f"config file {path} is not UTF-8 JSON: {exc}") from None
     return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 

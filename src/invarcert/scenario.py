@@ -55,16 +55,8 @@ class Infeasible(InvarcertError):
         super().__init__(message)
 
 
-class InfeasibleOnSubsample(InvarcertError):
-    """A subsample re-solve reported infeasibility.
-
-    A subset of a feasible constraint system is always feasible, so this
-    flags a determinism or numerical fault and must not occur.
-    """
-
-
 class MismatchedFingerprints(InvarcertError):
-    pass
+    """A policy with no scenario program, or paired with scenarios it was not synthesized from."""
 
 
 def _digest(*arrays) -> str:
@@ -164,8 +156,15 @@ class ScenarioSet:
             [float(tok) for tok in lines[0].replace(",", " ").split()]
         except ValueError:
             skip = 1  # header line
-        if not any(line.split("#")[0].strip() for line in lines[skip:]):
+        # (line number, text before any comment) of each row np.loadtxt reads
+        rows = [(n, line.split("#")[0]) for n, line in enumerate(lines, 1) if n > skip]
+        rows = [(n, text) for n, text in rows if text]
+        if not any(text.strip() for _, text in rows):
             raise ValueError(f"{path}: no sample rows (the file is empty or only a header)")
+        (first, width), *rest = [(n, text.count(",") + 1) for n, text in rows]
+        for n, w in rest:
+            if w != width:
+                raise ValueError(f"{path}: line {n} has {w} field(s) but line {first} has {width}")
         try:
             samples = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
         except ValueError as exc:
@@ -192,8 +191,8 @@ class AffinePolicy:
     gains: np.ndarray  # (N, m, ell)
     offsets: np.ndarray  # (N, m)
     scenario_fingerprint: str | None = None
-    # the program a synthesized policy solves, which greedy reduces it on;
-    # it lives as long as the policy
+    # the scenario program a synthesized policy solves, which greedy reduces
+    # it on; None for any other policy, and it lives as long as the policy
     _program: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -284,7 +283,6 @@ class _BlockProgram:
     """
 
     def __init__(self, family, S, U, samples, affine=True):
-        self.inputs = (family, S, U, samples)
         samples = np.asarray(samples, dtype=float)
         self.K, ell = samples.shape
         self.N = S.vertex_count
@@ -307,10 +305,6 @@ class _BlockProgram:
                     part[:, None, None, :],
                     out=gains.reshape(part.shape[0], self.block_rows, self.m, ell),
                 )
-
-    def built_from(self, family, S, U, samples) -> bool:
-        """True iff this program was built from these very objects."""
-        return all(a is b for a, b in zip(self.inputs, (family, S, U, samples)))
 
     def solve_vertex(self, vertex: int, sample_indices, start=None) -> np.ndarray | None:
         """1-norm-minimal feasible point of the vertex block, or None.
@@ -474,21 +468,18 @@ def solve_constant_input(
     return _solve_program(prog, "common input")
 
 
-def greedy_support_subsample(
-    family, S: Polytope, U: Polytope, scenarios: ScenarioSet, *, policy: AffinePolicy
-) -> list[int]:
-    """Single-pass greedy support subsample of the scenario program.
+def greedy_support_subsample(policy: AffinePolicy) -> list[int]:
+    """Single-pass greedy support subsample of the program ``policy`` solves.
 
-    ``policy`` must come from :func:`solve_affine_policy` called with these
-    very arguments, and is reduced on the program that call built.  Any
-    other policy (of other scenarios or of equal but distinct objects,
-    loaded from a file or built by hand) raises
-    :class:`MismatchedFingerprints` before any re-solve.  Scans samples in
-    ascending order; a sample is discarded when re-solving without it
-    reproduces the policy within :data:`SOLUTION_TOL` (max-norm over all
-    policy entries).  Returns the retained indices (increasing); re-solving
-    on exactly that subsample reproduces the policy, which is verified
-    before returning.
+    ``policy`` is reduced on the scenario program that
+    :func:`solve_affine_policy` built and kept with it; a policy without
+    one (loaded from a file, built by hand or made by
+    ``dataclasses.replace``) raises :class:`MismatchedFingerprints` before
+    any re-solve.  Scans samples in ascending order; a sample is discarded
+    when re-solving without it reproduces the policy within
+    :data:`SOLUTION_TOL` (max-norm over all policy entries).  Returns the
+    retained indices (increasing); re-solving on exactly that subsample
+    reproduces the policy, which is verified before returning.
 
     Samples whose constraint rows are all strictly slack (by at least
     :data:`_ACTIVE_TOL`) at the policy cannot move the 1-norm optimum of
@@ -499,13 +490,13 @@ def greedy_support_subsample(
     the policy for its vertex, at most ``dvar`` of them (see
     :meth:`_BlockProgram.solve_vertex`).  The final verification starts
     cold.  If it fails, the literal pass re-solves every vertex for every
-    removal, cold.
+    removal, cold.  A re-solve that is infeasible on a subsample, or a
+    policy that neither pass reproduces, is a determinism fault and raises
+    :class:`NumericalBreakdown`.
     """
     prog = policy._program
-    if prog is None or not prog.built_from(family, S, U, scenarios.samples):
-        raise MismatchedFingerprints(
-            "policy was not synthesized by solve_affine_policy from these arguments"
-        )
+    if prog is None:
+        raise MismatchedFingerprints("policy was not synthesized by solve_affine_policy")
     full = np.hstack([policy.gains.reshape(prog.N, -1), policy.offsets])
 
     # per (vertex, sample) minimum slack at the full solution
@@ -519,8 +510,8 @@ def greedy_support_subsample(
     if retained is None:
         # shortcut assumptions failed (ties between optima); literal pass
         retained = _reduce(prog, full, np.ones_like(touches))
-    if retained is None:
-        raise MismatchedFingerprints("policy is not the solution of this scenario program")
+    if retained is None:  # a numerical fault: the policy solves this program
+        raise NumericalBreakdown("policy is not the solution of this scenario program")
     return retained
 
 
@@ -538,7 +529,7 @@ def _reduce(prog, full, touches, seeded=False) -> list[int] | None:
         for i in vertices:
             z = prog.solve_vertex(i, subset, full[i] if seeded else None)
             if z is None:
-                raise InfeasibleOnSubsample(
+                raise NumericalBreakdown(
                     f"vertex {i} infeasible on a subsample; determinism fault"
                 )
             if np.max(np.abs(z - full[i])) > SOLUTION_TOL:

@@ -150,12 +150,12 @@ def test_acceptance_5_support_subsample_property():
             value = rng.uniform(-1, 1, size=2)
             scen = ic.ScenarioSet(samples=np.tile(value, (12, 1)))
             policy = ic.solve_affine_policy(fam, S, U, scen)
-            kept = ic.greedy_support_subsample(fam, S, U, scen, policy=policy)
+            kept = ic.greedy_support_subsample(policy)
             collapsed += len(kept) == 1
             continue
         scen = ic.ScenarioSet(samples=rng.uniform(-1, 1, size=(20, 2)))
         full = ic.solve_affine_policy(fam, S, U, scen)
-        kept = ic.greedy_support_subsample(fam, S, U, scen, policy=full)
+        kept = ic.greedy_support_subsample(full)
         if kept:
             sub = ic.ScenarioSet(samples=scen.samples[kept])
             again = ic.solve_affine_policy(fam, S, U, sub)
@@ -193,7 +193,7 @@ def test_acceptance_6_network_replication():
     rho = ic.spectral_radius_estimate(A_nom)
 
     policy = ic.solve_affine_policy(family, S, U, scenarios)
-    support = ic.greedy_support_subsample(family, S, U, scenarios, policy=policy)
+    support = ic.greedy_support_subsample(policy)
     s_K = len(support)
     eps = epsilon_even_split(s_K, 600, 1e-6)
     estimate = ic.estimate_violation(

@@ -331,6 +331,46 @@ def test_non_numeric_scenario_cell_names_the_file(tmp_path, capsys):
     assert "could not convert string 'x'" in captured.err
 
 
+@pytest.mark.parametrize(
+    "text, line, count, first, width",
+    [("1,2\n3\n", 2, 1, 1, 2), ("w1,w2\n-0.25,0.5\n\n# note\n-0.2,0.5,1\n", 5, 3, 2, 2)],
+    ids=["short-row", "long-row-after-header"],
+)
+def test_ragged_scenario_file_names_the_line(text, line, count, first, width, tmp_path, capsys):
+    # line numbers count the header, blank and comment lines of the file
+    (tmp_path / "w.csv").write_text(text)
+    payload = feasible_config()
+    payload["scenarios"] = {"file": "w.csv"}
+    assert main(["certify", "--config", write(tmp_path, payload)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = f"line {line} has {count} field(s) but line {first} has {width}"
+    assert captured.err == f"error: {tmp_path / 'w.csv'}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (b"not json", "Expecting value: line 1 column 1 (char 0)"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ],
+    ids=["not-json", "not-utf8"],
+)
+@pytest.mark.parametrize("role", ["config", "policy"])
+def test_unreadable_json_file_named_with_its_role(role, content, reason, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    cfg = write(tmp_path, feasible_config())
+    argv = {
+        "config": ["certify", "--config", str(bad)],
+        "policy": ["simulate", "--config", cfg, "--policy", str(bad)],
+    }[role]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {role} file {bad} is not UTF-8 JSON: {reason}\n"
+
+
 def table_index_config(tmp_path, indices):
     """Config of a two-entry table family whose scenarios are ``indices``."""
     np.savetxt(tmp_path / "indices.csv", np.reshape(indices, (-1, 1)), delimiter=",")
@@ -436,6 +476,38 @@ def test_simulate_outputs_reproducible(tmp_path, capsys):
         runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert len(runs[0]) == 8  # summary.json and 7 trajectory CSVs
     assert runs[0] == runs[1]
+
+
+def test_reports_reproducible_across_processes(tmp_path):
+    # each process draws its own hash seed unless PYTHONHASHSEED fixes it;
+    # no report byte may depend on it
+    import os
+    import subprocess
+    import sys
+
+    import invarcert
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(invarcert.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def run(hash_seed, *argv):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=path)
+        command = [sys.executable, "-W", "error", "-m", "invarcert.cli", *argv]
+        return subprocess.run(command, env=env, capture_output=True, text=True, check=True).stdout
+
+    cfg = write(tmp_path, feasible_config())
+    reports = [run(seed, "certify", "--config", cfg, "--estimate", "100") for seed in (0, 1)]
+    assert reports[0] == reports[1]
+    policy = tmp_path / "report.json"
+    policy.write_text(reports[0])
+    grids = []
+    for seed in (0, 1):
+        out = tmp_path / f"grid{seed}"
+        argv = ["--policy", str(policy), "--init", "random:7", "--seed", "2", "--horizon", "9"]
+        run(seed, "simulate", "--config", cfg, *argv, "--out", str(out))
+        grids.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(grids[0]) == 8  # summary.json and 7 trajectory CSVs
+    assert grids[0] == grids[1]
 
 
 def test_negative_sample_read_in_either_spelling(tmp_path, capsys):

@@ -34,7 +34,7 @@ UNIT1 = ic.box([-1], [1])
 def greedy(family, S, U, scen):
     """The support subsample of the policy synthesized on ``scen``."""
     policy = ic.solve_affine_policy(family, S, U, scen)
-    return ic.greedy_support_subsample(family, S, U, scen, policy=policy)
+    return ic.greedy_support_subsample(policy)
 
 
 def reference_blocks(family, S, U, delta):
@@ -313,7 +313,7 @@ class TestGreedySupportSubsample:
             fam, S, U = random_scalar_unstable_instance(rng)
             scen = ic.ScenarioSet(samples=rng.uniform(-1, 1, size=(20, 2)))
             full = ic.solve_affine_policy(fam, S, U, scen)
-            kept = ic.greedy_support_subsample(fam, S, U, scen, policy=full)
+            kept = ic.greedy_support_subsample(full)
             if kept:
                 sub = ic.ScenarioSet(samples=scen.samples[kept])
                 again = ic.solve_affine_policy(fam, S, U, sub)
@@ -332,7 +332,7 @@ class TestGreedySupportSubsample:
         with pytest.raises(Infeasible):
             ic.solve_affine_policy(fam, UNIT1, UNIT1, scen)
         with pytest.raises(TypeError, match="policy"):
-            ic.greedy_support_subsample(fam, UNIT1, UNIT1, scen)
+            ic.greedy_support_subsample()
 
 
 class TestDeterminism:
@@ -411,7 +411,7 @@ class TestGreedyUnderTies:
         ):
             scen = ic.ScenarioSet(samples=samples)
             full = ic.solve_affine_policy(fam, UNIT1, UNIT1, scen)
-            kept = ic.greedy_support_subsample(fam, UNIT1, UNIT1, scen, policy=full)
+            kept = ic.greedy_support_subsample(full)
             if kept:
                 sub = ic.ScenarioSet(samples=scen.samples[kept])
                 again = ic.solve_affine_policy(fam, UNIT1, UNIT1, sub)
@@ -475,7 +475,7 @@ def test_greedy_falls_back_to_the_literal_pass(monkeypatch):
 
     fam, S, U, scen = path_instance(K=40, seed=8)
     policy = ic.solve_affine_policy(fam, S, U, scen)
-    expected = ic.greedy_support_subsample(fam, S, U, scen, policy=policy)
+    expected = ic.greedy_support_subsample(policy)
     assert expected  # a nonempty support
     masks = []
 
@@ -486,7 +486,7 @@ def test_greedy_falls_back_to_the_literal_pass(monkeypatch):
     reduce = scenario._reduce
     monkeypatch.setattr(scenario, "_ACTIVE_TOL", -1.0)
     monkeypatch.setattr(scenario, "_reduce", spy)
-    kept = ic.greedy_support_subsample(fam, S, U, scen, policy=policy)
+    kept = ic.greedy_support_subsample(policy)
     assert [mask.mean() for mask in masks] == [0.0, 1.0]  # shortcut, then literal
     assert kept == _literal_pass(fam, S, U, scen) == expected
     again = ic.solve_affine_policy(fam, S, U, ic.ScenarioSet(samples=scen.samples[kept]))
@@ -494,9 +494,11 @@ def test_greedy_falls_back_to_the_literal_pass(monkeypatch):
     assert np.abs(again.offsets - policy.offsets).max() <= scenario.SOLUTION_TOL
 
 
-def test_greedy_rejects_the_policy_of_another_program(monkeypatch):
-    # the scenarios match, but the policy solves the program of another S,
-    # which is seen before any re-solve
+def test_greedy_refuses_a_replaced_policy_before_any_re_solve(monkeypatch):
+    # dataclasses.replace builds a new policy without the program, so the
+    # reduction has nothing to re-solve on and says so before trying
+    import dataclasses
+
     from invarcert.scenario import _BlockProgram
 
     fam, S, U, scen = path_instance(K=40, seed=8)
@@ -508,10 +510,9 @@ def test_greedy_rejects_the_policy_of_another_program(monkeypatch):
         "solve_vertex",
         lambda self, *args: calls.append(args) or solve_vertex(self, *args),
     )
-    message = "not synthesized by solve_affine_policy from these arguments"
+    message = "^policy was not synthesized by solve_affine_policy$"
     with pytest.raises(ic.MismatchedFingerprints, match=message):
-        other_S = ic.box([-0.9, -0.9], [0.9, 0.9])
-        ic.greedy_support_subsample(fam, other_S, U, scen, policy=policy)
+        ic.greedy_support_subsample(dataclasses.replace(policy))
     assert calls == []
 
 
@@ -521,7 +522,7 @@ def test_network6_scenario_draw_support_is_pinned():
     # the policy fingerprint differs and only the support is pinned
     fam, S, U, scen = six_node_instance(K=600, seed=0)
     policy = ic.solve_affine_policy(fam, S, U, scen)
-    assert ic.greedy_support_subsample(fam, S, U, scen, policy=policy) == [110]
+    assert ic.greedy_support_subsample(policy) == [110]
 
 
 # supports of the cold greedy, before re-solves were seeded: the network6
@@ -584,7 +585,7 @@ def test_seeded_greedy_keeps_the_cold_supports(plant, monkeypatch):
         if name == plant:
             fam, S, U, scen = build(K=K, seed=seed)
             policy = ic.solve_affine_policy(fam, S, U, scen)
-            got = ic.greedy_support_subsample(fam, S, U, scen, policy=policy)
+            got = ic.greedy_support_subsample(policy)
             assert got == support, (name, K, seed)
     most, dvar = max(seeds)
     if plant == "affine3":
@@ -606,20 +607,8 @@ def test_synthesis_and_greedy_share_one_program(monkeypatch):
     )
     fam, S, U, scen = path_instance(K=40, seed=8)
     policy = ic.solve_affine_policy(fam, S, U, scen)
-    assert ic.greedy_support_subsample(fam, S, U, scen, policy=policy) == [39]
+    assert ic.greedy_support_subsample(policy) == [39]
     assert len(built) == 1
-    # other arguments, though equal, are refused before any re-solve
-    solves = []
-    solve_vertex = _BlockProgram.solve_vertex
-    monkeypatch.setattr(
-        _BlockProgram,
-        "solve_vertex",
-        lambda self, *args: solves.append(args) or solve_vertex(self, *args),
-    )
-    same_S = ic.box([-1, -1], [1, 1])
-    with pytest.raises(ic.MismatchedFingerprints):
-        ic.greedy_support_subsample(fam, same_S, U, scen, policy=policy)
-    assert solves == [] and len(built) == 1
     # the program lives as long as the policy
     program = weakref.ref(policy._program)
     del policy
@@ -691,20 +680,20 @@ def test_greedy_raises_when_no_pass_reproduces_the_policy(monkeypatch):
     fam, S, U, scen = path_instance(K=12, seed=8)
     policy = ic.solve_affine_policy(fam, S, U, scen)
     monkeypatch.setattr(scenario, "SOLUTION_TOL", -1.0)
-    with pytest.raises(ic.MismatchedFingerprints, match="^policy is not the solution"):
-        ic.greedy_support_subsample(fam, S, U, scen, policy=policy)
+    with pytest.raises(ic.NumericalBreakdown, match="^policy is not the solution"):
+        ic.greedy_support_subsample(policy)
 
 
 def test_infeasible_re_solve_during_the_reduction_raises(monkeypatch):
     # a subsample of a feasible program is feasible: a vertex that fails
     # on one is a determinism fault
-    from invarcert.scenario import InfeasibleOnSubsample, _BlockProgram
+    from invarcert.scenario import _BlockProgram
 
     fam, S, U, scen = path_instance(K=12, seed=8)
     policy = ic.solve_affine_policy(fam, S, U, scen)
     monkeypatch.setattr(_BlockProgram, "solve_vertex", lambda self, *args: None)
-    with pytest.raises(InfeasibleOnSubsample, match="^vertex 0 infeasible on a subsample"):
-        ic.greedy_support_subsample(fam, S, U, scen, policy=policy)
+    with pytest.raises(ic.NumericalBreakdown, match="^vertex 0 infeasible on a subsample"):
+        ic.greedy_support_subsample(policy)
 
 
 def test_admissibility_at_the_tolerance():
@@ -723,7 +712,7 @@ def test_admissibility_at_the_tolerance():
 def test_greedy_reuses_the_synthesized_policy(monkeypatch):
     fam, S, U, scen = path_instance(K=40, seed=8)
     policy = ic.solve_affine_policy(fam, S, U, scen)
-    expected = ic.greedy_support_subsample(fam, S, U, scen, policy=policy)
+    expected = ic.greedy_support_subsample(policy)
     assert expected  # a nonempty support
 
     from invarcert import scenario
@@ -732,14 +721,11 @@ def test_greedy_reuses_the_synthesized_policy(monkeypatch):
         raise AssertionError("the full program was solved again")
 
     monkeypatch.setattr(scenario._BlockProgram, "solve_all", no_full_solve)
-    assert ic.greedy_support_subsample(fam, S, U, scen, policy=policy) == expected
+    assert ic.greedy_support_subsample(policy) == expected
 
-    other = ic.ScenarioSet(samples=scen.samples[:-1])
-    with pytest.raises(ic.MismatchedFingerprints):
-        ic.greedy_support_subsample(fam, S, U, other, policy=policy)
     anonymous = ic.AffinePolicy(gains=policy.gains, offsets=policy.offsets)
     with pytest.raises(ic.MismatchedFingerprints):
-        ic.greedy_support_subsample(fam, S, U, scen, policy=anonymous)
+        ic.greedy_support_subsample(anonymous)
 
 
 def _reference_selection(viol, feas_tol):
@@ -1044,7 +1030,7 @@ def test_an_all_slack_sample_is_compressed_away(instance, where):
 
     fam, S, U, scen = instance()
     policy = ic.solve_affine_policy(fam, S, U, scen)
-    support = ic.greedy_support_subsample(fam, S, U, scen, policy=policy)
+    support = ic.greedy_support_subsample(policy)
     slack = _min_slack(fam, S, U, policy, scen.samples)
     draw = scen.samples[np.flatnonzero(slack > 10 * scenario._ACTIVE_TOL)[0]]
     at = {"first": 0, "middle": scen.K // 2, "last": scen.K}[where]
@@ -1053,7 +1039,7 @@ def test_an_all_slack_sample_is_compressed_away(instance, where):
     for new, old in [(moved.gains, policy.gains), (moved.offsets, policy.offsets)]:
         assert np.abs(new - old).max() <= scenario.SOLUTION_TOL
     shifted = [i + (i >= at) for i in support]
-    assert ic.greedy_support_subsample(fam, S, U, grown, policy=moved) == shifted
+    assert ic.greedy_support_subsample(moved) == shifted
 
 
 def test_path_policy_leaves_no_sample_all_slack():
