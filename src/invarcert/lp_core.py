@@ -1,12 +1,21 @@
 """Deterministic dense linear-programming core.
 
-A small two-phase tableau simplex.  Pricing picks the most negative
-reduced cost and falls back to Bland's anti-cycling rule after
-``_Tableau.stall_limit`` degenerate pivots; a solve takes at most
-:func:`_max_iterations` pivots.  The solver is a pure function of its
-input: fixed rules, no randomized perturbation, so repeated calls on
-identical data return bit-identical solutions.  That determinism is what
-the rest of the toolbox leans on to make policy synthesis single-valued.
+A small tableau simplex with two solves.  :func:`solve` is the two-phase
+primal: pricing picks the most negative reduced cost.  :func:`solve_dual`
+is the dual simplex for a nonnegative cost (Lemke, 1954; Bertsimas &
+Tsitsiklis, 1997, ch. 4): the all-slack basis is then dual feasible, so
+it needs no phase 1 and no artificials, and the leaving row holds the
+most negative basic value.  Constraint generation in
+:mod:`invarcert.scenario` solves its 1-norm working LPs with it; the
+vertex decomposition and the origin-in-hull test keep :func:`solve`,
+whose ties choose the simulated inputs.  Both fall back to Bland's
+anti-cycling rule after ``_Tableau.stall_limit`` degenerate pivots, take
+at most :func:`_max_iterations` pivots and read the optimum from a
+solve of the pristine basis matrix, so no tableau round-off reaches
+``z``.  Each solve is a pure function of its input: fixed rules, no
+randomized perturbation, so repeated calls on identical data return
+bit-identical solutions.  That determinism is what the rest of the
+toolbox leans on to make policy synthesis single-valued.
 
 Problem form::
 
@@ -235,6 +244,60 @@ class _Tableau:
             else:
                 stall += 1
 
+    def run_dual(self, cost: np.ndarray) -> bool:
+        """Dual simplex pivoting from a basis whose reduced costs under
+        ``cost`` are all >= 0, until every basic value is at least
+        ``-DEFAULT_PIVOT_TOL`` times the largest initial right-hand side
+        (at least 1): anything smaller in size is round-off, such as the
+        remainder of a row opposite to one already pivoted.  False when the
+        leaving row proves the program infeasible: no entry below
+        ``-DEFAULT_PIVOT_TOL``.
+        The leaving row holds the most negative basic value (lowest row on
+        ties); the entering column passes the dual ratio test, preferring
+        the numerically largest pivot among ties and then the lowest
+        column.  After ``stall_limit`` pivots that do not raise the
+        objective both choices switch to Bland's rule: the negative row of
+        the lowest basic index, and the lowest tied column.
+        """
+        A = self.A
+        tol = DEFAULT_PIVOT_TOL * max(1.0, np.abs(self.original[:, -1]).max(initial=0.0))
+        stall, last_objective = 0, -np.inf
+        while True:
+            rhs = A[:, -1]
+            bland = stall >= self.stall_limit
+            rows = (rhs < -tol).nonzero()[0]
+            if not rows.size:
+                return True
+            if self.iterations >= self.max_iterations:
+                raise MaxIterationsExceeded(
+                    f"simplex exceeded {self.max_iterations} iterations"
+                )
+            row = int(rows[self.basis[rows].argmin()] if bland else rhs.argmin())
+            entries = A[row, :-1]
+            cols = (entries < -self.STABLE_PIVOT).nonzero()[0]
+            if not cols.size:
+                if (entries >= -DEFAULT_PIVOT_TOL).all():
+                    return False
+                raise NumericalBreakdown(
+                    "no pivot above the stability threshold in the leaving row"
+                )
+            rc = cost[cols] - cost[self.basis] @ A[:, cols]
+            ratios = rc / -entries[cols]
+            best = ratios.min()
+            tied = cols[ratios <= best + DEFAULT_PIVOT_TOL * max(1.0, abs(best))]
+            if tied.size > 1 and not bland:
+                # prefer the largest pivot (stability), then the lowest column
+                pivots = -entries[tied]
+                tied = tied[pivots >= pivots.max() * (1.0 - 1e-9)]
+            self._pivot(row, int(tied[0]))
+            self.iterations += 1
+            objective = cost[self.basis] @ A[:, -1]
+            if objective > last_objective + self.STABLE_PIVOT:
+                stall = 0
+                last_objective = objective
+            else:
+                stall += 1
+
     def _leaving_row(self, col: int) -> int | None:
         column = self.A[:, col]
         rows = (column > self.STABLE_PIVOT).nonzero()[0]
@@ -410,7 +473,39 @@ def solve(lp: LinearProgram, *, feas_tol: float = DEFAULT_FEAS_TOL) -> LpOutcome
     except _Unbounded:
         return LpOutcome(LpStatus.UNBOUNDED, iterations=tab.iterations)
 
-    Z, objective, resid, bad = _finish(lp, tab.solution(arts), r, feas_tol)
+    return _optimal(lp, tab, feas_tol)
+
+
+def solve_dual(lp: LinearProgram) -> LpOutcome:
+    """Solve ``lp``, whose cost must be nonnegative, by the dual simplex.
+
+    The all-slack basis is then dual feasible, so the solve starts there
+    with no phase 1 and pivots (:meth:`_Tableau.run_dual`) until it is
+    primal feasible too, or a row proves the program infeasible.  The
+    optimum is finished as in :func:`solve`.  Raises :class:`ValueError`
+    naming a negative cost entry, :class:`NumericalBreakdown` on pivot
+    failure and :class:`MaxIterationsExceeded` past :func:`_max_iterations`.
+    """
+    negative = (lp.c < 0).nonzero()[0]
+    if negative.size:
+        k = int(negative[0])
+        raise ValueError(f"solve_dual needs a nonnegative cost; c[{k}] = {lp.c[k]!r}")
+    T, r = lp.A_in, lp.b_in
+    m, n = T.shape
+    A = np.zeros((m, n + m + 1))
+    A[:, :n] = T
+    A[np.arange(m), n + np.arange(m)] = 1.0
+    A[:, -1] = r
+    tab = _Tableau(A, n + np.arange(m), 0)
+    if not tab.run_dual(np.concatenate([lp.c, np.zeros(m)])):
+        return LpOutcome(LpStatus.INFEASIBLE, iterations=tab.iterations)
+    return _optimal(lp, tab, DEFAULT_FEAS_TOL)
+
+
+def _optimal(lp: LinearProgram, tab: _Tableau, feas_tol: float) -> LpOutcome:
+    """The optimal outcome at the final basis of ``tab`` (:func:`_finish`);
+    :class:`NumericalBreakdown` if it violates the constraints."""
+    Z, objective, resid, bad = _finish(lp, tab.solution(sum(lp.A_in.shape)), lp.b_in, feas_tol)
     if bad[0]:
         raise NumericalBreakdown(f"optimal point violates constraints by {resid[0]:.3e}")
     return LpOutcome(LpStatus.OPTIMAL, Z[0], float(objective[0]), tab.iterations)

@@ -149,14 +149,20 @@ class ScenarioSet:
 
     @classmethod
     def from_csv(cls, path) -> "ScenarioSet":
-        with open(path) as fh:
-            lines = fh.read().splitlines() or [""]
+        """Samples from a CSV file, one per row, after an optional header
+        line; ``#`` starts a comment.  A bad file is named with the line
+        (counting header, blank and comment lines) and column at fault."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines() or [""]
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"scenarios file {path} is not UTF-8: {exc}") from None
         skip = 0
         try:
             [float(tok) for tok in lines[0].replace(",", " ").split()]
         except ValueError:
             skip = 1  # header line
-        # (line number, text before any comment) of each row np.loadtxt reads
+        # (line number, text before any comment) of each sample row
         rows = [(n, line.split("#")[0]) for n, line in enumerate(lines, 1) if n > skip]
         rows = [(n, text) for n, text in rows if text]
         if not any(text.strip() for _, text in rows):
@@ -165,10 +171,19 @@ class ScenarioSet:
         for n, w in rest:
             if w != width:
                 raise ValueError(f"{path}: line {n} has {w} field(s) but line {first} has {width}")
-        try:
-            samples = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+
+        def number(cell: str, n: int, k: int) -> float:
+            try:
+                return float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: could not convert string {cell.strip()!r} to float "
+                    f"at line {n}, column {k}"
+                ) from None
+
+        samples = [
+            [number(cell, n, k) for k, cell in enumerate(text.split(","), 1)] for n, text in rows
+        ]
         return cls(samples=samples)
 
     @property
@@ -318,8 +333,8 @@ class _BlockProgram:
         first working set is instead the subsample's rows whose slack at
         ``start`` is below :data:`_ACTIVE_TOL`, the first ``dvar`` of
         them; the rounds then go on as above.  More than ``dvar`` rows are
-        active only at a degenerate point; the rest would cost phase-1
-        pivots, and the rounds add any of them that is violated.
+        active only at a degenerate point; the rest would cost pivots, and
+        the rounds add any of them that is violated.
 
         The subsample's rows and right-hand side are taken once, and every
         round reads both from that pair.  Samples forming one increasing
@@ -362,10 +377,11 @@ class _BlockProgram:
     def _solve_working(self, A_w: np.ndarray, b_w: np.ndarray) -> np.ndarray | None:
         """1-norm-minimal ``z`` with ``A_w z <= b_w``, or None.  The cost
         of ``p`` and ``q`` is positive, so no optimum has both ``p_k`` and
-        ``q_k`` positive."""
+        ``q_k`` positive, and the dual simplex (:func:`lp_core.solve_dual`)
+        starts from the all-slack basis with no phase 1."""
         d = self.dvar
         lp = lp_core.LinearProgram(c=np.ones(2 * d), A_in=np.hstack([A_w, -A_w]), b_in=b_w)
-        outcome = lp_core.solve(lp)
+        outcome = lp_core.solve_dual(lp)
         if outcome.status is lp_core.LpStatus.INFEASIBLE:
             return None
         if not outcome.is_optimal:  # a numerical fault: the objective is bounded below

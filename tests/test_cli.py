@@ -332,6 +332,45 @@ def test_non_numeric_scenario_cell_names_the_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, cell, line, column",
+    [
+        ("w1,w2\n-0.25,0.5\n-0.25,x\n", "x", 3, 2),
+        ("-0.25,0.5\n# note\n\n y ,0.5 # z\n", "y", 4, 1),
+    ],
+    ids=["after-header", "after-comment-and-blank"],
+)
+def test_non_numeric_scenario_cell_names_its_line(text, cell, line, column, tmp_path, capsys):
+    # line numbers count the header, blank and comment lines of the file
+    (tmp_path / "w.csv").write_text(text)
+    payload = feasible_config()
+    payload["scenarios"] = {"file": "w.csv"}
+    assert main(["certify", "--config", write(tmp_path, payload)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = f"could not convert string '{cell}' to float at line {line}, column {column}"
+    assert captured.err == f"error: {tmp_path / 'w.csv'}: {message}\n"
+
+
+def test_scenario_file_not_utf8_named_with_its_role(tmp_path, capsys, monkeypatch):
+    from invarcert import lp_core
+
+    def no_lp(lp):
+        raise AssertionError("an LP ran before the scenarios file was refused")
+
+    monkeypatch.setattr(lp_core, "solve", no_lp)
+    monkeypatch.setattr(lp_core, "solve_dual", no_lp)
+    bad = tmp_path / "w.csv"
+    bad.write_bytes(b"\xff-0.25,0.5\n-0.25,0.5\n")
+    payload = feasible_config()
+    payload["scenarios"] = {"file": "w.csv"}
+    assert main(["certify", "--config", write(tmp_path, payload)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert captured.err == f"error: scenarios file {bad} is not UTF-8: {reason}\n"
+
+
+@pytest.mark.parametrize(
     "text, line, count, first, width",
     [("1,2\n3\n", 2, 1, 1, 2), ("w1,w2\n-0.25,0.5\n\n# note\n-0.2,0.5,1\n", 5, 3, 2, 2)],
     ids=["short-row", "long-row-after-header"],

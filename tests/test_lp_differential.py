@@ -8,18 +8,28 @@ over ``z >= 0``, with free variables split and other bounds as rows
 (:func:`lp_forms.nonnegative`).  The status must match
 ``scipy.optimize.linprog(method="highs")`` and optimal objectives must
 agree within ``1e-7 * max(1, |objective|)``.
+
+The same corpus, with the cost of each program over ``z >= 0`` replaced
+by its absolute value, runs through both solves of the core: the
+two-phase ``solve`` and the dual simplex ``solve_dual``, which takes only
+a nonnegative cost.  HiGHS solves that program over ``z >= 0`` too, and
+the exhaustive oracle of ``lp_oracle.py`` checks the small ones.
 """
+
+import math
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from invarcert.lp_core import LinearProgram, LpStatus, solve
+from invarcert.lp_core import LinearProgram, LpStatus, solve, solve_dual
 
 from lp_forms import nonnegative
+from lp_oracle import enumerate_optimum
 
 HIGHS_STATUS = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
 PER_CASE = 40
+ORACLE_BASES = 3000  # the most row subsets the oracle may enumerate per program
 
 
 def _feasible_rhs(rng, A, x0, tight):
@@ -161,3 +171,36 @@ def test_dantzig_rule_visits_every_klee_minty_vertex(n):
     out = solve(LinearProgram(**nonnegative(**klee_minty_cube(n))[0]))
     assert out.objective == -(5.0**n)
     assert out.iterations == 2**n - 1
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_both_solves_agree_on_the_absolute_cost(case):
+    # a nonnegative cost over z >= 0 is bounded below: every program is
+    # optimal or infeasible
+    rng = np.random.default_rng(sorted(CASES).index(case))
+    seen, enumerated = set(), 0
+    for trial in range(PER_CASE):
+        form = nonnegative(**CASES[case](rng))[0]
+        lp = LinearProgram(c=np.abs(form["c"]), A_in=form["A_in"], b_in=form["b_in"])
+        m, n = lp.A_in.shape
+        status, objective = _highs(
+            dict(c=lp.c, A_in=lp.A_in, b_in=lp.b_in, bounds=[(0.0, None)] * n)
+        )
+        if math.comb(m + 2 * n, n) <= ORACLE_BASES:
+            # the optimum lies inside the box: the corpus's points are small
+            oracle, best = enumerate_optimum(lp.c, lp.A_in, lp.b_in, np.zeros(n), np.full(n, 1e6))
+            assert oracle == status.value, f"{case} trial {trial}"
+            if best is not None:
+                assert abs(best - objective) <= 1e-7 * max(1.0, abs(objective))
+            enumerated += 1
+        for solver in (solve, solve_dual):
+            mine = solver(lp)
+            assert mine.status is status, f"{case} trial {trial}: {solver.__name__}"
+            if status is LpStatus.OPTIMAL:
+                gap = abs(mine.objective - objective)
+                assert gap <= 1e-7 * max(1.0, abs(objective)), (
+                    f"{case} trial {trial}: {solver.__name__} {mine.objective} vs {objective}"
+                )
+        seen.add(status)
+    assert LpStatus.OPTIMAL in seen
+    assert enumerated or case == "duplicate-rows"

@@ -768,7 +768,8 @@ def test_most_violated_on_random_ties():
 def _reference_solve_vertex(prog, vertex, sample_indices, seen):
     """Constraint generation as first written: each round gathers the
     subsample's rows, sorts all violations, and builds its working LP over
-    the split ``z = p - q``, ``p, q >= 0``, minimizing ``sum(p + q)``.
+    the split ``z = p - q``, ``p, q >= 0``, minimizing ``sum(p + q)``, which
+    the dual simplex solves.
     Appends each round's violations to ``seen``."""
     d = prog.dvar
     sample_indices = np.asarray(sample_indices, dtype=int)
@@ -794,7 +795,7 @@ def _reference_solve_vertex(prog, vertex, sample_indices, seen):
         split[:, :d] = A_w
         split[:, d:] = -A_w
         lp = lp_core.LinearProgram(c=np.ones(2 * d), A_in=split, b_in=b_w)
-        outcome = lp_core.solve(lp)
+        outcome = lp_core.solve_dual(lp)
         if outcome.status is lp_core.LpStatus.INFEASIBLE:
             return None
         assert outcome.is_optimal
@@ -985,11 +986,35 @@ def test_constraint_generation_that_never_settles_raises(monkeypatch):
         ic.solve_affine_policy(fam, S, U, scen)
 
 
+def test_working_lps_take_half_the_pivots_of_the_primal(monkeypatch):
+    # every working LP of synthesis and greedy is solved by the dual simplex
+    # from the slack basis; the two-phase primal on the same programs pays
+    # for a phase 1 and reaches the same optima
+    solved = []
+    solve_dual = lp_core.solve_dual
+
+    def recording(lp):
+        solved.append((lp, solve_dual(lp)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(lp_core, "solve_dual", recording)
+    fam, S, U, scen = affine3_instance(K=1500, seed=0)
+    policy = ic.solve_affine_policy(fam, S, U, scen)
+    assert ic.greedy_support_subsample(policy) == SEEDED_SWEEP[("affine3", 1500, 0)]
+    primal = [lp_core.solve(lp) for lp, _ in solved]
+    dual_pivots = sum(out.iterations for _, out in solved)
+    assert len(solved) > 20
+    assert 0 < 2 * dual_pivots <= sum(out.iterations for out in primal)
+    for (_, dual), out in zip(solved, primal):
+        assert dual.is_optimal and out.is_optimal
+        assert np.abs(dual.z - out.z).max() <= 1e-12
+
+
 def test_working_lp_without_an_optimum_raises(monkeypatch):
     # a working LP is feasible or not, and its 1-norm cost is bounded below:
     # any other outcome of the simplex core is a numerical fault
     unbounded = lp_core.LpOutcome(lp_core.LpStatus.UNBOUNDED)
-    monkeypatch.setattr(lp_core, "solve", lambda lp: unbounded)
+    monkeypatch.setattr(lp_core, "solve_dual", lambda lp: unbounded)
     scen = ic.ScenarioSet(samples=np.array([[0.0], [1.0]]))
     with pytest.raises(ic.NumericalBreakdown, match=r"^unexpected LP status LpStatus\.UNBOUNDED$"):
         ic.solve_affine_policy(_doubling_family(), UNIT2, UNIT2, scen)
