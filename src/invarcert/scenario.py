@@ -293,8 +293,10 @@ class _BlockProgram:
 
     Every working LP of constraint generation has only its working rows:
     ``z = p - q`` with ``p, q >= 0`` minimizing ``sum(p + q)``, the 1-norm
-    of ``z``.  Greedy re-solves start from the rows active at the policy;
-    synthesis and every cold check start from none.
+    of ``z``.  :meth:`solve` runs the blocks' constraint generation in
+    lockstep, one product with the shared rows per round.  Greedy
+    re-solves, one vertex at a time, start from the rows active at the
+    policy; synthesis and every cold check start from none.
     """
 
     def __init__(self, family, S, U, samples, affine=True):
@@ -321,57 +323,73 @@ class _BlockProgram:
                     out=gains.reshape(part.shape[0], self.block_rows, self.m, ell),
                 )
 
-    def solve_vertex(self, vertex: int, sample_indices, start=None) -> np.ndarray | None:
-        """1-norm-minimal feasible point of the vertex block, or None.
+    def solve(self, vertices, sample_indices, seeds=None) -> np.ndarray | None:
+        """1-norm-minimal feasible points ``(len(vertices), dvar)`` of the
+        listed vertex blocks on a subsample, or None when one is infeasible.
 
         Deterministic constraint generation: starting from the empty
         working set (solution 0), each round adds the rows chosen by
         :func:`_most_violated` -- the at most ``_CG_BATCH`` largest
         violations above ``lp_core.DEFAULT_FEAS_TOL``, ties going to the
         lowest position in the ordered sample list -- and re-solves with
-        the deterministic simplex core.  Given a point ``start``, the
-        first working set is instead the subsample's rows whose slack at
-        ``start`` is below :data:`_ACTIVE_TOL`, the first ``dvar`` of
-        them; the rounds then go on as above.  More than ``dvar`` rows are
-        active only at a degenerate point; the rest would cost pivots, and
-        the rounds add any of them that is violated.
+        the dual simplex.  Given ``seeds``, a boolean mask shaped like
+        ``rhs`` of the rows active at some point, each block's first
+        working set is instead its first ``dvar`` seed rows in the
+        subsample; the rounds then go on as above.  More than ``dvar``
+        rows are active only at a degenerate point; the rest would cost
+        pivots, and the rounds add any of them that is violated.
 
-        The subsample's rows and right-hand side are taken once, and every
-        round reads both from that pair.  Samples forming one increasing
-        run, as in synthesis, are a view of the stored rows: the same
-        product as on their gathered copy.  Any other subsample is
-        gathered, because BLAS may compute the last few rows of a product
-        with another kernel, so its rows read within the full matrix could
-        round differently.
+        The blocks run their rounds in lockstep: they share ``rows``, so a
+        round is one product of the live blocks' points with the rows,
+        into one buffer, from which each block subtracts its own
+        right-hand side in place.  The product of one block is the
+        matrix-vector product bit for bit; several blocks may round
+        differently in the last bit.  The subsample's rows are taken once.
+        Samples forming one increasing run, as in synthesis, are a view of
+        the stored rows: the same product as on their gathered copy.  Any
+        other subsample is gathered, because BLAS may compute the last few
+        rows of a product with another kernel, so its rows read within the
+        full matrix could round differently.
         """
         take = np.asarray(sample_indices, dtype=int)
-        z = np.zeros(self.dvar)
+        Z = np.zeros((len(vertices), self.dvar))
         if take.size == 0:
-            return z
+            return Z
         if np.all(np.diff(take) == 1):
             take = slice(int(take[0]), int(take[-1]) + 1)
         A = self.rows[take].reshape(-1, self.dvar)
-        b = self.rhs[vertex, take].reshape(-1)
-        working: list[int] = []
-        in_working = np.zeros(b.size, dtype=bool)
-        if start is not None:
-            working = np.flatnonzero(b - A @ start < _ACTIVE_TOL)[: self.dvar].tolist()
-            in_working[working] = True
-        if working:
-            z = self._solve_working(A[working], b[working])
-            if z is None:
+        b = [self.rhs[i, take].reshape(-1) for i in vertices]
+        working = [[] for _ in vertices]
+
+        def enforce(k) -> bool:  # re-solve block k on its working rows
+            z = self._solve_working(A[working[k]], b[k][working[k]])
+            if z is not None:
+                Z[k] = z
+            return z is not None
+
+        for k, i in enumerate(vertices):
+            if seeds is not None:
+                working[k] = np.flatnonzero(seeds[i, take])[: self.dvar].tolist()
+            if working[k] and not enforce(k):
                 return None
-        for _ in range(b.size + 1):
-            viol = A @ z - b
-            viol[in_working] = -np.inf  # already enforced exactly
-            batch = _most_violated(viol, lp_core.DEFAULT_FEAS_TOL)
-            if batch.size == 0:
-                return z
-            working.extend(batch)
-            in_working[batch] = True
-            z = self._solve_working(A[working], b[working])
-            if z is None:
-                return None
+        live = list(range(len(vertices)))
+        viol = np.empty((len(vertices), A.shape[0]))
+        for _ in range(A.shape[0] + 1):
+            products = viol[: len(live)]
+            np.matmul(Z[live], A.T, out=products)
+            still = []
+            for v, k in zip(products, live):
+                v -= b[k]
+                v[working[k]] = -np.inf  # already enforced exactly
+                batch = _most_violated(v, lp_core.DEFAULT_FEAS_TOL)
+                if batch.size:
+                    working[k].extend(batch)
+                    if not enforce(k):
+                        return None
+                    still.append(k)
+            if not still:
+                return Z
+            live = still
         raise NumericalBreakdown("constraint generation failed to converge")
 
     def _solve_working(self, A_w: np.ndarray, b_w: np.ndarray) -> np.ndarray | None:
@@ -388,39 +406,29 @@ class _BlockProgram:
             raise NumericalBreakdown(f"unexpected LP status {outcome.status}")
         return outcome.z[:d] - outcome.z[d:]
 
-    def solve_all(self, sample_indices):
-        """Solutions for every vertex, or None when some vertex fails."""
-        out = np.empty((self.N, self.dvar))
-        for i in range(self.N):
-            z = self.solve_vertex(i, sample_indices)
-            if z is None:
-                return None
-            out[i] = z
-        return out
-
     def diagnose(self) -> tuple[int, int, int]:
         """First (sample, vertex, row) triple at which the program fails.
 
         Prefix feasibility is monotone in the ordered sample list, so the
         first breaking sample is found by bisection; the reported row is
         the most violated one of that sample's block at the solution of
-        the prefix without it.
+        the prefix without it.  Each prefix is solved one vertex at a time,
+        up to the first infeasible one: in lockstep every vertex would run
+        until that one fails.
         """
         lo, hi = 0, self.K  # prefix [:lo] feasible, [:hi] infeasible
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if self.solve_all(range(mid)) is None:
-                hi = mid
-            else:
+            if all(self.solve([i], range(mid)) is not None for i in range(self.N)):
                 lo = mid
+            else:
+                hi = mid
         culprit = hi - 1
-        vertex = next(
-            i for i in range(self.N) if self.solve_vertex(i, range(hi)) is None
-        )
-        z = self.solve_vertex(vertex, range(culprit))
-        if z is None:  # a numerical fault: the prefix was verified feasible
+        vertex = next(i for i in range(self.N) if self.solve([i], range(hi)) is None)
+        Z = self.solve([vertex], range(culprit))
+        if Z is None:  # a numerical fault: the prefix was verified feasible
             raise NumericalBreakdown("diagnosis lost feasibility")
-        block = self.rows[culprit] @ z - self.rhs[vertex, culprit]
+        block = self.rows[culprit] @ Z[0] - self.rhs[vertex, culprit]
         return culprit, vertex, int(np.argmax(block))
 
 
@@ -428,19 +436,23 @@ def _most_violated(viol: np.ndarray, feas_tol: float) -> np.ndarray:
     """Positions of the at most ``_CG_BATCH`` largest entries of ``viol``
     above ``feas_tol``, largest first, ties to the lowest position.
 
-    Only the candidates above ``feas_tol`` are sorted: each of them ranks
-    above every other entry, and they are taken in increasing position,
-    so the stable sort breaks ties exactly as a stable sort of all of
-    ``viol`` would.
+    Only the candidates above ``feas_tol`` at or above the
+    ``_CG_BATCH``-th largest of them (found by a partition) are sorted:
+    each of them ranks above every other entry, ties at that place
+    included, and they are taken in increasing position, so the stable
+    sort picks exactly the rows a stable sort of all of ``viol`` would.
     """
     cand = np.flatnonzero(viol > feas_tol)
+    if cand.size > _CG_BATCH:
+        top = viol[cand]
+        cand = cand[top >= np.partition(top, -_CG_BATCH)[-_CG_BATCH]]
     return cand[np.argsort(-viol[cand], kind="stable")[:_CG_BATCH]]
 
 
 def _solve_program(prog: _BlockProgram, what: str) -> np.ndarray:
     """Per-vertex solutions of the whole program, or :class:`Infeasible`
     with the first violated triple and ``what`` naming the missing object."""
-    Z = prog.solve_all(range(prog.K))
+    Z = prog.solve(range(prog.N), range(prog.K))
     if Z is None:
         sample, vertex, row = prog.diagnose()
         raise Infeasible(
@@ -501,28 +513,33 @@ def greedy_support_subsample(policy: AffinePolicy) -> list[int]:
     :data:`_ACTIVE_TOL`) at the policy cannot move the 1-norm optimum of
     any vertex block; they are discarded without a re-solve, and the final
     verification guards the shortcut.  Re-solves touching only the affected
-    vertices cover the rest; each starts constraint generation from the
-    subsample's rows that are active (slack below :data:`_ACTIVE_TOL`) at
-    the policy for its vertex, at most ``dvar`` of them (see
-    :meth:`_BlockProgram.solve_vertex`).  The final verification starts
-    cold.  If it fails, the literal pass re-solves every vertex for every
-    removal, cold.  A re-solve that is infeasible on a subsample, or a
-    policy that neither pass reproduces, is a determinism fault and raises
-    :class:`NumericalBreakdown`.
+    vertices, one vertex at a time, cover the rest; each starts constraint
+    generation from the subsample's rows that are active (slack below
+    :data:`_ACTIVE_TOL`) at the policy for its vertex, at most ``dvar`` of
+    them, read from one mask of the rows active at the policy (see
+    :meth:`_BlockProgram.solve`).  The final verification solves every
+    vertex, cold.  If it fails, the literal pass re-solves every vertex for
+    every removal, cold.  A re-solve that is infeasible on a subsample, or
+    a policy that neither pass reproduces, is a determinism fault and
+    raises :class:`NumericalBreakdown`.
     """
     prog = policy._program
     if prog is None:
         raise MismatchedFingerprints("policy was not synthesized by solve_affine_policy")
     full = np.hstack([policy.gains.reshape(prog.N, -1), policy.offsets])
 
-    # per (vertex, sample) minimum slack at the full solution
+    # the (vertex, sample, row) triples active at the full solution, one
+    # matrix-vector product per vertex into one reused slack buffer
     rows = prog.rows.reshape(-1, prog.dvar)
-    slack = np.empty((prog.N, prog.K))
+    active = np.empty(prog.rhs.shape, dtype=bool)
+    slack = np.empty(rows.shape[0])
     for i in range(prog.N):
-        slack[i] = (prog.rhs[i] - (rows @ full[i]).reshape(prog.K, -1)).min(axis=1)
-    touches = slack < _ACTIVE_TOL  # (N, K)
+        np.matmul(rows, full[i], out=slack)
+        np.subtract(prog.rhs[i].reshape(-1), slack, out=slack)
+        np.less(slack.reshape(prog.K, -1), _ACTIVE_TOL, out=active[i])
+    touches = active.any(axis=2)  # (N, K)
 
-    retained = _reduce(prog, full, touches, seeded=True)
+    retained = _reduce(prog, full, touches, seeds=active)
     if retained is None:
         # shortcut assumptions failed (ties between optima); literal pass
         retained = _reduce(prog, full, np.ones_like(touches))
@@ -531,24 +548,25 @@ def greedy_support_subsample(policy: AffinePolicy) -> list[int]:
     return retained
 
 
-def _reduce(prog, full, touches, seeded=False) -> list[int] | None:
+def _reduce(prog, full, touches, seeds=None) -> list[int] | None:
     """The one-removal-at-a-time pass: sample j is dropped when re-solving
-    the vertices ``touches[:, j]`` marks, without it and every sample
-    dropped before, reproduces ``full`` within :data:`SOLUTION_TOL`.  A
-    sample that touches no vertex is dropped without a re-solve, so only
-    the touched samples are visited.  With ``seeded``, each re-solve of
-    vertex i starts from the rows active at ``full[i]``; otherwise cold.
-    Returns the retained indices, or None when cold re-solves of every
-    vertex on them do not reproduce ``full``."""
+    the vertices ``touches[:, j]`` marks, one at a time, without it and
+    every sample dropped before, reproduces ``full`` within
+    :data:`SOLUTION_TOL`.  A sample that touches no vertex is dropped
+    without a re-solve, so only the touched samples are visited.  Each
+    re-solve starts from the ``seeds`` rows (see :meth:`_BlockProgram.solve`),
+    or cold without them.  Returns the retained indices, or None when a
+    cold solve of every vertex on them fails or does not reproduce
+    ``full``."""
 
-    def matches(subset, vertices, seeded) -> bool:
+    def matches(subset, vertices) -> bool:
         for i in vertices:
-            z = prog.solve_vertex(i, subset, full[i] if seeded else None)
-            if z is None:
+            Z = prog.solve([i], subset, seeds)
+            if Z is None:
                 raise NumericalBreakdown(
                     f"vertex {i} infeasible on a subsample; determinism fault"
                 )
-            if np.max(np.abs(z - full[i])) > SOLUTION_TOL:
+            if np.max(np.abs(Z[0] - full[i])) > SOLUTION_TOL:
                 return False
         return True
 
@@ -556,9 +574,10 @@ def _reduce(prog, full, touches, seeded=False) -> list[int] | None:
     untested = 0  # the samples from here on have not been visited
     for j in np.flatnonzero(touches.any(axis=0)).tolist():
         keep[untested : j + 1] = False  # j, and the untouched samples before it
-        if not matches(np.flatnonzero(keep), np.flatnonzero(touches[:, j]), seeded):
+        if not matches(np.flatnonzero(keep), np.flatnonzero(touches[:, j])):
             keep[j] = True
         untested = j + 1
     keep[untested:] = False
     retained = np.flatnonzero(keep).tolist()
-    return retained if matches(retained, range(prog.N), False) else None
+    Z = prog.solve(range(prog.N), retained)
+    return retained if Z is not None and np.max(np.abs(Z - full)) <= SOLUTION_TOL else None

@@ -453,7 +453,7 @@ def _literal_pass(fam, S, U, scen):
     from invarcert.scenario import _BlockProgram, _reduce
 
     prog = _BlockProgram(fam, S, U, scen.samples, affine=True)
-    full = prog.solve_all(range(prog.K))
+    full = prog.solve(range(prog.N), range(prog.K))
     return _reduce(prog, full, np.ones((prog.N, prog.K), dtype=bool))
 
 
@@ -504,11 +504,11 @@ def test_greedy_refuses_a_replaced_policy_before_any_re_solve(monkeypatch):
     fam, S, U, scen = path_instance(K=40, seed=8)
     policy = ic.solve_affine_policy(fam, S, U, scen)
     calls = []
-    solve_vertex = _BlockProgram.solve_vertex
+    solve = _BlockProgram.solve
     monkeypatch.setattr(
         _BlockProgram,
-        "solve_vertex",
-        lambda self, *args: calls.append(args) or solve_vertex(self, *args),
+        "solve",
+        lambda self, *args: calls.append(args) or solve(self, *args),
     )
     message = "^policy was not synthesized by solve_affine_policy$"
     with pytest.raises(ic.MismatchedFingerprints, match=message):
@@ -558,6 +558,7 @@ SEEDED_SWEEP = {
     ("path", 40, 2): [39],
     ("path", 40, 3): [39],
 }
+SWEEP_PLANTS = {"affine3": affine3_instance, "network6": six_node_instance, "path": path_instance}
 
 
 @pytest.mark.parametrize("plant", ["affine3", "network6", "path"])
@@ -565,29 +566,30 @@ def test_seeded_greedy_keeps_the_cold_supports(plant, monkeypatch):
     from invarcert import scenario
     from invarcert.scenario import _BlockProgram
 
-    build = {
-        "affine3": affine3_instance,
-        "network6": six_node_instance,
-        "path": path_instance,
-    }[plant]
-    seeds = []  # (active rows of the subsample, dvar) of every seeded re-solve
-    solve_vertex = _BlockProgram.solve_vertex
+    build = SWEEP_PLANTS[plant]
+    starts = []  # (active rows of the subsample, dvar) of every seeded re-solve
+    policy = None
+    solve = _BlockProgram.solve
 
-    def spy(self, vertex, sample_indices, start=None):
-        if start is not None:
+    def spy(self, vertices, sample_indices, seeds=None):
+        if seeds is not None:
+            full = np.hstack([policy.gains.reshape(self.N, -1), policy.offsets])
             take = np.asarray(sample_indices, dtype=int)
-            slack = self.rhs[vertex, take] - self.rows[take] @ start
-            seeds.append((int((slack < scenario._ACTIVE_TOL).sum()), self.dvar))
-        return solve_vertex(self, vertex, sample_indices, start)
+            for i in vertices:
+                slack = self.rhs[i, take] - self.rows[take] @ full[i]
+                active = slack < scenario._ACTIVE_TOL
+                assert np.array_equal(seeds[i, take], active)  # the mask agrees with the gather
+                starts.append((int(active.sum()), self.dvar))
+        return solve(self, vertices, sample_indices, seeds)
 
-    monkeypatch.setattr(_BlockProgram, "solve_vertex", spy)
+    monkeypatch.setattr(_BlockProgram, "solve", spy)
     for (name, K, seed), support in SEEDED_SWEEP.items():
         if name == plant:
             fam, S, U, scen = build(K=K, seed=seed)
             policy = ic.solve_affine_policy(fam, S, U, scen)
             got = ic.greedy_support_subsample(policy)
             assert got == support, (name, K, seed)
-    most, dvar = max(seeds)
+    most, dvar = max(starts)
     if plant == "affine3":
         assert 0 < most <= dvar  # seeded re-solves
     if plant == "path":
@@ -691,7 +693,7 @@ def test_infeasible_re_solve_during_the_reduction_raises(monkeypatch):
 
     fam, S, U, scen = path_instance(K=12, seed=8)
     policy = ic.solve_affine_policy(fam, S, U, scen)
-    monkeypatch.setattr(_BlockProgram, "solve_vertex", lambda self, *args: None)
+    monkeypatch.setattr(_BlockProgram, "solve", lambda self, *args: None)
     with pytest.raises(ic.NumericalBreakdown, match="^vertex 0 infeasible on a subsample"):
         ic.greedy_support_subsample(policy)
 
@@ -717,10 +719,14 @@ def test_greedy_reuses_the_synthesized_policy(monkeypatch):
 
     from invarcert import scenario
 
-    def no_full_solve(self, sample_indices):
-        raise AssertionError("the full program was solved again")
+    solve = scenario._BlockProgram.solve
 
-    monkeypatch.setattr(scenario._BlockProgram, "solve_all", no_full_solve)
+    def no_full_solve(self, vertices, sample_indices, seeds=None):
+        if len(sample_indices) == self.K:
+            raise AssertionError("the full program was solved again")
+        return solve(self, vertices, sample_indices, seeds)
+
+    monkeypatch.setattr(scenario._BlockProgram, "solve", no_full_solve)
     assert ic.greedy_support_subsample(policy) == expected
 
     anonymous = ic.AffinePolicy(gains=policy.gains, offsets=policy.offsets)
@@ -845,12 +851,133 @@ def test_solve_vertex_matches_reference_cg_loop(monkeypatch):
         for i in range(prog.N):
             expected_rounds, seen[:] = [], []
             expected = _reference_solve_vertex(prog, i, subset, expected_rounds)
-            got = prog.solve_vertex(i, subset)
+            got = prog.solve([i], subset)
             assert len(seen) == len(expected_rounds)
             assert all(map(np.array_equal, seen, expected_rounds))
             assert (got is None) == (expected is None)
             if got is not None:
-                assert np.array_equal(got, expected)
+                assert np.array_equal(got[0], expected)
+
+
+def test_most_violated_matches_full_sort_on_a_seeded_corpus():
+    # the partition keeps the candidates at or above the batch's last
+    # value, ties at that place included; the stable sort of those must
+    # pick what a stable sort of every entry picks
+    from invarcert.scenario import _CG_BATCH, _most_violated
+
+    tol = 1e-9
+    rng = np.random.default_rng(19)
+    seen = set()
+    for _ in range(3000):
+        size = int(rng.integers(0, 40))
+        wanted = int(rng.choice([0, 1, _CG_BATCH, _CG_BATCH + 1, rng.integers(0, 30)]))
+        count = min(wanted, size)
+        viol = rng.choice([-np.inf, -1.0, 0.0, tol], size=size)  # never a candidate
+        levels = rng.choice([2e-9, 0.25, 0.5, 1.0], size=rng.integers(1, 4), replace=False)
+        viol[rng.choice(size, count, replace=False)] = rng.choice(levels, size=count)
+        assert _most_violated(viol, tol).tolist() == _reference_selection(viol, tol)
+        ranked = np.sort(viol[viol > tol])[::-1]
+        seen.add(ranked.size)
+        if ranked.size > _CG_BATCH and ranked[_CG_BATCH - 1] == ranked[_CG_BATCH]:
+            seen.add("tie at the last place")
+        if tol in viol:
+            seen.add("at tol")
+        if -np.inf in viol:
+            seen.add("-inf")
+    assert {0, 1, _CG_BATCH, _CG_BATCH + 1, "tie at the last place", "at tol", "-inf"} <= seen
+
+
+@pytest.mark.parametrize("plant", ["affine3", "network6", "path"])
+def test_lockstep_rounds_match_one_vertex_solves(plant, monkeypatch):
+    # the lockstep product of several vertices may round differently from
+    # one vertex's in the last bit; on every sweep instance each vertex must
+    # still build the same working sets, round by round, as when solved
+    # alone, so every working LP and the policy bytes are the same
+    from invarcert.scenario import _BlockProgram
+
+    build = SWEEP_PLANTS[plant]
+    lps = []  # the rows and right-hand side of every working LP
+    solve_working = _BlockProgram._solve_working
+
+    def recording(self, A_w, b_w):
+        lps.append(A_w.tobytes() + b_w.tobytes())
+        return solve_working(self, A_w, b_w)
+
+    monkeypatch.setattr(_BlockProgram, "_solve_working", recording)
+    for name, K, seed in SEEDED_SWEEP:
+        if name != plant:
+            continue
+        fam, S, U, scen = build(K=K, seed=seed)
+        prog = _BlockProgram(fam, S, U, scen.samples)
+        alone, rounds = [], []
+        for i in range(prog.N):
+            lps.clear()
+            alone.append(prog.solve([i], range(K)))
+            rounds.append(list(lps))
+        lps.clear()
+        together = prog.solve(range(prog.N), range(K))
+        # round r re-solves, in vertex order, every vertex with an r-th LP
+        interleaved = [
+            seq[r] for r in range(max(map(len, rounds))) for seq in rounds if r < len(seq)
+        ]
+        assert lps == interleaved, (name, K, seed)
+        assert together.tobytes() == np.vstack(alone).tobytes()
+
+
+def test_lockstep_makes_one_product_per_round(monkeypatch):
+    # one product per lockstep round for all live vertices: as many as the
+    # vertex with the most rounds makes alone, not their sum; a product of
+    # one vertex is the matrix-vector product bit for bit
+    from invarcert import scenario
+    from invarcert.scenario import _BlockProgram
+
+    fam, S, U, scen = affine3_instance(K=1500, seed=0)
+    prog = _BlockProgram(fam, S, U, scen.samples)
+    products = []
+    matmul = np.matmul
+
+    def counting(*args, **kwargs):
+        products.append(len(args[0]))  # live vertices of the round
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(scenario.np, "matmul", counting)
+    alone = []
+    for i in range(prog.N):
+        products.clear()
+        prog.solve([i], range(prog.K))
+        alone.append(len(products))
+    products.clear()
+    prog.solve(range(prog.N), range(prog.K))
+    assert alone == [4, 6, 2, 3, 3, 2, 6, 4]
+    assert products == [8, 8, 6, 4, 2, 2]  # live vertices per round
+    assert len(products) == max(alone) < sum(alone)
+    monkeypatch.undo()
+    A = prog.rows.reshape(-1, prog.dvar)
+    z = np.random.default_rng(3).standard_normal((1, prog.dvar))
+    assert np.array_equal(z @ A.T, (A @ z[0])[None])
+
+
+def test_lockstep_and_greedy_memory_peaks():
+    # the lockstep rounds write into one (N, rows) buffer and subtract each
+    # right-hand side from a view; greedy keeps a boolean mask of the
+    # active rows, not a stacked slack product
+    import tracemalloc
+
+    fam, S, U, scen = affine3_instance(K=1500, seed=0)
+    policy = ic.solve_affine_policy(fam, S, U, scen)
+    prog = policy._program
+    buffer = prog.N * prog.K * prog.block_rows * 8
+    tracemalloc.start()
+    try:
+        prog.solve(range(prog.N), range(prog.K))
+        solve_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert ic.greedy_support_subsample(policy) == SEEDED_SWEEP[("affine3", 1500, 0)]
+        greedy_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solve_peak <= 1.25 * buffer
+    assert greedy_peak <= prog.rows.nbytes + prog.rhs.nbytes
 
 
 def test_bad_table_index_named_in_the_whole_sample_list():
@@ -1025,10 +1152,18 @@ def test_diagnosis_that_loses_a_verified_prefix_raises(monkeypatch):
     # re-solve of that prefix that fails contradicts it
     from invarcert import scenario
 
-    def solve_all(self, sample_indices):  # every proper prefix "feasible"
-        return None if len(sample_indices) == self.K else np.zeros((self.N, self.dvar))
+    solve = scenario._BlockProgram.solve
+    bisection = []
 
-    monkeypatch.setattr(scenario._BlockProgram, "solve_all", solve_all)
+    def solve_prefix(self, vertices, sample_indices, seeds=None):
+        # K = 2: the bisection's one test, of the prefix [:1], reads feasible
+        # for every vertex; every later solve is real
+        if len(sample_indices) == 1 and len(bisection) < self.N:
+            bisection.append(vertices)
+            return np.zeros((len(vertices), self.dvar))
+        return solve(self, vertices, sample_indices, seeds)
+
+    monkeypatch.setattr(scenario._BlockProgram, "solve", solve_prefix)
     scen = ic.ScenarioSet(samples=np.array([[0.0], [1.0]]))
     with pytest.raises(ic.NumericalBreakdown, match="^diagnosis lost feasibility$"):
         ic.solve_affine_policy(_doubling_family(), UNIT2, UNIT2, scen)
