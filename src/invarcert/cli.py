@@ -397,6 +397,12 @@ def main(argv=None) -> int:
                 raise InvalidArguments(
                     f"--sample '{args.sample}' is not a comma-separated list of numbers"
                 ) from None
+        if args.out:  # one that cannot become a directory is refused before any work
+            path = os.path.abspath(args.out)
+            while not os.path.exists(path):
+                path = os.path.dirname(path)
+            if not os.path.isdir(path):
+                raise InvalidArguments(f"--out {args.out}: {path} exists and is not a directory")
         config = load_config(args.config)
         if args.command == "certify":
             code, report = run_certify(

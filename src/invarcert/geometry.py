@@ -208,7 +208,7 @@ def _origin_in_hull(X: np.ndarray) -> bool:
     lp = lp_core.LinearProgram(
         c=np.zeros(len(X)), A_in=np.vstack([A, -A]), b_in=np.hstack([b, -b])
     )
-    return lp_core.solve(lp, feas_tol=DEFAULT_TOL).is_optimal
+    return lp_core.solve(lp).is_optimal
 
 
 def box(lower, upper) -> Polytope:
@@ -272,9 +272,7 @@ def vertex_decompose(P: Polytope, x) -> np.ndarray:
     if outside.any():
         which = "point" if single else f"point {outside.argmax()}"
         raise DecompositionInfeasible(f"{which} outside polytope beyond tol={DEFAULT_TOL}")
-    outcomes = lp_core.solve_batch(
-        P.decomposition_lp, b_in=np.hstack([X, -X]), feas_tol=DEFAULT_TOL
-    )
+    outcomes = lp_core.solve_batch(P.decomposition_lp, b_in=np.hstack([X, -X]))
     for row, outcome in enumerate(outcomes):
         if not outcome.is_optimal:
             which = "the point" if single else f"point {row}"

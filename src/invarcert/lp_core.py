@@ -8,11 +8,14 @@ it needs no phase 1 and no artificials, and the leaving row holds the
 most negative basic value.  Constraint generation in
 :mod:`invarcert.scenario` solves its 1-norm working LPs with it; the
 vertex decomposition and the origin-in-hull test keep :func:`solve`,
-whose ties choose the simulated inputs.  Both fall back to Bland's
-anti-cycling rule after ``_Tableau.stall_limit`` degenerate pivots, take
-at most :func:`_max_iterations` pivots and read the optimum from a
-solve of the pristine basis matrix, so no tableau round-off reaches
-``z``.  Each solve is a pure function of its input: fixed rules, no
+whose ties choose the simulated inputs.  Both start from one tableau
+builder (:func:`_initial_tableau`), fall back to Bland's anti-cycling
+rule after ``_Tableau.stall_limit`` degenerate pivots, take at most
+:func:`_max_iterations` pivots and read the optimum from a solve of the
+pristine basis matrix, so no tableau round-off reaches ``z``.  Every LP
+has one feasibility tolerance, ``DEFAULT_FEAS_TOL``: the phase-1 test
+and the primal check of every optimum read it, and no caller sets
+another.  Each solve is a pure function of its input: fixed rules, no
 randomized perturbation, so repeated calls on identical data return
 bit-identical solutions.  That determinism is what the rest of the
 toolbox leans on to make policy synthesis single-valued.
@@ -39,16 +42,19 @@ do (ch. 5).  So a program keeps a pivot-path cache
 (:attr:`LinearProgram._paths`): a tree of the tableaux that the lone solve
 reaches (:class:`_Node`), one root per flip pattern, each node built once
 from its parent.  A lane walks the tree on its own right-hand side, in
-Python floats: per pivot one ratio test and one update of the right-hand
-side with the operations of :meth:`_Tableau._pivot` (:func:`_walk`).  The
-rest is shared with the lone solve, a stack of one: the basic solutions
-(:func:`_solutions`), the phase-1 test (:func:`_infeasible`) and the
-optimal finish (:func:`_finish`).  Any other lane (Bland's rule, the
-iteration cap, a second-choice entering column, an unbounded or
-infeasible program, a singular or non-finite basis solve, a primal
-violation) is solved again from the start by :func:`solve` with its own
-``b_in``.  So each outcome is bit for bit that of :func:`solve`, whatever
-filled the cache before, and the rare rules live in one place.
+Python floats: per pivot one update of the right-hand side with the
+operations of :meth:`_Tableau._pivot` (:func:`_walk`) and the ratio test
+of the lone solve (:func:`_ratio_test`).  The rest is shared with the
+lone solve too: each node's eligible rows (:meth:`_Tableau.eligible`),
+its phase's cost and allowed columns (:func:`_phase`) and, as a stack of
+one, the basic solutions (:func:`_solutions`), the phase-1 test
+(:func:`_infeasible`) and the optimal finish (:func:`_finish`).  Any
+other lane (Bland's rule, the iteration cap, a second-choice entering
+column, an unbounded or infeasible program, a singular or non-finite
+basis solve, a primal violation) is solved again from the start by
+:func:`solve` with its own ``b_in``.  So each outcome is bit for bit that
+of :func:`solve`, whatever filled the cache before, and the rare rules
+live in one place.
 """
 
 import copy
@@ -116,23 +122,24 @@ class LpOutcome:
         return self.status is LpStatus.OPTIMAL
 
 
-def _initial_tableau(T: np.ndarray, r: np.ndarray) -> "_Tableau":
-    """Phase-1 tableau of ``T y <= r``.
+def _initial_tableau(T: np.ndarray, r: np.ndarray, flip: np.ndarray) -> "_Tableau":
+    """The first tableau of ``T y <= r`` with the rows ``flip`` negated.
 
-    Rows with a negative right-hand side are flipped so the rhs column is
-    >= 0; their slacks then enter with coefficient -1 and need artificials.
+    A flipped row's slack enters with coefficient -1 and needs an
+    artificial, which starts in its basis; every other row starts with its
+    slack.  :func:`solve` flips the rows of a negative right-hand side, so
+    the rhs column is >= 0; :func:`solve_dual` flips none.
     """
     m, n = T.shape
-    flip = r < 0
     sign = np.where(flip, -1.0, 1.0)
-    n_art = int(flip.sum())
+    n_art = int(np.count_nonzero(flip))
     # columns: structural body, slacks, artificials, right-hand side
     A = np.zeros((m, n + m + n_art + 1))
     np.multiply(T, sign[:, None], out=A[:, :n])
-    diagonal = np.arange(m)
-    A[diagonal, n + diagonal] = sign
+    basis = n + np.arange(m)
+    A[np.arange(m), basis] = sign
     # the k-th flipped row gets the k-th artificial
-    basis = np.where(flip, np.cumsum(flip) + (n + m - 1), n + diagonal)
+    basis[flip] = np.arange(n + m, n + m + n_art)
     A[flip, basis[flip]] = 1.0
     np.multiply(r, sign, out=A[:, -1])
     return _Tableau(A, basis, n_art)
@@ -205,12 +212,19 @@ class _Tableau:
             return eligible.tolist()
         return eligible[rc[eligible].argsort(kind="stable")].tolist()
 
+    def eligible(self, col: int):
+        """The rows of column ``col`` that may leave (entry above
+        ``STABLE_PIVOT``), their entries there and their basic variables,
+        as lists."""
+        column = self.A[:, col]
+        rows = (column > self.STABLE_PIVOT).nonzero()[0]
+        return rows.tolist(), column[rows].tolist(), self.basis[rows].tolist()
+
     def run(self, cost: np.ndarray, allowed: np.ndarray) -> None:
         """Deterministic pivoting: most-negative reduced cost (lowest index
         on ties) while the objective makes progress, with a switch to pure
         Bland's rule after a degenerate stall so cycling cannot occur.  The
-        leaving row is the minimum-ratio row, preferring the numerically
-        largest pivot among ties and then the lowest basic-variable index.
+        leaving row is that of :func:`_ratio_test`.
         """
         A = self.A
         cb = cost[self.basis]
@@ -224,8 +238,9 @@ class _Tableau:
             if not order:
                 return
             for col in order:
-                row = self._leaving_row(col)
-                if row is not None:
+                rows, column, basics = self.eligible(col)
+                if rows:
+                    row = _ratio_test(rows, column, basics, A[:, -1].tolist())
                     break
                 if (A[:, col] <= DEFAULT_PIVOT_TOL).all():
                     raise _Unbounded
@@ -298,22 +313,6 @@ class _Tableau:
             else:
                 stall += 1
 
-    def _leaving_row(self, col: int) -> int | None:
-        column = self.A[:, col]
-        rows = (column > self.STABLE_PIVOT).nonzero()[0]
-        if rows.size <= 1:  # no ratio test to settle
-            return int(rows[0]) if rows.size else None
-        ratios = self.A[rows, -1] / column[rows]
-        best = ratios.min()
-        window = DEFAULT_PIVOT_TOL * max(1.0, abs(best))
-        tied = rows[ratios <= best + window]
-        if tied.size == 1:
-            return int(tied[0])
-        # prefer the largest pivot (stability), then the lowest basis index
-        pivots = column[tied]
-        tied = tied[pivots >= pivots.max() * (1.0 - 1e-9)]
-        return int(tied[self.basis[tied].argmin()])
-
     def drive_out_artificials(self) -> list:
         """Pivot basic artificials (at value zero) onto structural or slack
         columns, at the largest entry of their row; returns ``(row, col,
@@ -353,8 +352,8 @@ class _Node:
     since; nothing in it depends on a right-hand side.  ``pivots`` holds
     ``(row, col, pivot, factors)`` of each pivot from its parent: one
     simplex pivot, or the drive-out of the artificials that starts phase
-    2.  ``rows`` are the eligible rows of Dantzig's first entering column
-    ``col`` and ``column`` its entries there; ``rows`` is empty where no
+    2.  ``rows``, ``column`` and ``basics`` are :meth:`_Tableau.eligible`
+    of Dantzig's first entering column ``col``; ``rows`` is empty where no
     column improves (the phase ends) and None where that column has no
     eligible row (:func:`solve` takes over).  A node is built by copying
     its parent's tableau and pivoting, and enters the parent's
@@ -368,24 +367,20 @@ class _Node:
         self.iterations = tab.iterations
         self.basis, self.basis_matrix = tab.basis, tab.basis_matrix
         self.children = {}
-        arts = tab.n_struct + tab.n_slack
-        cost = _phase_costs(c, tab.total_cols, arts)[phase - 1]
-        allowed = np.arange(tab.total_cols) < (tab.total_cols if phase == 1 else arts)
+        cost, allowed = _phase(c, tab, phase)
         order = tab.entering(cost, cost[tab.basis], allowed, bland=False)
         self.col = order[0] if order else None
-        self.rows = self.column = self.leaving = []
+        self.rows = self.column = self.basics = []
         if order:
-            column = tab.A[:, self.col]
-            rows = (column > tab.STABLE_PIVOT).nonzero()[0]
-            self.rows = rows.tolist() if rows.size else None
-            self.column = column[rows].tolist()
-            self.leaving = tab.basis[rows].tolist()  # the basic variable of each row
+            rows, self.column, self.basics = tab.eligible(self.col)
+            self.rows = rows or None
 
     @staticmethod
     def root(lp: "LinearProgram", flip: np.ndarray) -> "_Node":
         """The first tableau of the lanes whose right-hand side is negative
         at ``flip``, published in ``lp._paths``."""
-        tab = _initial_tableau(lp.A_in, np.where(flip, -1.0, 1.0))
+        # a node never uses its rhs column; the flip's signs make it all ones
+        tab = _initial_tableau(lp.A_in, np.where(flip, -1.0, 1.0), flip)
         node = _Node(tab, lp.c, 1 if tab.n_art else 2, 0, [])
         lp._paths[flip.tobytes()] = node
         return node
@@ -408,11 +403,10 @@ def _walk(node: _Node, r: list, cap: int, stall_limit: int):
     """Follow :func:`solve` from ``node`` down the tree on the right-hand
     side ``r`` (floats, updated in place) to the end of the phase: replay
     each node's pivots on ``r`` with the operations of :meth:`_Tableau._pivot`
-    and pick each child by the ratio test of :meth:`_Tableau._leaving_row`
-    on ``r``, building it if new.  Returns the last node and whether the
-    phase ended there; where not (the iteration cap, a possible switch to
-    Bland's rule, a second-choice or unbounded column), :func:`solve` takes
-    over."""
+    and pick each child by :func:`_ratio_test` on ``r``, building it if
+    new.  Returns the last node and whether the phase ended there; where
+    not (the iteration cap, a possible switch to Bland's rule, a
+    second-choice or unbounded column), :func:`solve` takes over."""
     while True:
         for row, _, piv, factors in node.pivots:
             t = r[row] / piv
@@ -421,59 +415,66 @@ def _walk(node: _Node, r: list, cap: int, stall_limit: int):
         rows = node.rows
         if not rows or node.iterations >= cap or node.steps >= stall_limit:
             return node, rows == [] and node.iterations < cap
-        row = rows[0]
-        if len(rows) > 1:
-            column = node.column
-            ratios = [r[i] / a for i, a in zip(rows, column)]
-            best = min(ratios)
-            cut = best + DEFAULT_PIVOT_TOL * max(1.0, abs(best))
-            tied = [j for j, q in enumerate(ratios) if q <= cut]
-            row = rows[tied[0]]
-            if len(tied) > 1:
-                # prefer the largest pivot (stability), then the lowest basis index
-                top = max([column[j] for j in tied]) * (1.0 - 1e-9)
-                row = min([(node.leaving[j], rows[j]) for j in tied if column[j] >= top])[1]
+        row = _ratio_test(rows, node.column, node.basics, r)
         node = node.children.get(row) or node.grow(row)
 
 
-def _phase_costs(c: np.ndarray, total_cols: int, arts: int):
-    phase1 = np.zeros(total_cols)
-    phase1[arts:] = 1.0
-    phase2 = np.zeros(total_cols)
-    phase2[: c.size] = c
-    return phase1, phase2
+def _ratio_test(rows: list, column: list, basics: list, r: list) -> int:
+    """The leaving row of the primal simplex among :meth:`_Tableau.eligible`
+    (nonempty), in Python floats: the minimum ratio of ``r[row]`` to the
+    entry; among ratios within ``DEFAULT_PIVOT_TOL * max(1, |minimum|)``,
+    the largest entry (stability); among entries within a relative 1e-9 of
+    it, the lowest basic variable."""
+    if len(rows) == 1:
+        return rows[0]
+    ratios = [r[i] / a for i, a in zip(rows, column)]
+    best = min(ratios)
+    cut = best + DEFAULT_PIVOT_TOL * max(1.0, abs(best))
+    tied = [j for j, q in enumerate(ratios) if q <= cut]
+    if len(tied) == 1:
+        return rows[tied[0]]
+    top = max([column[j] for j in tied]) * (1.0 - 1e-9)
+    return min([(basics[j], rows[j]) for j in tied if column[j] >= top])[1]
 
 
-def solve(lp: LinearProgram, *, feas_tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
+def _phase(c: np.ndarray, tab: _Tableau, phase: int):
+    """The cost and the allowed columns of ``phase`` on ``tab``: phase 1
+    minimizes the sum of the artificials over every column, phase 2
+    minimizes ``c`` over the structural and slack columns."""
+    arts = tab.n_struct + tab.n_slack  # the first artificial column
+    cost = np.zeros(tab.total_cols)
+    if phase == 1:
+        cost[arts:] = 1.0
+    else:
+        cost[: c.size] = c
+    return cost, np.arange(tab.total_cols) < (tab.total_cols if phase == 1 else arts)
+
+
+def solve(lp: LinearProgram) -> LpOutcome:
     """Solve ``lp`` with the two-phase simplex.
 
     Returns an :class:`LpOutcome`; an ``OPTIMAL`` outcome is rechecked for
-    primal feasibility within ``feas_tol`` before being reported.  Raises
-    :class:`NumericalBreakdown` on pivot failure and
+    primal feasibility within ``DEFAULT_FEAS_TOL`` before being reported.
+    Raises :class:`NumericalBreakdown` on pivot failure and
     :class:`MaxIterationsExceeded` past :func:`_max_iterations`.
     """
     T, r = lp.A_in, lp.b_in
-    arts = sum(T.shape)  # the first artificial column
-
-    tab = _initial_tableau(T, r)
-    phase1, phase2 = _phase_costs(lp.c, tab.total_cols, arts)
-    allowed = np.ones(tab.total_cols, dtype=bool)
+    tab = _initial_tableau(T, r, r < 0)
     if tab.n_art:
         try:
-            tab.run(phase1, allowed)
+            tab.run(*_phase(lp.c, tab, 1))
         except _Unbounded:  # a numerical fault: the phase-1 objective is bounded
             raise NumericalBreakdown("phase 1 reported unbounded")
-        if _infeasible(tab.solution(tab.total_cols), arts, r[None], feas_tol)[0]:
+        if _infeasible(tab.solution(tab.total_cols), sum(T.shape), r[None])[0]:
             return LpOutcome(LpStatus.INFEASIBLE, iterations=tab.iterations)
         tab.drive_out_artificials()
-        allowed[arts:] = False
 
     try:
-        tab.run(phase2, allowed)
+        tab.run(*_phase(lp.c, tab, 2))
     except _Unbounded:
         return LpOutcome(LpStatus.UNBOUNDED, iterations=tab.iterations)
 
-    return _optimal(lp, tab, feas_tol)
+    return _optimal(lp, tab)
 
 
 def solve_dual(lp: LinearProgram) -> LpOutcome:
@@ -490,30 +491,22 @@ def solve_dual(lp: LinearProgram) -> LpOutcome:
     if negative.size:
         k = int(negative[0])
         raise ValueError(f"solve_dual needs a nonnegative cost; c[{k}] = {lp.c[k]!r}")
-    T, r = lp.A_in, lp.b_in
-    m, n = T.shape
-    A = np.zeros((m, n + m + 1))
-    A[:, :n] = T
-    A[np.arange(m), n + np.arange(m)] = 1.0
-    A[:, -1] = r
-    tab = _Tableau(A, n + np.arange(m), 0)
-    if not tab.run_dual(np.concatenate([lp.c, np.zeros(m)])):
+    tab = _initial_tableau(lp.A_in, lp.b_in, np.zeros(len(lp.b_in), dtype=bool))
+    if not tab.run_dual(_phase(lp.c, tab, 2)[0]):
         return LpOutcome(LpStatus.INFEASIBLE, iterations=tab.iterations)
-    return _optimal(lp, tab, DEFAULT_FEAS_TOL)
+    return _optimal(lp, tab)
 
 
-def _optimal(lp: LinearProgram, tab: _Tableau, feas_tol: float) -> LpOutcome:
+def _optimal(lp: LinearProgram, tab: _Tableau) -> LpOutcome:
     """The optimal outcome at the final basis of ``tab`` (:func:`_finish`);
     :class:`NumericalBreakdown` if it violates the constraints."""
-    Z, objective, resid, bad = _finish(lp, tab.solution(sum(lp.A_in.shape)), lp.b_in, feas_tol)
+    Z, objective, resid, bad = _finish(lp, tab.solution(sum(lp.A_in.shape)), lp.b_in)
     if bad[0]:
         raise NumericalBreakdown(f"optimal point violates constraints by {resid[0]:.3e}")
     return LpOutcome(LpStatus.OPTIMAL, Z[0], float(objective[0]), tab.iterations)
 
 
-def solve_batch(
-    lp: LinearProgram, *, b_in, feas_tol: float = DEFAULT_FEAS_TOL
-) -> list[LpOutcome]:
+def solve_batch(lp: LinearProgram, *, b_in) -> list[LpOutcome]:
     """:func:`solve` of ``lp`` with ``b_in`` replaced by each row of ``b_in``.
 
     Each lane of the (L, m) stack walks the program's pivot-path cache;
@@ -548,7 +541,7 @@ def solve_batch(
     for n_art, group in ends.items():
         lanes = [lane for lane, _, _ in group]
         y, bad = _solutions([node for _, node, _ in group], rhs[lanes], arts + n_art)
-        bad |= _infeasible(y, arts, R[lanes], feas_tol)
+        bad |= _infeasible(y, arts, R[lanes])
         for (lane, node, r), stop in zip(group, bad.tolist()):
             if not stop:
                 node, done = _walk(node.children.get(None) or node.grow(None), r, cap, stall_limit)
@@ -560,7 +553,7 @@ def solve_batch(
     if finals:
         lanes = [lane for lane, _ in finals]
         y, broken = _solutions([node for _, node in finals], rhs[lanes], arts)
-        Z, objective, _, bad = _finish(lp, y, R[lanes], feas_tol)
+        Z, objective, _, bad = _finish(lp, y, R[lanes])
         bad |= broken  # the lone solve falls back to the tableau values
         for i, (lane, node) in enumerate(finals):
             if bad[i]:
@@ -570,7 +563,7 @@ def solve_batch(
                     LpStatus.OPTIMAL, Z[i], float(objective[i]), node.iterations
                 )
     for lane in sorted(alone):
-        outcomes[lane] = solve(replace(lp, b_in=R[lane]), feas_tol=feas_tol)
+        outcomes[lane] = solve(replace(lp, b_in=R[lane]))
     return outcomes
 
 
@@ -594,16 +587,16 @@ def _solutions(tableaux: list, rhs: np.ndarray, width: int):
     return y, broken
 
 
-def _infeasible(y: np.ndarray, arts: int, R: np.ndarray, feas_tol: float) -> np.ndarray:
+def _infeasible(y: np.ndarray, arts: int, R: np.ndarray) -> np.ndarray:
     """The infeasible lanes: their phase-1 solutions ``y`` leave the
-    artificials (from column ``arts``) above ``feas_tol``, relative to ``R``."""
-    return y[:, arts:].sum(axis=1) > feas_tol * np.abs(R).max(axis=1, initial=1.0)
+    artificials (from column ``arts``) above ``DEFAULT_FEAS_TOL`` relative to ``R``."""
+    return y[:, arts:].sum(axis=1) > DEFAULT_FEAS_TOL * np.abs(R).max(axis=1, initial=1.0)
 
 
-def _finish(lp: LinearProgram, y: np.ndarray, B_in: np.ndarray, feas_tol: float):
+def _finish(lp: LinearProgram, y: np.ndarray, B_in: np.ndarray):
     """``z`` and objective at each row of the optimal basic solutions ``y``;
     how far each ``z`` violates the constraints of ``lp`` with ``b_in`` the
-    same row of ``B_in`` (or ``B_in`` for all), and where beyond ``feas_tol``
+    same row of ``B_in`` (or ``B_in`` for all), and where beyond ``DEFAULT_FEAS_TOL``
     relative to ``max(1, |b_in|)``."""
     Z = y[:, : lp.c.size] + 0.0  # adding 0.0 turns a -0.0 of the basis solve into 0.0
     scale = np.maximum(1.0, np.abs(B_in).max(axis=-1, initial=0.0))
@@ -612,4 +605,4 @@ def _finish(lp: LinearProgram, y: np.ndarray, B_in: np.ndarray, feas_tol: float)
         rows = (lp.A_in @ Z[:, :, None])[:, :, 0] - B_in
         resid = np.maximum(resid, rows.max(axis=1))
     objective = (Z[:, None, :] @ lp.c[:, None])[:, 0, 0]
-    return Z, objective, resid, resid > feas_tol * scale
+    return Z, objective, resid, resid > DEFAULT_FEAS_TOL * scale

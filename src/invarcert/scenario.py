@@ -149,11 +149,12 @@ class ScenarioSet:
 
     @classmethod
     def from_csv(cls, path) -> "ScenarioSet":
-        """Samples from a CSV file, one per row, after an optional header
-        line; ``#`` starts a comment.  A bad file is named with the line
-        (counting header, blank and comment lines) and column at fault."""
+        """Samples from a CSV file, one per row, after an optional byte-order
+        mark and header line; ``#`` starts a comment, and a line blank
+        without it is skipped.  A bad file is named with the line (counting
+        header, blank and comment lines) and column at fault."""
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 lines = fh.read().splitlines() or [""]
         except UnicodeDecodeError as exc:
             raise ValueError(f"scenarios file {path} is not UTF-8: {exc}") from None
@@ -164,8 +165,8 @@ class ScenarioSet:
             skip = 1  # header line
         # (line number, text before any comment) of each sample row
         rows = [(n, line.split("#")[0]) for n, line in enumerate(lines, 1) if n > skip]
-        rows = [(n, text) for n, text in rows if text]
-        if not any(text.strip() for _, text in rows):
+        rows = [(n, text) for n, text in rows if text.strip()]
+        if not rows:
             raise ValueError(f"{path}: no sample rows (the file is empty or only a header)")
         (first, width), *rest = [(n, text.count(",") + 1) for n, text in rows]
         for n, w in rest:
@@ -381,7 +382,7 @@ class _BlockProgram:
             for v, k in zip(products, live):
                 v -= b[k]
                 v[working[k]] = -np.inf  # already enforced exactly
-                batch = _most_violated(v, lp_core.DEFAULT_FEAS_TOL)
+                batch = _most_violated(v)
                 if batch.size:
                     working[k].extend(batch)
                     if not enforce(k):
@@ -432,17 +433,17 @@ class _BlockProgram:
         return culprit, vertex, int(np.argmax(block))
 
 
-def _most_violated(viol: np.ndarray, feas_tol: float) -> np.ndarray:
+def _most_violated(viol: np.ndarray) -> np.ndarray:
     """Positions of the at most ``_CG_BATCH`` largest entries of ``viol``
-    above ``feas_tol``, largest first, ties to the lowest position.
+    above ``lp_core.DEFAULT_FEAS_TOL``, largest first, ties to the lowest position.
 
-    Only the candidates above ``feas_tol`` at or above the
+    Only the candidates above that tolerance at or above the
     ``_CG_BATCH``-th largest of them (found by a partition) are sorted:
     each of them ranks above every other entry, ties at that place
     included, and they are taken in increasing position, so the stable
     sort picks exactly the rows a stable sort of all of ``viol`` would.
     """
-    cand = np.flatnonzero(viol > feas_tol)
+    cand = np.flatnonzero(viol > lp_core.DEFAULT_FEAS_TOL)
     if cand.size > _CG_BATCH:
         top = viol[cand]
         cand = cand[top >= np.partition(top, -_CG_BATCH)[-_CG_BATCH]]

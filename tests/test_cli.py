@@ -1126,6 +1126,32 @@ def test_non_finite_policy_file_fails_at_load(tmp_path, capsys, monkeypatch):
     assert captured.err == "error: policy gains and offsets of vertex 2 must be finite\n"
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("command", ["certify", "simulate", "feasibility"])
+def test_out_that_cannot_be_a_directory_refused_first(
+    command, below, tmp_path, capsys, monkeypatch
+):
+    from invarcert import cli, scenario
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was refused")
+
+    monkeypatch.setattr(cli, "load_config", no_work)
+    monkeypatch.setattr(scenario, "solve_affine_policy", no_work)
+    cfg = write(tmp_path, feasible_config())
+    (tmp_path / "notadir").write_text("")
+    out = tmp_path / "notadir" / "run" if below else tmp_path / "notadir"
+    argv = [command, "--config", cfg, "--out", str(out)]
+    if command == "simulate":
+        argv += ["--policy", cfg]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --out {out}: {tmp_path / 'notadir'} exists and is not a directory\n"
+    )
+
+
 @pytest.mark.parametrize("text", ["", "w1,w2\n"], ids=["empty", "header-only"])
 @pytest.mark.parametrize("command", ["certify", "feasibility"])
 def test_scenario_file_without_rows_named_at_load(command, text, tmp_path, capsys):

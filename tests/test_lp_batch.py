@@ -41,25 +41,25 @@ def _at(x):
     return np.hstack([x, -x])
 
 
-def _lone(lp, b_in, **kwargs):
+def _lone(lp, b_in):
     try:
-        out = solve(replace(lp, b_in=b_in), **kwargs)
+        out = solve(replace(lp, b_in=b_in))
     except NumericalBreakdown as exc:
         return type(exc), str(exc)
     return out.status, out.iterations, None if out.z is None else out.z.tobytes()
 
 
-def _assert_lanes_are_lone(lp, B, **kwargs):
-    lone = [_lone(lp, b, **kwargs) for b in B]
+def _assert_lanes_are_lone(lp, B):
+    lone = [_lone(lp, b) for b in B]
     errors = [o for o in lone if not isinstance(o[0], LpStatus)]
     if errors:  # the batch raises what the first raising lane raises
         with pytest.raises(errors[0][0]) as info:
-            solve_batch(lp, b_in=B, **kwargs)
+            solve_batch(lp, b_in=B)
         assert str(info.value) == errors[0][1]
         return lone
     batch = [
         (o.status, o.iterations, None if o.z is None else o.z.tobytes())
-        for o in solve_batch(lp, b_in=B, **kwargs)
+        for o in solve_batch(lp, b_in=B)
     ]
     assert batch == lone
     return lone
@@ -71,10 +71,10 @@ def alone(monkeypatch):
     the order it solves them."""
     seen = []
 
-    def spy(lp, **kwargs):
+    def spy(lp):
         if sys._getframe(1).f_code is solve_batch.__code__:
             seen.append(lp.b_in.tolist())
-        return solve(lp, **kwargs)
+        return solve(lp)
 
     monkeypatch.setattr(lp_core, "solve", spy)
     return seen
@@ -89,10 +89,10 @@ def test_decomposition_lanes_are_lone_solves(name, alone):
     states = np.array(decomposition_states(P, rng))
     for size in (1, 4):
         for lo in range(0, len(states), size):
-            _assert_lanes_are_lone(lp, _at(states[lo : lo + size]), feas_tol=1e-8)
+            _assert_lanes_are_lone(lp, _at(states[lo : lo + size]))
     weights = rng.dirichlet(np.ones(P.vertex_count), size=1000 - len(states))
     wide = np.vstack([states, (weights @ P.vertices) * rng.uniform(0, 1, (len(weights), 1))])
-    lone = _assert_lanes_are_lone(lp, _at(wide), feas_tol=1e-8)
+    lone = _assert_lanes_are_lone(lp, _at(wide))
     assert {o[0] for o in lone} == {LpStatus.OPTIMAL}
     assert alone == []  # every decomposition lane finishes in its walk
 
@@ -120,9 +120,9 @@ def test_bland_switch_after_a_stall(limit, monkeypatch, alone):
     rng = np.random.default_rng(2)
     P = random_box(rng, 4)
     states = np.array(decomposition_states(P, rng))
-    dantzig = [_lone(P.decomposition_lp, _at(x), feas_tol=1e-8) for x in states]
+    dantzig = [_lone(P.decomposition_lp, _at(x)) for x in states]
     monkeypatch.setattr(lp_core._Tableau, "stall_limit", limit)
-    lone = _assert_lanes_are_lone(P.decomposition_lp, _at(states), feas_tol=1e-8)
+    lone = _assert_lanes_are_lone(P.decomposition_lp, _at(states))
     assert lone != dantzig
     assert alone
 
@@ -198,8 +198,8 @@ def test_primal_violation_raises_alone_and_in_the_batch(alone, monkeypatch):
     # the batch hands each lane to it and raises the same
     finish = lp_core._finish
 
-    def violated(lp, y, B_in, feas_tol):
-        Z, objective, resid, bad = finish(lp, y, B_in, feas_tol)
+    def violated(lp, y, B_in):
+        Z, objective, resid, bad = finish(lp, y, B_in)
         return Z, objective, resid + 1.0, np.ones_like(bad)
 
     monkeypatch.setattr(lp_core, "_finish", violated)
@@ -214,8 +214,8 @@ def test_flagged_final_lane_is_solved_alone(alone, monkeypatch):
     # solve, whose own finish passes it
     finish = lp_core._finish
 
-    def flag_second(lp, y, B_in, feas_tol):
-        Z, objective, resid, bad = finish(lp, y, B_in, feas_tol)
+    def flag_second(lp, y, B_in):
+        Z, objective, resid, bad = finish(lp, y, B_in)
         if len(y) > 1:
             bad[1] = True
         return Z, objective, resid, bad
@@ -364,9 +364,9 @@ def test_walks_apply_the_lone_pivots(walked, monkeypatch):
         states = np.array(decomposition_states(P, rng))
         for x in states:
             seen.clear()
-            solve(replace(P.decomposition_lp, b_in=_at(x)), feas_tol=1e-8)
+            solve(replace(P.decomposition_lp, b_in=_at(x)))
             lone.append(seen.copy())
-        solve_batch(P.decomposition_lp, b_in=_at(states), feas_tol=1e-8)
+        solve_batch(P.decomposition_lp, b_in=_at(states))
     assert walked == dict(enumerate(lone))
 
 
@@ -382,9 +382,9 @@ def test_basic_artificials_keep_their_slack_twin(drive_outs):
         P = build(rng)
         states = np.array(decomposition_states(P, rng))
         for x in states:
-            solve(replace(P.decomposition_lp, b_in=_at(x)), feas_tol=1e-8)
+            solve(replace(P.decomposition_lp, b_in=_at(x)))
         lone = len(drive_outs)
-        solve_batch(P.decomposition_lp, b_in=_at(states), feas_tol=1e-8)
+        solve_batch(P.decomposition_lp, b_in=_at(states))
         assert len(drive_outs) > lone  # the walk's nodes drive out too
     assert len(drive_outs) > 500 and sum(drive_outs) > 1000
 
@@ -414,13 +414,13 @@ def test_outcomes_do_not_depend_on_the_cache(name):
     states = np.array(decomposition_states(P, rng))
     data = {f: getattr(P.decomposition_lp, f) for f in ("c", "A_in", "b_in")}
     lp, used = LinearProgram(**data), LinearProgram(**data)
-    fresh = solve_batch(lp, b_in=_at(states), feas_tol=1e-8)
+    fresh = solve_batch(lp, b_in=_at(states))
     axes = np.vstack([np.eye(P.dim), -np.eye(P.dim)]) * 0.25
     others = np.vstack([axes, 0.5 * states[::-1], states[::-1]])
-    solve_batch(used, b_in=_at(others), feas_tol=1e-8)
+    solve_batch(used, b_in=_at(others))
     roots = len(used._paths)
     assert roots > len(lp._paths)
-    assert _bytes(solve_batch(used, b_in=_at(states), feas_tol=1e-8)) == _bytes(fresh)
+    assert _bytes(solve_batch(used, b_in=_at(states))) == _bytes(fresh)
     assert len(used._paths) == roots  # every flip pattern was met before
 
 
@@ -448,12 +448,12 @@ def test_threads_share_one_cache():
     stacks = list((weights @ P.vertices) * rng.uniform(0.0, 1.0, (6, 40, 1)))
     data = {f: getattr(P.decomposition_lp, f) for f in ("c", "A_in", "b_in")}
     stacks = [_at(X) for X in stacks]
-    want = [_bytes(solve_batch(LinearProgram(**data), b_in=B, feas_tol=1e-8)) for B in stacks]
+    want = [_bytes(solve_batch(LinearProgram(**data), b_in=B)) for B in stacks]
     shared = LinearProgram(**data)
     got = [None] * len(stacks)
 
     def work(i):
-        got[i] = _bytes(solve_batch(shared, b_in=stacks[i], feas_tol=1e-8))
+        got[i] = _bytes(solve_batch(shared, b_in=stacks[i]))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -291,3 +291,83 @@ def test_unbounded_phase_1_raises(monkeypatch):
     lp = LinearProgram(c=[1.0], A_in=[[-1.0]], b_in=[-1.0])  # z >= 1: one artificial
     with pytest.raises(NumericalBreakdown, match="^phase 1 reported unbounded$"):
         solve(lp)
+
+
+def _reference_leaving_row(tab, col, branches):
+    """The primal ratio test as the lone solve ran it in numpy before the
+    walk and the lone solve shared one, with the branch it returned from
+    appended to ``branches``."""
+    column = tab.A[:, col]
+    rows = (column > tab.STABLE_PIVOT).nonzero()[0]
+    if rows.size <= 1:  # no ratio test to settle
+        branches.append("single" if rows.size else "none")
+        return int(rows[0]) if rows.size else None
+    ratios = tab.A[rows, -1] / column[rows]
+    best = ratios.min()
+    window = lp_core.DEFAULT_PIVOT_TOL * max(1.0, abs(best))
+    tied = rows[ratios <= best + window]
+    if np.unique(ratios[ratios <= best + window]).size > 1:
+        branches.append("tie within the window")
+    if tied.size == 1:
+        branches.append("minimum")
+        return int(tied[0])
+    # prefer the largest pivot (stability), then the lowest basis index
+    pivots = column[tied]
+    kept = tied[pivots >= pivots.max() * (1.0 - 1e-9)]
+    branches.append("largest pivot" if kept.size == 1 else "lowest basic variable")
+    if 1 < kept.size < tied.size:
+        branches.append("near pivots")
+    return int(kept[tab.basis[kept].argmin()])
+
+
+def _ratio_test_case(rng):
+    """A tableau whose column 0 enters: a few tied rows of one kind among
+    rows of larger ratios and rows that may not leave."""
+    m = int(rng.integers(1, 9))
+    tied = int(rng.integers(1, m + 1))
+    kind = rng.choice(["exact", "window", "equal pivots", "near pivots", "single"])
+    best = float(rng.choice([0.0, 0.5, 1.25, 3.0, 1e3]))
+    column = rng.choice([0.25, 0.5, 1.0, 2.0, 4.0], size=m)  # exact ratios
+    if kind == "equal pivots":
+        column[:] = column[0]
+    elif kind == "near pivots":  # within 1e-9 of each other, relative, or just past
+        column = column[0] * (1.0 - rng.choice([0.0, 0.5, 0.99, 1.01, 2.0], size=m) * 1e-9)
+    rhs = best * column
+    if kind == "window":  # ratios just inside or just outside the tie window
+        shift = rng.choice([0.0, 0.3, 0.99, 1.01, 3.0], size=m)
+        rhs = (best + shift * lp_core.DEFAULT_PIVOT_TOL * max(1.0, best)) * column
+    rhs[tied:] += rng.uniform(0.1, 2.0, size=m - tied) * column[tied:]  # larger ratios
+    barred = rng.random(m) < (0.8 if kind == "single" else 0.2)
+    if kind == "single":
+        barred[int(rng.integers(m))] = False
+    below = [-1.0, 0.0, 1e-10, lp_core._Tableau.STABLE_PIVOT]  # may not leave
+    column[barred] = rng.choice(below, size=barred.sum())
+    order = rng.permutation(m)
+    A = np.zeros((m, m + 2))
+    A[:, 0], A[:, -1] = column[order], rhs[order]
+    basis = rng.permutation(3 * m)[:m] + 1  # distinct basic variables
+    return lp_core._Tableau(A, basis, 0)
+
+
+def test_ratio_test_matches_the_numpy_reference():
+    # the one primal ratio test, in Python floats, picks the row the numpy
+    # ratio test of the lone solve picked, on every kind of tie
+    rng = np.random.default_rng(20)
+    branches = []
+    for _ in range(2000):
+        tab = _ratio_test_case(rng)
+        want = _reference_leaving_row(tab, 0, branches)
+        rows, column, basics = tab.eligible(0)
+        got = lp_core._ratio_test(rows, column, basics, tab.A[:, -1].tolist()) if rows else None
+        assert got == want
+    counts = {branch: branches.count(branch) for branch in set(branches)}
+    assert set(counts) == {
+        "none",
+        "single",
+        "minimum",
+        "largest pivot",
+        "lowest basic variable",
+        "near pivots",
+        "tie within the window",
+    }
+    assert min(counts.values()) >= 20, counts

@@ -68,6 +68,26 @@ class TestScenarioSet:
         headerless.write_text("0.1,0.2\n")
         assert ic.ScenarioSet.from_csv(headerless).K == 1
 
+    def test_csv_byte_order_mark(self, tmp_path):
+        # spreadsheet tools save UTF-8 with a byte-order mark; it is not
+        # part of the first line, so a headerless file keeps every sample
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text("0.1,0.2\n0.3,0.4\n0.5,0.6\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        scen = ic.ScenarioSet.from_csv(marked)
+        assert scen.K == 3
+        assert scen.fingerprint == ic.ScenarioSet.from_csv(plain).fingerprint
+        marked.write_bytes(b"\xef\xbb\xbfa,b\n0.1,0.2\n0.3,0.4\n")
+        assert ic.ScenarioSet.from_csv(marked).samples.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+
+    def test_csv_skips_lines_blank_without_their_comment(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("a,b\n0.1,0.2\n  \t\n   # note\n\n0.3,0.4\n \n\t# end\n")
+        assert ic.ScenarioSet.from_csv(path).samples.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+        path.write_text("a,b\n0.1,0.2\n  \t\n   # note\n0.3\n")
+        with pytest.raises(ValueError, match="line 5 has 1 field\\(s\\) but line 2 has 2$"):
+            ic.ScenarioSet.from_csv(path)
+
     def test_fingerprint_tracks_content(self):
         a = ic.ScenarioSet(samples=np.array([[1.0], [2.0]]))
         b = ic.ScenarioSet(samples=np.array([[1.0], [2.0]]))
@@ -758,7 +778,7 @@ def test_most_violated_matches_full_sort(viol):
     from invarcert.scenario import _most_violated
 
     viol = np.asarray(viol, dtype=float)
-    assert _most_violated(viol, 1e-9).tolist() == _reference_selection(viol, 1e-9)
+    assert _most_violated(viol).tolist() == _reference_selection(viol, 1e-9)
 
 
 def test_most_violated_on_random_ties():
@@ -768,7 +788,7 @@ def test_most_violated_on_random_ties():
     levels = np.array([-np.inf, -1.0, 0.0, 1e-9, 0.25, 0.5])
     for _ in range(300):
         viol = rng.choice(levels, size=rng.integers(0, 40))
-        assert _most_violated(viol, 1e-9).tolist() == _reference_selection(viol, 1e-9)
+        assert _most_violated(viol).tolist() == _reference_selection(viol, 1e-9)
 
 
 def _reference_solve_vertex(prog, vertex, sample_indices, seen):
@@ -818,9 +838,9 @@ def test_solve_vertex_matches_reference_cg_loop(monkeypatch):
 
     seen = []
 
-    def recording(viol, feas_tol, select=scenario._most_violated):
+    def recording(viol, select=scenario._most_violated):
         seen.append(viol.copy())
-        return select(viol, feas_tol)
+        return select(viol)
 
     monkeypatch.setattr(scenario, "_most_violated", recording)
 
@@ -875,7 +895,7 @@ def test_most_violated_matches_full_sort_on_a_seeded_corpus():
         viol = rng.choice([-np.inf, -1.0, 0.0, tol], size=size)  # never a candidate
         levels = rng.choice([2e-9, 0.25, 0.5, 1.0], size=rng.integers(1, 4), replace=False)
         viol[rng.choice(size, count, replace=False)] = rng.choice(levels, size=count)
-        assert _most_violated(viol, tol).tolist() == _reference_selection(viol, tol)
+        assert _most_violated(viol).tolist() == _reference_selection(viol, tol)
         ranked = np.sort(viol[viol > tol])[::-1]
         seen.add(ranked.size)
         if ranked.size > _CG_BATCH and ranked[_CG_BATCH - 1] == ranked[_CG_BATCH]:
@@ -1108,7 +1128,7 @@ def test_constraint_generation_that_never_settles_raises(monkeypatch):
     from invarcert import scenario
 
     fam, S, U, scen = path_instance(K=3, seed=8)
-    monkeypatch.setattr(scenario, "_most_violated", lambda viol, feas_tol: np.array([0]))
+    monkeypatch.setattr(scenario, "_most_violated", lambda viol: np.array([0]))
     with pytest.raises(ic.NumericalBreakdown, match="^constraint generation failed to converge$"):
         ic.solve_affine_policy(fam, S, U, scen)
 
