@@ -9,6 +9,7 @@ byte-identical output.
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -158,7 +159,7 @@ def run_certify(
 
 def _load_policy(path) -> scenario.AffinePolicy:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             payload = json.load(fh)
     except OSError as exc:
         raise InvalidArguments(f"cannot read policy file: {exc}") from exc
@@ -218,6 +219,20 @@ def _sample_parameter(family, sample) -> np.ndarray:
     return delta
 
 
+def _trajectory_name(idx: int) -> str:
+    return f"trajectory_{idx:04d}.csv"
+
+
+def _remove_stale_trajectories(out_dir, count: int) -> None:
+    """Delete the trajectory files an earlier run left in ``out_dir`` beyond
+    the first ``count``: only names this command writes, from index
+    ``count`` on."""
+    for name in os.listdir(out_dir):
+        index = re.fullmatch(r"trajectory_(\d+)\.csv", name)
+        if index and int(index[1]) >= count and name == _trajectory_name(int(index[1])):
+            os.remove(os.path.join(out_dir, name))
+
+
 def run_simulate(
     config: ProblemConfig,
     policy: scenario.AffinePolicy,
@@ -242,13 +257,13 @@ def run_simulate(
         if sample is None:
             raise
         raise InvalidArguments(f"--sample {delta.tolist()} overflows the run: {exc}") from None
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        _remove_stale_trajectories(out_dir, len(trajectories))
     summary = []
     for idx, traj in enumerate(trajectories):
         if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-            closed_loop.write_trajectory_csv(
-                os.path.join(out_dir, f"trajectory_{idx:04d}.csv"), traj
-            )
+            closed_loop.write_trajectory_csv(os.path.join(out_dir, _trajectory_name(idx)), traj)
         summary.append(
             {
                 "trajectory": idx,

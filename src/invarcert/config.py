@@ -186,7 +186,7 @@ def parse_scenarios(spec, base_dir=None) -> ScenarioSet:
 
 
 def load_config(path) -> ProblemConfig:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             raw = json.load(fh)
         except ValueError as exc:  # not UTF-8, or not JSON

@@ -242,6 +242,19 @@ class AffinePolicy:
         return U if stack else U[0]
 
 
+def _plants(family, S: Polytope, U: Polytope, deltas, first: int):
+    """``family.instantiate_batch(deltas)``, checked against ``S`` and ``U``.
+    ``first`` is the position of ``deltas[0]`` in the whole sample list; an
+    :class:`UnknownSample` names its draw by that position."""
+    try:
+        A, B = family.instantiate_batch(deltas)
+    except UnknownSample as exc:
+        raise UnknownSample(first + exc.row, exc.value, exc.count) from None
+    if A.shape[1:] != (S.dim, S.dim) or B.shape[1:] != (S.dim, U.dim):
+        raise DimensionMismatch("family output does not match S and U")
+    return A, B
+
+
 def vertex_constraints(family, S: Polytope, U: Polytope, deltas, first: int = 0):
     """Input-space rows of every vertex block, for a (K, ell) stack of draws.
 
@@ -252,12 +265,7 @@ def vertex_constraints(family, S: Polytope, U: Polytope, deltas, first: int = 0)
     ``first`` is the position of ``deltas[0]`` in the whole sample list; an
     :class:`UnknownSample` names its draw by that position.
     """
-    try:
-        A, B = family.instantiate_batch(deltas)
-    except UnknownSample as exc:
-        raise UnknownSample(first + exc.row, exc.value, exc.count) from None
-    if A.shape[1:] != (S.dim, S.dim) or B.shape[1:] != (S.dim, U.dim):
-        raise DimensionMismatch("family output does not match S and U")
+    A, B = _plants(family, S, U, deltas, first)
     q = U.facet_count
     G = np.empty((A.shape[0], q + S.facet_count, U.dim))
     G[:, :q] = U.facets
@@ -269,16 +277,25 @@ def vertex_constraints(family, S: Polytope, U: Polytope, deltas, first: int = 0)
 
 def is_admissible(family, S: Polytope, U: Polytope, delta, u, *, first: int = 0):
     """True iff every vertex input lies in ``U`` and maps its vertex into ``S``,
-    within :data:`geometry.DEFAULT_TOL`.
+    within :data:`geometry.DEFAULT_TOL`: ``H u_i <= 1`` and
+    ``F (A x_i + B u_i) <= 1`` for every vertex ``x_i``.
 
     ``delta`` is one draw with vertex inputs ``u`` (N, m), or a (M, ell)
     stack of draws with inputs (M, N, m), which gives a boolean mask (M,).
-    ``first`` is as in :func:`vertex_constraints`.
+    ``first`` is as in :func:`vertex_constraints`.  The images of all
+    vertices under all draws are formed at once: ``A X^T`` as one product
+    over the stacked rows of every ``A``, then ``B u`` as m multiply-adds.
     """
     deltas = np.atleast_2d(np.asarray(delta, dtype=float))
-    G, l = vertex_constraints(family, S, U, deltas, first)
-    u = np.asarray(u, dtype=float).reshape(deltas.shape[0], S.vertex_count, U.dim)
-    ok = np.all(u @ G.transpose(0, 2, 1) <= l + DEFAULT_TOL, axis=(1, 2))
+    A, B = _plants(family, S, U, deltas, first)
+    M, n = A.shape[:2]
+    u = np.asarray(u, dtype=float).reshape(M, S.vertex_count, U.dim)
+    images = (A.reshape(M * n, n) @ S.vertices.T).reshape(M, n, -1)  # column i: A x_i
+    for a in range(U.dim):
+        images += B[:, :, a, None] * u[:, None, :, a]
+    bound = 1.0 + DEFAULT_TOL
+    ok = np.all((S.facets @ images).reshape(M, -1) <= bound, axis=1)
+    ok &= np.all((u.reshape(-1, U.dim) @ U.facets.T).reshape(M, -1) <= bound, axis=1)
     return bool(ok[0]) if np.ndim(delta) < 2 else ok
 
 

@@ -163,12 +163,18 @@ class AffineFamily:
                     )
         if A_terms and B_terms and len(A_terms) != len(B_terms):
             raise DimensionMismatch("A and B term counts differ")
-        for a in (A0, B0) + A_terms + B_terms:
+        # the terms stacked entry-major, (terms, entries, 1), for instantiate_batch
+        entry_terms = tuple(
+            np.reshape(terms, (len(terms), base.size, 1))
+            for base, terms in ((A0, A_terms), (B0, B_terms))
+        )
+        for a in (A0, B0) + A_terms + B_terms + entry_terms:
             a.setflags(write=False)
         object.__setattr__(self, "A0", A0)
         object.__setattr__(self, "B0", B0)
         object.__setattr__(self, "A_terms", A_terms)
         object.__setattr__(self, "B_terms", B_terms)
+        object.__setattr__(self, "_entry_terms", entry_terms)
 
     @property
     def n(self) -> int:
@@ -201,13 +207,26 @@ class AffineFamily:
             raise DimensionMismatch(
                 f"expected a (K, {self.ell}) parameter stack, got shape {d.shape}"
             )
-        A = np.repeat(self.A0[None], d.shape[0], axis=0)
-        for k, term in enumerate(self.A_terms):
-            A += d[:, k, None, None] * term
-        B = np.repeat(self.B0[None], d.shape[0], axis=0)
-        for k, term in enumerate(self.B_terms):
-            B += d[:, k, None, None] * term
-        return A, B
+        columns = np.ascontiguousarray(d.T)[:, None, :]  # (ell, 1, K)
+        A_terms, B_terms = self._entry_terms
+        return _affine_stack(self.A0, A_terms, columns), _affine_stack(self.B0, B_terms, columns)
+
+
+def _affine_stack(base, terms, columns):
+    """``base + columns[0] terms[0] + columns[1] terms[1] + ...`` for the
+    parameter columns (ell, 1, K) of K draws and the terms stacked
+    entry-major, (terms, base.size, 1): a stack (K,) + ``base.shape``.
+
+    One product of every term entry with its parameter column, added onto
+    ``base`` term by term and transposed once, so each entry takes the
+    same multiplies and adds, in the same order, as one draw alone.
+    """
+    K = columns.shape[2]
+    stack = np.empty((base.size, K))
+    stack[:] = base.reshape(-1, 1)
+    for product in terms * columns[: len(terms)]:
+        stack += product
+    return np.ascontiguousarray(stack.T).reshape((K,) + base.shape)
 
 
 @dataclass(frozen=True, init=False)

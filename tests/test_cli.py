@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -410,6 +411,21 @@ def test_unreadable_json_file_named_with_its_role(role, content, reason, tmp_pat
     assert captured.err == f"error: {role} file {bad} is not UTF-8 JSON: {reason}\n"
 
 
+@pytest.mark.parametrize("role", ["config", "policy"])
+def test_json_file_with_a_byte_order_mark(role, tmp_path, capsys):
+    # a UTF-8 byte-order mark is read past, as in a scenarios CSV
+    files = dict(zip(["config", "policy"], _certified_policy(tmp_path, capsys)))
+    plain = ["simulate", "--config", files["config"], "--policy", files["policy"]]
+    marked = tmp_path / "marked.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(files[role]).read_bytes())
+    files[role] = str(marked)
+    argv = ["simulate", "--config", files["config"], "--policy", files["policy"]]
+    assert main(argv + ["--horizon", "5"]) == 0
+    with_mark = capsys.readouterr().out
+    assert main(plain + ["--horizon", "5"]) == 0
+    assert with_mark == capsys.readouterr().out
+
+
 def table_index_config(tmp_path, indices):
     """Config of a two-entry table family whose scenarios are ``indices``."""
     np.savetxt(tmp_path / "indices.csv", np.reshape(indices, (-1, 1)), delimiter=",")
@@ -515,6 +531,23 @@ def test_simulate_outputs_reproducible(tmp_path, capsys):
         runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert len(runs[0]) == 8  # summary.json and 7 trajectory CSVs
     assert runs[0] == runs[1]
+
+
+def test_rerun_into_an_out_directory_removes_stale_trajectories(tmp_path, capsys):
+    # a second run with fewer starts leaves only its own trajectories next
+    # to its summary; files that are not trajectories of this command stay
+    cfg, policy = _certified_policy(tmp_path, capsys)
+    out = tmp_path / "sim"
+    argv = ["simulate", "--config", cfg, "--policy", policy, "--horizon", "5", "--out", str(out)]
+    assert main(argv + ["--init", "random:4"]) == 0
+    capsys.readouterr()
+    kept = ["notes.txt", "trajectory_12.csv", "trajectory_0002.csv.bak", "trajectory_00003.csv"]
+    for name in kept:
+        (out / name).write_text("kept")
+    assert main(argv + ["--init", "random:2"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["trajectories"]) == 2
+    expected = ["summary.json", "trajectory_0000.csv", "trajectory_0001.csv"] + kept
+    assert sorted(p.name for p in out.iterdir()) == sorted(expected)
 
 
 def test_reports_reproducible_across_processes(tmp_path):

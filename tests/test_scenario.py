@@ -678,6 +678,59 @@ def test_batched_admissibility_matches_single_draws(kind, monkeypatch):
     assert failures == np.flatnonzero(~mask).tolist()
 
 
+def _row_form_admissible(fam, S, U, draws, inputs):
+    """The check that ``is_admissible`` replaced: the input-space rows
+    ``G u <= l`` of :func:`vertex_constraints`, one chunk at a time."""
+    from invarcert.geometry import DEFAULT_TOL
+
+    mask = np.empty(len(draws), dtype=bool)
+    for lo, hi in ic.scenario.chunks(len(draws)):
+        G, l = ic.vertex_constraints(fam, S, U, draws[lo:hi])
+        rows = inputs[lo:hi] @ G.transpose(0, 2, 1)
+        mask[lo:hi] = np.all(rows <= l + DEFAULT_TOL, axis=(1, 2))
+        # the two forms round differently: no row may sit on its bound
+        assert np.all(np.abs(l + DEFAULT_TOL - rows) > 1e-12)
+    return mask
+
+
+@pytest.mark.parametrize("kind", ["affine", "network", "table", "six_node"])
+def test_image_check_matches_the_row_form(kind):
+    # H u_i <= 1 and F (A x_i + B u_i) <= 1 is the row form G u_i <= l_i
+    # with F A x_i moved to the other side: the same verdict on every draw
+    rng = np.random.default_rng(31)
+    if kind == "six_node":
+        fam, S, U, scen = six_node_instance(K=600)
+        policy = ic.solve_affine_policy(fam, S, U, scen)
+        draws = scen.distribution.draw(20000, rng)
+    else:
+        fam, S, U, policy, draws = _admissibility_case(kind, rng)
+    inputs = policy.vertex_inputs(draws)
+    mask = ic.is_admissible(fam, S, U, draws, inputs)
+    assert mask.tolist() == _row_form_admissible(fam, S, U, draws, inputs).tolist()
+    assert 0 < mask.sum() < mask.size  # both outcomes occur
+
+
+def test_monte_carlo_memory_peak():
+    # the pass holds one chunk's temporaries at a time, whatever M is; the
+    # largest is the product of the affine terms with the chunk's
+    # parameters, (ell, n * n, CHUNK)
+    import tracemalloc
+
+    from invarcert import scenario
+
+    fam, S, U, scen = six_node_instance(K=600)
+    policy = ic.solve_affine_policy(fam, S, U, scen)
+    draws = scen.distribution.draw(15000, np.random.default_rng(0))
+    product = fam.ell * fam.n * fam.n * scenario.CHUNK * 8
+    tracemalloc.start()
+    try:
+        ic.empirical_violation(fam, S, U, policy, draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * product
+
+
 @pytest.mark.parametrize("N, m, ell", [(8, 2, 4), (4, 2, 12), (2, 1, 1)])
 def test_vertex_inputs_of_one_draw_are_a_stack_of_one(N, m, ell):
     rng = np.random.default_rng(ell)

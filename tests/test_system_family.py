@@ -109,6 +109,51 @@ def test_instantiate_batch_matches_instantiate():
             fam.instantiate_batch(deltas[:, :-1])
 
 
+def _per_term_reference(fam, deltas):
+    """The draw-major build that the entry-major one replaced: each term,
+    scaled by its parameter column, is added onto the whole stack in turn."""
+    A = np.repeat(fam.A0[None], len(deltas), axis=0)
+    for k, term in enumerate(fam.A_terms):
+        A += deltas[:, k, None, None] * term
+    B = np.repeat(fam.B0[None], len(deltas), axis=0)
+    for k, term in enumerate(fam.B_terms):
+        B += deltas[:, k, None, None] * term
+    return A, B
+
+
+def _term_families():
+    from instances import affine3_instance, random_affine_instance, six_node_instance
+
+    rng = np.random.default_rng(17)
+    mixed = random_affine_instance(rng, n=3, m=2, ell=4)
+    return {
+        "six_node": six_node_instance(K=1)[0],
+        "affine3": affine3_instance(K=1, seed=0)[0],
+        "no_A_terms": ic.AffineFamily(A0=mixed.A0, B0=mixed.B0, B_terms=mixed.B_terms),
+        "no_B_terms": ic.AffineFamily(A0=mixed.A0, B0=mixed.B0, A_terms=mixed.A_terms),
+        "scalar": ic.AffineFamily(
+            A0=[[0.9]], B0=[[1.0]], A_terms=rng.normal(size=(3, 1, 1)), B_terms=rng.normal(size=(3, 1))
+        ),
+    }
+
+
+@pytest.mark.parametrize("K", [1, 2, 511, 512, 513, 5000])
+@pytest.mark.parametrize("kind", ["six_node", "affine3", "no_A_terms", "no_B_terms", "scalar"])
+def test_instantiate_batch_matches_the_per_term_loop(kind, K):
+    fam = _term_families()[kind]
+    rng = np.random.default_rng(K)
+    for scale in (1e-3, 1.0, 1e3):
+        deltas = scale * rng.uniform(-1.0, 1.0, size=(K, fam.ell))
+        A, B = fam.instantiate_batch(deltas)
+        A_ref, B_ref = _per_term_reference(fam, deltas)
+        assert A.shape == A_ref.shape and B.shape == B_ref.shape
+        assert A.flags.c_contiguous and B.flags.c_contiguous
+        assert A.tobytes() == A_ref.tobytes() and B.tobytes() == B_ref.tobytes()
+        for k in {0, K // 2, K - 1}:
+            A_k, B_k = fam.instantiate(deltas[k])
+            assert A_k.tobytes() == A[k].tobytes() and B_k.tobytes() == B[k].tobytes()
+
+
 def test_orientation_invariance():
     # flipping an edge orientation flips the incidence column sign, which
     # cancels in both D W D^T products
