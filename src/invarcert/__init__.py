@@ -17,7 +17,6 @@ from .closed_loop import (
     empirical_violation,
     estimate_violation,
     simulate_closed_loop,
-    vertex_control_input,
 )
 from .errors import (
     DimensionMismatch,

@@ -199,9 +199,16 @@ def _initial_states(
     raise ConfigError(f"unknown --init spec '{spec}' (use vertices or random:N)")
 
 
-def _sample_parameter(family, sample) -> np.ndarray:
+class _Sampled:
+    """The family at one checked ``--sample``: its plant is built only once."""
+
+    def __init__(self, family, plant):
+        self.m, self.ell, self.instantiate = family.m, family.ell, lambda delta: plant
+
+
+def _sample_parameter(family, sample):
     """``sample`` as the parameter of a simulation: ``ell`` finite numbers
-    whose plant ``A(delta), B(delta)`` is finite."""
+    whose plant ``A(delta), B(delta)`` is finite; with the family at it."""
     delta = np.asarray(sample, dtype=float)
     if delta.shape != (family.ell,):
         raise InvalidArguments(f"--sample has {delta.size} values, expected {family.ell}")
@@ -216,7 +223,7 @@ def _sample_parameter(family, sample) -> np.ndarray:
         ) from None
     if not all(np.isfinite(M).all() for M in plant):
         raise InvalidArguments(f"--sample {delta.tolist()} gives a non-finite plant")
-    return delta
+    return delta, _Sampled(family, plant)
 
 
 def _trajectory_name(idx: int) -> str:
@@ -247,7 +254,9 @@ def run_simulate(
     family, S = config.family, config.state_set
     if seed < 0:
         raise InvalidArguments(f"--seed must be >= 0, got {seed}")
-    delta = family.nominal_delta if sample is None else _sample_parameter(family, sample)
+    delta = family.nominal_delta
+    if sample is not None:
+        delta, family = _sample_parameter(family, sample)
     starts = _initial_states(init, S, seed, horizon)
     try:
         trajectories = closed_loop.simulate_closed_loop(

@@ -17,11 +17,13 @@ states of a step go in one call, which solves their LPs by walking the
 program's cache of pivot paths (:func:`lp_core.solve_batch`).
 
 :func:`simulate_closed_loop` steps a whole stack of starts together as
-arrays; one start is a stack of one.  Simulation keeps going when a
-trajectory leaves the set (an exit is data, not an error): from a start's
-first exit step onwards its input is frozen at zero and the step is
-flagged.  A failed decomposition is no exit but a numerical fault (its LP
-is feasible and bounded), and raises :class:`DecompositionInfeasible`.
+column stacks; one start is a stack of one.  A step runs the products
+that set the bits and one scalar exit test; the gauges are taken from the
+kept ``F x`` after the loop.  Simulation keeps going when a trajectory
+leaves the set (an exit is data, not an error): from a start's first exit
+step onwards its input is frozen at zero and the step is flagged.  A
+failed decomposition is no exit but a numerical fault (its LP is feasible
+and bounded), and raises :class:`DecompositionInfeasible`.
 """
 
 import csv
@@ -37,7 +39,7 @@ from .scenario import AffinePolicy, chunks, is_admissible
 DEFAULT_HORIZON = 50
 DEFAULT_MC_SAMPLES = 10_000
 # the most states (starts x (horizon + 1) x dimension) one simulation may
-# hold: 80 MB of float64
+# hold: 80 MB of float64, and facets / dimension times that for their F x
 MAX_STATES = 10_000_000
 
 
@@ -69,55 +71,33 @@ class Trajectory:
         return float(self.gauges.max())
 
 
-def _apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``M @ x`` for every row ``x`` of ``X`` (N, n); ``M`` is one matrix or
-    one per row.  Each row is its own product, so a row's result does not
-    depend on how many rows are stacked with it."""
-    return (M @ X[:, :, None])[:, :, 0]
+def _vertex_law(S, simplicial, facet_inputs, vertex_inputs, X, Fx, out=None):
+    """Vertex-law inputs, as rows (N, 1, m), at the column stack of states
+    ``X`` (N, n, 1) inside ``S``, written into ``out`` if given.
 
-
-def _vertex_law(S, facet_inputs, vertex_inputs, X, Fx):
-    """Vertex-law inputs (N, m) at the states ``X`` (N, n) inside ``S``.
-
-    ``Fx`` (N, p) holds ``F x`` for every state and ``facet_inputs`` (p,
+    ``Fx`` (N, p, 1) holds ``F x`` for every state and ``facet_inputs`` (p,
     n, m) the inputs at each facet's simplex vertices.  On a simplicial
     facet ``k = argmax F x`` (lowest index on ties) the decomposition is
     ``V_k^{-1} x``; it is accepted when no weight is below -1e-11 and
-    clipped at zero.  Every other state goes into one stacked
+    clipped at zero, by one scalar test of the whole stack when every facet
+    is a simplex (``simplicial``).  Every other state goes into one stacked
     :func:`geometry.vertex_decompose`, which raises
     :class:`DecompositionInfeasible` on a numerical fault.
     """
     facets = S.facet_simplices
-    k = Fx.argmax(axis=1)
-    gamma = _apply(facets.inverses[k], X)
-    explicit = facets.simplex[k] & (gamma.min(axis=1) >= -1e-11)
-    u = (np.maximum(gamma, 0.0)[:, None, :] @ facet_inputs[k])[:, 0]
-    rows = (~explicit).nonzero()[0]
-    if rows.size:
-        weights = geometry.vertex_decompose(S, X[rows])
-        u[rows] = (weights[:, None, :] @ vertex_inputs)[:, 0]
+    k = Fx[:, :, 0].argmax(axis=1)
+    gamma = facets.inverses.take(k, axis=0) @ X
+    # ``item(argmin())`` is ``min()``, NaN included, without its overhead
+    if simplicial and gamma.item(gamma.argmin()) >= -1e-11:
+        rows = ()
+    else:
+        explicit = facets.simplex[k] & (gamma.min(axis=(1, 2)) >= -1e-11)
+        rows = (~explicit).nonzero()[0]
+    u = np.matmul(np.maximum(gamma, 0.0).transpose(0, 2, 1), facet_inputs.take(k, axis=0), out=out)
+    if len(rows):
+        weights = geometry.vertex_decompose(S, X[rows, :, 0])
+        u[rows] = weights[:, None, :] @ vertex_inputs
     return u
-
-
-def vertex_control_input(S: Polytope, vertex_inputs, x) -> np.ndarray:
-    """Input prescribed by the vertex control law at state ``x``.
-
-    ``vertex_inputs`` holds one input per vertex of ``S`` (shape (N, m)).
-    A state outside ``S``, or one whose decomposition fails numerically,
-    raises :class:`DecompositionInfeasible`.
-    """
-    VU = np.asarray(vertex_inputs, dtype=float)
-    if VU.ndim == 1:
-        VU = VU[:, None]
-    if VU.shape[0] != S.vertex_count:
-        raise DimensionMismatch(f"expected {S.vertex_count} vertex inputs, got {VU.shape[0]}")
-    X = np.asarray(x, dtype=float).reshape(1, -1)
-    if X.shape[1] != S.dim:
-        raise DimensionMismatch(f"point has dimension {X.shape[1]}, expected {S.dim}")
-    Fx = _apply(S.facets, X)
-    if Fx.max() > 1.0 + DEFAULT_TOL:
-        raise DecompositionInfeasible(f"point outside polytope beyond tol={DEFAULT_TOL}")
-    return _vertex_law(S, VU[S.facet_simplices.vertices], VU, X, Fx)[0]
 
 
 def check_size(N: int, T: int, n: int) -> None:
@@ -163,50 +143,60 @@ def simulate_closed_loop(
     zero and ``first_exit`` records the step.  A failed decomposition is
     no exit: it raises :class:`DecompositionInfeasible`.  A policy whose
     gains are not (vertices of ``S``, m, ell) raises
-    :class:`DimensionMismatch` first, and a horizon ``T < 1`` or a run of
-    more than :data:`MAX_STATES` states raises :class:`InvalidArguments`
-    before anything is allocated.  A run that overflows raises
+    :class:`DimensionMismatch` first, and a horizon ``T < 1``, a run of
+    more than :data:`MAX_STATES` states or a parameter that is not finite
+    raises :class:`InvalidArguments` before anything is allocated; a start
+    outside ``S``, or not finite, raises :class:`DecompositionInfeasible`
+    before any step.  A run that overflows raises
     :class:`TrajectoryOverflow`, naming the first start with a non-finite
     state and its first such step.
     """
     _check_policy_shape(family, S, policy)
     delta = np.asarray(delta, dtype=float).ravel()
-    A, B = family.instantiate(delta)
+    bad = np.flatnonzero(~np.isfinite(delta))
+    if bad.size:
+        raise InvalidArguments(f"parameter entry {bad[0]} is {delta[bad[0]]}, not finite")
     x0 = np.asarray(x0, dtype=float)
     single = x0.ndim < 2
     X = x0.reshape(1, -1) if single else x0
     if X.ndim != 2 or X.shape[1] != S.dim:
-        raise DimensionMismatch(
-            f"x0 has shape {x0.shape}, expected ({S.dim},) or (N, {S.dim})"
-        )
+        raise DimensionMismatch(f"x0 has shape {x0.shape}, expected ({S.dim},) or (N, {S.dim})")
     check_size(X.shape[0], T, S.dim)
-    Fx = _apply(S.facets, X)
-    outside = np.flatnonzero((Fx > 1.0 + DEFAULT_TOL).any(axis=1))
+    Fx = S.facets @ X[:, :, None]
+    bound = 1.0 + DEFAULT_TOL
+    outside = np.flatnonzero(~(Fx <= bound).all(axis=(1, 2)))  # a NaN start too
     if outside.size:
         raise DecompositionInfeasible(f"start {outside[0]} lies outside S")
-
-    N, n = X.shape[0], S.dim
-    states = np.empty((N, T + 1, n))
-    gauges = np.empty((N, T + 1))
-    states[:, 0] = X
-    gauges[:, 0] = np.maximum(Fx.max(axis=1), 0.0)
+    A, B = family.instantiate(delta)
+    N = X.shape[0]
+    # step-major column stacks of the states, their F x and the inputs (as rows); a
+    # stacked product is one product per row, so a start's bits do not depend on the stack
+    states = np.empty((T + 1, N, S.dim, 1))
+    images = np.empty((T + 1, N, S.facet_count, 1))
+    inputs = np.zeros((T, N, 1, family.m))
+    states[0], images[0] = X[:, :, None], Fx
     first_exit = np.full(N, -1)
-    live = slice(None)  # the starts that have not exited: all, until one does
+    live = None  # the starts that have not exited: all, until one does
     # an overflow shows as a non-finite state, refused once after the loop
     with np.errstate(over="ignore", invalid="ignore"):
         vertex_inputs = policy.vertex_inputs(delta)
-        facet_inputs = vertex_inputs[S.facet_simplices.vertices]
-        inputs = np.zeros((N, T, vertex_inputs.shape[1]))
+        facets = S.facet_simplices
+        law = (S, bool(facets.simplex.all()), vertex_inputs[facets.vertices], vertex_inputs)
         for t in range(T):
-            inputs[live, t] = _vertex_law(S, facet_inputs, vertex_inputs, X[live], Fx[live])
-            X = _apply(A, X) + _apply(B, inputs[:, t])
-            Fx = _apply(S.facets, X)
-            states[:, t + 1] = X
-            gauges[:, t + 1] = np.maximum(Fx.max(axis=1), 0.0)
-            inside = gauges[:, t + 1] <= 1.0 + DEFAULT_TOL  # a NaN state exits
-            if not inside.all():
-                first_exit[(first_exit < 0) & ~inside] = t + 1
+            X, U = states[t], inputs[t]
+            if live is None:
+                _vertex_law(*law, X, images[t], out=U)
+            elif live.size:
+                U[live] = _vertex_law(*law, X[live], images[t][live])
+            X = np.matmul(A, X, out=states[t + 1])
+            X += B @ U.transpose(0, 2, 1)
+            Fx = np.matmul(S.facets, X, out=images[t + 1])
+            if not Fx.item(Fx.argmax()) <= bound:  # ``max()``: a NaN state exits too
+                first_exit[(first_exit < 0) & ~(Fx.max(axis=(1, 2)) <= bound)] = t + 1
                 live = (first_exit < 0).nonzero()[0]
+        gauges = np.maximum(images.max(axis=(2, 3)), 0.0).T.copy()
+    states = states[:, :, :, 0].transpose(1, 0, 2).copy()
+    inputs = inputs[:, :, 0].transpose(1, 0, 2).copy()
     finite = np.isfinite(states).all(axis=2)
     if not finite.all():
         s = int((~finite).any(axis=1).argmax())

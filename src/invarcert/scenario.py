@@ -22,6 +22,7 @@ cardinality drives the certificate.
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -225,8 +226,9 @@ class AffinePolicy:
         object.__setattr__(self, "gains", g)
         object.__setattr__(self, "offsets", d)
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
+        """Digest of the gains and offsets, which are read-only: taken once."""
         return _digest(self.gains, self.offsets)
 
     def vertex_inputs(self, delta) -> np.ndarray:

@@ -11,9 +11,11 @@ from invarcert.closed_loop import (
 from invarcert.geometry import DecompositionInfeasible
 
 from instances import (
+    affine3_instance,
     cross_polytope,
     path_instance,
     random_hull_polytope,
+    random_prism,
     six_node_instance,
     unstable_edge_family,
 )
@@ -31,24 +33,35 @@ def zero_policy(N, m, ell=1):
     return ic.AffinePolicy(gains=np.zeros((N, m, ell)), offsets=np.zeros((N, m)))
 
 
+def law_inputs(S, vertex_inputs, X):
+    """The vertex law's inputs at the states ``X`` (N, n) of ``S``: the
+    first inputs of a one-step run of the zero plant under a policy that
+    gives ``vertex_inputs`` (vertices of S, m) at the vertices."""
+    vertex_inputs = np.asarray(vertex_inputs, dtype=float)
+    zero_A, zero_B = np.zeros((S.dim, S.dim)), np.zeros((S.dim, vertex_inputs.shape[1]))
+    fam = ic.AffineFamily(A0=zero_A, B0=zero_B, A_terms=[zero_A], B_terms=[zero_B])
+    policy = ic.AffinePolicy(gains=np.zeros(vertex_inputs.shape + (1,)), offsets=vertex_inputs)
+    runs = ic.simulate_closed_loop(fam, [0.0], S, policy, np.reshape(X, (-1, S.dim)), T=1)
+    return np.array([run.inputs[0] for run in runs])
+
+
 class TestVertexControlInput:
     def test_origin_maps_to_zero(self):
         inputs = np.arange(8.0).reshape(4, 2)
-        u = ic.vertex_control_input(UNIT2, inputs, [0.0, 0.0])
+        u = law_inputs(UNIT2, inputs, [0.0, 0.0])[0]
         assert np.allclose(u, 0.0)
 
     def test_vertex_selects_own_input(self):
         inputs = np.arange(8.0).reshape(4, 2)
-        for i, v in enumerate(UNIT2.vertices):
-            u = ic.vertex_control_input(UNIT2, inputs, v)
-            assert np.allclose(u, inputs[i], atol=1e-9)
+        u = law_inputs(UNIT2, inputs, UNIT2.vertices)
+        assert np.allclose(u, inputs, atol=1e-9)
 
     def test_facet_midpoint_averages(self):
         inputs = np.arange(8.0).reshape(4, 2)
         # (1, 0) decomposes onto the two x1 = 1 vertices with weight 1/2
         gamma = ic.vertex_decompose(UNIT2, [1.0, 0.0])
         expected = gamma @ inputs
-        u = ic.vertex_control_input(UNIT2, inputs, [1.0, 0.0])
+        u = law_inputs(UNIT2, inputs, [1.0, 0.0])[0]
         assert np.allclose(u, expected, atol=1e-9)
         idx = np.flatnonzero(UNIT2.vertices[:, 0] == 1.0)
         assert np.allclose(u, inputs[idx].mean(axis=0), atol=1e-9)
@@ -213,9 +226,9 @@ def _explicit_and_lp(P, points, monkeypatch):
         raise AssertionError("explicit law fell back to the LP")
 
     monkeypatch.setattr(geometry, "vertex_decompose", no_lp)
-    explicit = [ic.vertex_control_input(P, np.eye(P.vertex_count), x) for x in points]
+    explicit = law_inputs(P, np.eye(P.vertex_count), points)
     monkeypatch.setattr(geometry, "vertex_decompose", real)
-    return np.array(explicit), np.array([real(P, x) for x in points])
+    return explicit, np.array([real(P, x) for x in points])
 
 
 def _simplicial_test_points(P, rng):
@@ -303,7 +316,7 @@ def test_failed_decomposition_raises_instead_of_an_exit(monkeypatch):
     assert steps == [4, 4, 4]
     steps[:] = [0, 0]
     with pytest.raises(DecompositionInfeasible, match="^decomposition LP of point 0 is inf"):
-        ic.vertex_control_input(S, policy.offsets, starts[0])
+        ic.simulate_closed_loop(fam, [0.0], S, policy, starts[0], T=1)
 
 
 def _one_by_one(fam, delta, S, policy, starts, T):
@@ -385,6 +398,136 @@ def test_lp_steps_with_exits_match_single_starts():
     _assert_same(trajectories, _one_by_one(fam, [0.0], S, policy, starts, 15))
 
 
+def _reference_loop(family, delta, S, policy, X, T):
+    """The step loop as it was before it was cut down to its arithmetic:
+    states as rows, each step's gauges and exit test taken per row, and
+    the per-row split of the explicit law.  Returns the states, inputs,
+    gauges and first exits of every start."""
+
+    def apply(M, X):
+        return (M @ X[:, :, None])[:, :, 0]
+
+    def law(facet_inputs, vertex_inputs, X, Fx):
+        facets = S.facet_simplices
+        k = Fx.argmax(axis=1)
+        gamma = apply(facets.inverses[k], X)
+        explicit = facets.simplex[k] & (gamma.min(axis=1) >= -1e-11)
+        u = (np.maximum(gamma, 0.0)[:, None, :] @ facet_inputs[k])[:, 0]
+        rows = (~explicit).nonzero()[0]
+        if rows.size:
+            weights = geometry.vertex_decompose(S, X[rows])
+            u[rows] = (weights[:, None, :] @ vertex_inputs)[:, 0]
+        return u
+
+    A, B = family.instantiate(np.ravel(delta))
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    N, n = X.shape
+    states, gauges = np.empty((N, T + 1, n)), np.empty((N, T + 1))
+    Fx = apply(S.facets, X)
+    states[:, 0], gauges[:, 0] = X, np.maximum(Fx.max(axis=1), 0.0)
+    first_exit, live = np.full(N, -1), slice(None)
+    vertex_inputs = policy.vertex_inputs(np.ravel(delta))
+    facet_inputs = vertex_inputs[S.facet_simplices.vertices]
+    inputs = np.zeros((N, T, vertex_inputs.shape[1]))
+    for t in range(T):
+        inputs[live, t] = law(facet_inputs, vertex_inputs, X[live], Fx[live])
+        X = apply(A, X) + apply(B, inputs[:, t])
+        Fx = apply(S.facets, X)
+        states[:, t + 1] = X
+        gauges[:, t + 1] = np.maximum(Fx.max(axis=1), 0.0)
+        inside = gauges[:, t + 1] <= 1.0 + geometry.DEFAULT_TOL
+        if not inside.all():
+            first_exit[(first_exit < 0) & ~inside] = t + 1
+            live = (first_exit < 0).nonzero()[0]
+    return states, inputs, gauges, first_exit
+
+
+def _flat_vertex_polygon():
+    """A diamond with one more vertex 1e-8 outside its (1, 0)-(0, 1) edge:
+    the two facets at that vertex are almost one, so near it ``argmax F x``
+    ties and the explicit weights of a state a little past the vertex fall
+    within a few 1e-11 below zero, on both sides of the law's -1e-11."""
+    from scipy.spatial import ConvexHull
+
+    V = np.array([[1.0, 0.0], [0.5 + 1e-8, 0.5 + 1e-8], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    hull = ConvexHull(V)
+    P = ic.validate_polytope(hull.equations[:, :-1] / -hull.equations[:, -1:], V)
+    s = np.linspace(-2e-11, 2e-11, 17)
+    starts = 0.999 * (V[1] + s[:, None] * np.array([1.0, -1.0]))
+    return P, starts
+
+
+def _explicit_weights(P, X):
+    """The smallest explicit weight of each state, as the law takes it."""
+    Fx = (P.facets @ X[:, :, None])[:, :, 0]
+    k = Fx.argmax(axis=1)
+    return (P.facet_simplices.inverses[k] @ X[:, :, None]).min(axis=(1, 2))
+
+
+def _step_loop_cases():
+    """(name, family, delta, S, policy, starts, T) of every reference case."""
+    rng = np.random.default_rng(22)
+    fam, S, U, scen = six_node_instance(K=60)
+    policy = ic.solve_affine_policy(fam, S, U, scen)
+    weights = rng.dirichlet(np.ones(S.vertex_count), size=10)
+    starts = np.vstack([S.vertices, (weights @ S.vertices) * rng.uniform(0, 1, (10, 1))])
+    delta = scen.samples[5]
+    cases = [("cross-polytope", fam, delta, S, policy, starts, 20)]
+    for name, scale in (("some-exit", 2.9), ("all-exit", 40.0)):
+        scaled = ic.AffinePolicy(gains=scale * policy.gains, offsets=scale * policy.offsets)
+        cases.append((name, fam, delta, S, scaled, starts, 20))
+    cases.append(("single-start", fam, delta, S, policy, starts[9], 20))
+    fam3, box3, U3, scen3 = affine3_instance(K=60, seed=4)
+    policy3 = ic.solve_affine_policy(fam3, box3, U3, scen3)
+    cases.append(("affine3-box", fam3, scen3.samples[7], box3, policy3, 0.9 * box3.vertices, 8))
+    contraction = ic.AffineFamily(
+        A0=0.7 * np.linalg.qr(rng.normal(size=(3, 3)))[0], B0=0.2 * np.eye(3),
+        A_terms=[np.zeros((3, 3))], B_terms=[np.zeros((3, 3))],
+    )
+    # a prism over a triangle: simplicial ends, parallelogram sides
+    prism = random_prism(np.random.default_rng(0), sides=3)
+    for name, P in (("prism", prism), ("hull", random_hull_polytope(rng, 3, 9))):
+        push = ic.AffinePolicy(gains=np.zeros((P.vertex_count, 3, 1)), offsets=-P.vertices)
+        weights = rng.dirichlet(np.ones(P.vertex_count), size=12)
+        starts = np.vstack([P.vertices, weights @ P.vertices])
+        cases.append((name, contraction, [0.0], P, push, starts, 12))
+    P, starts = _flat_vertex_polygon()
+    flat = ic.AffineFamily(
+        A0=0.5 * np.eye(2), B0=0.1 * np.eye(2), A_terms=[np.zeros((2, 2))],
+        B_terms=[np.zeros((2, 2))],
+    )
+    pull = ic.AffinePolicy(gains=np.zeros((5, 2, 1)), offsets=-0.5 * P.vertices)
+    accepted = starts[_explicit_weights(P, starts) >= -1e-11]
+    cases.append(("near-threshold", flat, [0.0], P, pull, starts, 3))
+    cases.append(("near-threshold-accepted", flat, [0.0], P, pull, accepted, 3))
+    return cases
+
+
+def test_step_loop_matches_the_reference_loop():
+    cases = {case[0]: case[1:] for case in _step_loop_cases()}
+    # what the cases are meant to cover
+    assert cases["cross-polytope"][2].facet_simplices.simplex.all()
+    assert not cases["affine3-box"][2].facet_simplices.simplex.any()
+    assert 0 < cases["prism"][2].facet_simplices.simplex.sum() < cases["prism"][2].facet_count
+    P, starts = cases["near-threshold"][2], cases["near-threshold"][4]
+    weights = _explicit_weights(P, starts)
+    assert (weights < -1e-11).any() and ((weights >= -1e-11) & (weights < 0.0)).any()
+    for name, (fam, delta, S, policy, starts, T) in cases.items():
+        runs = ic.simulate_closed_loop(fam, delta, S, policy, starts, T=T)
+        runs = [runs] if isinstance(runs, ic.Trajectory) else runs
+        states, inputs, gauges, first_exit = _reference_loop(fam, delta, S, policy, starts, T)
+        exits = [run.first_exit for run in runs]
+        assert exits == [None if e < 0 else int(e) for e in first_exit], name
+        for s, run in enumerate(runs):
+            assert run.states.tobytes() == states[s].tobytes(), (name, s)
+            assert run.inputs.tobytes() == inputs[s].tobytes(), (name, s)
+            assert run.gauges.tobytes() == gauges[s].tobytes(), (name, s)
+        if name == "some-exit":
+            assert None in exits and set(exits) != {None}
+        if name == "all-exit":
+            assert None not in exits
+
+
 def test_overflowing_run_names_its_first_non_finite_state():
     # A(delta) = delta I: at delta = 1e200 start 1 leaves S at step 1 and
     # overflows at step 2, start 0 stays at the origin, start 2 leaves later
@@ -455,21 +598,39 @@ def test_short_horizon_rejected_before_allocation(T):
 
 # each input check of the closed loop, with the error it raises; the
 # family is the zero plant on UNIT2 with one parameter
+def _one_step(x0, delta=(0.0,), N=4):
+    return lambda: ic.simulate_closed_loop(
+        zero_dynamics_family(), delta, UNIT2, zero_policy(N, 2), x0, T=1
+    )
+
+
 BAD_INPUTS = {
     "vertex-input-count": (
-        lambda: ic.vertex_control_input(UNIT2, np.zeros((3, 2)), [0.0, 0.0]),
+        _one_step([0.0, 0.0], N=3),
         ic.DimensionMismatch,
-        "expected 4 vertex inputs, got 3",
+        r"policy gains have shape \(3, 2, 1\), expected \(4, 2, 1\)",
     ),
     "point-dimension": (
-        lambda: ic.vertex_control_input(UNIT2, np.zeros((4, 2)), [0.0, 0.0, 0.0]),
+        _one_step([0.0, 0.0, 0.0]),
         ic.DimensionMismatch,
-        "point has dimension 3, expected 2",
+        r"x0 has shape \(3,\), expected \(2,\) or \(N, 2\)",
     ),
-    "point-outside-S": (
-        lambda: ic.vertex_control_input(UNIT2, np.zeros((4, 2)), [1.5, 0.0]),
+    "point-outside-S": (_one_step([1.5, 0.0]), DecompositionInfeasible, "^start 0 lies outside S$"),
+    # F x <= 1 is false for NaN: a NaN start is outside S, refused before any step
+    "start-not-finite": (
+        _one_step([[0.5, 0.5], [np.nan, 0.0]]),
         DecompositionInfeasible,
-        "point outside polytope",
+        "^start 1 lies outside S$",
+    ),
+    "parameter-nan": (
+        _one_step([0.5, 0.5], delta=[np.nan]),
+        ic.InvalidArguments,
+        "^parameter entry 0 is nan, not finite$",
+    ),
+    "parameter-inf": (
+        _one_step([0.5, 0.5], delta=[-np.inf]),
+        ic.InvalidArguments,
+        "^parameter entry 0 is -inf, not finite$",
     ),
     "x0-shape": (
         lambda: ic.simulate_closed_loop(

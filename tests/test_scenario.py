@@ -747,6 +747,21 @@ def test_vertex_inputs_of_one_draw_are_a_stack_of_one(N, m, ell):
         policy.vertex_inputs(np.zeros(ell + 1))
 
 
+def test_policy_fingerprint_is_hashed_once(monkeypatch):
+    # gains and offsets are read-only, so one hash serves every simulation
+    from invarcert import scenario
+
+    rng = np.random.default_rng(3)
+    policy = ic.AffinePolicy(gains=rng.normal(size=(4, 2, 3)), offsets=rng.normal(size=(4, 2)))
+    expected = scenario._digest(policy.gains, policy.offsets)
+    real, hashed = scenario._digest, []
+    monkeypatch.setattr(scenario, "_digest", lambda *arrays: hashed.append(1) or real(*arrays))
+    assert [policy.fingerprint for _ in range(3)] == [expected] * 3
+    assert len(hashed) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        policy.gains[0, 0, 0] = 1.0
+
+
 def test_greedy_raises_when_no_pass_reproduces_the_policy(monkeypatch):
     # with a negative tolerance no re-solve matches the policy: both the
     # shortcut and the literal pass fail their final check
