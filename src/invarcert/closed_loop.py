@@ -11,10 +11,12 @@ On a simplicial facet the law is explicit and piecewise linear
 (Gutman & Cwikel, IEEE TAC 1986): with ``k = argmax_k F_k x``,
 ``gamma = V_k^{-1} x`` on that facet's vertices, from inverses computed
 once per polytope (:attr:`geometry.Polytope.facet_simplices`).  Only a
-state whose facet is not a simplex (a box in three or more dimensions,
-say) goes through the LP of :func:`geometry.vertex_decompose`; all such
-states of a step go in one call, which solves their LPs by walking the
-program's cache of pivot paths (:func:`lp_core.solve_batch`).
+state whose facet is not a simplex goes through the LP of
+:func:`geometry.vertex_decompose`; all such states of a step go in one
+call, which solves their LPs by walking the program's cache of pivot paths
+(:func:`lp_core.solve_batch`).  A polytope with no simplicial facet (a box
+in three or more dimensions, say) sends every state there, with no
+explicit law tried.
 
 :func:`simulate_closed_loop` steps a whole stack of starts together as
 column stacks; one start is a stack of one.  A step runs the products
@@ -71,7 +73,7 @@ class Trajectory:
         return float(self.gauges.max())
 
 
-def _vertex_law(S, simplicial, facet_inputs, vertex_inputs, X, Fx, out=None):
+def _vertex_law(S, simplicial, has_simplex, facet_inputs, vertex_inputs, X, Fx, out=None):
     """Vertex-law inputs, as rows (N, 1, m), at the column stack of states
     ``X`` (N, n, 1) inside ``S``, written into ``out`` if given.
 
@@ -82,8 +84,12 @@ def _vertex_law(S, simplicial, facet_inputs, vertex_inputs, X, Fx, out=None):
     clipped at zero, by one scalar test of the whole stack when every facet
     is a simplex (``simplicial``).  Every other state goes into one stacked
     :func:`geometry.vertex_decompose`, which raises
-    :class:`DecompositionInfeasible` on a numerical fault.
+    :class:`DecompositionInfeasible` on a numerical fault.  When no facet is
+    a simplex (not ``has_simplex``), the whole stack goes there at once.
     """
+    if not has_simplex:
+        weights = geometry.vertex_decompose(S, X[:, :, 0])
+        return np.matmul(weights[:, None, :], vertex_inputs, out=out)
     facets = S.facet_simplices
     k = Fx[:, :, 0].argmax(axis=1)
     gamma = facets.inverses.take(k, axis=0) @ X
@@ -147,7 +153,9 @@ def simulate_closed_loop(
     more than :data:`MAX_STATES` states or a parameter that is not finite
     raises :class:`InvalidArguments` before anything is allocated; a start
     outside ``S``, or not finite, raises :class:`DecompositionInfeasible`
-    before any step.  A run that overflows raises
+    before any step, and a parameter whose plant ``A(delta), B(delta)`` is
+    not finite raises :class:`InvalidArguments`, also before any step.  An
+    empty stack of starts gives an empty list.  A run that overflows raises
     :class:`TrajectoryOverflow`, naming the first start with a non-finite
     state and its first such step.
     """
@@ -167,21 +175,28 @@ def simulate_closed_loop(
     outside = np.flatnonzero(~(Fx <= bound).all(axis=(1, 2)))  # a NaN start too
     if outside.size:
         raise DecompositionInfeasible(f"start {outside[0]} lies outside S")
-    A, B = family.instantiate(delta)
     N = X.shape[0]
-    # step-major column stacks of the states, their F x and the inputs (as rows); a
-    # stacked product is one product per row, so a start's bits do not depend on the stack
-    states = np.empty((T + 1, N, S.dim, 1))
-    images = np.empty((T + 1, N, S.facet_count, 1))
-    inputs = np.zeros((T, N, 1, family.m))
-    states[0], images[0] = X[:, :, None], Fx
-    first_exit = np.full(N, -1)
-    live = None  # the starts that have not exited: all, until one does
-    # an overflow shows as a non-finite state, refused once after the loop
+    # an overflow shows as a non-finite plant, refused here, or as a
+    # non-finite state, refused once after the loop
     with np.errstate(over="ignore", invalid="ignore"):
+        A, B = family.instantiate(delta)
+        if not (np.isfinite(A).all() and np.isfinite(B).all()):
+            raise InvalidArguments(f"parameter {delta.tolist()} gives a non-finite plant")
+        if not N:
+            return []
+        # step-major column stacks of the states, their F x and the inputs (as rows); a
+        # stacked product is one product per row, so a start's bits do not depend on the stack
+        states = np.empty((T + 1, N, S.dim, 1))
+        images = np.empty((T + 1, N, S.facet_count, 1))
+        inputs = np.zeros((T, N, 1, family.m))
+        states[0], images[0] = X[:, :, None], Fx
+        first_exit = np.full(N, -1)
+        live = None  # the starts that have not exited: all, until one does
         vertex_inputs = policy.vertex_inputs(delta)
         facets = S.facet_simplices
-        law = (S, bool(facets.simplex.all()), vertex_inputs[facets.vertices], vertex_inputs)
+        simplicial = bool(facets.simplex.all())
+        has_simplex = simplicial or bool(facets.simplex.any())
+        law = (S, simplicial, has_simplex, vertex_inputs[facets.vertices], vertex_inputs)
         for t in range(T):
             X, U = states[t], inputs[t]
             if live is None:

@@ -268,14 +268,15 @@ def vertex_decompose(P: Polytope, x) -> np.ndarray:
         raise DimensionMismatch(
             f"points have shape {x.shape}, expected ({P.dim},) or (N, {P.dim})"
         )
-    outside = ((P.facets @ X[:, :, None])[:, :, 0] > 1.0 + DEFAULT_TOL).any(axis=1)
+    outside = P.facets @ X[:, :, None] > 1.0 + DEFAULT_TOL
     if outside.any():
-        which = "point" if single else f"point {outside.argmax()}"
+        which = "point" if single else f"point {outside.any(axis=(1, 2)).argmax()}"
         raise DecompositionInfeasible(f"{which} outside polytope beyond tol={DEFAULT_TOL}")
     outcomes = lp_core.solve_batch(P.decomposition_lp, b_in=np.hstack([X, -X]))
     for row, outcome in enumerate(outcomes):
         if not outcome.is_optimal:
             which = "the point" if single else f"point {row}"
             raise DecompositionInfeasible(f"decomposition LP of {which} is {outcome.status.value}")
-    gamma = np.maximum([outcome.z for outcome in outcomes], 0.0)
+    gamma = np.reshape([outcome.z for outcome in outcomes], (len(X), P.vertex_count))
+    gamma = np.maximum(gamma, 0.0)
     return gamma[0] if single else gamma

@@ -42,22 +42,29 @@ do (ch. 5).  So a program keeps a pivot-path cache
 (:attr:`LinearProgram._paths`): a tree of the tableaux that the lone solve
 reaches (:class:`_Node`), one root per flip pattern, each node built once
 from its parent.  A lane walks the tree on its own right-hand side, in
-Python floats: per pivot one update of the right-hand side with the
-operations of :meth:`_Tableau._pivot` (:func:`_walk`) and the ratio test
-of the lone solve (:func:`_ratio_test`).  The rest is shared with the
-lone solve too: each node's eligible rows (:meth:`_Tableau.eligible`),
-its phase's cost and allowed columns (:func:`_phase`) and, as a stack of
-one, the basic solutions (:func:`_solutions`), the phase-1 test
-(:func:`_infeasible`) and the optimal finish (:func:`_finish`).  Any
-other lane (Bland's rule, the iteration cap, a second-choice entering
-column, an unbounded or infeasible program, a singular or non-finite
-basis solve, a primal violation) is solved again from the start by
-:func:`solve` with its own ``b_in``.  So each outcome is bit for bit that
-of :func:`solve`, whatever filled the cache before, and the rare rules
-live in one place.
+Python floats, through phase 1 and straight on through phase 2
+(:func:`_walk`).  Per pivot it applies the operations of
+:meth:`_Tableau._pivot` to the rows whose factor is not zero (``x - 0.0 *
+t`` would change at most the sign of a zero, which the ratio test cannot
+see) and picks the leaving row by the ratio test of the lone solve
+(:func:`_ratio_test`).  Then one stacked solve of the pristine basis
+matrices gives every lane's basic solution at the end of phase 1 and at
+its final basis (:func:`_solutions`); the phase-1 test
+(:func:`_infeasible`) reads the first and the optimal finish
+(:func:`_finish`) the second.  The lone solve uses the same pieces: each
+node's eligible rows (:meth:`_Tableau.eligible`), its phase's cost and
+allowed columns (:func:`_phase`) and, as a stack of one, the basic
+solutions, the phase-1 test and the finish.  Any other lane (Bland's rule,
+the iteration cap, a second-choice entering column, an unbounded or
+infeasible program, a non-finite value in the walk, from where a skipped
+``0.0 * inf`` would have made a NaN, a singular or non-finite basis solve,
+a primal violation) is solved again from the start by :func:`solve` with
+its own ``b_in``.  So each outcome is bit for bit that of :func:`solve`,
+whatever filled the cache before, and the rare rules live in one place.
 """
 
 import copy
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -350,7 +357,8 @@ class _Node:
 
     A node is fixed by the flip pattern of its root and the pivots made
     since; nothing in it depends on a right-hand side.  ``pivots`` holds
-    ``(row, col, pivot, factors)`` of each pivot from its parent: one
+    ``(row, col, pivot, factors)`` of each pivot from its parent, with
+    ``factors`` the ``(row, factor)`` pairs whose factor is not zero: one
     simplex pivot, or the drive-out of the artificials that starts phase
     2.  ``rows``, ``column`` and ``basics`` are :meth:`_Tableau.eligible`
     of Dantzig's first entering column ``col``; ``rows`` is empty where no
@@ -363,7 +371,10 @@ class _Node:
     def __init__(self, tab: _Tableau, c, phase: int, steps: int, pivots: list):
         self.tab, self.c, self.phase = tab, c, phase
         self.steps = steps  # pivots since the phase began
-        self.pivots = [(row, col, float(piv), f.tolist()) for row, col, piv, f in pivots]
+        self.pivots = [
+            (row, col, float(piv), [(i, x) for i, x in enumerate(f.tolist()) if x])
+            for row, col, piv, f in pivots
+        ]
         self.iterations = tab.iterations
         self.basis, self.basis_matrix = tab.basis, tab.basis_matrix
         self.children = {}
@@ -402,19 +413,24 @@ class _Node:
 def _walk(node: _Node, r: list, cap: int, stall_limit: int):
     """Follow :func:`solve` from ``node`` down the tree on the right-hand
     side ``r`` (floats, updated in place) to the end of the phase: replay
-    each node's pivots on ``r`` with the operations of :meth:`_Tableau._pivot`
-    and pick each child by :func:`_ratio_test` on ``r``, building it if
-    new.  Returns the last node and whether the phase ended there; where
-    not (the iteration cap, a possible switch to Bland's rule, a
-    second-choice or unbounded column), :func:`solve` takes over."""
+    each node's pivots on the rows of ``r`` with a nonzero factor, with the
+    operations of :meth:`_Tableau._pivot`, and pick each child by
+    :func:`_ratio_test` on ``r``, building it if new.  Returns the last
+    node and whether the phase ended there; where not (the iteration cap, a
+    possible switch to Bland's rule, a second-choice or unbounded column, a
+    non-finite value in ``r``), :func:`solve` takes over."""
     while True:
         for row, _, piv, factors in node.pivots:
             t = r[row] / piv
             r[row] = t
-            r[:] = [x - f * t for x, f in zip(r, factors)]
+            for i, f in factors:
+                r[i] -= f * t
         rows = node.rows
-        if not rows or node.iterations >= cap or node.steps >= stall_limit:
-            return node, rows == [] and node.iterations < cap
+        # a non-finite value stays so, and from there a skipped 0.0 * inf
+        # would have been a NaN (an overflowing sum only stops the walk)
+        finite = math.isfinite(sum(r))
+        if not rows or not finite or node.iterations >= cap or node.steps >= stall_limit:
+            return node, finite and rows == [] and node.iterations < cap
         row = _ratio_test(rows, node.column, node.basics, r)
         node = node.children.get(row) or node.grow(row)
 
@@ -509,17 +525,20 @@ def _optimal(lp: LinearProgram, tab: _Tableau) -> LpOutcome:
 def solve_batch(lp: LinearProgram, *, b_in) -> list[LpOutcome]:
     """:func:`solve` of ``lp`` with ``b_in`` replaced by each row of ``b_in``.
 
-    Each lane of the (L, m) stack walks the program's pivot-path cache;
-    each outcome, with its iteration count and ``z``, is bit for bit that
-    of the lone solve.  The lanes the walk cannot finish are solved alone,
-    after the walks and in lane order.  Raises what the lone solve of the
-    first lane that raises would raise.
+    Each lane of the (L, m) stack walks the program's pivot-path cache
+    through both phases, and one stacked basis solve serves the phase-1
+    test and the optimal finish of every lane; each outcome, with its
+    iteration count and ``z``, is bit for bit that of the lone solve.  The
+    lanes the walk cannot finish, or that the phase-1 test, the basis
+    solve or the finish flags, are solved alone, after the walks and in
+    lane order.  Raises what the lone solve of the first lane that raises
+    would raise.
     """
     R = np.asarray(b_in, dtype=float)
     T = lp.A_in
     if R.ndim != 2 or R.shape[1] != len(T):
         raise DimensionMismatch(f"b_in must be a stack of shape (L, {len(T)})")
-    if not np.all(np.isfinite(R)):
+    if not np.isfinite(R).all():
         raise ValueError("LP data must be finite")
     flips = R < 0
     rhs = R * np.where(flips, -1.0, 1.0)  # each lane's first rhs column
@@ -529,39 +548,38 @@ def solve_batch(lp: LinearProgram, *, b_in) -> list[LpOutcome]:
     outcomes: list = [None] * len(R)
     alone, ends, finals = [], {}, []
     for lane, (flip, r) in enumerate(zip(flips, rhs.tolist())):
-        root = paths.get(flip.tobytes()) or _Node.root(lp, flip)
-        node, done = _walk(root, r, cap, stall_limit)
+        node, done = _walk(paths.get(flip.tobytes()) or _Node.root(lp, flip), r, cap, stall_limit)
+        end = None
+        if done and node.phase == 1:  # on into phase 2; the phase-1 test comes after
+            end = node
+            node, done = _walk(end.children.get(None) or end.grow(None), r, cap, stall_limit)
         if not done:
             alone.append(lane)
-        elif node.phase == 1:
-            ends.setdefault(node.tab.n_art, []).append((lane, node, r))
-        else:
-            finals.append((lane, node))
-
-    for n_art, group in ends.items():
-        lanes = [lane for lane, _, _ in group]
-        y, bad = _solutions([node for _, node, _ in group], rhs[lanes], arts + n_art)
-        bad |= _infeasible(y, arts, R[lanes])
-        for (lane, node, r), stop in zip(group, bad.tolist()):
-            if not stop:
-                node, done = _walk(node.children.get(None) or node.grow(None), r, cap, stall_limit)
-                if done:
-                    finals.append((lane, node))
-                    continue
-            alone.append(lane)
+            continue
+        if end:  # grouped by the width of the lone solve's phase-1 test
+            ends.setdefault(end.tab.total_cols, []).append((lane, end))
+        finals.append((lane, node))
 
     if finals:
-        lanes = [lane for lane, _ in finals]
-        y, broken = _solutions([node for _, node in finals], rhs[lanes], arts)
-        Z, objective, _, bad = _finish(lp, y, R[lanes])
-        bad |= broken  # the lone solve falls back to the tableau values
-        for i, (lane, node) in enumerate(finals):
-            if bad[i]:
+        # one stacked basis solve: the phase-1 ends, a slice per width, then
+        # the final bases
+        stack = [end for group in ends.values() for end in group] + finals
+        lanes = [lane for lane, _ in stack]
+        B = rhs[lanes]  # |B| is |R|, all that the phase-1 test reads
+        y, stop = _solutions([node for _, node in stack], B, max(ends, default=arts))
+        lo = 0
+        for width, group in ends.items():
+            hi = lo + len(group)
+            stop[lo:hi] |= _infeasible(y[lo:hi, :width], arts, B[lo:hi])
+            lo = hi
+        flagged = {lane for lane, bad in zip(lanes, stop[:lo].tolist()) if bad}
+        Z, objective, _, bad = _finish(lp, y[lo:], R[lanes[lo:]])
+        bad |= stop[lo:]  # the lone solve falls back to the tableau values
+        for (lane, node), z, value, fail in zip(finals, Z, objective.tolist(), bad.tolist()):
+            if fail or lane in flagged:
                 alone.append(lane)
             else:
-                outcomes[lane] = LpOutcome(
-                    LpStatus.OPTIMAL, Z[i], float(objective[i]), node.iterations
-                )
+                outcomes[lane] = LpOutcome(LpStatus.OPTIMAL, z, value, node.iterations)
     for lane in sorted(alone):
         outcomes[lane] = solve(replace(lp, b_in=R[lane]))
     return outcomes
@@ -599,7 +617,7 @@ def _finish(lp: LinearProgram, y: np.ndarray, B_in: np.ndarray):
     same row of ``B_in`` (or ``B_in`` for all), and where beyond ``DEFAULT_FEAS_TOL``
     relative to ``max(1, |b_in|)``."""
     Z = y[:, : lp.c.size] + 0.0  # adding 0.0 turns a -0.0 of the basis solve into 0.0
-    scale = np.maximum(1.0, np.abs(B_in).max(axis=-1, initial=0.0))
+    scale = np.abs(B_in).max(axis=-1, initial=1.0)
     resid = (-Z).max(axis=1, initial=0.0)  # z >= 0
     if len(lp.A_in):
         rows = (lp.A_in @ Z[:, :, None])[:, :, 0] - B_in

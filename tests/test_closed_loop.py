@@ -584,6 +584,37 @@ def test_policy_shape_checked_before_any_step(N, m, ell, monkeypatch):
         ic.empirical_violation(fam, UNIT2, UNIT2, zero_policy(N, m, ell), [[0.0]])
 
 
+def test_empty_stack_of_starts_gives_no_trajectories():
+    # N starts give N trajectories, on either law path
+    S3 = ic.box([-1, -1, -1], [1, 1, 1])
+    fam3 = ic.AffineFamily(
+        A0=0.5 * np.eye(3), B0=np.eye(3), A_terms=[np.zeros((3, 3))], B_terms=[np.zeros((3, 3))]
+    )
+    assert ic.simulate_closed_loop(fam3, [0.0], S3, zero_policy(8, 3), np.zeros((0, 3))) == []
+    fam2 = zero_dynamics_family()
+    assert ic.simulate_closed_loop(fam2, [0.0], UNIT2, zero_policy(4, 2), np.zeros((0, 2))) == []
+
+
+def test_overflowing_plant_refused_before_any_step(monkeypatch):
+    # A(delta) = delta 2 I is not finite at the finite delta = 1e308: the
+    # parameter is refused by name before any step, and the overflow while
+    # building the plant warns nothing (warnings are errors in this suite)
+    from invarcert import closed_loop
+    from invarcert.errors import InvalidArguments
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran at a non-finite plant")
+
+    monkeypatch.setattr(closed_loop, "_vertex_law", no_step)
+    fam = ic.AffineFamily(
+        A0=np.zeros((2, 2)), B0=np.eye(2), A_terms=[2.0 * np.eye(2)], B_terms=[np.zeros((2, 2))]
+    )
+    message = r"^parameter \[1e\+308\] gives a non-finite plant$"
+    for starts in (np.array([[0.5, 0.5], [0.0, 0.0]]), [0.5, 0.5]):
+        with pytest.raises(InvalidArguments, match=message):
+            ic.simulate_closed_loop(fam, [1e308], UNIT2, zero_policy(4, 2), starts)
+
+
 @pytest.mark.parametrize("T", [0, -2])
 def test_short_horizon_rejected_before_allocation(T):
     from invarcert.closed_loop import check_size

@@ -183,6 +183,14 @@ def test_non_optimal_decomposition_raises(monkeypatch):
         ic.vertex_decompose(P, [[0.5, 0.2, -0.1], [0.1, -0.3, 0.4], [0.0, 0.0, 0.0]])
 
 
+def test_empty_stack_decomposes_to_no_rows():
+    # N points give N rows of N_vertices weights, N = 0 included
+    P = ic.box([-1, -1, -1], [1, 1, 1])
+    gamma = ic.vertex_decompose(P, np.zeros((0, 3)))
+    assert gamma.shape == (0, P.vertex_count)
+    assert gamma.dtype == float
+
+
 @pytest.mark.parametrize("name", ["box3", "prism"])
 def test_stacked_decomposition_rows_equal_single_points(name):
     rng = np.random.default_rng(11)

@@ -8,10 +8,14 @@ with every row's right-hand side varied; and small crafted programs send
 lanes down every rule that the walk leaves to the lone solve.  Every pivot a walk
 applies is the next pivot of the lane's lone solve, the outcomes do not
 depend on what filled the pivot-path cache, and the cache stays small.
+States with signed zeros and tied ratios check the walk's skipped zero
+factors, a decomposition call makes one basis solve, and a lane whose walk
+meets a non-finite value is solved alone.
 The invariant that lets every drive-out pivot without a redundant-row
 case is checked over the differential corpus and the decomposition
 programs."""
 
+import itertools
 import sys
 import threading
 from dataclasses import replace
@@ -95,6 +99,86 @@ def test_decomposition_lanes_are_lone_solves(name, alone):
     lone = _assert_lanes_are_lone(lp, _at(wide))
     assert {o[0] for o in lone} == {LpStatus.OPTIMAL}
     assert alone == []  # every decomposition lane finishes in its walk
+
+
+def _signed_zero_states(P):
+    """States of the box ``P`` with every coordinate at its lower bound, half
+    of it, -0.0, 0.0, 0.3 of its upper bound or the upper bound: the
+    vertices, points on every edge and facet, and the origin signed every
+    way."""
+    levels = np.array(list(itertools.product([-1.0, -0.5, -0.0, 0.0, 0.3, 1.0], repeat=P.dim)))
+    lo, hi = P.vertices.min(axis=0), P.vertices.max(axis=0)
+    return np.where(levels < 0, -levels * lo, levels * hi)  # -0.0 * hi stays -0.0
+
+
+@pytest.mark.parametrize("seed", [None, 6])
+def test_signed_zeros_and_ratio_ties_are_lone_solves(seed, alone, monkeypatch):
+    # a walk skips the rows of a zero factor, which changes at most the
+    # sign of a zero; on the 3-D box (the unit one and a random one) states
+    # with 0.0 and -0.0 coordinates and states on facets, edges and
+    # vertices, where ratios tie, are their lone solves bit for bit
+    P = box(-np.ones(3), np.ones(3)) if seed is None else random_box(np.random.default_rng(seed), 3)
+    states = _signed_zero_states(P)
+    zeros = states == 0.0
+    assert (zeros & np.signbit(states)).any() and (zeros & ~np.signbit(states)).any()
+    ties = []
+    ratio_test = lp_core._ratio_test
+
+    def spy(rows, column, basics, r):
+        ratios = [r[i] / a for i, a in zip(rows, column)]
+        ties.append(len(set(ratios)) < len(ratios))
+        return ratio_test(rows, column, basics, r)
+
+    monkeypatch.setattr(lp_core, "_ratio_test", spy)
+    lp = P.decomposition_lp
+    for size in (1, 4):
+        for lo in range(0, len(states), size):
+            _assert_lanes_are_lone(lp, _at(states[lo : lo + size]))
+    lone = _assert_lanes_are_lone(lp, _at(states))
+    assert {o[0] for o in lone} == {LpStatus.OPTIMAL}
+    assert alone == [] and sum(ties) > 100
+
+
+def test_one_basis_solve_per_batch(alone, monkeypatch):
+    # the phase-1 ends of every width and the final bases of a
+    # decomposition call share one stacked basis solve: stacks of one and
+    # of four, with and without a phase 1, and one with every flip pattern
+    rng = np.random.default_rng(7)
+    P = random_box(rng, 3)
+    states = np.vstack([decomposition_states(P, rng), _signed_zero_states(P)])
+    real, solves = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(len(a)) or real(a, b))
+    stacks = [states[:1], states[1:2], states[:4], states[40:44], states]
+    for X in stacks:
+        solves.clear()
+        vertex_decompose(P, X)
+        assert len(solves) == 1
+    assert alone == []
+    assert len(P.decomposition_lp._paths) > 10  # many flip patterns, so many widths
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("phase", [1, 2])
+def test_non_finite_walk_value_sends_the_lane_alone(value, phase, alone, monkeypatch):
+    # where the walk's right-hand side is not finite, a skipped 0.0 * inf
+    # would differ from the lone solve's NaN: the lane goes alone, at the
+    # start of its phase-1 walk or of its phase-2 walk
+    walk, lanes = lp_core._walk, {}
+
+    def spy(node, r, *limits):
+        # a lane is known by its right-hand side list, kept so no id is reused
+        lane, _, walks = lanes.setdefault(id(r), (len(lanes), r, []))
+        walks.append(node)
+        if lane == 1 and len(walks) == phase:
+            r[2] = value
+        return walk(node, r, *limits)
+
+    monkeypatch.setattr(lp_core, "_walk", spy)
+    B = _at(np.array([[0.5, 0.2, -0.1], [0.1, -0.3, 0.4], [-0.2, 0.2, 0.2]]))
+    lone = _assert_lanes_are_lone(box([-1, -1, -1], [1, 1, 1]).decomposition_lp, B)
+    assert {o[0] for o in lone} == {LpStatus.OPTIMAL}
+    assert [len(walks) for _, _, walks in lanes.values()] == [2, phase, 2]
+    assert alone == B[[1]].tolist()
 
 
 @pytest.mark.parametrize("case", list(CASES))
