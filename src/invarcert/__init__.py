@@ -44,7 +44,6 @@ from .geometry import (
 from .lp_core import LinearProgram, LpOutcome, LpStatus, solve
 from .scenario import (
     AffinePolicy,
-    DiscreteUniform,
     Infeasible,
     MismatchedFingerprints,
     ScenarioSet,

@@ -84,11 +84,12 @@ def _vertex_law(S, simplicial, has_simplex, facet_inputs, vertex_inputs, X, Fx, 
     clipped at zero, by one scalar test of the whole stack when every facet
     is a simplex (``simplicial``).  Every other state goes into one stacked
     :func:`geometry.vertex_decompose`, which raises
-    :class:`DecompositionInfeasible` on a numerical fault.  When no facet is
-    a simplex (not ``has_simplex``), the whole stack goes there at once.
+    :class:`DecompositionInfeasible` on a numerical fault, and which skips
+    its outside test: ``Fx`` has passed the caller's.  When no facet is a
+    simplex (not ``has_simplex``), the whole stack goes there at once.
     """
     if not has_simplex:
-        weights = geometry.vertex_decompose(S, X[:, :, 0])
+        weights = geometry.vertex_decompose(S, X[:, :, 0], inside=True)
         return np.matmul(weights[:, None, :], vertex_inputs, out=out)
     facets = S.facet_simplices
     k = Fx[:, :, 0].argmax(axis=1)
@@ -101,7 +102,7 @@ def _vertex_law(S, simplicial, has_simplex, facet_inputs, vertex_inputs, X, Fx, 
         rows = (~explicit).nonzero()[0]
     u = np.matmul(np.maximum(gamma, 0.0).transpose(0, 2, 1), facet_inputs.take(k, axis=0), out=out)
     if len(rows):
-        weights = geometry.vertex_decompose(S, X[rows, :, 0])
+        weights = geometry.vertex_decompose(S, X[rows, :, 0], inside=True)
         u[rows] = weights[:, None, :] @ vertex_inputs
     return u
 

@@ -246,7 +246,7 @@ def minkowski_gauge(P: Polytope, x) -> float:
     return float(max(0.0, (P.facets @ x).max()))
 
 
-def vertex_decompose(P: Polytope, x) -> np.ndarray:
+def vertex_decompose(P: Polytope, x, *, inside: bool = False) -> np.ndarray:
     """Minimal-weight vertex decomposition of a point of ``P``, or of every
     row of a stack of points (N, n).
 
@@ -255,11 +255,13 @@ def vertex_decompose(P: Polytope, x) -> np.ndarray:
     ties are settled by the LP core's deterministic pivoting.  The bound
     ``gamma_i <= 1`` is implied by the gauge being <= 1 and is not imposed
     explicitly.  All the points are decomposed by one
-    :func:`lp_core.solve_batch`.  A point outside ``P`` raises
-    :class:`DecompositionInfeasible`, and so does a point whose LP is not
-    solved to its optimum: that LP is always feasible and bounded (the
-    origin is interior, so the vertices' cone is all of R^n, and
-    ``sum(gamma) >= 0``), so any other outcome is a numerical fault.
+    :func:`lp_core.solve_batch`.  A point outside ``P`` (``F x > 1 +
+    DEFAULT_TOL``) raises :class:`DecompositionInfeasible`, and so does a
+    point whose LP is not solved to its optimum: that LP is always feasible
+    and bounded (the origin is interior, so the vertices' cone is all of
+    R^n, and ``sum(gamma) >= 0``), so any other outcome is a numerical
+    fault.  ``inside=True`` skips the outside test, for a caller that has
+    just made it on the same ``F x``.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim < 2
@@ -268,10 +270,11 @@ def vertex_decompose(P: Polytope, x) -> np.ndarray:
         raise DimensionMismatch(
             f"points have shape {x.shape}, expected ({P.dim},) or (N, {P.dim})"
         )
-    outside = P.facets @ X[:, :, None] > 1.0 + DEFAULT_TOL
-    if outside.any():
-        which = "point" if single else f"point {outside.any(axis=(1, 2)).argmax()}"
-        raise DecompositionInfeasible(f"{which} outside polytope beyond tol={DEFAULT_TOL}")
+    if not inside:
+        outside = P.facets @ X[:, :, None] > 1.0 + DEFAULT_TOL
+        if outside.any():
+            which = "point" if single else f"point {outside.any(axis=(1, 2)).argmax()}"
+            raise DecompositionInfeasible(f"{which} outside polytope beyond tol={DEFAULT_TOL}")
     outcomes = lp_core.solve_batch(P.decomposition_lp, b_in=np.hstack([X, -X]))
     for row, outcome in enumerate(outcomes):
         if not outcome.is_optimal:

@@ -29,7 +29,7 @@ import numpy as np
 from . import lp_core
 from .errors import DimensionMismatch, InvarcertError, NumericalBreakdown
 from .geometry import DEFAULT_TOL, Polytope
-from .system_family import UnknownSample
+from .system_family import NonFiniteParameter, UnknownSample
 
 SOLUTION_TOL = 1e-6
 _CG_BATCH = 8  # violated rows added per constraint-generation round
@@ -71,7 +71,8 @@ def _digest(*arrays) -> str:
 
 @dataclass(frozen=True)
 class UniformBox:
-    """Uniform product distribution on the box [lower, upper]."""
+    """Uniform product distribution on the box [lower, upper]; every entry
+    needs a finite width ``upper - lower``."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -83,6 +84,13 @@ class UniformBox:
             raise DimensionMismatch("lower and upper lengths differ")
         if np.any(lo > hi):
             raise ValueError("lower must be <= upper componentwise")
+        with np.errstate(over="ignore", invalid="ignore"):
+            wide = np.flatnonzero(~np.isfinite(hi - lo))
+        if wide.size:
+            i = wide[0]
+            raise ValueError(
+                f"uniform box entry {i} is [{lo[i]}, {hi[i]}], whose width is not finite"
+            )
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "lower", lo)
@@ -94,20 +102,6 @@ class UniformBox:
 
     def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lower, self.upper, size=(count, self.dim))
-
-
-@dataclass(frozen=True)
-class DiscreteUniform:
-    """Uniform distribution over table indices 0..count-1 (dimension 1)."""
-
-    count: int
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.integers(0, self.count, size=(count, 1)).astype(float)
 
 
 @dataclass(frozen=True)
@@ -247,11 +241,14 @@ class AffinePolicy:
 def _plants(family, S: Polytope, U: Polytope, deltas, first: int):
     """``family.instantiate_batch(deltas)``, checked against ``S`` and ``U``.
     ``first`` is the position of ``deltas[0]`` in the whole sample list; an
-    :class:`UnknownSample` names its draw by that position."""
+    :class:`UnknownSample` or a :class:`NonFiniteParameter` names its draw
+    by that position."""
     try:
         A, B = family.instantiate_batch(deltas)
     except UnknownSample as exc:
         raise UnknownSample(first + exc.row, exc.value, exc.count) from None
+    except NonFiniteParameter as exc:
+        raise NonFiniteParameter(first + exc.row, exc.value) from None
     if A.shape[1:] != (S.dim, S.dim) or B.shape[1:] != (S.dim, U.dim):
         raise DimensionMismatch("family output does not match S and U")
     return A, B
@@ -265,7 +262,8 @@ def vertex_constraints(family, S: Polytope, U: Polytope, deltas, first: int = 0)
     the input ``u`` at vertex ``x_i`` is admissible for draw k, that is it
     lies in ``U`` and maps the vertex into ``S``, iff ``G[k] u <= l[k, i]``.
     ``first`` is the position of ``deltas[0]`` in the whole sample list; an
-    :class:`UnknownSample` names its draw by that position.
+    :class:`UnknownSample` or a :class:`NonFiniteParameter` names its draw
+    by that position.
     """
     A, B = _plants(family, S, U, deltas, first)
     q = U.facet_count

@@ -34,6 +34,17 @@ class NoInputNodes(GraphError):
     pass
 
 
+class NonFiniteParameter(InvarcertError, ValueError):
+    """Draw ``row`` of a stack, ``value``, is not finite."""
+
+    def __init__(self, row: int, value: list):
+        super().__init__(row, value)
+        self.row, self.value = row, value
+
+    def __str__(self):
+        return f"row {self.row}: parameter {self.value} is not finite"
+
+
 class UnknownSample(InvarcertError, KeyError):
     """Draw ``row`` of a stack, ``value``, is not one of the ``count`` table
     indices."""
@@ -163,18 +174,13 @@ class AffineFamily:
                     )
         if A_terms and B_terms and len(A_terms) != len(B_terms):
             raise DimensionMismatch("A and B term counts differ")
-        # the terms stacked entry-major, (terms, entries, 1), for instantiate_batch
-        entry_terms = tuple(
-            np.reshape(terms, (len(terms), base.size, 1))
-            for base, terms in ((A0, A_terms), (B0, B_terms))
-        )
-        for a in (A0, B0) + A_terms + B_terms + entry_terms:
+        for a in (A0, B0) + A_terms + B_terms:
             a.setflags(write=False)
         object.__setattr__(self, "A0", A0)
         object.__setattr__(self, "B0", B0)
         object.__setattr__(self, "A_terms", A_terms)
         object.__setattr__(self, "B_terms", B_terms)
-        object.__setattr__(self, "_entry_terms", entry_terms)
+        object.__setattr__(self, "_plan", _nonzero_plan((A0, B0), (A_terms, B_terms)))
 
     @property
     def n(self) -> int:
@@ -199,34 +205,86 @@ class AffineFamily:
     def instantiate_batch(self, deltas):
         """Stacked ``(A, B)`` for the rows of ``deltas``: (K, n, n), (K, n, m).
 
-        Every draw accumulates ``A0, delta_1 A_1, delta_2 A_2, ...`` in this
-        order, so slice k does not depend on the other rows of the stack.
+        Each entry of a draw is its ``A0`` (``B0``) entry plus ``delta_k
+        A_k`` for each term k that is nonzero there, added in increasing k;
+        where the base entry is ``-0.0`` every term is added.  For a finite
+        parameter a skipped product is ``+-0.0``, which leaves any other
+        running sum as it is, so every entry has the bits of the sum over
+        all the terms, and a draw's slice does not depend on the other rows
+        of the stack.  A row that is not finite raises
+        :class:`NonFiniteParameter`, naming the row.
         """
         d = np.asarray(deltas, dtype=float)
         if d.ndim != 2 or d.shape[1] != self.ell:
             raise DimensionMismatch(
                 f"expected a (K, {self.ell}) parameter stack, got shape {d.shape}"
             )
-        columns = np.ascontiguousarray(d.T)[:, None, :]  # (ell, 1, K)
-        A_terms, B_terms = self._entry_terms
-        return _affine_stack(self.A0, A_terms, columns), _affine_stack(self.B0, B_terms, columns)
+        if not np.isfinite(d).all():
+            row = int(np.isfinite(d).all(axis=1).argmin())
+            raise NonFiniteParameter(row, d[row].tolist())
+        base, ranks, positions = self._plan
+        stack = _affine_stack(base, ranks, np.ascontiguousarray(d.T))
+        K = d.shape[0]
+        A, B = (stack.take(rows, axis=0) for rows in positions)
+        return (
+            np.ascontiguousarray(A.T).reshape((K,) + self.A0.shape),
+            np.ascontiguousarray(B.T).reshape((K,) + self.B0.shape),
+        )
 
 
-def _affine_stack(base, terms, columns):
-    """``base + columns[0] terms[0] + columns[1] terms[1] + ...`` for the
-    parameter columns (ell, 1, K) of K draws and the terms stacked
-    entry-major, (terms, base.size, 1): a stack (K,) + ``base.shape``.
+def _nonzero_plan(bases, term_lists):
+    """The products that ``instantiate_batch`` adds, fixed once per family:
+    ``(base, ranks, positions)``.
 
-    One product of every term entry with its parameter column, added onto
-    ``base`` term by term and transposed once, so each entry takes the
-    same multiplies and adds, in the same order, as one draw alone.
+    The entries of all the bases (``A0`` then ``B0``, flattened) are put in
+    order of how many terms each keeps, most first, so the entries that
+    keep an r-th term are a prefix of that order; ``base`` (entries, 1)
+    holds them in that order and ``positions`` gives, per base, the rows
+    of its entries.  Rank r is one gather-multiply-add over its prefix,
+    ``(count, terms, values)``: ``values`` (count, 1) are the r-th kept term
+    entries and ``terms`` their term indices.  A term entry is kept when it
+    is nonzero, or when its base entry is ``-0.0``: the one running sum
+    that a ``+0.0`` product changes.
     """
-    K = columns.shape[2]
-    stack = np.empty((base.size, K))
-    stack[:] = base.reshape(-1, 1)
-    for product in terms * columns[: len(terms)]:
-        stack += product
-    return np.ascontiguousarray(stack.T).reshape((K,) + base.shape)
+    base = np.concatenate([b.ravel() for b in bases])
+    values = np.zeros((max(map(len, term_lists)), base.size))
+    keep = np.zeros(values.shape, dtype=bool)
+    edges = np.cumsum([0] + [b.size for b in bases])
+    for lo, hi, terms in zip(edges[:-1], edges[1:], term_lists):
+        values[: len(terms), lo:hi] = np.reshape(terms, (len(terms), hi - lo))
+        keep[: len(terms), lo:hi] = True
+    keep &= (values != 0.0) | ((base == 0.0) & np.signbit(base))
+    kept = keep.sum(axis=0)
+    order = np.argsort(-kept, kind="stable")
+    ranks = []
+    for r in range(kept.max(initial=0)):
+        rows = order[kept[order] > r]
+        terms = np.array([np.flatnonzero(keep[:, e])[r] for e in rows])
+        ranks.append((len(rows), terms, values[terms, rows][:, None]))
+    rank_of = np.argsort(order)
+    positions = tuple(rank_of[lo:hi] for lo, hi in zip(edges[:-1], edges[1:]))
+    return base[order, None], tuple(ranks), positions
+
+
+def _affine_stack(base, ranks, columns):
+    """``base`` plus its kept products for the parameter columns (ell, K)
+    of K draws, as a stack (entries, K) in the entry order of
+    :func:`_nonzero_plan`.
+
+    Rank by rank, each prefix of entries adds its r-th kept term entry
+    times that term's parameter column, so each entry takes the multiplies
+    and adds of one draw alone, in increasing term order, and the stack
+    holds one rank's (count, K) product at a time.  The product is scaled
+    in place in its gathered columns, which costs less than forming the
+    outer product of ``values`` and the columns anew.
+    """
+    stack = np.empty((len(base), columns.shape[1]))
+    stack[:] = base
+    for count, terms, values in ranks:
+        product = columns.take(terms, axis=0)
+        product *= values
+        stack[:count] += product
+    return stack
 
 
 @dataclass(frozen=True, init=False)

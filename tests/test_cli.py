@@ -107,6 +107,19 @@ class TestCertify:
         cfg = write(tmp_path, bad)
         assert main(["certify", "--config", cfg]) == 1
 
+    def test_uniform_box_of_overflowing_width_is_refused(self, tmp_path, capsys):
+        # 1e308 - (-1e308) overflows: refused by name before any draw, with
+        # no numpy OverflowError or overflow warning on the way
+        wide = feasible_config()
+        wide["scenarios"]["uniform"] = {"lower": [-0.35, -1e308], "upper": [-0.15, 1e308]}
+        cfg = write(tmp_path, wide)
+        assert main(["certify", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: uniform box entry 1 is [-1e+308, 1e+308], whose width is not finite\n"
+        )
+
     def test_report_written_to_out_dir(self, tmp_path, capsys):
         cfg = write(tmp_path, feasible_config())
         out_dir = tmp_path / "run"

@@ -180,8 +180,13 @@ class TestViolationEstimation:
                 (np.array([[0.4]]), np.array([[1.0]])),
             ]
         )
+
+        class TableIndices:  # uniform over the two table indices
+            def draw(self, count, rng):
+                return rng.integers(0, 2, size=(count, 1)).astype(float)
+
         est = ic.estimate_violation(
-            fam, UNIT1, UNIT1, zero_policy(2, 1), ic.DiscreteUniform(2), M=50, seed=2
+            fam, UNIT1, UNIT1, zero_policy(2, 1), TableIndices(), M=50, seed=2
         )
         assert est.v_hat == 0.0
 
@@ -277,16 +282,17 @@ def test_box_steps_all_use_the_lp(monkeypatch):
     calls = []
     real = geometry.vertex_decompose
 
-    def counted(P, x):
-        calls.append(np.shape(x))
-        return real(P, x)
+    def counted(P, x, **kwargs):
+        calls.append((np.shape(x), kwargs))
+        return real(P, x, **kwargs)
 
     monkeypatch.setattr(geometry, "vertex_decompose", counted)
     starts = np.random.default_rng(1).uniform(-0.9, 0.9, size=(5, 3))
     trajectories = ic.simulate_closed_loop(fam, [0.0], S, policy, starts, T=7)
     assert all(traj.first_exit is None for traj in trajectories)
-    # one stacked decomposition per step, of all five states
-    assert calls == [(5, 3)] * 7
+    # one stacked decomposition per step, of all five states, which skips
+    # the outside test that the step's exit test has just made
+    assert calls == [((5, 3), {"inside": True})] * 7
 
 
 def test_failed_decomposition_raises_instead_of_an_exit(monkeypatch):

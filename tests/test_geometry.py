@@ -157,10 +157,14 @@ def test_decompose_facet_midpoint_matches_enumeration():
 
 def test_decompose_outside_raises():
     P = ic.box([-1, -1], [1, 1])
-    with pytest.raises(DecompositionInfeasible):
+    with pytest.raises(DecompositionInfeasible, match=r"^point outside polytope beyond tol=1e-08$"):
         ic.vertex_decompose(P, [1.5, 0.0])
-    with pytest.raises(DecompositionInfeasible, match="point 1 outside"):
+    with pytest.raises(DecompositionInfeasible, match=r"^point 1 outside polytope beyond tol=1e-08$"):
         ic.vertex_decompose(P, [[0.5, 0.0], [1.5, 0.0]])
+    # a caller that has tested F x itself skips the test: the LP is feasible
+    # outside P too, and its weights sum to the gauge
+    gamma = ic.vertex_decompose(P, [[0.5, 0.0], [1.5, 0.0]], inside=True)
+    assert gamma.sum(axis=1) == pytest.approx([0.5, 1.5], abs=1e-12)
 
 
 def test_non_optimal_decomposition_raises(monkeypatch):

@@ -712,8 +712,9 @@ def test_image_check_matches_the_row_form(kind):
 
 def test_monte_carlo_memory_peak():
     # the pass holds one chunk's temporaries at a time, whatever M is; the
-    # largest is the product of the affine terms with the chunk's
-    # parameters, (ell, n * n, CHUNK)
+    # largest is the facet rows of the vertex images, (CHUNK, p, N). The
+    # plants of a chunk take their stack, one rank of nonzero products and
+    # the outputs, not a product per term, (ell, n * n, CHUNK)
     import tracemalloc
 
     from invarcert import scenario
@@ -721,14 +722,18 @@ def test_monte_carlo_memory_peak():
     fam, S, U, scen = six_node_instance(K=600)
     policy = ic.solve_affine_policy(fam, S, U, scen)
     draws = scen.distribution.draw(15000, np.random.default_rng(0))
-    product = fam.ell * fam.n * fam.n * scenario.CHUNK * 8
+    images = scenario.CHUNK * S.facet_count * S.vertex_count * 8
     tracemalloc.start()
     try:
         ic.empirical_violation(fam, S, U, policy, draws)
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        A, B = fam.instantiate_batch(draws[: scenario.CHUNK])
+        plant_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * product
+    assert peak <= 2 * images
+    assert plant_peak <= 5 * (A.nbytes + B.nbytes)
 
 
 @pytest.mark.parametrize("N, m, ell", [(8, 2, 4), (4, 2, 12), (2, 1, 1)])

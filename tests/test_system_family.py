@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from invarcert.system_family import (
     GraphError,
     NoFloatingNodes,
     NoInputNodes,
+    NonFiniteParameter,
     UnknownSample,
 )
 
@@ -134,16 +137,60 @@ def _term_families():
         "scalar": ic.AffineFamily(
             A0=[[0.9]], B0=[[1.0]], A_terms=rng.normal(size=(3, 1, 1)), B_terms=rng.normal(size=(3, 1))
         ),
+        "signed_zeros": _signed_zero_family(),
     }
 
 
+def _signed_zero_family():
+    """-0.0 in A0, B0 and the terms, an all-zero term (A_1 and B_2), terms
+    that are zero on some entries only, entries with no nonzero term (A
+    (1, 0) and (1, 2), B (1, 1)) and -0.0 base entries that some term
+    is nonzero on (A (1, 1), B (0, 0) and (2, 1)) or no term is (A (0, 0))."""
+    z = -0.0
+    A0 = [[z, 0.5, 0.0], [0.0, z, 1.0], [0.2, 0.0, 0.9]]
+    A_terms = [
+        [[0.0, 0.3, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, z]],
+        np.zeros((3, 3)),
+        [[z, 0.1, 0.0], [0.0, 0.7, 0.0], [0.0, 0.0, 0.0]],
+        [[z, z, z], [z, z, z], [0.4, z, z]],
+    ]
+    B0 = [[z, 1.0], [0.0, 0.0], [0.5, z]]
+    B_terms = [
+        [[z, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        [[0.2, 0.0], [0.0, 0.0], [0.0, 0.3]],
+        np.zeros((3, 2)),
+        [[0.0, 0.0], [0.1, 0.0], [0.0, 0.0]],
+    ]
+    return ic.AffineFamily(A0=A0, B0=B0, A_terms=A_terms, B_terms=B_terms)
+
+
+def test_signed_zero_family_over_every_sign_of_zero():
+    # every parameter in {-1, -0.0, 0.0, 1}: at each -0.0 base entry the
+    # per-term loop ends on both signs of zero, so a build that skipped a
+    # zero term there differs in bytes
+    fam = _signed_zero_family()
+    deltas = np.array(list(itertools.product([-1.0, -0.0, 0.0, 1.0], repeat=fam.ell)))
+    A, B = fam.instantiate_batch(deltas)
+    A_ref, B_ref = _per_term_reference(fam, deltas)
+    assert A.tobytes() == A_ref.tobytes() and B.tobytes() == B_ref.tobytes()
+    for X, i, j in ((A, 0, 0), (A, 1, 1), (B, 0, 0), (B, 2, 1)):
+        zeros = X[X[:, i, j] == 0.0, i, j]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all(), (i, j)
+
+
+KINDS = ["six_node", "affine3", "no_A_terms", "no_B_terms", "scalar", "signed_zeros"]
+
+
 @pytest.mark.parametrize("K", [1, 2, 511, 512, 513, 5000])
-@pytest.mark.parametrize("kind", ["six_node", "affine3", "no_A_terms", "no_B_terms", "scalar"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_instantiate_batch_matches_the_per_term_loop(kind, K):
     fam = _term_families()[kind]
     rng = np.random.default_rng(K)
     for scale in (1e-3, 1.0, 1e3):
         deltas = scale * rng.uniform(-1.0, 1.0, size=(K, fam.ell))
+        # signed zero parameters, whose products are signed zeros
+        deltas[::3, 0] = 0.0
+        deltas[1::3, -1] = -0.0
         A, B = fam.instantiate_batch(deltas)
         A_ref, B_ref = _per_term_reference(fam, deltas)
         assert A.shape == A_ref.shape and B.shape == B_ref.shape
@@ -152,6 +199,33 @@ def test_instantiate_batch_matches_the_per_term_loop(kind, K):
         for k in {0, K // 2, K - 1}:
             A_k, B_k = fam.instantiate(deltas[k])
             assert A_k.tobytes() == A[k].tobytes() and B_k.tobytes() == B[k].tobytes()
+
+
+def test_instantiate_batch_refuses_a_non_finite_row():
+    # a skipped zero term would hide 0 * inf = NaN, so the row is refused
+    # by its position instead
+    fam = _term_families()["six_node"]
+    deltas = np.random.default_rng(5).uniform(-1.0, 1.0, size=(6, fam.ell))
+    for bad in (np.inf, -np.inf, np.nan):
+        deltas[4, 2] = bad
+        with pytest.raises(NonFiniteParameter, match=r"^row 4: parameter \[.*\] is not finite$"):
+            fam.instantiate_batch(deltas)
+        with pytest.raises(ValueError, match=r"^row 0: parameter"):
+            fam.instantiate(deltas[4])
+
+
+def test_non_finite_draw_named_in_the_whole_sample_list():
+    # the bad draw sits in the second chunk of 512 of a Monte Carlo pass
+    from instances import six_node_instance
+
+    from invarcert import scenario
+
+    fam, S, U, scen = six_node_instance(K=50)
+    policy = ic.solve_affine_policy(fam, S, U, scen)
+    draws = scen.distribution.draw(scenario.CHUNK + 200, np.random.default_rng(0))
+    draws[scenario.CHUNK + 7, 0] = np.nan
+    with pytest.raises(NonFiniteParameter, match=rf"^row {scenario.CHUNK + 7}: parameter"):
+        ic.empirical_violation(fam, S, U, policy, draws)
 
 
 def test_orientation_invariance():
