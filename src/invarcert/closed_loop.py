@@ -13,10 +13,10 @@ On a simplicial facet the law is explicit and piecewise linear
 once per polytope (:attr:`geometry.Polytope.facet_simplices`).  Only a
 state whose facet is not a simplex goes through the LP of
 :func:`geometry.vertex_decompose`; all such states of a step go in one
-call, which solves their LPs by walking the program's cache of pivot paths
-(:func:`lp_core.solve_batch`).  A polytope with no simplicial facet (a box
-in three or more dimensions, say) sends every state there, with no
-explicit law tried.
+call, which solves their LPs as one stack by walking the program's cache
+of pivot paths (the core of :func:`lp_core.solve_batch`).  A polytope with
+no simplicial facet (a box in three or more dimensions, say) sends every
+state there, with no explicit law tried.
 
 :func:`simulate_closed_loop` steps a whole stack of starts together as
 column stacks; one start is a stack of one.  A step runs the products

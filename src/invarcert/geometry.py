@@ -254,14 +254,15 @@ def vertex_decompose(P: Polytope, x, *, inside: bool = False) -> np.ndarray:
     ``sum(gamma) = minkowski_gauge(P, x)``, one row per point of a stack;
     ties are settled by the LP core's deterministic pivoting.  The bound
     ``gamma_i <= 1`` is implied by the gauge being <= 1 and is not imposed
-    explicitly.  All the points are decomposed by one
-    :func:`lp_core.solve_batch`.  A point outside ``P`` (``F x > 1 +
-    DEFAULT_TOL``) raises :class:`DecompositionInfeasible`, and so does a
-    point whose LP is not solved to its optimum: that LP is always feasible
-    and bounded (the origin is interior, so the vertices' cone is all of
-    R^n, and ``sum(gamma) >= 0``), so any other outcome is a numerical
-    fault.  ``inside=True`` skips the outside test, for a caller that has
-    just made it on the same ``F x``.
+    explicitly.  All the points are decomposed as one stack of
+    :func:`lp_core.solve_batch` lanes, whose ``z`` rows are read directly.
+    A point outside ``P`` (``F x > 1 + DEFAULT_TOL``) raises
+    :class:`DecompositionInfeasible`, and so does a point whose LP is not
+    solved to its optimum: that LP is always feasible and bounded (the
+    origin is interior, so the vertices' cone is all of R^n, and
+    ``sum(gamma) >= 0``), so any other outcome is a numerical fault.
+    ``inside=True`` skips the outside test, for a caller that has just made
+    it on the same ``F x``.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim < 2
@@ -275,11 +276,10 @@ def vertex_decompose(P: Polytope, x, *, inside: bool = False) -> np.ndarray:
         if outside.any():
             which = "point" if single else f"point {outside.any(axis=(1, 2)).argmax()}"
             raise DecompositionInfeasible(f"{which} outside polytope beyond tol={DEFAULT_TOL}")
-    outcomes = lp_core.solve_batch(P.decomposition_lp, b_in=np.hstack([X, -X]))
-    for row, outcome in enumerate(outcomes):
+    Z, _, _, alone = lp_core._solve_stack(P.decomposition_lp, np.concatenate((X, -X), axis=1))
+    for row, outcome in alone.items():
         if not outcome.is_optimal:
             which = "the point" if single else f"point {row}"
             raise DecompositionInfeasible(f"decomposition LP of {which} is {outcome.status.value}")
-    gamma = np.reshape([outcome.z for outcome in outcomes], (len(X), P.vertex_count))
-    gamma = np.maximum(gamma, 0.0)
+    gamma = np.maximum(Z, 0.0, out=Z)
     return gamma[0] if single else gamma

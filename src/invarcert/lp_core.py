@@ -47,20 +47,25 @@ Python floats, through phase 1 and straight on through phase 2
 :meth:`_Tableau._pivot` to the rows whose factor is not zero (``x - 0.0 *
 t`` would change at most the sign of a zero, which the ratio test cannot
 see) and picks the leaving row by the ratio test of the lone solve
-(:func:`_ratio_test`).  Then one stacked solve of the pristine basis
-matrices gives every lane's basic solution at the end of phase 1 and at
-its final basis (:func:`_solutions`); the phase-1 test
-(:func:`_infeasible`) reads the first and the optimal finish
-(:func:`_finish`) the second.  The lone solve uses the same pieces: each
-node's eligible rows (:meth:`_Tableau.eligible`), its phase's cost and
-allowed columns (:func:`_phase`) and, as a stack of one, the basic
-solutions, the phase-1 test and the finish.  Any other lane (Bland's rule,
-the iteration cap, a second-choice entering column, an unbounded or
-infeasible program, a non-finite value in the walk, from where a skipped
-``0.0 * inf`` would have made a NaN, a singular or non-finite basis solve,
-a primal violation) is solved again from the start by :func:`solve` with
-its own ``b_in``.  So each outcome is bit for bit that of :func:`solve`,
-whatever filled the cache before, and the rare rules live in one place.
+(:func:`_ratio_test`).  From there the lanes stay one stack
+(:func:`_solve_stack`): one solve of the pristine basis matrices, every
+lane's final basis stacked on the basis its phase-1 test reads, gives all
+the basic solutions (:func:`_solutions`); the phase-1 test
+(:func:`_infeasible`) reads the second half, one call per width, and one
+optimal finish (:func:`_finish`) the first, as arrays with a row per lane.
+The lone solve uses the same pieces: each node's eligible rows
+(:meth:`_Tableau.eligible`), its phase's cost and allowed columns
+(:func:`_phase`) and, as a stack of one, the basic solutions, the phase-1
+test and the finish.  Any other lane (Bland's rule, the iteration cap, a
+second-choice entering column, an unbounded or infeasible program, a
+non-finite value in the walk, from where a skipped ``0.0 * inf`` would
+have made a NaN, a singular or non-finite basis solve, a primal
+violation) is solved again from the start by :func:`solve` with its own
+``b_in``, in lane order, and its row of the stack is overwritten.  So each
+outcome is bit for bit that of :func:`solve`, whatever filled the cache
+before, and the rare rules live in one place.  :func:`solve_batch` turns
+the stack into one :class:`LpOutcome` per lane; the vertex decomposition
+reads its ``z`` rows directly.
 """
 
 import copy
@@ -481,7 +486,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
             tab.run(*_phase(lp.c, tab, 1))
         except _Unbounded:  # a numerical fault: the phase-1 objective is bounded
             raise NumericalBreakdown("phase 1 reported unbounded")
-        if _infeasible(tab.solution(tab.total_cols), sum(T.shape), r[None])[0]:
+        if _infeasible(tab.solution(tab.total_cols), sum(T.shape), _scale(r))[0]:
             return LpOutcome(LpStatus.INFEASIBLE, iterations=tab.iterations)
         tab.drive_out_artificials()
 
@@ -516,7 +521,7 @@ def solve_dual(lp: LinearProgram) -> LpOutcome:
 def _optimal(lp: LinearProgram, tab: _Tableau) -> LpOutcome:
     """The optimal outcome at the final basis of ``tab`` (:func:`_finish`);
     :class:`NumericalBreakdown` if it violates the constraints."""
-    Z, objective, resid, bad = _finish(lp, tab.solution(sum(lp.A_in.shape)), lp.b_in)
+    Z, objective, resid, bad = _finish(lp, tab.solution(sum(lp.A_in.shape)), lp.b_in, _scale(lp.b_in))
     if bad[0]:
         raise NumericalBreakdown(f"optimal point violates constraints by {resid[0]:.3e}")
     return LpOutcome(LpStatus.OPTIMAL, Z[0], float(objective[0]), tab.iterations)
@@ -525,14 +530,31 @@ def _optimal(lp: LinearProgram, tab: _Tableau) -> LpOutcome:
 def solve_batch(lp: LinearProgram, *, b_in) -> list[LpOutcome]:
     """:func:`solve` of ``lp`` with ``b_in`` replaced by each row of ``b_in``.
 
-    Each lane of the (L, m) stack walks the program's pivot-path cache
-    through both phases, and one stacked basis solve serves the phase-1
-    test and the optimal finish of every lane; each outcome, with its
-    iteration count and ``z``, is bit for bit that of the lone solve.  The
-    lanes the walk cannot finish, or that the phase-1 test, the basis
-    solve or the finish flags, are solved alone, after the walks and in
-    lane order.  Raises what the lone solve of the first lane that raises
-    would raise.
+    The outcomes of :func:`_solve_stack`: each lane's, with its iteration
+    count and ``z``, is bit for bit that of the lone solve.  Raises what
+    the lone solve of the first lane that raises would raise.
+    """
+    Z, objective, iterations, alone = _solve_stack(lp, b_in)
+    return [
+        alone.get(lane) or LpOutcome(LpStatus.OPTIMAL, z, value, count)
+        for lane, (z, value, count) in enumerate(zip(Z, objective.tolist(), iterations))
+    ]
+
+
+def _solve_stack(lp: LinearProgram, b_in):
+    """The lanes of :func:`solve_batch`, kept as one stack.
+
+    Each lane of the (L, m) stack ``b_in`` walks the program's pivot-path
+    cache through both phases.  One stacked basis solve (:func:`_solutions`)
+    then gives every lane's basic solution at its final basis and at the
+    end of its phase 1; the phase-1 test (:func:`_infeasible`, grouped by
+    width) reads the second and the optimal finish (:func:`_finish`) the
+    first.  Returns ``Z`` (L, n) and the objectives (L,) of every lane,
+    their iteration counts (a list) and ``alone``: by lane, in lane order,
+    the outcome of :func:`solve` of each lane that the walk cannot finish
+    or that the phase-1 test, the basis solve or the finish flags, solved
+    after the walks.  The rows of such a lane hold its lone ``z`` and
+    objective if it is optimal.
     """
     R = np.asarray(b_in, dtype=float)
     T = lp.A_in
@@ -540,49 +562,45 @@ def solve_batch(lp: LinearProgram, *, b_in) -> list[LpOutcome]:
         raise DimensionMismatch(f"b_in must be a stack of shape (L, {len(T)})")
     if not np.isfinite(R).all():
         raise ValueError("LP data must be finite")
+    L, arts = len(R), sum(T.shape)  # arts: the first artificial column
+    if not L:
+        return np.zeros((0, lp.c.size)), np.zeros(0), [], {}
     flips = R < 0
-    rhs = R * np.where(flips, -1.0, 1.0)  # each lane's first rhs column
-    arts = sum(T.shape)  # the first artificial column
+    rhs = np.where(flips, -R, R)  # each lane's first rhs column
     cap, stall_limit = _max_iterations(*T.shape), _Tableau.stall_limit
-    paths = lp._paths
-    outcomes: list = [None] * len(R)
-    alone, ends, finals = [], {}, []
-    for lane, (flip, r) in enumerate(zip(flips, rhs.tolist())):
-        node, done = _walk(paths.get(flip.tobytes()) or _Node.root(lp, flip), r, cap, stall_limit)
-        end = None
+    paths, keys, m = lp._paths, flips.tobytes(), len(T)
+    # each lane's final node and the node its phase-1 test reads: the root
+    # where there is no phase 1 (no artificial, so the test passes) and in
+    # both places for a lane the walk cannot finish; a root's basis is of
+    # slacks and artificials, so it never fails the stacked solve
+    finals, starts, unfinished = [], [], []
+    for lane, r in enumerate(rhs.tolist()):
+        start = paths.get(keys[lane * m : lane * m + m]) or _Node.root(lp, flips[lane])
+        node, done = _walk(start, r, cap, stall_limit)
         if done and node.phase == 1:  # on into phase 2; the phase-1 test comes after
-            end = node
-            node, done = _walk(end.children.get(None) or end.grow(None), r, cap, stall_limit)
+            start = node
+            node, done = _walk(node.children.get(None) or node.grow(None), r, cap, stall_limit)
         if not done:
-            alone.append(lane)
-            continue
-        if end:  # grouped by the width of the lone solve's phase-1 test
-            ends.setdefault(end.tab.total_cols, []).append((lane, end))
-        finals.append((lane, node))
-
-    if finals:
-        # one stacked basis solve: the phase-1 ends, a slice per width, then
-        # the final bases
-        stack = [end for group in ends.values() for end in group] + finals
-        lanes = [lane for lane, _ in stack]
-        B = rhs[lanes]  # |B| is |R|, all that the phase-1 test reads
-        y, stop = _solutions([node for _, node in stack], B, max(ends, default=arts))
-        lo = 0
-        for width, group in ends.items():
-            hi = lo + len(group)
-            stop[lo:hi] |= _infeasible(y[lo:hi, :width], arts, B[lo:hi])
-            lo = hi
-        flagged = {lane for lane, bad in zip(lanes, stop[:lo].tolist()) if bad}
-        Z, objective, _, bad = _finish(lp, y[lo:], R[lanes[lo:]])
-        bad |= stop[lo:]  # the lone solve falls back to the tableau values
-        for (lane, node), z, value, fail in zip(finals, Z, objective.tolist(), bad.tolist()):
-            if fail or lane in flagged:
-                alone.append(lane)
-            else:
-                outcomes[lane] = LpOutcome(LpStatus.OPTIMAL, z, value, node.iterations)
-    for lane in sorted(alone):
-        outcomes[lane] = solve(replace(lp, b_in=R[lane]))
-    return outcomes
+            unfinished.append(lane)
+            node = start
+        finals.append(node)
+        starts.append(start)
+    widths = [node.tab.total_cols for node in starts]
+    y, broken = _solutions(finals + starts, np.concatenate((rhs, rhs)), max(widths))
+    scale = _scale(R)
+    infeasible = np.empty(L, dtype=bool)
+    groups = set(widths)
+    for width in groups:  # a mask only where the widths mix
+        lanes = np.equal(widths, width) if len(groups) > 1 else slice(None)
+        infeasible[lanes] = _infeasible(y[L:][lanes, :width], arts, scale[lanes])
+    Z, objective, _, bad = _finish(lp, y[:L], R, scale)
+    bad |= broken[:L] | broken[L:] | infeasible
+    alone = {}
+    for lane in sorted({*unfinished, *bad.nonzero()[0].tolist()}):
+        alone[lane] = outcome = solve(replace(lp, b_in=R[lane]))
+        if outcome.is_optimal:
+            Z[lane], objective[lane] = outcome.z, outcome.objective
+    return Z, objective, [node.iterations for node in finals], alone
 
 
 def _solutions(tableaux: list, rhs: np.ndarray, width: int):
@@ -599,28 +617,34 @@ def _solutions(tableaux: list, rhs: np.ndarray, width: int):
         )[:, :, 0]
     except np.linalg.LinAlgError:
         return y, np.ones(len(tableaux), dtype=bool)
-    broken = ~np.isfinite(values).all(axis=1)
+    broken = np.zeros(len(tableaux), dtype=bool)
+    if not np.isfinite(values).all():
+        broken = ~np.isfinite(values).all(axis=1)
+        values[broken] = 0.0
     y[np.arange(len(tableaux))[:, None], [t.basis for t in tableaux]] = values
-    y[broken] = 0.0
     return y, broken
 
 
-def _infeasible(y: np.ndarray, arts: int, R: np.ndarray) -> np.ndarray:
+def _scale(B_in: np.ndarray):
+    """``max(1, |b_in|)`` of each row of ``B_in`` (or of ``B_in``): what the
+    feasibility tolerance is relative to."""
+    return np.abs(B_in).max(axis=-1, initial=1.0)
+
+
+def _infeasible(y: np.ndarray, arts: int, scale) -> np.ndarray:
     """The infeasible lanes: their phase-1 solutions ``y`` leave the
-    artificials (from column ``arts``) above ``DEFAULT_FEAS_TOL`` relative to ``R``."""
-    return y[:, arts:].sum(axis=1) > DEFAULT_FEAS_TOL * np.abs(R).max(axis=1, initial=1.0)
+    artificials (from column ``arts``) above ``DEFAULT_FEAS_TOL`` times
+    ``scale`` (:func:`_scale`)."""
+    return y[:, arts:].sum(axis=1) > DEFAULT_FEAS_TOL * scale
 
 
-def _finish(lp: LinearProgram, y: np.ndarray, B_in: np.ndarray):
+def _finish(lp: LinearProgram, y: np.ndarray, B_in: np.ndarray, scale):
     """``z`` and objective at each row of the optimal basic solutions ``y``;
     how far each ``z`` violates the constraints of ``lp`` with ``b_in`` the
-    same row of ``B_in`` (or ``B_in`` for all), and where beyond ``DEFAULT_FEAS_TOL``
-    relative to ``max(1, |b_in|)``."""
+    same row of ``B_in`` (or ``B_in`` for all), and where beyond
+    ``DEFAULT_FEAS_TOL`` times ``scale`` (:func:`_scale`)."""
     Z = y[:, : lp.c.size] + 0.0  # adding 0.0 turns a -0.0 of the basis solve into 0.0
-    scale = np.abs(B_in).max(axis=-1, initial=1.0)
-    resid = (-Z).max(axis=1, initial=0.0)  # z >= 0
-    if len(lp.A_in):
-        rows = (lp.A_in @ Z[:, :, None])[:, :, 0] - B_in
-        resid = np.maximum(resid, rows.max(axis=1))
+    rows = (lp.A_in @ Z[:, :, None])[:, :, 0] - B_in
+    resid = np.concatenate((-Z, rows), axis=1).max(axis=1, initial=0.0)  # z >= 0 too
     objective = (Z[:, None, :] @ lp.c[:, None])[:, 0, 0]
     return Z, objective, resid, resid > DEFAULT_FEAS_TOL * scale

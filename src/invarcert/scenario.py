@@ -227,14 +227,16 @@ class AffinePolicy:
 
     def vertex_inputs(self, delta) -> np.ndarray:
         """Inputs at every vertex: (M, N, m) for a (M, ell) stack of draws,
-        (N, m) for one draw, which is a stack of one."""
+        (N, m) for one draw, which is a stack of one.  The result is in C
+        order, so its (M * N, m) rows are a view."""
         d = np.asarray(delta, dtype=float)
         ell = self.gains.shape[2]
         stack = d.ndim == 2 and d.shape[1] == ell
         D = d if stack else d.reshape(1, -1)
         if D.shape[1] != ell:
             raise DimensionMismatch(f"expected parameter of dimension {ell}, got {d.size}")
-        U = (D @ self.gains.transpose(0, 2, 1)).transpose(1, 0, 2) + self.offsets
+        products = (D @ self.gains.transpose(0, 2, 1)).transpose(1, 0, 2)
+        U = np.add(products, self.offsets, out=np.empty(products.shape))
         return U if stack else U[0]
 
 

@@ -300,17 +300,19 @@ def test_failed_decomposition_raises_instead_of_an_exit(monkeypatch):
     # fault, not an exit: the law and the simulation raise
     from invarcert import lp_core
 
-    real = lp_core.solve_batch
+    finish = lp_core._finish
     steps = []
 
-    def fails_at_step_three(lp, **kwargs):
-        outcomes = real(lp, **kwargs)
-        steps.append(len(outcomes))
+    def flags_at_step_three(lp, y, B_in, scale):
+        # the finish of the third step flags the last lane, whose lone solve fails
+        Z, objective, resid, bad = finish(lp, y, B_in, scale)
+        steps.append(len(y))
         if len(steps) == 3:
-            outcomes[-1] = lp_core.LpOutcome(lp_core.LpStatus.INFEASIBLE)
-        return outcomes
+            bad[-1] = True
+        return Z, objective, resid, bad
 
-    monkeypatch.setattr(lp_core, "solve_batch", fails_at_step_three)
+    monkeypatch.setattr(lp_core, "_finish", flags_at_step_three)
+    monkeypatch.setattr(lp_core, "solve", lambda lp: lp_core.LpOutcome(lp_core.LpStatus.INFEASIBLE))
     S = ic.box([-1, -1, -1], [1, 1, 1])
     fam = ic.AffineFamily(
         A0=0.5 * np.eye(3), B0=np.eye(3), A_terms=[np.zeros((3, 3))], B_terms=[np.zeros((3, 3))]

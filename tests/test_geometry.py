@@ -169,17 +169,19 @@ def test_decompose_outside_raises():
 
 def test_non_optimal_decomposition_raises(monkeypatch):
     # the LP of a point of P is feasible and bounded, so a lane that comes
-    # back otherwise is a numerical fault: it raises, and no row is made
+    # back otherwise is a numerical fault: it raises, and no row is made.
+    # Here the finish flags the second lane, whose lone solve then fails
     from invarcert import lp_core
 
-    real = lp_core.solve_batch
+    finish = lp_core._finish
 
-    def second_lane_fails(lp, **kwargs):
-        outcomes = real(lp, **kwargs)
-        outcomes[min(1, len(outcomes) - 1)] = lp_core.LpOutcome(lp_core.LpStatus.INFEASIBLE)
-        return outcomes
+    def second_lane_flagged(lp, y, B_in, scale):
+        Z, objective, resid, bad = finish(lp, y, B_in, scale)
+        bad[min(1, len(y) - 1)] = True
+        return Z, objective, resid, bad
 
-    monkeypatch.setattr(lp_core, "solve_batch", second_lane_fails)
+    monkeypatch.setattr(lp_core, "_finish", second_lane_flagged)
+    monkeypatch.setattr(lp_core, "solve", lambda lp: lp_core.LpOutcome(lp_core.LpStatus.INFEASIBLE))
     P = ic.box([-1, -1, -1], [1, 1, 1])
     with pytest.raises(DecompositionInfeasible, match="^decomposition LP of the point is inf"):
         ic.vertex_decompose(P, [0.5, 0.2, -0.1])

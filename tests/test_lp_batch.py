@@ -9,8 +9,9 @@ lanes down every rule that the walk leaves to the lone solve.  Every pivot a wal
 applies is the next pivot of the lane's lone solve, the outcomes do not
 depend on what filled the pivot-path cache, and the cache stays small.
 States with signed zeros and tied ratios check the walk's skipped zero
-factors, a decomposition call makes one basis solve, and a lane whose walk
-meets a non-finite value is solved alone.
+factors, a decomposition call makes one basis solve and keeps its lanes in
+order when a middle one goes alone among phase-1 tests of two widths, and a
+lane whose walk meets a non-finite value is solved alone.
 The invariant that lets every drive-out pivot without a redundant-row
 case is checked over the differential corpus and the decomposition
 programs."""
@@ -76,7 +77,7 @@ def alone(monkeypatch):
     seen = []
 
     def spy(lp):
-        if sys._getframe(1).f_code is solve_batch.__code__:
+        if sys._getframe(1).f_code is lp_core._solve_stack.__code__:
             seen.append(lp.b_in.tolist())
         return solve(lp)
 
@@ -155,6 +156,22 @@ def test_one_basis_solve_per_batch(alone, monkeypatch):
         assert len(solves) == 1
     assert alone == []
     assert len(P.decomposition_lp._paths) > 10  # many flip patterns, so many widths
+    # with the stall limit lowered, the middle lane of this stack goes
+    # alone, and the outer ones finish with phase-1 tests of two widths (a
+    # nonzero coordinate flips one row; the last state's third is 0.0):
+    # each row and lane is still the lone solve's, and in lane order
+    monkeypatch.setattr(lp_core._Tableau, "stall_limit", 3)
+    X = np.vstack([states[1], states[44], _signed_zero_states(P)[3]])
+    assert np.count_nonzero(X, axis=1).tolist() == [3, 3, 2] and X[2, 2] == 0.0
+    lone = [solve(replace(P.decomposition_lp, b_in=_at(x))) for x in X]
+    solves.clear()
+    rows = vertex_decompose(P, X)
+    assert solves[0] > 1 and set(solves[1:]) == {1}  # then the lone solve's own
+    assert [row.tobytes() for row in rows] == [np.maximum(o.z, 0.0).tobytes() for o in lone]
+    assert alone == _at(X[1:2]).tolist()
+    alone.clear()
+    _assert_lanes_are_lone(P.decomposition_lp, _at(X))
+    assert alone == _at(X[1:2]).tolist()
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
@@ -282,8 +299,8 @@ def test_primal_violation_raises_alone_and_in_the_batch(alone, monkeypatch):
     # the batch hands each lane to it and raises the same
     finish = lp_core._finish
 
-    def violated(lp, y, B_in):
-        Z, objective, resid, bad = finish(lp, y, B_in)
+    def violated(lp, y, B_in, scale):
+        Z, objective, resid, bad = finish(lp, y, B_in, scale)
         return Z, objective, resid + 1.0, np.ones_like(bad)
 
     monkeypatch.setattr(lp_core, "_finish", violated)
@@ -298,8 +315,8 @@ def test_flagged_final_lane_is_solved_alone(alone, monkeypatch):
     # solve, whose own finish passes it
     finish = lp_core._finish
 
-    def flag_second(lp, y, B_in):
-        Z, objective, resid, bad = finish(lp, y, B_in)
+    def flag_second(lp, y, B_in, scale):
+        Z, objective, resid, bad = finish(lp, y, B_in, scale)
         if len(y) > 1:
             bad[1] = True
         return Z, objective, resid, bad

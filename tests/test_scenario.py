@@ -752,6 +752,21 @@ def test_vertex_inputs_of_one_draw_are_a_stack_of_one(N, m, ell):
         policy.vertex_inputs(np.zeros(ell + 1))
 
 
+@pytest.mark.parametrize("N, m, ell", [(8, 2, 4), (4, 2, 12), (2, 1, 1)])
+def test_vertex_inputs_of_a_stack_are_rows_in_c_order(N, m, ell):
+    # is_admissible reads the (M, N, m) inputs of a chunk as (M * N, m)
+    # rows; they come in C order, so that is a view, not a copy, and the
+    # bits are those of the product transposed before the offsets are added
+    rng = np.random.default_rng(ell)
+    policy = ic.AffinePolicy(gains=rng.normal(size=(N, m, ell)), offsets=rng.normal(size=(N, m)))
+    draws = rng.uniform(-1.0, 1.0, size=(513, ell))
+    stacked = policy.vertex_inputs(draws)
+    assert stacked.shape == (513, N, m) and stacked.flags.c_contiguous
+    assert np.shares_memory(stacked.reshape(-1, m), stacked)
+    reference = (draws @ policy.gains.transpose(0, 2, 1)).transpose(1, 0, 2) + policy.offsets
+    assert stacked.tobytes() == reference.tobytes()
+
+
 def test_policy_fingerprint_is_hashed_once(monkeypatch):
     # gains and offsets are read-only, so one hash serves every simulation
     from invarcert import scenario
