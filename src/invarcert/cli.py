@@ -199,31 +199,24 @@ def _initial_states(
     raise ConfigError(f"unknown --init spec '{spec}' (use vertices or random:N)")
 
 
-class _Sampled:
-    """The family at one checked ``--sample``: its plant is built only once."""
-
-    def __init__(self, family, plant):
-        self.m, self.ell, self.instantiate = family.m, family.ell, lambda delta: plant
-
-
 def _sample_parameter(family, sample):
     """``sample`` as the parameter of a simulation: ``ell`` finite numbers
-    whose plant ``A(delta), B(delta)`` is finite; with the family at it."""
+    whose plant ``A(delta), B(delta)`` is finite; with the family at it
+    (:class:`closed_loop.PlantAt`), which the simulation does not check
+    again."""
     delta = np.asarray(sample, dtype=float)
     if delta.shape != (family.ell,):
         raise InvalidArguments(f"--sample has {delta.size} values, expected {family.ell}")
     if not np.isfinite(delta).all():
         raise InvalidArguments(f"--sample values must be finite, got {delta.tolist()}")
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            plant = family.instantiate(delta)
+        return delta, closed_loop.PlantAt(family, delta)
     except UnknownSample as exc:
         raise InvalidArguments(
             f"--sample {exc.value!r} is not a table index in 0..{exc.count - 1}"
         ) from None
-    if not all(np.isfinite(M).all() for M in plant):
-        raise InvalidArguments(f"--sample {delta.tolist()} gives a non-finite plant")
-    return delta, _Sampled(family, plant)
+    except InvalidArguments:
+        raise InvalidArguments(f"--sample {delta.tolist()} gives a non-finite plant") from None
 
 
 def _trajectory_name(idx: int) -> str:

@@ -14,7 +14,7 @@ once per polytope (:attr:`geometry.Polytope.facet_simplices`).  Only a
 state whose facet is not a simplex goes through the LP of
 :func:`geometry.vertex_decompose`; all such states of a step go in one
 call, which solves their LPs as one stack by walking the program's cache
-of pivot paths (the core of :func:`lp_core.solve_batch`).  A polytope with
+of pivot paths (:func:`lp_core._solve_stack`).  A polytope with
 no simplicial facet (a box in three or more dimensions, say) sends every
 state there, with no explicit law tried.
 
@@ -51,6 +51,21 @@ class DistributionUnavailable(InvarcertError):
 
 class TrajectoryOverflow(InvarcertError):
     """A simulated state is not finite."""
+
+
+class PlantAt:
+    """A family at one parameter: its ``m``, ``ell`` and its ``plant``
+    ``A(delta), B(delta)``, built once and checked finite.  A plant that is
+    not finite raises :class:`InvalidArguments` naming ``delta``.
+    :func:`simulate_closed_loop` takes one in place of its family and does
+    not build or check the plant again."""
+
+    def __init__(self, family, delta):
+        with np.errstate(over="ignore", invalid="ignore"):
+            A, B = family.instantiate(delta)
+        if not (np.isfinite(A).all() and np.isfinite(B).all()):
+            raise InvalidArguments(f"parameter {delta.tolist()} gives a non-finite plant")
+        self.m, self.ell, self.plant = family.m, family.ell, (A, B)
 
 
 @dataclass(frozen=True)
@@ -155,7 +170,8 @@ def simulate_closed_loop(
     raises :class:`InvalidArguments` before anything is allocated; a start
     outside ``S``, or not finite, raises :class:`DecompositionInfeasible`
     before any step, and a parameter whose plant ``A(delta), B(delta)`` is
-    not finite raises :class:`InvalidArguments`, also before any step.  An
+    not finite raises :class:`InvalidArguments`, also before any step; a
+    :class:`PlantAt` in place of ``family`` has been checked already.  An
     empty stack of starts gives an empty list.  A run that overflows raises
     :class:`TrajectoryOverflow`, naming the first start with a non-finite
     state and its first such step.
@@ -179,10 +195,8 @@ def simulate_closed_loop(
     N = X.shape[0]
     # an overflow shows as a non-finite plant, refused here, or as a
     # non-finite state, refused once after the loop
+    A, B = (family if isinstance(family, PlantAt) else PlantAt(family, delta)).plant
     with np.errstate(over="ignore", invalid="ignore"):
-        A, B = family.instantiate(delta)
-        if not (np.isfinite(A).all() and np.isfinite(B).all()):
-            raise InvalidArguments(f"parameter {delta.tolist()} gives a non-finite plant")
         if not N:
             return []
         # step-major column stacks of the states, their F x and the inputs (as rows); a

@@ -255,7 +255,7 @@ def vertex_decompose(P: Polytope, x, *, inside: bool = False) -> np.ndarray:
     ties are settled by the LP core's deterministic pivoting.  The bound
     ``gamma_i <= 1`` is implied by the gauge being <= 1 and is not imposed
     explicitly.  All the points are decomposed as one stack of
-    :func:`lp_core.solve_batch` lanes, whose ``z`` rows are read directly.
+    :func:`lp_core._solve_stack` lanes, whose ``z`` rows are read directly.
     A point outside ``P`` (``F x > 1 + DEFAULT_TOL``) raises
     :class:`DecompositionInfeasible`, and so does a point whose LP is not
     solved to its optimum: that LP is always feasible and bounded (the

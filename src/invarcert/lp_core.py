@@ -8,7 +8,8 @@ it needs no phase 1 and no artificials, and the leaving row holds the
 most negative basic value.  Constraint generation in
 :mod:`invarcert.scenario` solves its 1-norm working LPs with it; the
 vertex decomposition and the origin-in-hull test keep :func:`solve`,
-whose ties choose the simulated inputs.  Both start from one tableau
+whose ties choose the simulated inputs, and so do greedy's keep
+certificates, whose costs may be negative.  Both start from one tableau
 builder (:func:`_initial_tableau`), fall back to Bland's anti-cycling
 rule after ``_Tableau.stall_limit`` degenerate pivots, take at most
 :func:`_max_iterations` pivots and read the optimum from a solve of the
@@ -32,7 +33,7 @@ two opposite rows (Bertsimas & Tsitsiklis, *Introduction to Linear
 Optimization*, 1997, ch. 1).  Intended for small dense problems (hundreds
 of rows); there is no sparse path.
 
-:func:`solve_batch` solves a family of programs that differ only in
+:func:`_solve_stack` solves a family of programs that differ only in
 their right-hand side ``b_in`` (the vertex decomposition of
 :mod:`invarcert.geometry`).  A tableau's reduced costs, entering column,
 eligible pivot rows, pivot factors and basis matrix depend on the rows
@@ -63,9 +64,8 @@ have made a NaN, a singular or non-finite basis solve, a primal
 violation) is solved again from the start by :func:`solve` with its own
 ``b_in``, in lane order, and its row of the stack is overwritten.  So each
 outcome is bit for bit that of :func:`solve`, whatever filled the cache
-before, and the rare rules live in one place.  :func:`solve_batch` turns
-the stack into one :class:`LpOutcome` per lane; the vertex decomposition
-reads its ``z`` rows directly.
+before, and the rare rules live in one place.  The vertex decomposition
+reads the stack's ``z`` rows directly.
 """
 
 import copy
@@ -94,7 +94,7 @@ class LinearProgram:
     """Dense LP data over nonnegative variables ``z >= 0``.
 
     The data must not be modified after construction: the pivot-path
-    cache of :func:`solve_batch` is built from ``c`` and ``A_in`` and kept.
+    cache of :func:`_solve_stack` is built from ``c`` and ``A_in`` and kept.
     """
 
     c: np.ndarray
@@ -116,7 +116,7 @@ class LinearProgram:
 
     @cached_property
     def _paths(self) -> dict:
-        """The pivot-path cache of :func:`solve_batch`: the root
+        """The pivot-path cache of :func:`_solve_stack`: the root
         :class:`_Node` of each flip pattern (as bytes), grown as lanes
         walk it; it only ever gains fully built nodes."""
         return {}
@@ -527,24 +527,13 @@ def _optimal(lp: LinearProgram, tab: _Tableau) -> LpOutcome:
     return LpOutcome(LpStatus.OPTIMAL, Z[0], float(objective[0]), tab.iterations)
 
 
-def solve_batch(lp: LinearProgram, *, b_in) -> list[LpOutcome]:
-    """:func:`solve` of ``lp`` with ``b_in`` replaced by each row of ``b_in``.
-
-    The outcomes of :func:`_solve_stack`: each lane's, with its iteration
-    count and ``z``, is bit for bit that of the lone solve.  Raises what
-    the lone solve of the first lane that raises would raise.
-    """
-    Z, objective, iterations, alone = _solve_stack(lp, b_in)
-    return [
-        alone.get(lane) or LpOutcome(LpStatus.OPTIMAL, z, value, count)
-        for lane, (z, value, count) in enumerate(zip(Z, objective.tolist(), iterations))
-    ]
-
-
 def _solve_stack(lp: LinearProgram, b_in):
-    """The lanes of :func:`solve_batch`, kept as one stack.
+    """:func:`solve` of ``lp`` with ``b_in`` replaced by each row of the
+    (L, m) stack ``b_in``, kept as one stack: each lane's iteration count
+    and ``z`` are bit for bit those of the lone solve, and a lane that
+    raises raises what its lone solve raises.
 
-    Each lane of the (L, m) stack ``b_in`` walks the program's pivot-path
+    Each lane walks the program's pivot-path
     cache through both phases.  One stacked basis solve (:func:`_solutions`)
     then gives every lane's basic solution at its final basis and at the
     end of its phase 1; the phase-1 test (:func:`_infeasible`, grouped by

@@ -34,6 +34,7 @@ from .system_family import NonFiniteParameter, UnknownSample
 SOLUTION_TOL = 1e-6
 _CG_BATCH = 8  # violated rows added per constraint-generation round
 _ACTIVE_TOL = 1e-7  # slack below this marks a sample as potentially supporting
+_KEEP_MARGIN = 2.0  # a keep certificate's bound must clear SOLUTION_TOL by this factor
 CHUNK = 512  # draws per batched assembly; bounds the temporaries
 
 
@@ -532,16 +533,24 @@ def greedy_support_subsample(policy: AffinePolicy) -> list[int]:
     Samples whose constraint rows are all strictly slack (by at least
     :data:`_ACTIVE_TOL`) at the policy cannot move the 1-norm optimum of
     any vertex block; they are discarded without a re-solve, and the final
-    verification guards the shortcut.  Re-solves touching only the affected
-    vertices, one vertex at a time, cover the rest; each starts constraint
-    generation from the subsample's rows that are active (slack below
-    :data:`_ACTIVE_TOL`) at the policy for its vertex, at most ``dvar`` of
-    them, read from one mask of the rows active at the policy (see
-    :meth:`_BlockProgram.solve`).  The final verification solves every
-    vertex, cold.  If it fails, the literal pass re-solves every vertex for
-    every removal, cold.  A re-solve that is infeasible on a subsample, or
-    a policy that neither pass reproduces, is a determinism fault and
-    raises :class:`NumericalBreakdown`.
+    verification guards the shortcut.  A touched sample is kept without a
+    re-solve when a keep certificate (:func:`_certifies_keep`) of a vertex
+    it touches proves that the re-solve would move that vertex by more
+    than :data:`SOLUTION_TOL`; the vertices are tried in order, each with
+    its slack at hand, before the pass.  A certificate depends only on the
+    full program without the sample, never on earlier drops.  A sample
+    whose removal leaves more than ``dvar`` rows of the vertex active sits
+    at a degenerate point and gets no certificate there.  Re-solves
+    touching only the affected vertices, one vertex at a time, decide the
+    rest; each starts constraint generation from the subsample's rows that
+    are active (slack below :data:`_ACTIVE_TOL`) at the policy for its
+    vertex, at most ``dvar`` of them, read from one mask of the rows
+    active at the policy (see :meth:`_BlockProgram.solve`).  The final
+    verification solves every vertex, cold.  If it fails, the literal pass
+    re-solves every vertex for every removal, cold, with no certificate.
+    A re-solve that is infeasible on a subsample, or a policy that neither
+    pass reproduces, is a determinism fault and raises
+    :class:`NumericalBreakdown`.
     """
     prog = policy._program
     if prog is None:
@@ -549,17 +558,27 @@ def greedy_support_subsample(policy: AffinePolicy) -> list[int]:
     full = np.hstack([policy.gains.reshape(prog.N, -1), policy.offsets])
 
     # the (vertex, sample, row) triples active at the full solution, one
-    # matrix-vector product per vertex into one reused slack buffer
+    # matrix-vector product per vertex into one reused slack buffer, and the
+    # keep certificates of each vertex while its slack is at hand
     rows = prog.rows.reshape(-1, prog.dvar)
     active = np.empty(prog.rhs.shape, dtype=bool)
+    touches = np.empty((prog.N, prog.K), dtype=bool)
     slack = np.empty(rows.shape[0])
+    reach = max(rows.max(), -rows.min())  # |row @ d| <= reach * ||d||_1 for every row
+    kept = set()
     for i in range(prog.N):
         np.matmul(rows, full[i], out=slack)
         np.subtract(prog.rhs[i].reshape(-1), slack, out=slack)
         np.less(slack.reshape(prog.K, -1), _ACTIVE_TOL, out=active[i])
-    touches = active.any(axis=2)  # (N, K)
+        at = np.flatnonzero(active[i])  # positions in rows
+        counts = np.bincount(at // prog.block_rows, minlength=prog.K)
+        np.greater(counts, 0, out=touches[i])
+        # the samples whose removal leaves at most dvar rows active
+        for j in np.flatnonzero(touches[i] & (at.size - counts <= prog.dvar)).tolist():
+            if j not in kept and _certifies_keep(prog, full[i], slack, at, j, reach):
+                kept.add(j)
 
-    retained = _reduce(prog, full, touches, seeds=active)
+    retained = _reduce(prog, full, touches, seeds=active, kept=kept)
     if retained is None:
         # shortcut assumptions failed (ties between optima); literal pass
         retained = _reduce(prog, full, np.ones_like(touches))
@@ -568,16 +587,66 @@ def greedy_support_subsample(policy: AffinePolicy) -> list[int]:
     return retained
 
 
-def _reduce(prog, full, touches, seeds=None) -> list[int] | None:
+def _certifies_keep(prog, x, slack, at, j, reach) -> bool:
+    """True when removing sample ``j`` provably moves the solution ``x`` of
+    one vertex block by more than :data:`SOLUTION_TOL`, so greedy keeps it.
+
+    ``slack`` is ``b - A x`` over all rows of the block, ``at`` the
+    positions of the rows active at ``x``, at most ``dvar`` of them outside
+    ``j``, and ``reach`` the largest entry magnitude of the rows.  A small
+    LP gives an improving direction ``d``: the least directional derivative
+    of ``||z||_1`` at ``x`` over ``||d||_1 <= 1`` with ``A_act d <= 0`` on
+    the active rows outside ``j``.  Then ``y = x + t d`` steps as far as
+    the other rows outside ``j`` allow, up to the first kink of
+    ``||x + t d||_1`` and to twice the step the threshold needs; a row
+    moves by at most ``reach * t``, so only the rows with less slack than
+    that are multiplied with ``d``.  ``y`` meets every row but ``j``'s, so
+    it is feasible for every subsample greedy can reach without ``j``, and
+    the re-solve there, optimal on rows of that subsample, has a 1-norm of
+    at most ``||y||_1``.  Its max-norm distance to ``x`` is then at least
+    ``(||x||_1 - ||y||_1) / dvar``; the certificate holds when that bound
+    is above ``_KEEP_MARGIN`` times :data:`SOLUTION_TOL`.  Any other
+    outcome, a derivative that would need a step of 2 or more among them,
+    decides nothing.
+    """
+    dvar, width = prog.dvar, prog.block_rows
+    rows = prog.rows.reshape(-1, dvar)
+    A = rows[at[at // width != j]]
+    # d = p - q, p, q >= 0: the derivative is sign(x_k) d_k, or |d_k| where x_k = 0
+    sign = np.sign(x)
+    lp = lp_core.LinearProgram(
+        c=np.concatenate([sign, -sign]) + np.tile(sign == 0.0, 2),
+        A_in=np.vstack([np.hstack([A, -A]), np.ones(2 * dvar)]),
+        b_in=np.append(np.zeros(len(A)), 1.0),
+    )
+    outcome = lp_core.solve(lp)
+    need = _KEEP_MARGIN * dvar * SOLUTION_TOL  # the 1-norm drop that decides
+    if not outcome.is_optimal or not outcome.objective < -need:
+        return False
+    d = outcome.z[:dvar] - outcome.z[dvar:]
+    t = 2.0 * need / -outcome.objective
+    shrinking = x * d < 0.0
+    t = min(t, (-x[shrinking] / d[shrinking]).min(initial=np.inf))
+    # the inactive rows outside j that may stop the step before t
+    near = np.flatnonzero(slack < reach * t)
+    near = near[(slack[near] >= _ACTIVE_TOL) & (near // width != j)]
+    rise = rows[near] @ d
+    up = rise > 0.0
+    t = min(t, (slack[near][up] / rise[up]).min(initial=np.inf))
+    return np.abs(x).sum() - np.abs(x + t * d).sum() > need
+
+
+def _reduce(prog, full, touches, seeds=None, kept=frozenset()) -> list[int] | None:
     """The one-removal-at-a-time pass: sample j is dropped when re-solving
     the vertices ``touches[:, j]`` marks, one at a time, without it and
     every sample dropped before, reproduces ``full`` within
     :data:`SOLUTION_TOL`.  A sample that touches no vertex is dropped
-    without a re-solve, so only the touched samples are visited.  Each
-    re-solve starts from the ``seeds`` rows (see :meth:`_BlockProgram.solve`),
-    or cold without them.  Returns the retained indices, or None when a
-    cold solve of every vertex on them fails or does not reproduce
-    ``full``."""
+    without a re-solve, so only the touched samples are visited; a sample
+    in ``kept`` (certified, see :func:`_certifies_keep`) is kept without
+    one.  Each re-solve starts from the ``seeds`` rows (see
+    :meth:`_BlockProgram.solve`), or cold without them.  Returns the
+    retained indices, or None when a cold solve of every vertex on them
+    fails or does not reproduce ``full``."""
 
     def matches(subset, vertices) -> bool:
         for i in vertices:
@@ -594,7 +663,7 @@ def _reduce(prog, full, touches, seeds=None) -> list[int] | None:
     untested = 0  # the samples from here on have not been visited
     for j in np.flatnonzero(touches.any(axis=0)).tolist():
         keep[untested : j + 1] = False  # j, and the untouched samples before it
-        if not matches(np.flatnonzero(keep), np.flatnonzero(touches[:, j])):
+        if j in kept or not matches(np.flatnonzero(keep), np.flatnonzero(touches[:, j])):
             keep[j] = True
         untested = j + 1
     keep[untested:] = False

@@ -13,7 +13,7 @@ from invarcert.geometry import (
     UnsupportedFacet,
     VertexOutsideFacets,
 )
-from invarcert.lp_core import LinearProgram, solve, solve_batch
+from invarcert.lp_core import LinearProgram, solve
 
 from instances import (
     decomposition_states,
@@ -21,6 +21,7 @@ from instances import (
     random_hull_polytope,
     random_prism,
 )
+from lp_lanes import solve_lanes
 
 UNIT_BOX_F = np.vstack([np.eye(2), -np.eye(2)])
 UNIT_BOX_V = np.array(list(itertools.product([-1.0, 1.0], repeat=2)))
@@ -309,7 +310,7 @@ def test_per_polytope_decomposition_lp_matches_a_fresh_build(name):
     }[name]()
     assert not P.facet_simplices.simplex.any()
     for x in decomposition_states(P, rng):
-        shared = solve_batch(P.decomposition_lp, b_in=np.hstack([x, -x])[None])[0]
+        shared = solve_lanes(P.decomposition_lp, b_in=np.hstack([x, -x])[None])[0]
         fresh = _fresh_decomposition(P, x)
         assert shared.status is fresh.status
         assert shared.iterations == fresh.iterations

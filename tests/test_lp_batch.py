@@ -1,4 +1,4 @@
-"""The batch solve: every lane of ``solve_batch`` is its lone ``solve``.
+"""The batch solve: every lane of ``_solve_stack`` is its lone ``solve``.
 
 Equal means the same status, the same iteration count and the same bytes
 of ``z``, or the same exception with the same message.  The decomposition
@@ -27,10 +27,11 @@ import pytest
 from invarcert import lp_core
 from invarcert.geometry import box, vertex_decompose
 from invarcert.errors import NumericalBreakdown
-from invarcert.lp_core import LinearProgram, LpStatus, solve, solve_batch
+from invarcert.lp_core import LinearProgram, LpStatus, solve
 
 from instances import decomposition_states, random_box, random_prism
 from lp_forms import nonnegative
+from lp_lanes import solve_lanes
 from test_lp_differential import CASES, PER_CASE
 
 POLYTOPES = {
@@ -59,12 +60,12 @@ def _assert_lanes_are_lone(lp, B):
     errors = [o for o in lone if not isinstance(o[0], LpStatus)]
     if errors:  # the batch raises what the first raising lane raises
         with pytest.raises(errors[0][0]) as info:
-            solve_batch(lp, b_in=B)
+            solve_lanes(lp, b_in=B)
         assert str(info.value) == errors[0][1]
         return lone
     batch = [
         (o.status, o.iterations, None if o.z is None else o.z.tobytes())
-        for o in solve_batch(lp, b_in=B)
+        for o in solve_lanes(lp, b_in=B)
     ]
     assert batch == lone
     return lone
@@ -72,7 +73,7 @@ def _assert_lanes_are_lone(lp, B):
 
 @pytest.fixture
 def alone(monkeypatch):
-    """The ``b_in`` of every lane that ``solve_batch`` solves alone, in
+    """The ``b_in`` of every lane that ``_solve_stack`` solves alone, in
     the order it solves them."""
     seen = []
 
@@ -365,7 +366,7 @@ def _route(start, end):
 
 @pytest.fixture
 def walked(monkeypatch):
-    """The pivots that the walks of ``solve_batch`` apply to each lane, by
+    """The pivots that the walks of ``_solve_stack`` apply to each lane, by
     lane, counted on over the calls.  A lane is known by its right-hand
     side list, which its walks share (kept here, so no id is reused), and
     each call starts the lanes' walks in lane order."""
@@ -467,7 +468,7 @@ def test_walks_apply_the_lone_pivots(walked, monkeypatch):
             seen.clear()
             solve(replace(P.decomposition_lp, b_in=_at(x)))
             lone.append(seen.copy())
-        solve_batch(P.decomposition_lp, b_in=_at(states))
+        solve_lanes(P.decomposition_lp, b_in=_at(states))
     assert walked == dict(enumerate(lone))
 
 
@@ -485,7 +486,7 @@ def test_basic_artificials_keep_their_slack_twin(drive_outs):
         for x in states:
             solve(replace(P.decomposition_lp, b_in=_at(x)))
         lone = len(drive_outs)
-        solve_batch(P.decomposition_lp, b_in=_at(states))
+        solve_lanes(P.decomposition_lp, b_in=_at(states))
         assert len(drive_outs) > lone  # the walk's nodes drive out too
     assert len(drive_outs) > 500 and sum(drive_outs) > 1000
 
@@ -515,13 +516,13 @@ def test_outcomes_do_not_depend_on_the_cache(name):
     states = np.array(decomposition_states(P, rng))
     data = {f: getattr(P.decomposition_lp, f) for f in ("c", "A_in", "b_in")}
     lp, used = LinearProgram(**data), LinearProgram(**data)
-    fresh = solve_batch(lp, b_in=_at(states))
+    fresh = solve_lanes(lp, b_in=_at(states))
     axes = np.vstack([np.eye(P.dim), -np.eye(P.dim)]) * 0.25
     others = np.vstack([axes, 0.5 * states[::-1], states[::-1]])
-    solve_batch(used, b_in=_at(others))
+    solve_lanes(used, b_in=_at(others))
     roots = len(used._paths)
     assert roots > len(lp._paths)
-    assert _bytes(solve_batch(used, b_in=_at(states))) == _bytes(fresh)
+    assert _bytes(solve_lanes(used, b_in=_at(states))) == _bytes(fresh)
     assert len(used._paths) == roots  # every flip pattern was met before
 
 
@@ -549,12 +550,12 @@ def test_threads_share_one_cache():
     stacks = list((weights @ P.vertices) * rng.uniform(0.0, 1.0, (6, 40, 1)))
     data = {f: getattr(P.decomposition_lp, f) for f in ("c", "A_in", "b_in")}
     stacks = [_at(X) for X in stacks]
-    want = [_bytes(solve_batch(LinearProgram(**data), b_in=B)) for B in stacks]
+    want = [_bytes(solve_lanes(LinearProgram(**data), b_in=B)) for B in stacks]
     shared = LinearProgram(**data)
     got = [None] * len(stacks)
 
     def work(i):
-        got[i] = _bytes(solve_batch(shared, b_in=stacks[i]))
+        got[i] = _bytes(solve_lanes(shared, b_in=stacks[i]))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -583,10 +584,10 @@ def test_batch_checks_its_right_hand_sides():
     lp = LinearProgram(c=[1.0, 1.0], A_in=[[1.0, 1.0], [-1.0, -1.0]], b_in=[0.0, 0.0])
     for B in ([0.5, -0.5], [[0.5]], [[0.5, -0.5, 1.0]]):
         with pytest.raises(lp_core.DimensionMismatch, match=r"shape \(L, 2\)"):
-            solve_batch(lp, b_in=B)
+            solve_lanes(lp, b_in=B)
     with pytest.raises(ValueError, match="finite"):
-        solve_batch(lp, b_in=[[0.5, np.nan]])
-    assert solve_batch(lp, b_in=np.zeros((0, 2))) == []
+        solve_lanes(lp, b_in=[[0.5, np.nan]])
+    assert solve_lanes(lp, b_in=np.zeros((0, 2))) == []
     # any program takes a stack: a single row, here an upper bound
     bound = LinearProgram(c=[-1.0], A_in=[[1.0]], b_in=[1.0])
-    assert [o.z.tolist() for o in solve_batch(bound, b_in=[[1.0], [2.0]])] == [[1.0], [2.0]]
+    assert [o.z.tolist() for o in solve_lanes(bound, b_in=[[1.0], [2.0]])] == [[1.0], [2.0]]

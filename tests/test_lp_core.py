@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from invarcert import lp_core
-from invarcert.lp_core import LinearProgram, LpStatus, solve, solve_batch
+from invarcert.lp_core import LinearProgram, LpStatus, solve
 
 from lp_forms import nonnegative
+from lp_lanes import solve_lanes
 from lp_oracle import enumerate_optimum
 
 
@@ -236,7 +237,7 @@ def _outcome_bytes(out):
 def test_rhs_replacement_matches_a_fresh_build(monkeypatch):
     # free variables (split), one-sided and two-sided bounds (rows),
     # equalities (two opposite rows, whose right-hand sides the lanes
-    # replace) and inequalities; every lane of solve_batch must pivot
+    # replace) and inequalities; every lane of the stacked solve must pivot
     # exactly like a fresh program, with Dantzig's rule and with Bland's
     # from the start
     rng = np.random.default_rng(17)
@@ -261,7 +262,7 @@ def test_rhs_replacement_matches_a_fresh_build(monkeypatch):
         for stall_limit in (lp_core._Tableau.stall_limit, 0):
             with monkeypatch.context() as patch:
                 patch.setattr(lp_core._Tableau, "stall_limit", stall_limit)
-                got = solve_batch(template, b_in=B)
+                got = solve_lanes(template, b_in=B)
                 want = [solve(LinearProgram(**{**data, "b_in": row})) for row in B]
             assert list(map(_outcome_bytes, got)) == list(map(_outcome_bytes, want))
             statuses.update(out.status for out in got)

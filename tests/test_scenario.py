@@ -583,9 +583,12 @@ SWEEP_PLANTS = {"affine3": affine3_instance, "network6": six_node_instance, "pat
 
 @pytest.mark.parametrize("plant", ["affine3", "network6", "path"])
 def test_seeded_greedy_keeps_the_cold_supports(plant, monkeypatch):
+    # with the keep certificates deciding nothing, every touched sample
+    # takes a seeded re-solve
     from invarcert import scenario
     from invarcert.scenario import _BlockProgram
 
+    monkeypatch.setattr(scenario, "_certifies_keep", lambda *args: False)
     build = SWEEP_PLANTS[plant]
     starts = []  # (active rows of the subsample, dvar) of every seeded re-solve
     policy = None
@@ -614,6 +617,95 @@ def test_seeded_greedy_keeps_the_cold_supports(plant, monkeypatch):
         assert 0 < most <= dvar  # seeded re-solves
     if plant == "path":
         assert most > dvar  # degenerate: the seed is cut to dvar rows
+
+
+# instances of the keep-certificate tests beyond the sweep: the affine3
+# benchmark draw at K=5000 and the README's path network, with supports
+KEEP_INSTANCES = {
+    "affine3-k5000": (
+        lambda: affine3_instance(K=5000, seed=0),
+        [23, 837, 1068, 1069, 1180, 1217, 1653, 2332, 2925, 3159, 3877, 4578],
+    ),
+    "readme-path": (lambda: path_instance(K=200, seed=7), [199]),
+}
+
+
+def _keep_cases(plant):
+    """(build, support) of every instance of ``plant``."""
+    if plant in KEEP_INSTANCES:
+        return [KEEP_INSTANCES[plant]]
+    build = SWEEP_PLANTS[plant]
+    return [
+        (lambda K=K, seed=seed: build(K=K, seed=seed), support)
+        for (name, K, seed), support in SEEDED_SWEEP.items()
+        if name == plant
+    ]
+
+
+@pytest.mark.parametrize("plant", ["affine3", "network6", "path", *KEEP_INSTANCES])
+def test_keep_certificates_agree_with_the_re_solves(plant, monkeypatch):
+    # a keep certificate replaces the seeded re-solve of its sample, so it
+    # may only keep what that re-solve keeps: with the certificates
+    # recorded but deciding nothing, every touched sample is re-solved at
+    # its point of greedy, and each certified one must be in the support
+    from invarcert import scenario
+
+    certify = scenario._certifies_keep
+    verdicts, deciding = [], [True]
+
+    def recording(prog, x, slack, at, j, reach):
+        verdicts.append((j, bool(certify(prog, x, slack, at, j, reach))))
+        return verdicts[-1][1] and deciding[0]
+
+    monkeypatch.setattr(scenario, "_certifies_keep", recording)
+    certified = 0
+    for build, support in _keep_cases(plant):
+        policy = ic.solve_affine_policy(*build())
+        verdicts.clear()
+        deciding[0] = True
+        assert ic.greedy_support_subsample(policy) == support
+        certified += sum(keep for _, keep in verdicts)
+        verdicts.clear()
+        deciding[0] = False
+        assert ic.greedy_support_subsample(policy) == support  # every sample re-solved
+        assert {j for j, keep in verdicts if keep} <= set(support)
+    if plant == "affine3-k5000":
+        assert certified == 11  # of 12 samples; sample 2925 takes its re-solve
+    if plant in ("path", "readme-path"):
+        assert certified == 0  # every sample is degenerate
+
+
+def test_greedy_without_keep_certificates_returns_the_same_supports(monkeypatch):
+    # random plants, with two inputs or one: greedy's supports do not
+    # change when the keep certificates decide nothing; the two-input
+    # plants repeat their first draws at the end, so greedy drops touched
+    # samples there, and no certificate may keep them
+    from invarcert import scenario
+
+    rng = np.random.default_rng(29)
+    cases = []
+    for _ in range(7):
+        fam = random_affine_instance(rng, n=2, m=2, ell=2, stable=1.05)
+        draws = rng.uniform(-1, 1, size=(60, 2))
+        scen = ic.ScenarioSet(samples=np.vstack([draws, draws[:30]]))
+        cases.append((fam, UNIT2, ic.box([-2.0, -2.0], [2.0, 2.0]), scen))
+    for _ in range(8):
+        scen = ic.ScenarioSet(samples=rng.uniform(-1, 1, size=(30, 2)))
+        cases.append((*random_scalar_unstable_instance(rng), scen))
+    certify = scenario._certifies_keep
+    kept = []
+
+    def counting(*args):
+        kept.append(certify(*args))
+        return kept[-1]
+
+    for fam, S, U, scen in cases:
+        policy = ic.solve_affine_policy(fam, S, U, scen)
+        monkeypatch.setattr(scenario, "_certifies_keep", counting)
+        support = ic.greedy_support_subsample(policy)
+        monkeypatch.setattr(scenario, "_certifies_keep", lambda *args: False)
+        assert ic.greedy_support_subsample(policy) == support
+    assert sum(kept) > 0  # some certificate decided
 
 
 def test_synthesis_and_greedy_share_one_program(monkeypatch):
