@@ -92,7 +92,7 @@ def run_certify(
     family, S, U = config.family, config.state_set, config.input_set
     scen = config.scenarios
     if estimate is not None and not hasattr(scen.distribution, "draw"):
-        raise closed_loop.DistributionUnavailable(
+        raise InvalidArguments(
             "--estimate needs a sampling distribution; file-based scenarios have none"
         )
     if estimate is not None and estimate < 1:

@@ -43,10 +43,7 @@ DEFAULT_MC_SAMPLES = 10_000
 # the most states (starts x (horizon + 1) x dimension) one simulation may
 # hold: 80 MB of float64, and facets / dimension times that for their F x
 MAX_STATES = 10_000_000
-
-
-class DistributionUnavailable(InvarcertError):
-    pass
+WEIGHT_FLOOR = -1e-11  # least weight of an accepted explicit decomposition
 
 
 class TrajectoryOverflow(InvarcertError):
@@ -95,13 +92,14 @@ def _vertex_law(S, simplicial, has_simplex, facet_inputs, vertex_inputs, X, Fx, 
     ``Fx`` (N, p, 1) holds ``F x`` for every state and ``facet_inputs`` (p,
     n, m) the inputs at each facet's simplex vertices.  On a simplicial
     facet ``k = argmax F x`` (lowest index on ties) the decomposition is
-    ``V_k^{-1} x``; it is accepted when no weight is below -1e-11 and
-    clipped at zero, by one scalar test of the whole stack when every facet
-    is a simplex (``simplicial``).  Every other state goes into one stacked
-    :func:`geometry.vertex_decompose`, which raises
-    :class:`DecompositionInfeasible` on a numerical fault, and which skips
-    its outside test: ``Fx`` has passed the caller's.  When no facet is a
-    simplex (not ``has_simplex``), the whole stack goes there at once.
+    ``V_k^{-1} x``; it is accepted when no weight is below
+    :data:`WEIGHT_FLOOR` and clipped at zero, by one scalar test of the
+    whole stack when every facet is a simplex (``simplicial``).  Every
+    other state goes into one stacked :func:`geometry.vertex_decompose`,
+    which raises :class:`DecompositionInfeasible` on a numerical fault, and
+    which skips its outside test: ``Fx`` has passed the caller's.  When no
+    facet is a simplex (not ``has_simplex``), the whole stack goes there at
+    once.
     """
     if not has_simplex:
         weights = geometry.vertex_decompose(S, X[:, :, 0], inside=True)
@@ -110,10 +108,10 @@ def _vertex_law(S, simplicial, has_simplex, facet_inputs, vertex_inputs, X, Fx, 
     k = Fx[:, :, 0].argmax(axis=1)
     gamma = facets.inverses.take(k, axis=0) @ X
     # ``item(argmin())`` is ``min()``, NaN included, without its overhead
-    if simplicial and gamma.item(gamma.argmin()) >= -1e-11:
+    if simplicial and gamma.item(gamma.argmin()) >= WEIGHT_FLOOR:
         rows = ()
     else:
-        explicit = facets.simplex[k] & (gamma.min(axis=(1, 2)) >= -1e-11)
+        explicit = facets.simplex[k] & (gamma.min(axis=(1, 2)) >= WEIGHT_FLOOR)
         rows = (~explicit).nonzero()[0]
     u = np.matmul(np.maximum(gamma, 0.0).transpose(0, 2, 1), facet_inputs.take(k, axis=0), out=out)
     if len(rows):
@@ -289,11 +287,9 @@ def estimate_violation(
     inadmissible at some vertex.
     """
     if M < 1:
-        raise ValueError("M must be >= 1")
+        raise InvalidArguments("M must be >= 1")
     if distribution is None or not hasattr(distribution, "draw"):
-        raise DistributionUnavailable(
-            "no sampling distribution available for this family"
-        )
+        raise InvalidArguments("no sampling distribution available for this family")
     rng = np.random.default_rng(seed)
     draws = distribution.draw(M, rng)
     v_hat, failures = empirical_violation(family, S, U, policy, draws)

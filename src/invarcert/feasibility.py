@@ -17,20 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvarcertError
+from .errors import InvalidArguments
 from .geometry import DEFAULT_TOL, Polytope
 from .scenario import chunks, vertex_constraints
 
 DET_TOL = 1e-10
 ENUMERATION_CAP = 1_000_000  # row subsets per vertex block
-
-
-class EnumerationCapExceeded(InvarcertError):
-    pass
-
-
-class DimensionPrecondition(InvarcertError):
-    """The check requires state dimension >= input dimension."""
 
 
 @dataclass(frozen=True)
@@ -93,10 +85,10 @@ def _enumerable(family, S, U) -> int:
     vertex are needed."""
     n, m = family.n, family.m
     if n < m:
-        raise DimensionPrecondition(f"requires n >= m, got n={n}, m={m}")
+        raise InvalidArguments(f"requires n >= m, got n={n}, m={m}")
     q, p = U.facet_count, S.facet_count
     if math.comb(q + p, m) > ENUMERATION_CAP:
-        raise EnumerationCapExceeded(
+        raise InvalidArguments(
             f"{math.comb(q + p, m)} row subsets exceed the cap of {ENUMERATION_CAP}"
         )
     return q

@@ -27,41 +27,7 @@ DEFAULT_TOL = 1e-8
 
 
 class PolytopeError(InvarcertError, ValueError):
-    """Base class for polytope validation failures."""
-
-
-class RankDeficientFacets(PolytopeError):
-    pass
-
-
-class VertexOutsideFacets(PolytopeError):
-    def __init__(self, vertex: int, row: int, slack: float):
-        self.vertex, self.row, self.slack = vertex, row, slack
-        super().__init__(
-            f"vertex {vertex} violates facet row {row} by {slack:.3e}"
-        )
-
-
-class UnsupportedFacet(PolytopeError):
-    def __init__(self, row: int, reach: float):
-        self.row, self.reach = row, reach
-        super().__init__(
-            f"facet row {row} is never tight (max F x over vertices = {reach:.6g} < 1)"
-        )
-
-
-class OriginNotInterior(PolytopeError):
-    pass
-
-
-class PolytopeValidationError(PolytopeError):
-    """Aggregates every violated invariant found during validation."""
-
-    def __init__(self, issues):
-        self.issues = list(issues)
-        super().__init__(
-            "; ".join(str(issue) for issue in self.issues) or "invalid polytope"
-        )
+    """Facets and vertices that do not form a valid C-polytope."""
 
 
 class DecompositionInfeasible(InvarcertError):
@@ -160,9 +126,10 @@ def validate_polytope(facets, vertices) -> Polytope:
     a Polytope.
 
     A non-finite facet row or vertex is refused first, by a
-    :class:`PolytopeError` naming it.  On any other failure, raises the
-    specific error when a single invariant is violated, or a
-    :class:`PolytopeValidationError` listing all of them.
+    :class:`PolytopeError` naming it.  Otherwise every violated invariant
+    is collected (rank, a vertex outside a facet, a facet no vertex
+    reaches, the origin outside the vertex hull) and one
+    :class:`PolytopeError` lists them all, joined by ``"; "``.
     """
     F = np.array(facets, dtype=float)
     X = np.array(vertices, dtype=float)
@@ -181,22 +148,24 @@ def validate_polytope(facets, vertices) -> Polytope:
     issues = []
     n = F.shape[1]
     if np.linalg.matrix_rank(F) < n:
-        issues.append(RankDeficientFacets(f"facet matrix rank < {n}"))
+        issues.append(f"facet matrix rank < {n}")
 
     values = X @ F.T  # (N, p)
     over = values - 1.0
     for v, k in zip(*np.nonzero(over > DEFAULT_TOL)):
-        issues.append(VertexOutsideFacets(int(v), int(k), float(over[v, k])))
+        issues.append(f"vertex {v} violates facet row {k} by {over[v, k]:.3e}")
 
     reach = values.max(axis=0)
     for k in np.flatnonzero(reach < 1.0 - DEFAULT_TOL):
-        issues.append(UnsupportedFacet(int(k), float(reach[k])))
+        issues.append(
+            f"facet row {k} is never tight (max F x over vertices = {reach[k]:.6g} < 1)"
+        )
 
     if not _origin_in_hull(X):
-        issues.append(OriginNotInterior("origin is not in the vertex hull"))
+        issues.append("origin is not in the vertex hull")
 
     if issues:
-        raise issues[0] if len(issues) == 1 else PolytopeValidationError(issues)
+        raise PolytopeError("; ".join(issues))
     return Polytope(facets=_freeze(F), vertices=_freeze(X))
 
 
@@ -223,7 +192,7 @@ def box(lower, upper) -> Polytope:
     if lo.size != hi.size:
         raise DimensionMismatch("lower and upper lengths differ")
     if np.any(lo >= 0) or np.any(hi <= 0):
-        raise OriginNotInterior("box must satisfy lower < 0 < upper")
+        raise PolytopeError("box must satisfy lower < 0 < upper")
     n = lo.size
     F = np.vstack([np.diag(1.0 / hi), np.diag(1.0 / lo)])
     verts = np.array(list(itertools.product(*zip(lo, hi))), dtype=float)

@@ -76,11 +76,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, MaxIterationsExceeded, NumericalBreakdown
+from .errors import DimensionMismatch, InvalidArguments, MaxIterationsExceeded, NumericalBreakdown
 
 
 DEFAULT_FEAS_TOL = 1e-9
 DEFAULT_PIVOT_TOL = 1e-11
+PIVOT_TIE_TOL = 1e-9  # a pivot this close, relatively, to the largest ties with it
 
 
 class LpStatus(Enum):
@@ -112,7 +113,7 @@ class LinearProgram:
             raise DimensionMismatch("A_in and b_in row counts differ")
         for block in (c, A_in, b_in):
             if not np.all(np.isfinite(block)):
-                raise ValueError("LP data must be finite")
+                raise InvalidArguments("LP data must be finite")
 
     @cached_property
     def _paths(self) -> dict:
@@ -315,7 +316,7 @@ class _Tableau:
             if tied.size > 1 and not bland:
                 # prefer the largest pivot (stability), then the lowest column
                 pivots = -entries[tied]
-                tied = tied[pivots >= pivots.max() * (1.0 - 1e-9)]
+                tied = tied[pivots >= pivots.max() * (1.0 - PIVOT_TIE_TOL)]
             self._pivot(row, int(tied[0]))
             self.iterations += 1
             objective = cost[self.basis] @ A[:, -1]
@@ -444,8 +445,8 @@ def _ratio_test(rows: list, column: list, basics: list, r: list) -> int:
     """The leaving row of the primal simplex among :meth:`_Tableau.eligible`
     (nonempty), in Python floats: the minimum ratio of ``r[row]`` to the
     entry; among ratios within ``DEFAULT_PIVOT_TOL * max(1, |minimum|)``,
-    the largest entry (stability); among entries within a relative 1e-9 of
-    it, the lowest basic variable."""
+    the largest entry (stability); among entries within a relative
+    :data:`PIVOT_TIE_TOL` of it, the lowest basic variable."""
     if len(rows) == 1:
         return rows[0]
     ratios = [r[i] / a for i, a in zip(rows, column)]
@@ -454,7 +455,7 @@ def _ratio_test(rows: list, column: list, basics: list, r: list) -> int:
     tied = [j for j, q in enumerate(ratios) if q <= cut]
     if len(tied) == 1:
         return rows[tied[0]]
-    top = max([column[j] for j in tied]) * (1.0 - 1e-9)
+    top = max([column[j] for j in tied]) * (1.0 - PIVOT_TIE_TOL)
     return min([(basics[j], rows[j]) for j in tied if column[j] >= top])[1]
 
 
@@ -504,14 +505,14 @@ def solve_dual(lp: LinearProgram) -> LpOutcome:
     The all-slack basis is then dual feasible, so the solve starts there
     with no phase 1 and pivots (:meth:`_Tableau.run_dual`) until it is
     primal feasible too, or a row proves the program infeasible.  The
-    optimum is finished as in :func:`solve`.  Raises :class:`ValueError`
+    optimum is finished as in :func:`solve`.  Raises :class:`InvalidArguments`
     naming a negative cost entry, :class:`NumericalBreakdown` on pivot
     failure and :class:`MaxIterationsExceeded` past :func:`_max_iterations`.
     """
     negative = (lp.c < 0).nonzero()[0]
     if negative.size:
         k = int(negative[0])
-        raise ValueError(f"solve_dual needs a nonnegative cost; c[{k}] = {lp.c[k]!r}")
+        raise InvalidArguments(f"solve_dual needs a nonnegative cost; c[{k}] = {lp.c[k]!r}")
     tab = _initial_tableau(lp.A_in, lp.b_in, np.zeros(len(lp.b_in), dtype=bool))
     if not tab.run_dual(_phase(lp.c, tab, 2)[0]):
         return LpOutcome(LpStatus.INFEASIBLE, iterations=tab.iterations)
@@ -550,7 +551,7 @@ def _solve_stack(lp: LinearProgram, b_in):
     if R.ndim != 2 or R.shape[1] != len(T):
         raise DimensionMismatch(f"b_in must be a stack of shape (L, {len(T)})")
     if not np.isfinite(R).all():
-        raise ValueError("LP data must be finite")
+        raise InvalidArguments("LP data must be finite")
     L, arts = len(R), sum(T.shape)  # arts: the first artificial column
     if not L:
         return np.zeros((0, lp.c.size)), np.zeros(0), [], {}

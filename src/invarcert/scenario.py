@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import lp_core
-from .errors import DimensionMismatch, InvarcertError, NumericalBreakdown
+from .errors import DimensionMismatch, InvalidArguments, InvarcertError, NumericalBreakdown
 from .geometry import DEFAULT_TOL, Polytope
 from .system_family import NonFiniteParameter, UnknownSample
 
@@ -84,12 +84,12 @@ class UniformBox:
         if lo.size != hi.size:
             raise DimensionMismatch("lower and upper lengths differ")
         if np.any(lo > hi):
-            raise ValueError("lower must be <= upper componentwise")
+            raise InvalidArguments("lower must be <= upper componentwise")
         with np.errstate(over="ignore", invalid="ignore"):
             wide = np.flatnonzero(~np.isfinite(hi - lo))
         if wide.size:
             i = wide[0]
-            raise ValueError(
+            raise InvalidArguments(
                 f"uniform box entry {i} is [{lo[i]}, {hi[i]}], whose width is not finite"
             )
         lo.setflags(write=False)
@@ -122,18 +122,18 @@ class ScenarioSet:
         if s.ndim == 1:
             s = s[:, None]
         if s.ndim != 2 or s.shape[0] < 1:
-            raise ValueError("samples must be a nonempty (K, ell) array")
+            raise InvalidArguments("samples must be a nonempty (K, ell) array")
         finite = np.isfinite(s).all(axis=1)
         if not finite.all():
             bad = int(np.argmin(finite))
-            raise ValueError(f"sample {bad} is not finite: {s[bad].tolist()}")
+            raise InvalidArguments(f"sample {bad} is not finite: {s[bad].tolist()}")
         if isinstance(self.distribution, UniformBox):
             if self.distribution.dim != s.shape[1]:
                 raise DimensionMismatch("distribution dimension != sample dimension")
             if np.any(s < self.distribution.lower - 1e-12) or np.any(
                 s > self.distribution.upper + 1e-12
             ):
-                raise ValueError("samples fall outside the declared uniform box")
+                raise InvalidArguments("samples fall outside the declared uniform box")
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
 
@@ -153,27 +153,29 @@ class ScenarioSet:
             with open(path, encoding="utf-8-sig") as fh:
                 lines = fh.read().splitlines() or [""]
         except UnicodeDecodeError as exc:
-            raise ValueError(f"scenarios file {path} is not UTF-8: {exc}") from None
+            raise InvalidArguments(f"scenarios file {path} is not UTF-8: {exc}") from None
         skip = 0
         try:
-            [float(tok) for tok in lines[0].replace(",", " ").split()]
+            [float(tok) for tok in lines[0].split("#")[0].replace(",", " ").split()]
         except ValueError:
             skip = 1  # header line
         # (line number, text before any comment) of each sample row
         rows = [(n, line.split("#")[0]) for n, line in enumerate(lines, 1) if n > skip]
         rows = [(n, text) for n, text in rows if text.strip()]
         if not rows:
-            raise ValueError(f"{path}: no sample rows (the file is empty or only a header)")
+            raise InvalidArguments(f"{path}: no sample rows (the file is empty or only a header)")
         (first, width), *rest = [(n, text.count(",") + 1) for n, text in rows]
         for n, w in rest:
             if w != width:
-                raise ValueError(f"{path}: line {n} has {w} field(s) but line {first} has {width}")
+                raise InvalidArguments(
+                    f"{path}: line {n} has {w} field(s) but line {first} has {width}"
+                )
 
         def number(cell: str, n: int, k: int) -> float:
             try:
                 return float(cell)
             except ValueError:
-                raise ValueError(
+                raise InvalidArguments(
                     f"{path}: could not convert string {cell.strip()!r} to float "
                     f"at line {n}, column {k}"
                 ) from None
@@ -191,8 +193,9 @@ class ScenarioSet:
     def ell(self) -> int:
         return self.samples.shape[1]
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
+        """Digest of the samples, which are read-only: taken once."""
         return _digest(self.samples)
 
 
@@ -215,7 +218,7 @@ class AffinePolicy:
         finite = np.isfinite(g).all(axis=(1, 2)) & np.isfinite(d).all(axis=1)
         if not finite.all():
             bad = int(np.argmin(finite))
-            raise ValueError(f"policy gains and offsets of vertex {bad} must be finite")
+            raise InvalidArguments(f"policy gains and offsets of vertex {bad} must be finite")
         g.setflags(write=False)
         d.setflags(write=False)
         object.__setattr__(self, "gains", g)

@@ -19,45 +19,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvarcertError, NumericalBreakdown
+from .errors import DimensionMismatch, InvalidArguments, InvarcertError, NumericalBreakdown
 
 
 class GraphError(InvarcertError, ValueError):
     pass
 
 
-class NoFloatingNodes(GraphError):
-    pass
-
-
-class NoInputNodes(GraphError):
-    pass
-
-
-class NonFiniteParameter(InvarcertError, ValueError):
+class NonFiniteParameter(InvalidArguments):
     """Draw ``row`` of a stack, ``value``, is not finite."""
 
     def __init__(self, row: int, value: list):
-        super().__init__(row, value)
+        super().__init__(f"row {row}: parameter {value} is not finite")
         self.row, self.value = row, value
 
-    def __str__(self):
-        return f"row {self.row}: parameter {self.value} is not finite"
 
-
-class UnknownSample(InvarcertError, KeyError):
+class UnknownSample(InvalidArguments):
     """Draw ``row`` of a stack, ``value``, is not one of the ``count`` table
     indices."""
 
     def __init__(self, row: int, value: float, count: int):
-        super().__init__(row, value, count)
+        super().__init__(f"row {row}: {value!r} is not a table index in 0..{count - 1}")
         self.row, self.value, self.count = row, value, count
-
-    def __str__(self):  # KeyError's str() would quote the message
-        return (
-            f"row {self.row}: {self.value!r} is not a table index "
-            f"in 0..{self.count - 1}"
-        )
 
 
 @dataclass(frozen=True)
@@ -91,9 +74,9 @@ class Graph:
 
     def _validate(self):
         if not self.floating:
-            raise NoFloatingNodes("graph needs at least one floating node")
+            raise GraphError("graph needs at least one floating node")
         if not self.inputs:
-            raise NoInputNodes("graph needs at least one input node")
+            raise GraphError("graph needs at least one input node")
         nodes = set(self.floating) | set(self.inputs)
         if set(self.floating) & set(self.inputs):
             raise GraphError("floating and input node sets overlap")
@@ -109,6 +92,9 @@ class Graph:
             raise DimensionMismatch(
                 f"{len(self.edges)} edges but {self.nominal_weights.size} nominal weights"
             )
+        finite = np.isfinite(self.nominal_weights)
+        if not finite.all():
+            raise GraphError(f"nominal weight {int(finite.argmin())} is not finite")
         # connectivity by traversal
         adjacency = {v: set() for v in nodes}
         for i, j in self.edges:
@@ -166,12 +152,16 @@ class AffineFamily:
         A_terms = tuple(np.array(t, dtype=float) for t in A_terms)
         B_terms = tuple(np.array(t, dtype=float) for t in B_terms)
         B_terms = tuple(t[:, None] if t.ndim == 1 else t for t in B_terms)
-        for name, terms, shape in (("A", A_terms, A0.shape), ("B", B_terms, B0.shape)):
+        for name, terms, base in (("A", A_terms, A0), ("B", B_terms, B0)):
+            if not np.isfinite(base).all():
+                raise InvalidArguments(f"{name}0 is not finite")
             for k, t in enumerate(terms):
-                if t.shape != shape:
+                if t.shape != base.shape:
                     raise DimensionMismatch(
-                        f"{name}k[{k}] has shape {t.shape}, expected {shape} as {name}0"
+                        f"{name}k[{k}] has shape {t.shape}, expected {base.shape} as {name}0"
                     )
+                if not np.isfinite(t).all():
+                    raise InvalidArguments(f"{name}k[{k}] is not finite")
         if A_terms and B_terms and len(A_terms) != len(B_terms):
             raise DimensionMismatch("A and B term counts differ")
         for a in (A0, B0) + A_terms + B_terms:
@@ -335,10 +325,12 @@ class TableFamily:
                 B = B[:, None]
             if As and (A.shape, B.shape) != (As[0].shape, Bs[0].shape):
                 raise DimensionMismatch("all table entries must share shapes")
+            if not (np.isfinite(A).all() and np.isfinite(B).all()):
+                raise InvalidArguments(f"table pair {len(As)} is not finite")
             As.append(A)
             Bs.append(B)
         if not As:
-            raise ValueError("table must contain at least one (A, B) pair")
+            raise InvalidArguments("table must contain at least one (A, B) pair")
         A, B = np.stack(As), np.stack(Bs)
         if A.shape[1] != A.shape[2]:
             raise DimensionMismatch("A must be square")

@@ -3,11 +3,7 @@ import pytest
 
 import invarcert as ic
 from invarcert import geometry
-from invarcert.closed_loop import (
-    DistributionUnavailable,
-    TrajectoryOverflow,
-    write_trajectory_csv,
-)
+from invarcert.closed_loop import TrajectoryOverflow, write_trajectory_csv
 from invarcert.geometry import DecompositionInfeasible
 
 from instances import (
@@ -170,7 +166,8 @@ class TestViolationEstimation:
 
     def test_missing_distribution_rejected(self):
         fam = ic.TableFamily(pairs=[(np.array([[0.5]]), np.array([[1.0]]))])
-        with pytest.raises(DistributionUnavailable):
+        message = "^no sampling distribution available for this family$"
+        with pytest.raises(ic.InvalidArguments, match=message):
             ic.estimate_violation(fam, UNIT1, UNIT1, zero_policy(2, 1), None, M=10)
 
     def test_table_family_with_discrete_distribution(self):
@@ -691,5 +688,6 @@ BAD_INPUTS = {
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_refused(case):
     call, error, message = BAD_INPUTS[case]
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=message) as info:
         call()
+    assert isinstance(info.value, ic.InvarcertError)

@@ -84,6 +84,9 @@ class TestScenarioSet:
         path = tmp_path / "samples.csv"
         path.write_text("a,b\n0.1,0.2\n  \t\n   # note\n\n0.3,0.4\n \n\t# end\n")
         assert ic.ScenarioSet.from_csv(path).samples.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+        # a first data row with a trailing comment is no header
+        path.write_text("0.1, 0.2 # first\n0.3, 0.4\n")
+        assert ic.ScenarioSet.from_csv(path).samples.tolist() == [[0.1, 0.2], [0.3, 0.4]]
         path.write_text("a,b\n0.1,0.2\n  \t\n   # note\n0.3\n")
         with pytest.raises(ValueError, match="line 5 has 1 field\\(s\\) but line 2 has 2$"):
             ic.ScenarioSet.from_csv(path)
@@ -860,18 +863,20 @@ def test_vertex_inputs_of_a_stack_are_rows_in_c_order(N, m, ell):
 
 
 def test_policy_fingerprint_is_hashed_once(monkeypatch):
-    # gains and offsets are read-only, so one hash serves every simulation
+    # gains, offsets and samples are read-only, so one hash serves every read
     from invarcert import scenario
 
     rng = np.random.default_rng(3)
     policy = ic.AffinePolicy(gains=rng.normal(size=(4, 2, 3)), offsets=rng.normal(size=(4, 2)))
-    expected = scenario._digest(policy.gains, policy.offsets)
-    real, hashed = scenario._digest, []
-    monkeypatch.setattr(scenario, "_digest", lambda *arrays: hashed.append(1) or real(*arrays))
-    assert [policy.fingerprint for _ in range(3)] == [expected] * 3
-    assert len(hashed) == 1
-    with pytest.raises(ValueError, match="read-only"):
-        policy.gains[0, 0, 0] = 1.0
+    scen = ic.ScenarioSet(samples=rng.normal(size=(50, 3)))
+    real = scenario._digest
+    for held, arrays in ((policy, (policy.gains, policy.offsets)), (scen, (scen.samples,))):
+        expected, hashed = real(*arrays), []
+        monkeypatch.setattr(scenario, "_digest", lambda *a: hashed.append(1) or real(*a))
+        assert [held.fingerprint for _ in range(3)] == [expected] * 3
+        assert len(hashed) == 1
+        with pytest.raises(ValueError, match="read-only"):
+            arrays[0][0, 0] = 1.0
 
 
 def test_greedy_raises_when_no_pass_reproduces_the_policy(monkeypatch):
@@ -1290,8 +1295,9 @@ BAD_INPUTS = {
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_refused(case):
     call, error, message = BAD_INPUTS[case]
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=message) as info:
         call()
+    assert isinstance(info.value, ic.InvarcertError)
 
 
 def _doubling_family():

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 import invarcert as ic
-from invarcert.system_family import (
-    GraphError,
-    NoFloatingNodes,
-    NoInputNodes,
-    NonFiniteParameter,
-    UnknownSample,
-)
+from invarcert.system_family import GraphError, NonFiniteParameter, UnknownSample
 
 
 def single_edge(weight=0.5):
@@ -244,9 +238,9 @@ def test_orientation_invariance():
 
 
 def test_graph_validation():
-    with pytest.raises(NoFloatingNodes):
+    with pytest.raises(GraphError, match="^graph needs at least one floating node$"):
         ic.Graph(edges=[(0, 1)], floating=[], inputs=[0, 1], nominal_weights=[1.0])
-    with pytest.raises(NoInputNodes):
+    with pytest.raises(GraphError, match="^graph needs at least one input node$"):
         ic.Graph(edges=[(0, 1)], floating=[0, 1], inputs=[], nominal_weights=[1.0])
     with pytest.raises(GraphError):  # disconnected
         ic.Graph(
@@ -370,6 +364,45 @@ BAD_INPUTS = {
         ic.DimensionMismatch,
         "B0 row count must match A0",
     ),
+    "affine-A0-not-finite": (
+        lambda: ic.AffineFamily(A0=[[0.5, np.nan], [0.0, 0.5]], B0=np.zeros((2, 1))),
+        ic.InvalidArguments,
+        r"^A0 is not finite$",
+    ),
+    "affine-B0-not-finite": (
+        lambda: ic.AffineFamily(A0=np.eye(2), B0=[[np.inf], [0.0]]),
+        ic.InvalidArguments,
+        r"^B0 is not finite$",
+    ),
+    "affine-Ak-not-finite": (
+        lambda: ic.AffineFamily(
+            A0=np.eye(2),
+            B0=np.zeros((2, 1)),
+            A_terms=[np.zeros((2, 2)), [[0.0, -np.inf], [0.0, 0.0]]],
+            B_terms=[np.zeros((2, 1))] * 2,
+        ),
+        ic.InvalidArguments,
+        r"^Ak\[1\] is not finite$",
+    ),
+    "affine-Bk-not-finite": (
+        lambda: ic.AffineFamily(
+            A0=np.eye(2), B0=np.zeros((2, 1)), A_terms=[np.zeros((2, 2))], B_terms=[[np.nan, 0.0]]
+        ),
+        ic.InvalidArguments,
+        r"^Bk\[0\] is not finite$",
+    ),
+    "table-pair-not-finite": (
+        lambda: ic.TableFamily([(np.eye(2), np.ones((2, 1))), (np.eye(2), [[1.0], [np.nan]])]),
+        ic.InvalidArguments,
+        r"^table pair 1 is not finite$",
+    ),
+    "graph-nominal-weight-not-finite": (
+        lambda: ic.Graph(
+            edges=[(0, 1), (1, 2)], floating=[0, 1], inputs=[2], nominal_weights=[0.5, np.inf]
+        ),
+        GraphError,
+        r"^nominal weight 1 is not finite$",
+    ),
     "affine-term-counts-differ": (
         lambda: ic.AffineFamily(
             A0=np.zeros((2, 2)),
@@ -406,5 +439,6 @@ BAD_INPUTS = {
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_refused(case):
     call, error, message = BAD_INPUTS[case]
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=message) as info:
         call()
+    assert isinstance(info.value, ic.InvarcertError)
