@@ -4,8 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from invarcert import feasibility
 from invarcert.cli import main
 from invarcert.config import ConfigError, load_config
+
+from instances import SIX_NODE_EDGES, SIX_NODE_WEIGHTS, six_node_instance, uncertainty_box
+from minor_loop import loop_scan
 
 
 def feasible_config(count=25, beta=1e-4):
@@ -630,6 +634,55 @@ def test_infeasible_analysis_report_past_the_first_chunk(tmp_path, capsys):
         "passed": False,
         "first_failure": {"vertex": 0, "sample": 530},
     }
+
+
+def six_node_config(count, input_half=1.0):
+    """The six-node network of ``instances.six_node_instance`` with S
+    written out, the input box [-input_half, input_half]^2 and ``count``
+    seed-4 draws on the weight box."""
+    _, S, _, _ = six_node_instance(K=1)
+    lo, hi = uncertainty_box(SIX_NODE_WEIGHTS)
+    return {
+        "schema": 1,
+        "system": {
+            "network": {
+                "edges": [list(e) for e in SIX_NODE_EDGES],
+                "floating": [0, 2, 4, 5],
+                "inputs": [1, 3],
+                "nominal_weights": SIX_NODE_WEIGHTS.tolist(),
+            }
+        },
+        "state_set": {"facets": S.facets.tolist(), "vertices": S.vertices.tolist()},
+        "input_set": {"box": {"lower": [-input_half] * 2, "upper": [input_half] * 2}},
+        "scenarios": {
+            "uniform": {"lower": lo.tolist(), "upper": hi.tolist()},
+            "count": count,
+            "seed": 4,
+        },
+        "beta": 1e-6,
+    }
+
+
+def test_stacked_scan_reports_the_reference_loop_bytes(tmp_path, capsys, monkeypatch):
+    # witnesses and an infeasible analysis, through the stacked scan and
+    # through the minor enumeration one row subset at a time
+    feasible = write(tmp_path, six_node_config(60), "feasible.json")
+    infeasible = write(tmp_path, six_node_config(120, input_half=0.05), "infeasible.json")
+    argvs = [
+        ["feasibility", "--config", feasible, "--sample", str(j), "--witnesses"]
+        for j in (0, 17, 59)
+    ]
+    argvs.append(["certify", "--config", infeasible, "--analyze"])
+
+    def outputs():
+        return [(main(argv), capsys.readouterr()) for argv in argvs]
+
+    stacked = outputs()
+    monkeypatch.setattr(feasibility, "_scan", loop_scan)
+    assert outputs() == stacked
+    assert [code for code, _ in stacked] == [0, 0, 0, 2]
+    assert all(json.loads(out.out)["feasibility_analysis"]["witnesses"] for _, out in stacked[:3])
+    assert json.loads(stacked[3][1].out)["feasibility_analysis"]["passed"] is False
 
 
 @pytest.mark.parametrize("estimate", ["0", "-5"])

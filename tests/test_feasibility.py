@@ -1,11 +1,19 @@
+import functools
+import warnings
+
 import numpy as np
 import pytest
 
 import invarcert as ic
-from invarcert import lp_core
+from invarcert import feasibility, lp_core
+from invarcert.geometry import DEFAULT_TOL
 from invarcert.scenario import CHUNK, Infeasible
+from invarcert.system_family import NonFiniteParameter
 
-from instances import random_affine_instance, six_node_instance
+from instances import affine3_instance, random_affine_instance, six_node_instance
+from minor_loop import check_vertex
+
+DET_TOL = feasibility.DET_TOL
 
 
 def zero_dynamics(n=2):
@@ -106,8 +114,6 @@ def test_requires_state_dim_at_least_input_dim():
 
 def test_enumeration_cap(monkeypatch):
     # 8 rows, m = 2: 28 row subsets per vertex block
-    from invarcert import feasibility
-
     monkeypatch.setattr(feasibility, "ENUMERATION_CAP", 27)
     with pytest.raises(ic.InvalidArguments, match="^28 row subsets exceed the cap of 27$"):
         ic.single_sample_iff(zero_dynamics(), UNIT2, UNIT2, [0.0])
@@ -251,3 +257,190 @@ def test_chunked_multisample_stops_at_first_failure(monkeypatch):
         assert result.first_failure == expected
         assert result.passed == (not failing)
         assert expected is None or expected[1] == failing[0]
+
+
+def test_single_sample_names_a_non_finite_draw_by_its_index():
+    fam, S, U, _ = affine3_instance(K=1, seed=4)
+    with pytest.raises(
+        NonFiniteParameter, match=r"^row 7: parameter \[nan, 0.0, 0.0, 0.0\] is not finite$"
+    ):
+        ic.single_sample_iff(fam, S, U, [np.nan, 0.0, 0.0, 0.0], sample_index=7)
+
+
+@pytest.mark.parametrize("delta", [np.zeros((2, 4)), np.zeros((1, 4)), np.zeros(3)])
+def test_single_sample_refuses_anything_but_one_draw(delta):
+    fam, S, U, _ = affine3_instance(K=1, seed=4)
+    shape = str(delta.shape).replace("(", r"\(").replace(")", r"\)")
+    with pytest.raises(
+        ic.DimensionMismatch,
+        match=rf"^expected one draw of 4 parameter values, got shape {shape}$",
+    ):
+        ic.single_sample_iff(fam, S, U, delta, sample_index=3)
+
+
+def _det_of(t: float) -> float:
+    return abs(np.linalg.det(np.array([[1.0, 0.0], [0.0, t]])))
+
+
+def _near_singular_block():
+    """Minors whose |det| sits on either side of DET_TOL by one float.
+
+    ``det`` goes through the log of the LU diagonal, so ``at`` is the
+    largest ``t`` whose minor with ``e1`` still has ``|det| <= DET_TOL`` and
+    ``above`` the next float.  Rows 0-4 are ``e1`` and ``(0, t)`` for t in
+    {at, -at, above, -above}: with ``l`` = (0.5, 0, 0, 0, 0, 10, ...) the
+    basic point (0.5, 0) of every minor of row 0 satisfies the block, so
+    vertex 0 must skip rows (0, 1) and (0, 2) and take rows (0, 3).  Rows
+    8-13 are ``c r + t perp(r)`` for a random ``r``, scaled so that their
+    minors with row 7 (``r``) land within a few ulps of DET_TOL after
+    pivoting.
+    """
+    at = DET_TOL
+    while _det_of(at) > DET_TOL:
+        at = np.nextafter(at, 0.0)
+    while _det_of(np.nextafter(at, 1.0)) <= DET_TOL:
+        at = np.nextafter(at, 1.0)
+    above = np.nextafter(at, 1.0)
+    rng = np.random.default_rng(8)
+    r = rng.uniform(0.5, 1.5, 2)
+    perp = np.array([-r[1], r[0]]) / (r @ r)
+    G = np.vstack(
+        [
+            [[1.0, 0.0], [0.0, at], [0.0, -at], [0.0, above], [0.0, -above]],
+            [[-1.0, 0.0], [0.3, 1.0], r],
+            [c * r + f * DET_TOL * perp for c in (-2.0, 0.5, 3.0) for f in (1.0, -1.0)],
+        ]
+    )
+    l = rng.uniform(-0.2, 1.0, (6, G.shape[0]))
+    l[0] = 10.0
+    l[0, :5] = [0.5, 0.0, 0.0, 0.0, 0.0]
+    return G[None], l[None]
+
+
+def _at_tolerance_block():
+    """Residuals exactly at DEFAULT_TOL (vertex 0 takes rows (0, 1)) and
+    one float above it (vertex 1 moves on to rows (1, 2))."""
+    G = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
+    l = np.array(
+        [
+            [DEFAULT_TOL, 0.5, 0.0, 1.0, 1.0],
+            [np.nextafter(DEFAULT_TOL, 1.0), 0.5, 0.0, 1.0, 1.0],
+        ]
+    )
+    return G[None], l[None]
+
+
+def _non_finite_block():
+    """Basic points with inf and NaN entries: an overflowing solve (vertex
+    0, whose first witness is rows (0, 2)), a NaN right-hand side (vertex
+    1) and one of -1e300 (vertex 2), both with empty blocks; later minors
+    of vertex 0 give NaN residuals that the loop never computes."""
+    G = np.array([[1.0, 0.0], [0.0, 2e-10], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    l = np.ones((4, 5))
+    l[0, 1], l[1, 0], l[2, 1] = 1e300, np.nan, -1e300
+    return G[None], l[None]
+
+
+def _unreached_non_finite_block():
+    """A block whose first minor, rows (0, 1), is its witness, so that the
+    loop computes no other basic point, while the overflowing solves of
+    rows (0, 2) and (1, 2) give NaN residuals."""
+    G = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 2e-10], [-1.0, 0.0], [0.0, -1.0]])
+    l = np.array([[0.5, 0.5, 1e300, 1.0, 1.0]])
+    return G[None], l[None]
+
+
+def _overflowing_rows_block():
+    """Image rows with inf entries, as from a plant that overflows: the
+    ``det`` of rows (3, 5), past the witness rows (2, 3) of each vertex,
+    sets the invalid flag, which the loop never does."""
+    G = np.array([[1.0, 0.0], [0.0, 1.0], [np.inf, 0.0], [0.0, np.inf], [-1.0, 0.0], [0.0, -1.0]])
+    return G[None], np.ones((1, 2, 6))
+
+
+def _scan_cases():
+    """(name, G (K, rows, m), l (K, N, rows), q) of every reference case."""
+    plants = list(_plants())
+    for name, (fam, S, U, samples) in zip(("network6", "affine3"), plants):
+        yield (name, *ic.vertex_constraints(fam, S, U, samples), U.facet_count)
+    # shrunk input boxes empty some of the blocks
+    for name, (fam, S, U, samples), half in zip(
+        ("network6-small-U", "affine3-small-U"), plants, (0.05, 0.3)
+    ):
+        small = ic.box([-half] * U.dim, [half] * U.dim)
+        yield (name, *ic.vertex_constraints(fam, S, small, samples[:30]), small.facet_count)
+    yield ("near-singular", *_near_singular_block(), 0)
+    yield ("at-tolerance", *_at_tolerance_block(), 0)
+    yield ("non-finite", *_non_finite_block(), 0)
+    yield ("non-finite-unreached", *_unreached_non_finite_block(), 0)
+    yield ("overflowing-rows", *_overflowing_rows_block(), 0)
+
+
+def _caught(caught) -> set:
+    return {(w.category, str(w.message)) for w in caught}
+
+
+@functools.cache
+def _loop_cases():
+    """name -> (G, l, q, the loop's witness or None per block and vertex,
+    the warnings the loop gave)."""
+    cases = {}
+    for name, G, l, q in _scan_cases():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loop = [
+                [check_vertex(G[k], l[k, i], q, i, k) for i in range(l.shape[1])]
+                for k in range(G.shape[0])
+            ]
+        cases[name] = (G, l, q, loop, _caught(caught))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "slice_floats",
+    [1, feasibility.SLICE_FLOATS, 10**9],
+    ids=["one-subset", "default", "all-subsets"],
+)
+def test_stacked_scan_matches_the_reference_loop(monkeypatch, slice_floats):
+    monkeypatch.setattr(feasibility, "SLICE_FLOATS", slice_floats)
+    cases = _loop_cases()
+    # what the cases are meant to cover
+    for name in ("network6-small-U", "affine3-small-U"):
+        empty = [w is None for block in cases[name][3] for w in block]
+        assert any(empty) and not all(empty), name
+    G, l, _, loop, _ = cases["near-singular"]
+    dets = np.abs(np.linalg.det(G[0][feasibility._subsets(*G[0].shape)]))
+    assert ((dets <= DET_TOL) & (dets > (1 - 1e-12) * DET_TOL)).sum() >= 2
+    assert ((dets > DET_TOL) & (dets < (1 + 1e-12) * DET_TOL)).sum() >= 2
+    assert loop[0][0].image_rows == (0, 3)
+    loop = cases["at-tolerance"][3]
+    assert (loop[0][0].image_rows, loop[0][1].image_rows) == ((0, 1), (1, 2))
+    G, l, _, loop, loop_warnings = cases["non-finite"]
+    assert not np.isfinite(np.linalg.solve(G[0][[0, 1]], l[0, 0, [0, 1]])).any()
+    assert [w and w.image_rows for w in loop[0]] == [(0, 2), None, None, (0, 2)]
+    assert loop_warnings
+    G, l, _, loop, loop_warnings = cases["non-finite-unreached"]
+    assert loop[0][0].image_rows == (0, 1) and not loop_warnings
+    G, l, _, loop, loop_warnings = cases["overflowing-rows"]
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in det"):
+        np.linalg.det(G[0][[3, 5]])
+    assert [w.image_rows for w in loop[0]] == [(2, 3), (2, 3)]
+    assert not any("det" in message for _, message in loop_warnings)
+    for name, (G, l, q, loop, loop_warnings) in cases.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            scans = [feasibility._scan(G[k], l[k]) for k in range(G.shape[0])]
+        # no warning that the loop does not give
+        assert _caught(caught) <= loop_warnings, name
+        subsets = feasibility._subsets(*G.shape[1:])
+        for k, (first, points, failed) in enumerate(scans):
+            empty = [i for i, w in enumerate(loop[k]) if w is None]
+            assert failed == (empty[0] if empty else None), (name, k)
+            for i, w in enumerate(loop[k]):
+                if w is None:
+                    assert first[i] == -1, (name, k, i)
+                    continue
+                chosen = subsets[first[i]]
+                assert tuple(chosen) == w.input_rows + tuple(q + j for j in w.image_rows)
+                assert G[k][chosen].tobytes() == w.submatrix.tobytes(), (name, k, i)
+                assert points[i].tobytes() == w.point.tobytes(), (name, k, i)
