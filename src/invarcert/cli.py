@@ -201,8 +201,9 @@ def _initial_states(
 
 def _sample_parameter(family, sample):
     """``sample`` as the parameter of a simulation: ``ell`` finite numbers
-    whose plant ``A(delta), B(delta)`` is finite; with the family at it
-    (:class:`closed_loop.PlantAt`), which the simulation does not check
+    whose plant ``A(delta), B(delta)`` the family builds.  A draw the
+    family refuses is refused here in the words of ``--sample``, before any
+    start is drawn or any step runs; the simulation builds the plant
     again."""
     delta = np.asarray(sample, dtype=float)
     if delta.shape != (family.ell,):
@@ -210,13 +211,14 @@ def _sample_parameter(family, sample):
     if not np.isfinite(delta).all():
         raise InvalidArguments(f"--sample values must be finite, got {delta.tolist()}")
     try:
-        return delta, closed_loop.PlantAt(family, delta)
+        family.instantiate(delta)
     except UnknownSample as exc:
         raise InvalidArguments(
             f"--sample {exc.value!r} is not a table index in 0..{exc.count - 1}"
         ) from None
     except InvalidArguments:
         raise InvalidArguments(f"--sample {delta.tolist()} gives a non-finite plant") from None
+    return delta
 
 
 def _trajectory_name(idx: int) -> str:
@@ -247,9 +249,7 @@ def run_simulate(
     family, S = config.family, config.state_set
     if seed < 0:
         raise InvalidArguments(f"--seed must be >= 0, got {seed}")
-    delta = family.nominal_delta
-    if sample is not None:
-        delta, family = _sample_parameter(family, sample)
+    delta = family.nominal_delta if sample is None else _sample_parameter(family, sample)
     starts = _initial_states(init, S, seed, horizon)
     try:
         trajectories = closed_loop.simulate_closed_loop(

@@ -50,21 +50,6 @@ class TrajectoryOverflow(InvarcertError):
     """A simulated state is not finite."""
 
 
-class PlantAt:
-    """A family at one parameter: its ``m``, ``ell`` and its ``plant``
-    ``A(delta), B(delta)``, built once and checked finite.  A plant that is
-    not finite raises :class:`InvalidArguments` naming ``delta``.
-    :func:`simulate_closed_loop` takes one in place of its family and does
-    not build or check the plant again."""
-
-    def __init__(self, family, delta):
-        with np.errstate(over="ignore", invalid="ignore"):
-            A, B = family.instantiate(delta)
-        if not (np.isfinite(A).all() and np.isfinite(B).all()):
-            raise InvalidArguments(f"parameter {delta.tolist()} gives a non-finite plant")
-        self.m, self.ell, self.plant = family.m, family.ell, (A, B)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """One closed-loop run: states x(0..T), inputs u(0..T-1), gauge trace."""
@@ -134,7 +119,10 @@ def check_size(N: int, T: int, n: int) -> None:
 
 
 def _check_policy_shape(family, S: Polytope, policy: AffinePolicy) -> None:
-    """A policy must give one (m, ell) gain per vertex of ``S``."""
+    """The family's states must be those of ``S``, and a policy must give
+    one (m, ell) gain per vertex of ``S``."""
+    if family.n != S.dim:
+        raise DimensionMismatch(f"the family has {family.n} states, S has {S.dim}")
     expected = (S.vertex_count, family.m, family.ell)
     if policy.gains.shape != expected:
         raise DimensionMismatch(
@@ -161,24 +149,22 @@ def simulate_closed_loop(
     start exits at the first step where its gauge exceeds ``1 +
     DEFAULT_TOL`` or its state is not finite; from then on its input is
     zero and ``first_exit`` records the step.  A failed decomposition is
-    no exit: it raises :class:`DecompositionInfeasible`.  A policy whose
-    gains are not (vertices of ``S``, m, ell) raises
-    :class:`DimensionMismatch` first, and a horizon ``T < 1``, a run of
-    more than :data:`MAX_STATES` states or a parameter that is not finite
-    raises :class:`InvalidArguments` before anything is allocated; a start
-    outside ``S``, or not finite, raises :class:`DecompositionInfeasible`
-    before any step, and a parameter whose plant ``A(delta), B(delta)`` is
-    not finite raises :class:`InvalidArguments`, also before any step; a
-    :class:`PlantAt` in place of ``family`` has been checked already.  An
-    empty stack of starts gives an empty list.  A run that overflows raises
+    no exit: it raises :class:`DecompositionInfeasible`.  A family whose
+    state dimension is not that of ``S``, or a policy whose gains are not
+    (vertices of ``S``, m, ell), raises :class:`DimensionMismatch` first.
+    Then the family builds the plant ``A(delta), B(delta)``, refusing a
+    parameter that is not finite, or whose plant is not, by name; then a
+    horizon ``T < 1`` or a run of more than :data:`MAX_STATES` states
+    raises :class:`InvalidArguments`, all before the run is allocated.  A
+    start outside ``S``, or not finite, raises
+    :class:`DecompositionInfeasible` before any step.  An empty stack of
+    starts gives an empty list.  A run that overflows raises
     :class:`TrajectoryOverflow`, naming the first start with a non-finite
     state and its first such step.
     """
     _check_policy_shape(family, S, policy)
     delta = np.asarray(delta, dtype=float).ravel()
-    bad = np.flatnonzero(~np.isfinite(delta))
-    if bad.size:
-        raise InvalidArguments(f"parameter entry {bad[0]} is {delta[bad[0]]}, not finite")
+    A, B = family.instantiate(delta)
     x0 = np.asarray(x0, dtype=float)
     single = x0.ndim < 2
     X = x0.reshape(1, -1) if single else x0
@@ -191,9 +177,7 @@ def simulate_closed_loop(
     if outside.size:
         raise DecompositionInfeasible(f"start {outside[0]} lies outside S")
     N = X.shape[0]
-    # an overflow shows as a non-finite plant, refused here, or as a
-    # non-finite state, refused once after the loop
-    A, B = (family if isinstance(family, PlantAt) else PlantAt(family, delta)).plant
+    # an overflow shows as a non-finite state, refused once after the loop
     with np.errstate(over="ignore", invalid="ignore"):
         if not N:
             return []
@@ -252,6 +236,8 @@ def empirical_violation(family, S, U, policy, samples):
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
         samples = samples[:, None]
+    if not len(samples):
+        raise InvalidArguments("no samples to estimate the violation from")
     ok = np.empty(samples.shape[0], dtype=bool)
     for lo, hi in chunks(samples.shape[0]):
         part = samples[lo:hi]
@@ -303,27 +289,13 @@ def estimate_violation(
 
 
 def write_trajectory_csv(path, trajectory: Trajectory) -> None:
-    """Dump one trajectory: columns t, x_1..x_n, u_1..u_m, gauge."""
-    n = trajectory.states.shape[1]
-    m = trajectory.inputs.shape[1]
-    header = (
-        ["t"]
-        + [f"x_{k + 1}" for k in range(n)]
-        + [f"u_{k + 1}" for k in range(m)]
-        + ["gauge"]
-    )
+    """Dump one trajectory: columns t, x_1..x_n, u_1..u_m, gauge; the last
+    state has no input."""
+    n, m = trajectory.states.shape[1], trajectory.inputs.shape[1]
+    header = ["t", *(f"x_{k + 1}" for k in range(n)), *(f"u_{k + 1}" for k in range(m)), "gauge"]
+    inputs = trajectory.inputs.tolist() + [[""] * m]
+    rows = zip(trajectory.states.tolist(), inputs, trajectory.gauges.tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh)  # a float is written as its repr
         writer.writerow(header)
-        for t in range(trajectory.states.shape[0]):
-            u = (
-                [repr(float(v)) for v in trajectory.inputs[t]]
-                if t < trajectory.horizon
-                else [""] * m
-            )
-            writer.writerow(
-                [t]
-                + [repr(float(v)) for v in trajectory.states[t]]
-                + u
-                + [repr(float(trajectory.gauges[t]))]
-            )
+        writer.writerows([t, *x, *u, g] for t, (x, u, g) in enumerate(rows))

@@ -183,14 +183,20 @@ def _origin_in_hull(X: np.ndarray) -> bool:
 def box(lower, upper) -> Polytope:
     """Axis-aligned box with both representations, origin strictly inside.
 
-    Requires ``lower < 0 < upper`` componentwise so the unit-RHS facet form
-    exists.  Vertices are ordered as ``itertools.product`` of the per-axis
+    Requires finite bounds with ``lower < 0 < upper`` componentwise so the
+    unit-RHS facet form exists; an entry that is not finite is refused by
+    name.  Vertices are ordered as ``itertools.product`` of the per-axis
     (lower, upper) pairs.
     """
     lo = np.asarray(lower, dtype=float).ravel()
     hi = np.asarray(upper, dtype=float).ravel()
     if lo.size != hi.size:
         raise DimensionMismatch("lower and upper lengths differ")
+    bounds = np.column_stack([lo, hi])
+    finite = np.isfinite(bounds).all(axis=1)
+    if not finite.all():
+        row = int(finite.argmin())
+        raise PolytopeError(f"box entry {row} is not finite: {bounds[row].tolist()}")
     if np.any(lo >= 0) or np.any(hi <= 0):
         raise PolytopeError("box must satisfy lower < 0 < upper")
     n = lo.size

@@ -254,7 +254,7 @@ def _plants(family, S: Polytope, U: Polytope, deltas, first: int):
     except UnknownSample as exc:
         raise UnknownSample(first + exc.row, exc.value, exc.count) from None
     except NonFiniteParameter as exc:
-        raise NonFiniteParameter(first + exc.row, exc.value) from None
+        raise NonFiniteParameter(first + exc.row, exc.value, exc.what) from None
     if A.shape[1:] != (S.dim, S.dim) or B.shape[1:] != (S.dim, U.dim):
         raise DimensionMismatch("family output does not match S and U")
     return A, B
@@ -269,15 +269,22 @@ def vertex_constraints(family, S: Polytope, U: Polytope, deltas, first: int = 0)
     lies in ``U`` and maps the vertex into ``S``, iff ``G[k] u <= l[k, i]``.
     ``first`` is the position of ``deltas[0]`` in the whole sample list; an
     :class:`UnknownSample` or a :class:`NonFiniteParameter` names its draw
-    by that position.
+    by that position, and so does the refusal of a finite plant whose rows
+    or right-hand sides overflow.
     """
     A, B = _plants(family, S, U, deltas, first)
     q = U.facet_count
     G = np.empty((A.shape[0], q + S.facet_count, U.dim))
     G[:, :q] = U.facets
-    G[:, q:] = S.facets @ B
     l = np.ones((A.shape[0], S.vertex_count, q + S.facet_count))
-    l[:, :, q:] -= (S.facets @ A @ S.vertices.T).transpose(0, 2, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G[:, q:] = S.facets @ B
+        l[:, :, q:] -= (S.facets @ A @ S.vertices.T).transpose(0, 2, 1)
+    finite = np.isfinite(G).all(axis=(1, 2)) & np.isfinite(l).all(axis=(1, 2))
+    if not finite.all():
+        row = int(finite.argmin())
+        value = np.asarray(deltas, dtype=float)[row].tolist()
+        raise NonFiniteParameter(first + row, value, "gives non-finite constraint rows")
     return G, l
 
 
@@ -295,7 +302,11 @@ def is_admissible(family, S: Polytope, U: Polytope, delta, u, *, first: int = 0)
     deltas = np.atleast_2d(np.asarray(delta, dtype=float))
     A, B = _plants(family, S, U, deltas, first)
     M, n = A.shape[:2]
-    u = np.asarray(u, dtype=float).reshape(M, S.vertex_count, U.dim)
+    u = np.asarray(u, dtype=float)
+    if u.size != M * S.vertex_count * U.dim:
+        expected = (M, S.vertex_count, U.dim)
+        raise DimensionMismatch(f"vertex inputs have shape {u.shape}, not (M, N, m) = {expected}")
+    u = u.reshape(M, S.vertex_count, U.dim)
     images = (A.reshape(M * n, n) @ S.vertices.T).reshape(M, n, -1)  # column i: A x_i
     for a in range(U.dim):
         images += B[:, :, a, None] * u[:, None, :, a]

@@ -27,11 +27,12 @@ class GraphError(InvarcertError, ValueError):
 
 
 class NonFiniteParameter(InvalidArguments):
-    """Draw ``row`` of a stack, ``value``, is not finite."""
+    """Draw ``row`` of a stack, ``value``, is not finite, or ``what`` it
+    gives is not (its plant, say)."""
 
-    def __init__(self, row: int, value: list):
-        super().__init__(f"row {row}: parameter {value} is not finite")
-        self.row, self.value = row, value
+    def __init__(self, row: int, value: list, what: str = "is not finite"):
+        super().__init__(f"row {row}: parameter {value} {what}")
+        self.row, self.value, self.what = row, value, what
 
 
 class UnknownSample(InvalidArguments):
@@ -201,8 +202,10 @@ class AffineFamily:
         parameter a skipped product is ``+-0.0``, which leaves any other
         running sum as it is, so every entry has the bits of the sum over
         all the terms, and a draw's slice does not depend on the other rows
-        of the stack.  A row that is not finite raises
-        :class:`NonFiniteParameter`, naming the row.
+        of the stack.  A row that is not finite, or whose ``A(delta)`` or
+        ``B(delta)`` overflows, raises :class:`NonFiniteParameter` naming
+        the row: with finite terms and a finite row an entry can only turn
+        non-finite by an overflow, which the one stacked pass traps.
         """
         d = np.asarray(deltas, dtype=float)
         if d.ndim != 2 or d.shape[1] != self.ell:
@@ -213,7 +216,15 @@ class AffineFamily:
             row = int(np.isfinite(d).all(axis=1).argmin())
             raise NonFiniteParameter(row, d[row].tolist())
         base, ranks, positions = self._plan
-        stack = _affine_stack(base, ranks, np.ascontiguousarray(d.T))
+        columns = np.ascontiguousarray(d.T)
+        try:
+            with np.errstate(over="raise"):
+                stack = _affine_stack(base, ranks, columns)
+        except FloatingPointError:
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = np.isfinite(_affine_stack(base, ranks, columns)).all(axis=0)
+            row = int(finite.argmin())
+            raise NonFiniteParameter(row, d[row].tolist(), "gives a non-finite plant") from None
         K = d.shape[0]
         A, B = (stack.take(rows, axis=0) for rows in positions)
         return (
@@ -355,9 +366,7 @@ class TableFamily:
     def nominal_delta(self) -> np.ndarray:
         return np.zeros(1)
 
-    def instantiate(self, delta):
-        A, B = self.instantiate_batch(np.reshape(delta, (1, -1)))
-        return A[0], B[0]
+    instantiate = AffineFamily.instantiate  # one draw is a stack of one
 
     def instantiate_batch(self, deltas):
         """Stacked ``(A, B)`` for a (K, 1) column of table indices."""

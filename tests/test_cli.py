@@ -283,6 +283,28 @@ class TestMoreConfig:
         A, _ = config.family.instantiate(config.scenarios.samples[1])
         assert A[0, 0] == 0.8
 
+    def test_table_pair_with_a_one_dimensional_b(self, tmp_path, capsys):
+        # a B given as one column loads as that column and certifies alike
+        pairs = [{"A": [[0.5, 0.1], [0.0, 0.6]], "B": [[1.0], [0.5]]}]
+        pairs.append({"A": [[0.7, 0.0], [0.1, 0.4]], "B": [1.0, 0.25]})
+        payload = {
+            "system": {"table": {"pairs": pairs}},
+            "state_set": {"box": {"lower": [-1, -1], "upper": [1, 1]}},
+            "input_set": {"box": {"lower": [-1], "upper": [1]}},
+            "scenarios": {"file": "indices.csv"},
+            "beta": 0.01,
+        }
+        np.savetxt(tmp_path / "indices.csv", np.array([[0.0], [1.0], [1.0]]), delimiter=",")
+        family = load_config(write(tmp_path, payload)).family
+        assert family.B.shape == (2, 2, 1)
+        assert family.B[1].tolist() == [[1.0], [0.25]]
+        reports = []
+        for B in ([1.0, 0.25], [[1.0], [0.25]]):
+            pairs[1]["B"] = B
+            assert main(["certify", "--config", write(tmp_path, payload)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
     def test_beta_override(self, tmp_path, capsys):
         cfg = write(tmp_path, feasible_config(beta=1e-2))
         main(["certify", "--config", cfg, "--beta", "1e-8"])
@@ -1185,6 +1207,68 @@ def test_sample_that_overflows_the_run_refused(tmp_path, capsys):
         "the state of start 0 at step 3 is not finite\n"
     )
     assert not (tmp_path / "run").exists()
+
+
+def test_nominal_run_that_overflows_refused(tmp_path, capsys):
+    # without --sample the overflow is the simulation's own error: A0 = 1e200 I
+    # takes the vertex starts past 1e308 at step 2
+    payload = affine_config()
+    payload["system"]["affine"]["A0"] = [[1e200, 0.0], [0.0, 1e200]]
+    cfg = write(tmp_path, payload)
+    zero = {"gains": np.zeros((4, 1, 1)).tolist(), "offsets": np.zeros((4, 1)).tolist()}
+    policy = write(tmp_path, zero, "policy.json")
+    assert main(["simulate", "--config", cfg, "--policy", policy, "--nominal"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the state of start 0 at step 2 is not finite\n"
+
+
+def overflow_config():
+    """B(delta) = I + delta 1e300 I overflows on nearly every draw of [-1e10, 1e10]."""
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    return {
+        "system": {
+            "affine": {
+                "A0": [[0.5, 0.0], [0.0, 0.5]],
+                "B0": eye,
+                "Ak": [[[0.0, 0.0], [0.0, 0.0]]],
+                "Bk": [[[1e300, 0.0], [0.0, 1e300]]],
+            }
+        },
+        "state_set": {"box": {"lower": [-1, -1], "upper": [1, 1]}},
+        "input_set": {"box": {"lower": [-1, -1], "upper": [1, 1]}},
+        "scenarios": {"uniform": {"lower": [-1e10], "upper": [1e10]}, "count": 20, "seed": 0},
+        "beta": 1e-3,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--estimate", "50"],
+        ["feasibility"],
+        ["feasibility", "--sample", "0"],
+    ],
+)
+def test_overflowing_draw_refused_by_every_command(argv, tmp_path):
+    # run as a script, where warnings are not errors: each command refuses
+    # sample 0 by name, with one error line and no RuntimeWarning, where
+    # certify used to certify the policy (v_hat 1.0) and feasibility to
+    # report sample 0 infeasible
+    import os
+    import subprocess
+    import sys
+
+    import invarcert
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(invarcert.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    cfg = write(tmp_path, overflow_config())
+    command = [sys.executable, "-m", "invarcert.cli", argv[0], "--config", cfg, *argv[1:]]
+    run = subprocess.run(command, env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == "error: row 0: parameter [2739233746.4290867] gives a non-finite plant\n"
 
 
 def test_table_sample_that_is_not_an_index_refused(tmp_path, capsys, monkeypatch):

@@ -602,8 +602,8 @@ def test_empty_stack_of_starts_gives_no_trajectories():
 
 def test_overflowing_plant_refused_before_any_step(monkeypatch):
     # A(delta) = delta 2 I is not finite at the finite delta = 1e308: the
-    # parameter is refused by name before any step, and the overflow while
-    # building the plant warns nothing (warnings are errors in this suite)
+    # family refuses the parameter by name while building the plant, before
+    # any step, and warns nothing (warnings are errors in this suite)
     from invarcert import closed_loop
     from invarcert.errors import InvalidArguments
 
@@ -614,10 +614,26 @@ def test_overflowing_plant_refused_before_any_step(monkeypatch):
     fam = ic.AffineFamily(
         A0=np.zeros((2, 2)), B0=np.eye(2), A_terms=[2.0 * np.eye(2)], B_terms=[np.zeros((2, 2))]
     )
-    message = r"^parameter \[1e\+308\] gives a non-finite plant$"
+    message = r"^row 0: parameter \[1e\+308\] gives a non-finite plant$"
     for starts in (np.array([[0.5, 0.5], [0.0, 0.0]]), [0.5, 0.5]):
         with pytest.raises(InvalidArguments, match=message):
             ic.simulate_closed_loop(fam, [1e308], UNIT2, zero_policy(4, 2), starts)
+
+
+def test_family_of_another_state_dimension_refused_before_allocation(monkeypatch):
+    # S in three dimensions, the family in two: refused before the plant is
+    # built or the run is sized, where the step loop used to fail in matmul
+    from invarcert import closed_loop
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run went past its dimension check")
+
+    fam = ic.AffineFamily(0.5 * np.eye(2), np.eye(2), [np.zeros((2, 2))], [np.zeros((2, 2))])
+    monkeypatch.setattr(fam.__class__, "instantiate", no_work)
+    monkeypatch.setattr(closed_loop, "check_size", no_work)
+    S3 = ic.box([-1.0] * 3, [1.0] * 3)
+    with pytest.raises(ic.DimensionMismatch, match="^the family has 2 states, S has 3$"):
+        ic.simulate_closed_loop(fam, [0.1], S3, zero_policy(8, 2), [0.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("T", [0, -2])
@@ -661,12 +677,23 @@ BAD_INPUTS = {
     "parameter-nan": (
         _one_step([0.5, 0.5], delta=[np.nan]),
         ic.InvalidArguments,
-        "^parameter entry 0 is nan, not finite$",
+        r"^row 0: parameter \[nan\] is not finite$",
     ),
     "parameter-inf": (
         _one_step([0.5, 0.5], delta=[-np.inf]),
         ic.InvalidArguments,
-        "^parameter entry 0 is -inf, not finite$",
+        r"^row 0: parameter \[-inf\] is not finite$",
+    ),
+    "family-state-dimension": (
+        lambda: ic.simulate_closed_loop(
+            ic.AffineFamily(0.5 * np.eye(2), np.eye(2), [np.zeros((2, 2))], [np.zeros((2, 2))]),
+            [0.1],
+            ic.box([-1.0] * 3, [1.0] * 3),
+            zero_policy(8, 2),
+            [0.0, 0.0, 0.0],
+        ),
+        ic.DimensionMismatch,
+        "^the family has 2 states, S has 3$",
     ),
     "x0-shape": (
         lambda: ic.simulate_closed_loop(
@@ -681,6 +708,13 @@ BAD_INPUTS = {
         ),
         ValueError,
         "M must be >= 1",
+    ),
+    "no-samples": (
+        lambda: ic.empirical_violation(
+            zero_dynamics_family(), UNIT2, UNIT2, zero_policy(4, 2), np.zeros((0, 1))
+        ),
+        ic.InvalidArguments,
+        "^no samples to estimate the violation from$",
     ),
 }
 

@@ -334,13 +334,30 @@ def test_decomposition_lp_built_once_per_polytope(monkeypatch):
 
 
 BAD_INPUTS = {
-    "box-lengths-differ": (lambda: ic.box([-1.0, -1.0], [1.0]), "lower and upper lengths differ"),
+    "box-lengths-differ": (
+        lambda: ic.box([-1.0, -1.0], [1.0]),
+        ic.DimensionMismatch,
+        "lower and upper lengths differ",
+    ),
+    # a NaN bound made NaN facets and vertices, an infinite one a zero facet
+    "box-bound-nan": (
+        lambda: ic.box([np.nan, -1.0], [1.0, 1.0]),
+        PolytopeError,
+        r"^box entry 0 is not finite: \[nan, 1\.0\]$",
+    ),
+    "box-bound-inf": (
+        lambda: ic.box([-1.0, -1.0], [np.inf, 1.0]),
+        PolytopeError,
+        r"^box entry 0 is not finite: \[-1\.0, inf\]$",
+    ),
     "decompose-wrong-shape": (
         lambda: ic.vertex_decompose(ic.box([-1.0, -1.0], [1.0, 1.0]), np.zeros((2, 2, 2))),
+        ic.DimensionMismatch,
         r"points have shape \(2, 2, 2\), expected \(2,\) or \(N, 2\)",
     ),
     "decompose-wrong-dimension": (
         lambda: ic.vertex_decompose(ic.box([-1.0, -1.0], [1.0, 1.0]), np.zeros((4, 3))),
+        ic.DimensionMismatch,
         r"points have shape \(4, 3\)",
     ),
 }
@@ -348,7 +365,7 @@ BAD_INPUTS = {
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_refused(case):
-    call, message = BAD_INPUTS[case]
-    with pytest.raises(ic.DimensionMismatch, match=message) as info:
+    call, error, message = BAD_INPUTS[case]
+    with pytest.raises(error, match=message) as info:
         call()
     assert isinstance(info.value, ic.InvarcertError)

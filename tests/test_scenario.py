@@ -1282,6 +1282,13 @@ BAD_INPUTS = {
         ic.DimensionMismatch,
         "family output does not match S and U",
     ),
+    "admissible-inputs-shape": (
+        lambda: ic.is_admissible(
+            zero_dynamics_family(), UNIT2, UNIT2, np.zeros((2, 1)), np.zeros(12)
+        ),
+        ic.DimensionMismatch,
+        r"^vertex inputs have shape \(12,\), not \(M, N, m\) = \(2, 4, 2\)$",
+    ),
     "family-input-dimension-not-U": (
         lambda: ic.vertex_constraints(
             zero_dynamics_family(), UNIT2, ic.box([-1.0], [1.0]), np.zeros((1, 1))
@@ -1290,6 +1297,38 @@ BAD_INPUTS = {
         "family output does not match S and U",
     ),
 }
+
+
+def test_constraint_rows_that_overflow_name_their_draw():
+    # the plants are finite, but F B(delta) overflows on S = box(+-0.01):
+    # a NaN row never reads as violated, so synthesis and greedy used to
+    # return a zero policy with no support; each stacked path refuses the
+    # draw by its position, with no overflow warning
+    from invarcert.system_family import NonFiniteParameter
+
+    fam = ic.AffineFamily(
+        0.5 * np.eye(2), 1e307 * np.eye(2), [np.zeros((2, 2))], [np.zeros((2, 2))]
+    )
+    S = ic.box([-0.01, -0.01], [0.01, 0.01])
+    scen = ic.ScenarioSet.from_uniform_box([0.0], [1.0], 10, seed=0)
+
+    def message(row):
+        value = scen.samples[row].tolist()
+        return rf"^row {row}: parameter \[{value[0]!r}\] gives non-finite constraint rows$"
+
+    with pytest.raises(NonFiniteParameter, match=message(0)):
+        ic.solve_affine_policy(fam, S, UNIT2, scen)
+    with pytest.raises(NonFiniteParameter, match=message(0)):
+        ic.multisample_necessary(fam, S, UNIT2, scen)
+    with pytest.raises(NonFiniteParameter, match=message(7)):
+        ic.single_sample_iff(fam, S, UNIT2, scen.samples[7], sample_index=7)
+    # a right-hand side 1 - F A(delta) x_i that overflows, on one draw of four
+    fam = ic.AffineFamily(
+        np.zeros((2, 2)), np.eye(2), [1e308 * np.ones((2, 2))], [np.zeros((2, 2))]
+    )
+    deltas = np.array([[0.1], [0.25], [1.0], [0.5]])
+    with pytest.raises(NonFiniteParameter, match=r"^row 32: parameter \[1\.0\] gives non-finite"):
+        ic.vertex_constraints(fam, UNIT2, UNIT2, deltas, 30)
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))

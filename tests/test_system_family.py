@@ -208,6 +208,56 @@ def test_instantiate_batch_refuses_a_non_finite_row():
             fam.instantiate(deltas[4])
 
 
+def test_instantiate_batch_refuses_an_overflowing_plant():
+    # a finite draw whose A(delta) or B(delta) overflows, in a product or in
+    # a sum, is refused by its row, with no overflow warning (warnings are
+    # errors in this suite); the rows before it build as they did alone
+    product = ic.AffineFamily(
+        np.zeros((2, 2)), np.eye(2), [np.zeros((2, 2))], [1e300 * np.eye(2)]
+    )
+    total = ic.AffineFamily(1e308 * np.eye(2), np.eye(2), [1e308 * np.eye(2)], [np.zeros((2, 2))])
+    for fam, value in ((product, 1e10), (total, 1.0)):
+        deltas = np.array([[0.5], [-0.25], [value], [0.0]])
+        with pytest.raises(NonFiniteParameter) as info:
+            fam.instantiate_batch(deltas)
+        assert str(info.value) == f"row 2: parameter [{value!r}] gives a non-finite plant"
+        assert (info.value.row, info.value.value) == (2, [value])
+        with pytest.raises(NonFiniteParameter, match=r"^row 0: .* gives a non-finite plant$"):
+            fam.instantiate(deltas[2])
+        A, B = fam.instantiate_batch(deltas[:2])
+        for k in range(2):
+            A_k, B_k = fam.instantiate(deltas[k])
+            assert A_k.tobytes() == A[k].tobytes() and B_k.tobytes() == B[k].tobytes()
+    fam = _term_families()["six_node"]
+    deltas = np.random.default_rng(6).uniform(-1.0, 1.0, size=(6, fam.ell))
+    deltas[3] = 1e308
+    message = r"^row 3: parameter \[1e\+308, .*\] gives a non-finite plant$"
+    with pytest.raises(NonFiniteParameter, match=message):
+        fam.instantiate_batch(deltas)
+
+
+def test_overflowing_plant_named_in_the_whole_sample_list():
+    # Monte Carlo names the draw by its index among the M draws, and
+    # vertex_constraints by its position in the sample list
+    from invarcert import scenario
+
+    fam = ic.AffineFamily(np.zeros((1, 1)), np.eye(1), [np.zeros((1, 1))], [1e300 * np.eye(1)])
+    S = ic.box([-1.0], [1.0])
+    policy = ic.AffinePolicy(gains=np.zeros((2, 1, 1)), offsets=np.zeros((2, 1)))
+    draws = np.zeros((scenario.CHUNK + 20, 1))
+    draws[scenario.CHUNK + 9] = 1e10
+
+    class Fixed:
+        def draw(self, count, rng):
+            return draws[:count]
+
+    message = rf"^row {scenario.CHUNK + 9}: parameter \[10000000000\.0\] gives a non-finite plant$"
+    with pytest.raises(NonFiniteParameter, match=message):
+        ic.estimate_violation(fam, S, S, policy, Fixed(), M=len(draws))
+    with pytest.raises(NonFiniteParameter, match=r"^row 39: parameter \[10000000000\.0\] gives"):
+        ic.vertex_constraints(fam, S, S, draws[scenario.CHUNK :], 30)
+
+
 def test_non_finite_draw_named_in_the_whole_sample_list():
     # the bad draw sits in the second chunk of 512 of a Monte Carlo pass
     from instances import six_node_instance
